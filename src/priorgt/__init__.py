@@ -9,11 +9,8 @@ harness.
 from .priors import (
     PopulationVector,
     PriorVector,
-    RecoveredVector,
     binary_entropy,
-    entropy,
     generate_prior,
-    mu,
 )
 from .partition import (
     Band,
@@ -26,8 +23,8 @@ from .partition import (
 from .adaptive import (
     AdaptiveRunResult,
     NestedPlan,
-    PlanNode,
     build_plan,
+    build_prepartitioned_plan,
     me_first_stage,
     me_split,
     run_adaptive,

@@ -10,15 +10,21 @@ balanced-weight or bottom-up-merge code tree over each pool using the item
 probabilities as weights.
 
 Plans are laminar: children partition their parent, leaves are singletons.
-Execution descends only through positive pools, so a noiseless run recovers
-the true population vector exactly.
+With the leaves laid out depth first, every pool is a contiguous run of one
+item permutation ``perm``.  The top-down splits keep each pool's order and
+cut it at a prefix; the bottom-up merge lays its leaves out after merging.
+So a plan is stored flat: node k, numbered in preorder, tests
+``perm[lo[k]:hi[k]]``.  A pre-partitioned run is one such plan too, whose
+individually tested items are singleton roots.  Execution answers each pool
+from prefix counts of the truth in ``perm`` order and descends only through
+positive pools, so a noiseless run recovers the true population vector
+exactly.  Plans serialize to one flat JSON object marked ``"format": 2``.
 """
 
 from __future__ import annotations
 
 import csv
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,70 +32,137 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .partition import Partition, build_partition, combine_for_concentration
-from .priors import PopulationVector, PriorVector, RecoveredVector
+from .partition import build_partition, combine_for_concentration
+from .priors import PopulationVector, PriorVector
 
 CONSTRUCTIONS = ("max_entropy", "shannon_fano", "huffman")
-
-
-@dataclass(frozen=True)
-class PlanNode:
-    """One pool in the test tree; internal nodes split into two children."""
-
-    items: tuple[int, ...]
-    left: "PlanNode | None" = None
-    right: "PlanNode | None" = None
-
-    def __post_init__(self):
-        if (self.left is None) != (self.right is None):
-            raise ValueError("plan nodes need either two children or none")
-        if self.left is None:
-            if len(self.items) != 1:
-                raise ValueError(f"leaf pools must be singletons, got {self.items}")
-        else:
-            merged = sorted(self.left.items + self.right.items)
-            if merged != sorted(self.items) or not self.left.items or not self.right.items:
-                raise ValueError("children must partition their parent into nonempty pools")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    @cached_property
-    def items_array(self) -> np.ndarray:
-        return np.asarray(self.items, dtype=np.int64)
+PLAN_FORMAT = 2
+_INDEX_FIELDS = ("perm", "lo", "hi", "left", "right", "roots", "auto_defective", "auto_clear")
 
 
 @dataclass(frozen=True)
 class NestedPlan:
-    """A laminar family of pools ready for adaptive execution.
+    """A laminar family of pools stored as ranges over one item permutation.
 
-    ``auto_defective`` and ``auto_clear`` hold items declared without testing
-    (probability exactly 1 or 0); the trees cover everything else.
-    ``mu_covered`` is the prior mass over all covered items, used by the
-    small-mass shortcut at execution time.
+    Nodes are numbered in preorder.  Node k tests ``perm[lo[k]:hi[k]]``;
+    ``left[k]`` and ``right[k]`` are its children, -1 at a leaf.  ``roots``
+    lists the first-stage pools in test order, and their ranges tile ``perm``.
+    ``auto_defective`` and ``auto_clear`` hold items declared without testing;
+    the trees cover everything else.  ``mu_covered`` is the prior mass over
+    all covered items, used by the small-mass shortcut at execution time.
     """
 
     n: int
     construction: str
-    root_groups: tuple[PlanNode, ...]
+    perm: tuple[int, ...]
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    roots: tuple[int, ...]
     auto_defective: tuple[int, ...] = ()
     auto_clear: tuple[int, ...] = ()
     counts_both_children: bool = True
     mu_covered: float = 0.0
 
-    def covered_items(self) -> tuple[int, ...]:
-        out = list(self.auto_defective) + list(self.auto_clear)
-        for g in self.root_groups:
-            out.extend(g.items)
-        return tuple(sorted(out))
+    def __post_init__(self):
+        for name in _INDEX_FIELDS:
+            object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
+        if self.construction not in CONSTRUCTIONS:
+            raise ValueError(f"unknown construction {self.construction!r}; expected one of {CONSTRUCTIONS}")
+        ids = self.perm + self.auto_defective + self.auto_clear
+        if len(set(ids)) != len(ids) or any(not 0 <= i < self.n for i in ids):
+            raise ValueError("plan item ids must be distinct and lie in 0..n-1")
+        lo, hi, left, right = self.lo, self.hi, self.left, self.right
+        size = len(lo)
+        if not len(hi) == len(left) == len(right) == size:
+            raise ValueError("lo, hi, left and right need one entry per node")
+        visited = cursor = 0
+        for root in self.roots:
+            stack = [root]
+            while stack:
+                k = stack.pop()
+                if k != visited or k >= size:
+                    raise ValueError("nodes must be numbered in preorder, each reached once")
+                visited += 1
+                a, b = left[k], right[k]
+                if a < 0 and b < 0:
+                    if hi[k] - lo[k] != 1:
+                        raise ValueError(f"leaf pools must be singletons, got {self.perm[lo[k]:hi[k]]}")
+                    continue
+                if not (0 <= a < size and 0 <= b < size):
+                    raise ValueError("plan nodes need either two children or none")
+                if not lo[a] == lo[k] < hi[a] == lo[b] < hi[b] == hi[k]:
+                    raise ValueError("children must partition their parent into nonempty pools")
+                stack += (b, a)
+            if lo[root] != cursor:
+                raise ValueError("root pools must tile perm in order")
+            cursor = hi[root]
+        if visited != size or cursor != len(self.perm):
+            raise ValueError("every node and every perm position must belong to a root's tree")
+
+    @cached_property
+    def perm_array(self) -> np.ndarray:
+        return np.asarray(self.perm, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class AdaptiveRunResult:
-    recovered: RecoveredVector
+    recovered: PopulationVector
     tests_used: int
     transcript: tuple[tuple[tuple[int, ...], int], ...]
+
+
+class _Layout:
+    """Preorder node lists that the plan builders append trees to."""
+
+    def __init__(self):
+        self.perm: list[int] = []
+        self.lo: list[int] = []
+        self.hi: list[int] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.roots: list[int] = []
+
+    def add_tree(self, pool: Sequence[int], split: Callable[[list[int]], int] | None) -> None:
+        """Append one tree whose leaves are ``pool`` in order.
+
+        ``split`` gets a node's items and returns the size of its left child;
+        it is called in preorder.  The walk is iterative, so spine-shaped
+        plans cannot overflow the stack.
+        """
+        start = len(self.perm)
+        self.perm.extend(pool)
+        self.roots.append(len(self.lo))
+        # Entries: (lo, hi, parent); the parent is set for right children only,
+        # since a left child always directly follows its parent in preorder.
+        stack = [(start, len(self.perm), -1)]
+        while stack:
+            a, b, parent = stack.pop()
+            k = len(self.lo)
+            if parent >= 0:
+                self.right[parent] = k
+            self.lo.append(a)
+            self.hi.append(b)
+            self.left.append(k + 1 if b - a > 1 else -1)
+            self.right.append(-1)
+            if b - a > 1:
+                mid = a + split(self.perm[a:b])
+                stack.append((mid, b, k))
+                stack.append((a, mid, -1))
+
+    def plan(self, p: PriorVector, construction: str, **fields) -> NestedPlan:
+        return NestedPlan(
+            n=p.n,
+            construction=construction,
+            perm=self.perm,
+            lo=self.lo,
+            hi=self.hi,
+            left=self.left,
+            right=self.right,
+            roots=self.roots,
+            **fields,
+        )
 
 
 def _prefix_products(p: PriorVector, items: Sequence[int]) -> np.ndarray:
@@ -164,45 +237,56 @@ def sf_first_stage(p: PriorVector, items: Sequence[int] | None = None) -> list[t
     return groups
 
 
-def _assemble_tree(
-    items: Sequence[int],
-    split: Callable[[Sequence[int]], tuple[Sequence[int], Sequence[int]]],
-) -> PlanNode:
-    """Top-down split driver that assembles the immutable tree without
-    recursion, so adversarial spine-shaped plans cannot overflow the stack."""
-    pools: list[tuple[int, ...]] = []
-    children: list[list[int | None]] = []
-    stack: list[tuple[tuple[int, ...], int, bool]] = [(tuple(items), -1, False)]
-    while stack:
-        pool, parent, is_right = stack.pop()
-        idx = len(pools)
-        pools.append(pool)
-        children.append([None, None])
-        if parent >= 0:
-            children[parent][1 if is_right else 0] = idx
-        if len(pool) > 1:
-            left, right = split(pool)
-            stack.append((tuple(right), idx, True))
-            stack.append((tuple(left), idx, False))
-    built: list[PlanNode | None] = [None] * len(pools)
-    for idx in range(len(pools) - 1, -1, -1):
-        li, ri = children[idx]
-        built[idx] = PlanNode(
-            items=pools[idx],
-            left=built[li] if li is not None else None,
-            right=built[ri] if ri is not None else None,
-        )
-    root = built[0]
-    assert root is not None
-    return root
+def _sf_cut(pool: Sequence[int], p: PriorVector) -> int:
+    """Left size of the split where the two sides' weights are most nearly
+    equal; ties go to the shorter prefix."""
+    weights = [p.probs[i] for i in pool]
+    total = math.fsum(weights)
+    acc = 0.0
+    best_k, best_d = 1, None
+    for k in range(1, len(pool)):
+        acc += weights[k - 1]
+        d = abs(2.0 * acc - total)
+        if best_d is None or d < best_d:
+            best_d, best_k = d, k
+    return best_k
 
 
-def build_me_tree(items: Sequence[int], p: PriorVector) -> PlanNode:
-    return _assemble_tree(items, lambda pool: me_split(pool, p))
+def _huffman(items: Sequence[int], p: PriorVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Merge the two lightest subtrees until one is left.  A subtree is kept
+    as its leaves in depth-first order plus its left-child sizes in preorder;
+    weight ties break on the smallest item id."""
+    heap = [(p.probs[i], i, (i,), ()) for i in items]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        w1, t1, leaves1, cuts1 = heapq.heappop(heap)
+        w2, t2, leaves2, cuts2 = heapq.heappop(heap)
+        heapq.heappush(heap, (w1 + w2, min(t1, t2), leaves1 + leaves2, (len(leaves1),) + cuts1 + cuts2))
+    return heap[0][2], heap[0][3]
 
 
-def sf_build_tree(items: Sequence[int], p: PriorVector, kind: str) -> PlanNode:
-    """Source-code tree over a pool, weights w_i = p_i.
+def _add_tree(layout: _Layout, pool: Sequence[int], p: PriorVector, construction: str) -> None:
+    if construction == "max_entropy":
+        layout.add_tree(pool, lambda sub: len(me_split(sub, p)[0]))
+    elif construction == "shannon_fano":
+        layout.add_tree(sorted(pool, key=lambda i: (-p.probs[i], i)), lambda sub: _sf_cut(sub, p))
+    elif construction == "huffman":
+        leaves, cuts = _huffman(pool, p)
+        next_cut = iter(cuts)
+        layout.add_tree(leaves, lambda sub: next(next_cut))
+    else:
+        raise ValueError(f"unknown construction {construction!r}; expected one of {CONSTRUCTIONS}")
+
+
+def _add_pools(layout: _Layout, p: PriorVector, construction: str, testable: Sequence[int]) -> None:
+    """First-stage pools over ``testable`` in order, one tree per pool."""
+    first_stage = me_first_stage if construction == "max_entropy" else sf_first_stage
+    for pool in first_stage(p, testable):
+        _add_tree(layout, pool, p, construction)
+
+
+def sf_build_tree(items: Sequence[int], p: PriorVector, kind: str) -> NestedPlan:
+    """Source-code tree over one pool, weights w_i = p_i, as a one-root plan.
 
     ``shannon_fano`` sorts by descending weight and recursively splits where
     the two sides' weights are most nearly equal; on pools whose product of
@@ -212,128 +296,66 @@ def sf_build_tree(items: Sequence[int], p: PriorVector, kind: str) -> PlanNode:
     sink to the deepest leaves under either kind; weight ties break on the
     smallest item id.
     """
-    if kind == "shannon_fano":
-        ordered = sorted(items, key=lambda i: (-p.probs[i], i))
-
-        def split(pool: Sequence[int]):
-            weights = [p.probs[i] for i in pool]
-            total = math.fsum(weights)
-            acc = 0.0
-            best_k, best_d = 1, None
-            for k in range(1, len(pool)):
-                acc += weights[k - 1]
-                d = abs(2.0 * acc - total)
-                if best_d is None or d < best_d:
-                    best_d, best_k = d, k
-            return pool[:best_k], pool[best_k:]
-
-        return _assemble_tree(ordered, split)
-
-    if kind == "huffman":
-        heap: list[tuple[float, int, PlanNode]] = [
-            (p.probs[i], i, PlanNode(items=(i,))) for i in items
-        ]
-        heapq.heapify(heap)
-        while len(heap) > 1:
-            w1, t1, n1 = heapq.heappop(heap)
-            w2, t2, n2 = heapq.heappop(heap)
-            merged = PlanNode(items=tuple(sorted(n1.items + n2.items)), left=n1, right=n2)
-            heapq.heappush(heap, (w1 + w2, min(t1, t2), merged))
-        return heap[0][2]
-
-    raise ValueError(f"unknown source-code kind {kind!r}")
+    if kind not in ("shannon_fano", "huffman"):
+        raise ValueError(f"unknown source-code kind {kind!r}")
+    layout = _Layout()
+    _add_tree(layout, items, p, kind)
+    return layout.plan(p, kind, mu_covered=p.restricted_mu(items))
 
 
-def build_plan(
-    p: PriorVector,
-    construction: str,
-    items: Sequence[int] | None = None,
-    counts_both_children: bool = True,
-    sort_ascending: bool = False,
-) -> NestedPlan:
-    """Build a complete nested plan over ``items`` (default: all items).
+def build_plan(p: PriorVector, construction: str, counts_both_children: bool = True) -> NestedPlan:
+    """Build a complete nested plan over all items in id order.
 
-    Items are kept in the given order unless ``sort_ascending`` is set, which
-    orders them by (probability, id) as the pre-partitioned path does.
     Certain and impossible items never enter the trees.
     """
-    if construction not in CONSTRUCTIONS:
-        raise ValueError(f"unknown construction {construction!r}; expected one of {CONSTRUCTIONS}")
-    if items is None:
-        items = list(p.item_ids)
-    else:
-        items = list(items)
-    if sort_ascending:
-        items.sort(key=lambda i: (p.probs[i], i))
-
-    auto_defective = tuple(i for i in items if p.probs[i] >= 1.0)
-    auto_clear = tuple(i for i in items if p.probs[i] <= 0.0)
-    testable = [i for i in items if 0.0 < p.probs[i] < 1.0]
-
-    if construction == "max_entropy":
-        groups = me_first_stage(p, testable)
-        trees = tuple(build_me_tree(g, p) for g in groups)
-    else:
-        groups = sf_first_stage(p, testable)
-        trees = tuple(sf_build_tree(g, p, construction) for g in groups)
-
-    return NestedPlan(
-        n=p.n,
-        construction=construction,
-        root_groups=trees,
-        auto_defective=auto_defective,
-        auto_clear=auto_clear,
+    layout = _Layout()
+    _add_pools(layout, p, construction, [i for i in p.item_ids if 0.0 < p.probs[i] < 1.0])
+    return layout.plan(
+        p,
+        construction,
+        auto_defective=[i for i in p.item_ids if p.probs[i] >= 1.0],
+        auto_clear=[i for i in p.item_ids if p.probs[i] <= 0.0],
         counts_both_children=counts_both_children,
-        mu_covered=p.restricted_mu(items),
+        mu_covered=p.mu,
     )
 
 
-def _execute(plan: NestedPlan, truth: np.ndarray):
-    """Depth-first descent over the plan trees against a boolean truth array.
+def build_prepartitioned_plan(
+    p: PriorVector,
+    eps: float,
+    construction: str = "max_entropy",
+    counts_both_children: bool = True,
+) -> NestedPlan:
+    """Partition-then-test as one plan.
 
-    With ``counts_both_children`` both children of a positive pool are
-    measured.  Otherwise the left child is measured first and, when it comes
-    back negative, the right child is inferred positive without spending a
-    test.
+    Zero-set items are declared clear with no tests.  Under-sized bands and
+    the high-probability tail come first, as singleton roots tested one item
+    at a time.  Every remaining band (after mass-combining) follows with its
+    own first-stage pools and trees over its items sorted ascending by
+    probability.  The small-mass shortcut sees the whole vector's mass.
     """
-    transcript: list[tuple[tuple[int, ...], int]] = []
-    defective: list[int] = list(plan.auto_defective)
-
-    def measure(node: PlanNode) -> bool:
-        outcome = bool(truth[node.items_array].any())
-        transcript.append((node.items, int(outcome)))
-        return outcome
-
-    # Stack entries: (node, needs_test).  A node pushed with needs_test=False
-    # is already known positive.
-    stack: list[tuple[PlanNode, bool]] = [(g, True) for g in reversed(plan.root_groups)]
-    while stack:
-        node, needs_test = stack.pop()
-        positive = measure(node) if needs_test else True
-        if not positive:
-            continue
-        if node.is_leaf:
-            defective.append(node.items[0])
-            continue
-        assert node.left is not None and node.right is not None
-        if plan.counts_both_children:
-            stack.append((node.right, True))
-            stack.append((node.left, True))
-        else:
-            left_positive = measure(node.left)
-            if left_positive:
-                stack.append((node.right, True))
-                if node.left.is_leaf:
-                    defective.append(node.left.items[0])
-                else:
-                    stack.append((node.left, False))
-            else:
-                stack.append((node.right, False))
-    return defective, transcript
+    part = combine_for_concentration(build_partition(p, eps), p)
+    layout = _Layout()
+    for i in part.individual_route():
+        layout.add_tree((i,), None)
+    for band in part.ample_bands():
+        _add_pools(layout, p, construction, band.items)
+    return layout.plan(
+        p,
+        construction,
+        auto_clear=part.zero_items,
+        counts_both_children=counts_both_children,
+        mu_covered=p.mu,
+    )
 
 
 def run_adaptive(plan: NestedPlan, truth: PopulationVector, eps: float = 0.0) -> AdaptiveRunResult:
     """Execute a plan against a truth vector with noiseless OR pools.
+
+    Pools are tested depth first.  With ``counts_both_children`` both
+    children of a positive pool are measured.  Otherwise the left child is
+    measured first and, when it comes back negative, the right child is
+    inferred positive without spending a test.
 
     When ``eps`` is positive and the plan's covered prior mass is below it,
     the run returns all-zero without testing; that shortcut errs only when
@@ -342,19 +364,39 @@ def run_adaptive(plan: NestedPlan, truth: PopulationVector, eps: float = 0.0) ->
     """
     if truth.n != plan.n:
         raise ValueError(f"truth length {truth.n} does not match plan universe {plan.n}")
+    bits = np.zeros(plan.n, dtype=bool)
     if eps > 0.0 and plan.mu_covered < eps:
-        return AdaptiveRunResult(
-            recovered=RecoveredVector((0,) * plan.n),
-            tests_used=0,
-            transcript=(),
-        )
-    truth_arr = truth.as_array()
-    defective, transcript = _execute(plan, truth_arr)
-    bits = [0] * plan.n
-    for i in defective:
-        bits[i] = 1
+        return AdaptiveRunResult(recovered=PopulationVector(bits), tests_used=0, transcript=())
+    # counts[j] is the number of defectives among perm[:j].
+    counts = [0] + np.cumsum(truth.as_array()[plan.perm_array]).tolist()
+    perm, lo, hi, left, right = plan.perm, plan.lo, plan.hi, plan.left, plan.right
+    transcript: list[tuple[tuple[int, ...], int]] = []
+    defective = list(plan.auto_defective)
+
+    def measure(k: int) -> int:
+        outcome = int(counts[hi[k]] > counts[lo[k]])
+        transcript.append((perm[lo[k] : hi[k]], outcome))
+        return outcome
+
+    # Stack entries: (node, needs_test).  A node pushed with needs_test=False
+    # is already known positive.
+    stack = [(k, True) for k in reversed(plan.roots)]
+    while stack:
+        k, needs_test = stack.pop()
+        if needs_test and not measure(k):
+            continue
+        a, b = left[k], right[k]
+        if a < 0:
+            defective.append(perm[lo[k]])
+        elif plan.counts_both_children:
+            stack += ((b, True), (a, True))
+        elif measure(a):
+            stack += ((b, True), (a, False))
+        else:
+            stack.append((b, False))
+    bits[defective] = True
     return AdaptiveRunResult(
-        recovered=RecoveredVector(tuple(bits)),
+        recovered=PopulationVector(bits),
         tests_used=len(transcript),
         transcript=tuple(transcript),
     )
@@ -367,128 +409,39 @@ def run_prepartitioned_adaptive(
     construction: str = "max_entropy",
     counts_both_children: bool = True,
 ) -> AdaptiveRunResult:
-    """Partition-then-test: zero-set items are declared clear with no tests,
-    under-sized bands and the high-probability tail are tested one item at a
-    time, and every remaining band (after mass-combining) runs its own nested
-    plan over items sorted ascending by probability.
-
-    The small-mass shortcut applies once, to the whole vector, before
-    partitioning; per-band runs never shortcut.
-    """
-    if truth.n != p.n:
-        raise ValueError(f"truth length {truth.n} does not match prior length {p.n}")
-    if eps > 0.0 and p.mu < eps:
-        return AdaptiveRunResult(
-            recovered=RecoveredVector((0,) * p.n),
-            tests_used=0,
-            transcript=(),
-        )
-    part: Partition = combine_for_concentration(build_partition(p, eps), p)
-    truth_arr = truth.as_array()
-    bits = [0] * p.n
-    transcript: list[tuple[tuple[int, ...], int]] = []
-
-    for i in part.individual_route():
-        outcome = int(truth_arr[i])
-        transcript.append(((i,), outcome))
-        bits[i] = outcome
-
-    for band in part.ample_bands():
-        plan = build_plan(
-            p,
-            construction,
-            items=band.items,
-            counts_both_children=counts_both_children,
-        )
-        result = run_adaptive(plan, truth, eps=0.0)
-        transcript.extend(result.transcript)
-        for i in band.items:
-            if result.recovered.bits[i]:
-                bits[i] = 1
-
-    return AdaptiveRunResult(
-        recovered=RecoveredVector(tuple(bits)),
-        tests_used=len(transcript),
-        transcript=tuple(transcript),
-    )
-
-
-def _node_to_dict(node: PlanNode) -> dict:
-    done: dict[int, dict] = {}
-    stack: list[tuple[PlanNode, bool]] = [(node, False)]
-    while stack:
-        cur, expanded = stack.pop()
-        if expanded:
-            done[id(cur)] = {
-                "items": list(cur.items),
-                "left": done[id(cur.left)] if cur.left is not None else None,
-                "right": done[id(cur.right)] if cur.right is not None else None,
-            }
-        else:
-            stack.append((cur, True))
-            if cur.left is not None:
-                stack.append((cur.left, False))
-            if cur.right is not None:
-                stack.append((cur.right, False))
-    return done[id(node)]
-
-
-def _node_from_dict(data: dict) -> PlanNode:
-    # Iterative two-pass mirror of _node_to_dict.
-    specs: list[dict] = []
-    children: list[list[int | None]] = []
-    stack: list[tuple[dict, int, bool]] = [(data, -1, False)]
-    while stack:
-        cur, parent, is_right = stack.pop()
-        idx = len(specs)
-        specs.append(cur)
-        children.append([None, None])
-        if parent >= 0:
-            children[parent][1 if is_right else 0] = idx
-        if cur.get("left") is not None:
-            stack.append((cur["right"], idx, True))
-            stack.append((cur["left"], idx, False))
-    built: list[PlanNode | None] = [None] * len(specs)
-    for idx in range(len(specs) - 1, -1, -1):
-        li, ri = children[idx]
-        built[idx] = PlanNode(
-            items=tuple(int(i) for i in specs[idx]["items"]),
-            left=built[li] if li is not None else None,
-            right=built[ri] if ri is not None else None,
-        )
-    root = built[0]
-    assert root is not None
-    return root
+    """Partition-then-test: :func:`run_adaptive` on the plan from
+    :func:`build_prepartitioned_plan`, with the shortcut at ``eps``."""
+    plan = build_prepartitioned_plan(p, eps, construction, counts_both_children)
+    return run_adaptive(plan, truth, eps=eps)
 
 
 def plan_to_json_dict(plan: NestedPlan) -> dict:
-    return {
+    out = {
+        "format": PLAN_FORMAT,
         "n": plan.n,
         "construction": plan.construction,
         "counts_both_children": plan.counts_both_children,
-        "auto_defective": list(plan.auto_defective),
-        "auto_clear": list(plan.auto_clear),
         "mu_covered": plan.mu_covered,
-        "root_groups": [_node_to_dict(g) for g in plan.root_groups],
     }
+    out.update((name, list(getattr(plan, name))) for name in _INDEX_FIELDS)
+    return out
 
 
 def plan_from_json_dict(data: dict) -> NestedPlan:
-    return NestedPlan(
-        n=int(data["n"]),
-        construction=data["construction"],
-        root_groups=tuple(_node_from_dict(d) for d in data["root_groups"]),
-        auto_defective=tuple(int(i) for i in data["auto_defective"]),
-        auto_clear=tuple(int(i) for i in data["auto_clear"]),
-        counts_both_children=bool(data["counts_both_children"]),
-        mu_covered=float(data["mu_covered"]),
-    )
-
-
-def write_plan_json(path: str, plan: NestedPlan) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plan_to_json_dict(plan), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Parse the flat form; anything else, including the nested form that
+    predates format 2, raises ValueError."""
+    if not isinstance(data, dict) or data.get("format") != PLAN_FORMAT:
+        raise ValueError(f"plan JSON must be an object with \"format\": {PLAN_FORMAT}")
+    try:
+        return NestedPlan(
+            n=int(data["n"]),
+            construction=str(data["construction"]),
+            counts_both_children=bool(data["counts_both_children"]),
+            mu_covered=float(data["mu_covered"]),
+            **{name: data[name] for name in _INDEX_FIELDS},
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed plan JSON: {exc!r}") from exc
 
 
 def write_transcript_csv(path: str, result: AdaptiveRunResult, trial_id: int = 0) -> None:

@@ -17,7 +17,6 @@ under-sized-band items get one singleton row each.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .partition import build_partition
-from .priors import PopulationVector, PriorVector, RecoveredVector
+from .priors import PopulationVector, PriorVector
 
 
 def sampling_distribution(p: PriorVector) -> np.ndarray:
@@ -112,9 +111,6 @@ class TestMatrix:
     def t(self) -> int:
         return len(self.rows)
 
-    def row_sets(self) -> list[set[int]]:
-        return [set(int(i) for i in row) for row in self.rows]
-
 
 def _sample_rows(rng: np.random.Generator, weights: np.ndarray, t: int, g: int) -> list[np.ndarray]:
     """Draw t rows of g ids each with replacement; duplicates collapse to set
@@ -186,7 +182,7 @@ def decode_comp(
     m: TestMatrix,
     outcomes: Sequence[int],
     zero_assigned: frozenset[int] | set[int] | None = None,
-) -> RecoveredVector:
+) -> PopulationVector:
     """Clear every item seen in a negative row (plus the pre-cleared set);
     declare everything else defective."""
     if len(outcomes) != m.t:
@@ -199,12 +195,12 @@ def decode_comp(
         cleared[np.unique(np.concatenate(negatives))] = True
     for i in zero_assigned:
         cleared[i] = True
-    return RecoveredVector.from_array(~cleared)
+    return PopulationVector(~cleared)
 
 
 def run_nonadaptive(
     m: TestMatrix, truth: PopulationVector
-) -> tuple[tuple[int, ...], RecoveredVector]:
+) -> tuple[tuple[int, ...], PopulationVector]:
     """Measure every row against the truth (noiseless OR) and decode."""
     if truth.n != m.n:
         raise ValueError(f"truth length {truth.n} does not match matrix width {m.n}")
@@ -243,12 +239,6 @@ def matrix_from_json_dict(data: dict) -> TestMatrix:
         block_spans=spans,
         zero_assigned=frozenset(int(i) for i in data.get("zero_assigned", [])),
     )
-
-
-def write_matrix_json(path: str, m: TestMatrix) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json_dict(m), fh, sort_keys=True)
-        fh.write("\n")
 
 
 def write_matrix_edge_csv(path: str, m: TestMatrix) -> None:

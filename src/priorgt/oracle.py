@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -96,8 +96,10 @@ def _truth_weights(p: PriorVector) -> np.ndarray:
     return weights
 
 
-def _mask_truth(mask: int, n: int) -> PopulationVector:
-    return PopulationVector(tuple((mask >> i) & 1 for i in range(n)))
+def _all_truths(n: int) -> Iterator[PopulationVector]:
+    """Every truth vector in bitmask order (bit i = item i), one at a time."""
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    return map(PopulationVector, bits.astype(bool))
 
 
 def exact_expected_tests(plan: NestedPlan, p: PriorVector) -> ExactExpectation:
@@ -111,8 +113,8 @@ def exact_expected_tests(plan: NestedPlan, p: PriorVector) -> ExactExpectation:
     weights = _truth_weights(p)
     total = 0.0
     contributions = []
-    for mask in range(1 << n):
-        result = run_adaptive(plan, _mask_truth(mask, n), eps=0.0)
+    for mask, truth in enumerate(_all_truths(n)):
+        result = run_adaptive(plan, truth, eps=0.0)
         contributions.append(weights[mask] * result.tests_used)
     total = math.fsum(contributions)
     return ExactExpectation(value=total, terms=1 << n)
@@ -140,8 +142,7 @@ def exhaustive_decode_check(target: NestedPlan | TestMatrix, p: PriorVector) -> 
     if isinstance(target, NestedPlan):
         if n > MAX_PLAN_ITEMS:
             raise ValueError(f"plan enumeration capped at {MAX_PLAN_ITEMS} items")
-        for mask in range(1 << n):
-            truth = _mask_truth(mask, n)
+        for truth in _all_truths(n):
             result = run_adaptive(target, truth, eps=0.0)
             if not result.recovered.matches(truth):
                 return DecodeCheck(passed=False)
@@ -151,13 +152,13 @@ def exhaustive_decode_check(target: NestedPlan | TestMatrix, p: PriorVector) -> 
         if n > MAX_MATRIX_ITEMS:
             raise ValueError(f"matrix enumeration capped at {MAX_MATRIX_ITEMS} items")
         weights = _truth_weights(p)
+        checked = np.ones(n, dtype=bool)
+        checked[list(target.zero_assigned)] = False
         err_terms = []
-        for mask in range(1 << n):
-            truth = _mask_truth(mask, n)
+        for mask, truth in enumerate(_all_truths(n)):
             _, recovered = run_nonadaptive(target, truth)
-            for i in range(n):
-                if truth.bits[i] and not recovered.bits[i] and i not in target.zero_assigned:
-                    return DecodeCheck(passed=False)
+            if (truth.as_array() & ~recovered.as_array() & checked).any():
+                return DecodeCheck(passed=False)
             if not recovered.matches(truth):
                 err_terms.append(weights[mask])
         return DecodeCheck(passed=True, error_probability=math.fsum(err_terms))

@@ -76,11 +76,6 @@ class Partition:
     num_combined: int | None = None
     concentration_void: bool = False
 
-    @property
-    def num_subsets(self) -> int:
-        """Total subset count: zero set + bands + tail."""
-        return len(self.bands) + 2
-
     def ample_bands(self) -> tuple[Band, ...]:
         return tuple(b for b in self.bands if b.size >= self.gamma)
 

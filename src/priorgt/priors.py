@@ -3,8 +3,9 @@
 Every item i of a population carries an independent probability ``p_i`` of
 being defective.  This module owns the vector of those probabilities, its two
 summary statistics (expected number of defectives and total binary entropy),
-and deterministic generators for the three experimental families: uniform,
-linear, and exponential.
+the bit vector that holds a population's states, and deterministic
+generators for the three experimental families: uniform, linear, and
+exponential.
 """
 
 from __future__ import annotations
@@ -77,68 +78,41 @@ class PriorVector:
         return math.fsum(self.probs[i] for i in items)
 
 
-def entropy(p: PriorVector) -> float:
-    """Entropy of the population vector in bits."""
-    return p.entropy_bits
-
-
-def mu(p: PriorVector) -> float:
-    """Expected number of defective items."""
-    return p.mu
-
-
-@dataclass(frozen=True)
 class PopulationVector:
-    """The true defectiveness vector (1 = defective)."""
+    """A defectiveness vector (1 = defective): a truth or a decoder's estimate.
 
-    bits: tuple[int, ...]
+    Stored as a read-only numpy bool array; ``bits`` gives a tuple view.
+    """
 
-    def __post_init__(self):
-        bits = tuple(int(bool(b)) for b in self.bits)
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.bits, dtype=bool)
-
-    @classmethod
-    def from_array(cls, arr) -> "PopulationVector":
-        return cls(tuple(int(b) for b in arr))
-
-
-@dataclass(frozen=True)
-class RecoveredVector:
-    """A decoder's estimate of the population vector."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        bits = tuple(int(bool(b)) for b in self.bits)
-        object.__setattr__(self, "bits", bits)
+    def __init__(self, bits):
+        arr = np.array(bits, dtype=bool)
+        if arr.ndim != 1:
+            raise ValueError("a population vector is one-dimensional")
+        arr.flags.writeable = False
+        self._bits = arr
 
     @property
     def n(self) -> int:
-        return len(self.bits)
+        return len(self._bits)
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self._bits.view(np.uint8).tolist())
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.bits, dtype=bool)
+        return self._bits
 
-    @classmethod
-    def from_array(cls, arr) -> "RecoveredVector":
-        return cls(tuple(int(b) for b in arr))
+    def matches(self, other: "PopulationVector") -> bool:
+        return np.array_equal(self._bits, other._bits)
 
-    def matches(self, truth: PopulationVector) -> bool:
-        return self.bits == truth.bits
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PopulationVector) and self.matches(other)
 
 
 def generate_prior(
     family: str,
     n: int,
     target_mu: float,
-    seed: int | None = None,
     rho: float = DEFAULT_EXPONENTIAL_DECAY,
 ) -> PriorVector:
     """Build one of the three experimental prior families.
@@ -147,12 +121,9 @@ def generate_prior(
     linear:       p_i proportional to i + 1, scaled to sum target_mu.
     exponential:  p_i proportional to rho**i, scaled to sum target_mu.
 
-    Generation is fully deterministic given (family, n, target_mu, rho); the
-    ``seed`` argument is accepted for interface symmetry with the samplers
-    but has no effect.  Parameters that would force any entry to 1/2 or
-    above are rejected.
+    Generation is fully deterministic given (family, n, target_mu, rho).
+    Parameters that would force any entry to 1/2 or above are rejected.
     """
-    del seed
     if family not in PRIOR_FAMILIES:
         raise ValueError(f"unknown prior family {family!r}; expected one of {PRIOR_FAMILIES}")
     if n < 1:

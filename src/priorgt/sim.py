@@ -55,6 +55,7 @@ SUMMARY_CSV_HEADER = [
 
 @dataclass(frozen=True)
 class TrialReport:
+    point_index: int
     trial_id: int
     seed: int
     algorithm: str
@@ -87,17 +88,10 @@ class Campaign:
                 raise ValueError(f"unknown algorithm {a!r}; expected one of {ALGORITHMS}")
 
 
-def trial_seed(base_seed: int, point_index: int, trial_index: int) -> int:
-    """Stable per-trial seed: the first 64-bit word SeedSequence derives from
-    (base_seed, point_index, trial_index)."""
-    ss = np.random.SeedSequence([base_seed, point_index, trial_index])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def draw_truth(p: PriorVector, seed: int) -> PopulationVector:
     """Independent Bernoulli(p_i) draws, deterministic given the seed."""
     rng = np.random.default_rng(seed)
-    return PopulationVector.from_array(rng.random(p.n) < p.as_array())
+    return PopulationVector(rng.random(p.n) < p.as_array())
 
 
 def _run_one(
@@ -109,17 +103,15 @@ def _run_one(
     delta: float,
     plan_cache: dict,
 ) -> tuple[int, bool]:
-    if algorithm in ("adaptive_me", "adaptive_sf", "adaptive_huffman"):
+    if algorithm in _CONSTRUCTION:
         plan = plan_cache.get(algorithm)
         if plan is None:
-            plan = adaptive.build_plan(p, _CONSTRUCTION[algorithm])
+            if algorithm.startswith("prepartitioned_"):
+                plan = adaptive.build_prepartitioned_plan(p, eps, _CONSTRUCTION[algorithm])
+            else:
+                plan = adaptive.build_plan(p, _CONSTRUCTION[algorithm])
             plan_cache[algorithm] = plan
         result = adaptive.run_adaptive(plan, truth, eps=eps)
-        return result.tests_used, result.recovered.matches(truth)
-    if algorithm.startswith("prepartitioned_"):
-        result = adaptive.run_prepartitioned_adaptive(
-            p, eps, truth, construction=_CONSTRUCTION[algorithm]
-        )
         return result.tests_used, result.recovered.matches(truth)
     if algorithm == "cca":
         t = nonadaptive.num_tests_cca(p, delta)
@@ -160,6 +152,7 @@ def run_campaign(campaign: Campaign) -> list[TrialReport]:
                 )
                 reports.append(
                     TrialReport(
+                        point_index=point_index,
                         trial_id=trial_id,
                         seed=truth_seed,
                         algorithm=algorithm,
@@ -175,24 +168,18 @@ def run_campaign(campaign: Campaign) -> list[TrialReport]:
 
 
 def summarize(reports: Sequence[TrialReport]) -> list[dict]:
-    """Per (sweep point, algorithm) aggregates, keyed by (mu, algorithm) in
-    first-appearance order."""
-    order: list[tuple[float, str]] = []
-    groups: dict[tuple[float, str], list[TrialReport]] = {}
+    """Per (sweep point, algorithm) aggregates in first-appearance order.
+    Repeated sweep values stay separate points."""
+    groups: dict[tuple[int, str], list[TrialReport]] = {}
     for r in reports:
-        key = (r.mu, r.algorithm)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
+        groups.setdefault((r.point_index, r.algorithm), []).append(r)
     out = []
-    for point_index, key in enumerate(order):
-        rows = groups[key]
+    for (point_index, algorithm), rows in groups.items():
         tests = np.asarray([r.tests for r in rows], dtype=float)
         out.append(
             {
                 "point_index": point_index,
-                "algorithm": key[1],
+                "algorithm": algorithm,
                 "n": rows[0].n,
                 "mu": rows[0].mu,
                 "entropy": rows[0].entropy,

@@ -30,7 +30,7 @@ from priorgt.oracle import (
     exhaustive_decode_check,
 )
 from priorgt.partition import build_partition, combine_for_concentration, is_skewed, measure_factor
-from priorgt.priors import PriorVector, entropy, generate_prior
+from priorgt.priors import PriorVector, generate_prior
 from priorgt.sim import (
     Campaign,
     draw_truth,
@@ -214,7 +214,7 @@ def test_criterion_08_concentration_budget_empirical():
     eps = 0.01
     assert not is_skewed(p, eps)
     gamma = measure_factor(1000, eps)
-    budget = 4.0 * (1.0 + MIN_CONCENTRATION_DELTA) * (gamma + 3) * entropy(p)
+    budget = 4.0 * (1.0 + MIN_CONCENTRATION_DELTA) * (gamma + 3) * p.entropy_bits
     assert budget == pytest.approx(adaptive_concentration(p, eps, MIN_CONCENTRATION_DELTA).test_bound)
 
     part = combine_for_concentration(build_partition(p, eps), p)
@@ -255,7 +255,7 @@ def test_criterion_09_block_design_structure_and_budget():
             continue
         m = build_block_matrix(p, eps, 2.0, seed=checked)
 
-        budget = (12.0 * math.e + 2.0) * 3.0 * entropy(p)
+        budget = (12.0 * math.e + 2.0) * 3.0 * p.entropy_bits
         assert m.t <= budget, (family, n, target, m.t, budget)
 
         assert m.block_spans is not None

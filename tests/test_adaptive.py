@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from priorgt.adaptive import (
+    NestedPlan,
     build_plan,
+    build_prepartitioned_plan,
     me_first_stage,
     me_split,
     plan_from_json_dict,
@@ -15,17 +17,26 @@ from priorgt.adaptive import (
     sf_build_tree,
     sf_first_stage,
     write_transcript_csv,
-    PlanNode,
 )
+from priorgt.partition import build_partition, combine_for_concentration
 from priorgt.priors import PopulationVector, PriorVector, generate_prior
 
 
-def leaf_depths(node, depth=0):
-    """Map item -> depth of its leaf under ``node`` (root at depth 0)."""
-    if node.is_leaf:
-        return {node.items[0]: depth}
-    out = leaf_depths(node.left, depth + 1)
-    out.update(leaf_depths(node.right, depth + 1))
+def pool(plan, k):
+    """Items tested by node ``k``."""
+    return plan.perm[plan.lo[k] : plan.hi[k]]
+
+
+def leaf_depths(plan):
+    """Map item -> depth of its leaf (every root at depth 0)."""
+    out = {}
+    stack = [(k, 0) for k in plan.roots]
+    while stack:
+        k, depth = stack.pop()
+        if plan.left[k] < 0:
+            out[pool(plan, k)[0]] = depth
+        else:
+            stack += [(plan.left[k], depth + 1), (plan.right[k], depth + 1)]
     return out
 
 
@@ -185,11 +196,36 @@ def test_zero_weight_items_sink_to_deepest_leaves():
         assert min(depths[1], depths[3]) >= max(depths[0], depths[2])
 
 
-def test_plan_node_validation():
-    with pytest.raises(ValueError):
-        PlanNode(items=(0, 1))  # non-singleton leaf
-    with pytest.raises(ValueError):
-        PlanNode(items=(0, 1), left=PlanNode(items=(0,)), right=PlanNode(items=(2,)))
+def flat(n, perm, lo, hi, left, right, roots=(0,), **fields):
+    return NestedPlan(n, "max_entropy", perm, lo, hi, left, right, roots, **fields)
+
+
+def test_nested_plan_validation():
+    # a well-formed plan: root {0, 1} split into two leaves
+    flat(2, (0, 1), (0, 0, 1), (2, 1, 2), (1, -1, -1), (2, -1, -1))
+    with pytest.raises(ValueError, match="singletons"):
+        flat(2, (0, 1), (0,), (2,), (-1,), (-1,))  # non-singleton leaf
+    with pytest.raises(ValueError, match="partition their parent"):
+        # children {0} and {2} do not split the parent {0, 1}
+        flat(3, (0, 1, 2), (0, 0, 2), (2, 1, 3), (1, -1, -1), (2, -1, -1))
+    with pytest.raises(ValueError, match="partition their parent"):
+        flat(2, (0, 1), (0, 0, 2), (2, 2, 2), (1, -1, -1), (2, -1, -1))  # empty right child
+    with pytest.raises(ValueError, match="two children or none"):
+        flat(2, (0, 1), (0, 0, 1), (2, 1, 2), (1, -1, -1), (-1, -1, -1))
+    with pytest.raises(ValueError, match="distinct"):
+        flat(2, (0, 0), (0, 0, 1), (2, 1, 2), (1, -1, -1), (2, -1, -1))  # repeated id
+    with pytest.raises(ValueError, match="distinct"):
+        flat(2, (0, 2), (0, 0, 1), (2, 1, 2), (1, -1, -1), (2, -1, -1))  # id out of range
+    with pytest.raises(ValueError, match="distinct"):
+        flat(2, (0,), (0,), (1,), (-1,), (-1,), auto_clear=(0,))  # tested and auto-cleared
+    with pytest.raises(ValueError, match="preorder"):
+        flat(2, (0, 1), (0, 1, 0), (2, 2, 1), (2, -1, -1), (1, -1, -1))  # right child first
+    with pytest.raises(ValueError, match="tile perm"):
+        flat(2, (0, 1), (1, 0), (2, 1), (-1, -1), (-1, -1), roots=(0, 1))
+    with pytest.raises(ValueError, match="belong to a root"):
+        flat(2, (0, 1), (0,), (1,), (-1,), (-1,))  # item 1 in no tree
+    with pytest.raises(ValueError, match="construction"):
+        NestedPlan(1, "binary", (0,), (0,), (1,), (-1,), (-1,), (0,))
 
 
 def test_plan_trees_are_laminar_with_singleton_leaves():
@@ -199,13 +235,16 @@ def test_plan_trees_are_laminar_with_singleton_leaves():
         p = PriorVector(tuple(rng.uniform(0.01, 0.49, size=n)))
         plan = build_plan(p, construction)
         covered = []
-        stack = list(plan.root_groups)
+        stack = list(plan.roots)
         while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                covered.append(node.items[0])
+            k = stack.pop()
+            if plan.left[k] < 0:
+                assert len(pool(plan, k)) == 1
+                covered.append(pool(plan, k)[0])
             else:
-                stack.extend([node.left, node.right])
+                left, right = pool(plan, plan.left[k]), pool(plan, plan.right[k])
+                assert sorted(left + right) == sorted(pool(plan, k))
+                stack.extend([plan.left[k], plan.right[k]])
         assert sorted(covered) == list(range(n))
 
 
@@ -217,7 +256,7 @@ def test_run_adaptive_all_negative_costs_one_test_per_root():
     plan = build_plan(p, "max_entropy")
     truth = PopulationVector((0,) * 6)
     result = run_adaptive(plan, truth)
-    assert result.tests_used == len(plan.root_groups)
+    assert result.tests_used == len(plan.roots)
     assert all(outcome == 0 for _, outcome in result.transcript)
     assert result.recovered.bits == truth.bits
 
@@ -278,13 +317,13 @@ def test_transcript_is_laminar_consistent():
     p = PriorVector(tuple(rng.uniform(0.1, 0.5, size=10)))
     plan = build_plan(p, "max_entropy")
     children = {}
-    stack = list(plan.root_groups)
+    stack = list(plan.roots)
     while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            children[node.items] = {node.left.items, node.right.items}
-            stack.extend([node.left, node.right])
-    roots = {g.items for g in plan.root_groups}
+        k = stack.pop()
+        if plan.left[k] >= 0:
+            children[pool(plan, k)] = {pool(plan, plan.left[k]), pool(plan, plan.right[k])}
+            stack.extend([plan.left[k], plan.right[k]])
+    roots = {pool(plan, k) for k in plan.roots}
     for _ in range(50):
         truth = PopulationVector(tuple(rng.integers(0, 2, size=10)))
         result = run_adaptive(plan, truth)
@@ -357,6 +396,29 @@ def test_prepartitioned_recovers_banded_population():
             assert result.tests_used == len(result.transcript)
 
 
+def test_prepartitioned_plan_layout():
+    """Individually routed items come first as singleton roots, the ample
+    bands' trees follow, and the zero set is cleared without tests."""
+    rng = np.random.default_rng(53)
+    # 5 zero-set items, a tail of 2, an under-sized band of 3 and a band of 30
+    probs = [1e-9] * 5 + [0.7, 1.0] + [0.3] * 3 + list(rng.uniform(0.07, 0.2, size=30))
+    p = PriorVector(tuple(rng.permutation(probs)))
+    part = combine_for_concentration(build_partition(p, 0.05), p)
+    plan = build_prepartitioned_plan(p, 0.05, "huffman", counts_both_children=False)
+    route = part.individual_route()
+    assert len(route) == 5 and len(part.ample_bands()) == 1 and len(part.zero_items) == 5
+    assert [pool(plan, k) for k in plan.roots[: len(route)]] == [(i,) for i in route]
+    banded = plan.perm[len(route) :]
+    assert sorted(banded) == sorted(i for b in part.ample_bands() for i in b.items)
+    assert plan.auto_clear == part.zero_items and plan.auto_defective == ()
+    assert plan.mu_covered == p.mu and not plan.counts_both_children
+    for _ in range(20):
+        truth = PopulationVector(rng.random(40) < np.array(p.probs))
+        direct = run_prepartitioned_adaptive(p, 0.05, truth, "huffman", counts_both_children=False)
+        assert direct == run_adaptive(plan, truth, eps=0.05)
+        assert direct.recovered.matches(truth)
+
+
 def test_prepartitioned_mixed_routes():
     # one zero item, a tail item, and a small band forced to individual tests
     probs = (1e-9, 0.7, 0.3, 0.25)
@@ -375,6 +437,30 @@ def test_plan_json_roundtrip():
     data = plan_to_json_dict(plan)
     back = plan_from_json_dict(data)
     assert back == plan
+
+
+def test_plan_json_rejects_malformed_and_nested_forms():
+    p = PriorVector((0.3, 0.3, 0.3, 0.3))
+    data = plan_to_json_dict(build_plan(p, "max_entropy"))
+    assert data["format"] == 2
+    nested = {k: v for k, v in data.items() if k not in ("format", "perm", "lo", "hi", "left", "right", "roots")}
+    nested["root_groups"] = [
+        {"items": [0, 1], "left": {"items": [0], "left": None, "right": None},
+         "right": {"items": [1], "left": None, "right": None}},
+    ]
+    bad = [
+        nested,
+        [data],
+        {**data, "format": 1},
+        {k: v for k, v in data.items() if k != "hi"},
+        {**data, "lo": 3},
+        {**data, "perm": [0, 1, 2, 2]},
+        {**data, "right": [-1] * len(data["right"])},
+        {**data, "construction": "binary"},
+    ]
+    for d in bad:
+        with pytest.raises(ValueError):
+            plan_from_json_dict(d)
 
 
 def test_transcript_csv(tmp_path):

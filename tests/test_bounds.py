@@ -13,7 +13,7 @@ from priorgt.bounds import (
     lower_bound,
 )
 from priorgt.partition import is_skewed, measure_factor
-from priorgt.priors import PriorVector, entropy, generate_prior
+from priorgt.priors import PriorVector, generate_prior
 
 
 def test_lower_bound_scales_entropy():
@@ -26,14 +26,14 @@ def test_lower_bound_scales_entropy():
 
 def test_lower_bound_paper_scale():
     p = generate_prior("uniform", 1000, 8.0)
-    assert lower_bound(p, 0.01) == pytest.approx(0.99 * entropy(p), abs=1e-9)
+    assert lower_bound(p, 0.01) == pytest.approx(0.99 * p.entropy_bits, abs=1e-9)
 
 
 def test_adaptive_expected_upper_values():
     assert adaptive_expected_upper(PriorVector((0.5, 0.5))) == 6.0
     assert adaptive_expected_upper(PriorVector((0.0, 0.0))) == 0.0
     p = generate_prior("uniform", 1000, 8.0)
-    assert adaptive_expected_upper(p) == pytest.approx(2 * entropy(p) + 16.0, abs=1e-9)
+    assert adaptive_expected_upper(p) == pytest.approx(2 * p.entropy_bits + 16.0, abs=1e-9)
 
 
 def test_adaptive_concentration_arithmetic():
@@ -128,14 +128,14 @@ def test_entropy_exceeds_half_mu_log_ratio():
     """For uniform priors below 1/2, H > (mu/2) log2(n/mu)."""
     for n, target in ((100, 3.0), (1000, 8.0), (1000, 32.0), (5000, 100.0)):
         p = generate_prior("uniform", n, target)
-        assert entropy(p) > 0.5 * target * math.log2(n / target)
+        assert p.entropy_bits > 0.5 * target * math.log2(n / target)
 
 
 def test_all_reports_shape():
     p = generate_prior("uniform", 1000, 8.0)
     reports = all_reports(p, eps=0.01, delta=1.0, pe=0.0)
     assert [r.theorem for r in reports] == ["T1", "T2", "T3", "T4", "T5"]
-    assert reports[0].test_bound == entropy(p)  # pe = 0
+    assert reports[0].test_bound == p.entropy_bits  # pe = 0
     assert all(0.0 <= r.error_bound <= 1.0 for r in reports)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from priorgt.cli import main
 from priorgt.adaptive import plan_from_json_dict
-from priorgt.priors import entropy, generate_prior, prior_to_json_dict
+from priorgt.priors import generate_prior, prior_to_json_dict
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -25,13 +25,13 @@ def test_plan_adaptive_writes_laminar_tree(tmp_path, uniform_prior_file, capsys)
     assert rc == 0
     plan = plan_from_json_dict(json.loads(out.read_text()))
     covered = set()
-    stack = list(plan.root_groups)
+    stack = list(plan.roots)
     while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            covered.add(node.items[0])
+        k = stack.pop()
+        if plan.left[k] < 0:
+            covered.add(plan.perm[plan.lo[k]])
         else:
-            stack.extend([node.left, node.right])
+            stack.extend([plan.left[k], plan.right[k]])
     assert covered == set(range(100))
     # bound table printed alongside
     stdout = capsys.readouterr().out
@@ -91,7 +91,7 @@ def test_bounds_text_pe_zero_t1_equals_entropy(uniform_prior_file, capsys):
     lines = [l for l in out.splitlines() if l.startswith("T1")]
     assert len(lines) == 1
     reported = float(lines[0].split()[1])
-    assert abs(reported - entropy(generate_prior("uniform", 100, 2.0))) < 1e-3
+    assert abs(reported - generate_prior("uniform", 100, 2.0).entropy_bits) < 1e-3
 
 
 def test_bounds_formats(uniform_prior_file, capsys, tmp_path):

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from priorgt.adaptive import PlanNode, NestedPlan, build_plan
+from priorgt.adaptive import NestedPlan, build_plan
 from priorgt.nonadaptive import TestMatrix, build_cca_matrix, run_nonadaptive
 from priorgt.oracle import (
     check_lemma1,
@@ -112,8 +113,17 @@ def test_exact_expected_tests_single_item():
 
 def test_exact_expected_tests_hand_enumeration():
     # root {0, 1} splitting to leaves: 1 + Pr[positive] * 2 = 1 + 0.75 * 2
-    root = PlanNode(items=(0, 1), left=PlanNode(items=(0,)), right=PlanNode(items=(1,)))
-    plan = NestedPlan(n=2, construction="max_entropy", root_groups=(root,), mu_covered=1.0)
+    plan = NestedPlan(
+        n=2,
+        construction="max_entropy",
+        perm=(0, 1),
+        lo=(0, 0, 1),
+        hi=(2, 1, 2),
+        left=(1, -1, -1),
+        right=(2, -1, -1),
+        roots=(0,),
+        mu_covered=1.0,
+    )
     p = PriorVector((0.5, 0.5))
     assert exact_expected_tests(plan, p).value == pytest.approx(2.5, abs=1e-12)
 
@@ -128,13 +138,13 @@ def test_exact_expected_tests_within_adaptive_bound():
             assert exact_expected_tests(plan, p).value <= bound
 
 
-def relabel_node(node, mapping):
-    if node.is_leaf:
-        return PlanNode(items=(mapping[node.items[0]],))
-    return PlanNode(
-        items=tuple(sorted(mapping[i] for i in node.items)),
-        left=relabel_node(node.left, mapping),
-        right=relabel_node(node.right, mapping),
+def relabel_plan(plan, mapping):
+    """The same pools over renamed items: only the item ids change."""
+    return replace(
+        plan,
+        perm=tuple(mapping[i] for i in plan.perm),
+        auto_defective=tuple(mapping[i] for i in plan.auto_defective),
+        auto_clear=tuple(mapping[i] for i in plan.auto_clear),
     )
 
 
@@ -149,12 +159,8 @@ def test_exact_expected_tests_permutation_covariant():
     perm = tuple(int(i) for i in rng.permutation(8))  # new position j holds old item perm[j]
     old_to_new = {old: new for new, old in enumerate(perm)}
     p2 = PriorVector(tuple(probs[i] for i in perm))
-    relabeled = NestedPlan(
-        n=8,
-        construction=plan.construction,
-        root_groups=tuple(relabel_node(g, old_to_new) for g in plan.root_groups),
-        mu_covered=plan.mu_covered,
-    )
+    relabeled = relabel_plan(plan, old_to_new)
+    assert relabeled.perm != plan.perm
     assert exact_expected_tests(relabeled, p2).value == pytest.approx(base, abs=1e-9)
 
 

@@ -8,9 +8,7 @@ from priorgt.priors import (
     PopulationVector,
     PriorVector,
     binary_entropy,
-    entropy,
     generate_prior,
-    mu,
     prior_from_json_dict,
     prior_to_json_dict,
 )
@@ -26,33 +24,33 @@ def plain_entropy_sum(probs):
 
 
 def test_entropy_two_fair_bits():
-    assert entropy(PriorVector((0.5, 0.5))) == 2.0
+    assert PriorVector((0.5, 0.5)).entropy_bits == 2.0
 
 
 def test_entropy_degenerate_entries_contribute_zero():
-    assert entropy(PriorVector((0.0, 1.0))) == 0.0
+    assert PriorVector((0.0, 1.0)).entropy_bits == 0.0
 
 
 def test_entropy_uniform_1000_matches_direct_summation():
     p = PriorVector((0.008,) * 1000)
-    assert entropy(p) == pytest.approx(plain_entropy_sum(p.probs), abs=1e-9)
+    assert p.entropy_bits == pytest.approx(plain_entropy_sum(p.probs), abs=1e-9)
 
 
 def test_entropy_permutation_invariant():
     rng = np.random.default_rng(42)
     probs = tuple(rng.uniform(0.0, 1.0, size=200))
-    base = entropy(PriorVector(probs))
+    base = PriorVector(probs).entropy_bits
     for _ in range(5):
         perm = tuple(rng.permutation(probs))
-        assert entropy(PriorVector(perm)) == pytest.approx(base, abs=1e-9)
+        assert PriorVector(perm).entropy_bits == pytest.approx(base, abs=1e-9)
 
 
 def test_entropy_additive_over_concatenation():
     rng = np.random.default_rng(7)
     a = tuple(rng.uniform(0, 1, size=50))
     b = tuple(rng.uniform(0, 1, size=80))
-    total = entropy(PriorVector(a + b))
-    assert total == pytest.approx(entropy(PriorVector(a)) + entropy(PriorVector(b)), abs=1e-9)
+    total = PriorVector(a + b).entropy_bits
+    assert total == pytest.approx(PriorVector(a).entropy_bits + PriorVector(b).entropy_bits, abs=1e-9)
 
 
 def test_entropy_bounds_and_maximum():
@@ -60,18 +58,18 @@ def test_entropy_bounds_and_maximum():
     for _ in range(50):
         n = int(rng.integers(1, 30))
         p = PriorVector(tuple(rng.uniform(0, 1, size=n)))
-        assert 0.0 <= entropy(p) <= n + 1e-12
-    assert entropy(PriorVector((0.5,) * 17)) == 17.0
+        assert 0.0 <= p.entropy_bits <= n + 1e-12
+    assert PriorVector((0.5,) * 17).entropy_bits == 17.0
 
 
 def test_mu_examples():
-    assert mu(PriorVector((0.5, 0.5))) == 1.0
-    assert mu(PriorVector((0.0,) * 10)) == 0.0
+    assert PriorVector((0.5, 0.5)).mu == 1.0
+    assert PriorVector((0.0,) * 10).mu == 0.0
 
 
 def test_mu_linear_family_hits_target():
     p = generate_prior("linear", 1000, 8.0)
-    assert abs(mu(p) - 8.0) <= 1e-9
+    assert abs(p.mu - 8.0) <= 1e-9
 
 
 def test_binary_entropy_symmetry_and_edges():
@@ -97,16 +95,18 @@ def test_generate_exponential_geometric_ratio_and_sum():
     p = generate_prior("exponential", 3, 0.9, rho=rho)
     assert p.probs[1] / p.probs[0] == pytest.approx(rho, abs=1e-12)
     assert p.probs[2] / p.probs[1] == pytest.approx(rho, abs=1e-12)
-    assert mu(p) == pytest.approx(0.9, abs=1e-9)
+    assert p.mu == pytest.approx(0.9, abs=1e-9)
     # closed-form geometric normalization
     scale = 0.9 * (1 - rho) / (1 - rho**3)
     assert p.probs[0] == pytest.approx(scale, abs=1e-12)
 
 
-def test_generate_prior_is_deterministic_and_ignores_seed():
-    a = generate_prior("exponential", 50, 2.0, seed=1)
-    b = generate_prior("exponential", 50, 2.0, seed=999)
+def test_generate_prior_is_deterministic():
+    a = generate_prior("exponential", 50, 2.0)
+    b = generate_prior("exponential", 50, 2.0)
     assert a.probs == b.probs
+    with pytest.raises(TypeError):
+        generate_prior("exponential", 50, 2.0, seed=1)  # generation takes no seed
 
 
 @pytest.mark.parametrize("family", ["uniform", "linear", "exponential"])
@@ -120,7 +120,7 @@ def test_generate_prior_invariants(family):
             cap = min(cap, 0.45 * (1 - 0.99**n) / (1 - 0.99))
         target = float(rng.uniform(0.4, cap))
         p = generate_prior(family, n, target)
-        assert abs(mu(p) - target) <= 1e-9
+        assert abs(p.mu - target) <= 1e-9
         assert p.max_prob < 0.5
 
 
@@ -138,7 +138,7 @@ def test_generate_prior_rejects_bad_parameters():
 def test_uniform_entropy_closed_form():
     for n, target in ((100, 5.0), (1000, 8.0), (1000, 32.0)):
         p = generate_prior("uniform", n, target)
-        assert entropy(p) == pytest.approx(n * binary_entropy(target / n), abs=1e-9)
+        assert p.entropy_bits == pytest.approx(n * binary_entropy(target / n), abs=1e-9)
 
 
 def test_prior_vector_validation():
@@ -154,6 +154,9 @@ def test_population_vector_coercion():
     v = PopulationVector((True, 0, 1))
     assert v.bits == (1, 0, 1)
     assert v.as_array().dtype == bool
+    assert not v.as_array().flags.writeable
+    assert v.matches(PopulationVector(np.array([1, 0, 1])))
+    assert v == PopulationVector((1, 0, 1)) and v != PopulationVector((1, 0, 0))
 
 
 def test_prior_json_roundtrip_is_lossless():

@@ -15,7 +15,6 @@ from priorgt.sim import (
     success_curve,
     summarize,
     summary_csv_text,
-    trial_seed,
     trials_csv_text,
 )
 
@@ -36,12 +35,6 @@ def test_draw_truth_deterministic():
     p = generate_prior("linear", 100, 3.0)
     assert draw_truth(p, 9).bits == draw_truth(p, 9).bits
     assert draw_truth(p, 9).bits != draw_truth(p, 10).bits
-
-
-def test_trial_seed_is_stable_and_split():
-    a = trial_seed(1, 0, 0)
-    assert a == trial_seed(1, 0, 0)
-    assert len({trial_seed(1, i, j) for i in range(5) for j in range(5)}) == 25
 
 
 def test_run_campaign_single_cell():
@@ -156,6 +149,34 @@ def test_summarize_groups_by_point_and_algorithm():
     for row in rows:
         assert row["trials"] == 3
         assert 0.0 <= row["success_rate"] <= 1.0
+
+
+def test_summarize_labels_sweep_points_and_keeps_repeats_apart():
+    c = Campaign(
+        family="uniform",
+        n=20,
+        sweep=(2.0, 2.0, 4.0),
+        trials=3,
+        algorithms=("adaptive_me", "cca"),
+        base_seed=1,
+    )
+    reports = run_campaign(c)
+    rows = summarize(reports)
+    assert [(r["point_index"], r["algorithm"]) for r in rows] == [
+        (0, "adaptive_me"),
+        (0, "cca"),
+        (1, "adaptive_me"),
+        (1, "cca"),
+        (2, "adaptive_me"),
+        (2, "cca"),
+    ]
+    assert [r["mu"] for r in rows] == [2.0, 2.0, 2.0, 2.0, 4.0, 4.0]
+    assert all(r["trials"] == 3 for r in rows)
+    # the repeated point draws its own truths
+    assert {r.seed for r in reports if r.point_index == 0}.isdisjoint(
+        {r.seed for r in reports if r.point_index == 1}
+    )
+    assert summary_csv_text(rows).splitlines()[5].startswith("2,adaptive_me,20,4.0,")
 
 
 def test_csv_text_shapes():
