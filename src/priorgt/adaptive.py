@@ -23,7 +23,6 @@ exactly.  Plans serialize to one flat JSON object marked ``"format": 2``.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass
@@ -165,30 +164,48 @@ class _Layout:
         )
 
 
-def _prefix_products(p: PriorVector, items: Sequence[int]) -> np.ndarray:
-    q = 1.0 - np.asarray([p.probs[i] for i in items])
-    return np.cumprod(q)
+def _depths(p: PriorVector, items: Sequence[int]) -> np.ndarray:
+    """Prefix sums of -log(1 - p_i) over ``items``, from 0: items[a:b] holds a
+    defective with probability -expm1(depth[a] - depth[b]), even at tiny p_i."""
+    return np.concatenate(([0.0], np.cumsum(-np.log1p(-p.as_array()[np.asarray(items, dtype=np.int64)]))))
+
+
+def _nearest_prefix(depth: np.ndarray, start: int, stop: int, target: float) -> int:
+    """End c in start+1..stop of the range [start, c) whose probability of
+    holding a defective, which grows with c, lies nearest ``target``: the last
+    range below it or the first that reaches it.  Ties go to the shorter."""
+    hi = max(int(np.searchsorted(depth, depth[start] - math.log1p(-target))), start + 1)
+    if hi > stop:
+        return stop
+    miss = [abs(-math.expm1(depth[start] - depth[c]) - target) for c in (hi - 1, hi)]
+    return hi - 1 if hi - 1 > start and miss[0] <= miss[1] else hi
+
+
+def _first_stage(p: PriorVector, items: Sequence[int] | None, cut: Callable) -> list[tuple[int, ...]]:
+    """Certain defectives as leading singletons, then consecutive pools of the
+    items with 0 < p < 1, each ended by ``cut(depth, start, stop)``."""
+    if items is None:
+        items = list(p.item_ids)
+    groups = [(i,) for i in items if p.probs[i] >= 1.0]
+    rest = [i for i in items if 0.0 < p.probs[i] < 1.0]
+    depth = _depths(p, rest)
+    start = 0
+    while start < len(rest):
+        stop = cut(depth, start, len(rest))
+        groups.append(tuple(rest[start:stop]))
+        start = stop
+    return groups
 
 
 def me_first_stage(p: PriorVector, items: Sequence[int] | None = None) -> list[tuple[int, ...]]:
-    """Greedy first-stage pools: repeatedly take the prefix whose product of
-    (1 - p_i) is closest to 1/2.
+    """Greedy first-stage pools: repeatedly take the prefix whose probability
+    of containing no defective is closest to 1/2.
 
     Certain defectives (p = 1) are emitted first as their own singleton
     pools; impossible items (p = 0) are left out entirely, since they are
     cleared without testing.  Ties go to the shorter prefix.
     """
-    if items is None:
-        items = list(p.item_ids)
-    groups = [(i,) for i in items if p.probs[i] >= 1.0]
-    rest = [i for i in items if 0.0 < p.probs[i] < 1.0]
-    start = 0
-    while start < len(rest):
-        cp = _prefix_products(p, rest[start:])
-        r = int(np.argmin(np.abs(cp - 0.5))) + 1
-        groups.append(tuple(rest[start : start + r]))
-        start += r
-    return groups
+    return _first_stage(p, items, lambda depth, start, stop: _nearest_prefix(depth, start, stop, 0.5))
 
 
 def me_split(items: Sequence[int], p: PriorVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -200,14 +217,13 @@ def me_split(items: Sequence[int], p: PriorVector) -> tuple[tuple[int, ...], tup
     """
     if len(items) < 2:
         raise ValueError("cannot split a pool with fewer than two items")
-    cp = _prefix_products(p, items)
-    denom = 1.0 - cp[-1]
-    if denom <= 0.0:
+    depth = _depths(p, items)
+    positive = -math.expm1(-depth[-1])
+    if positive <= 0.0:
         # No positive-probability member; balance sizes deterministically.
         k = len(items) // 2
     else:
-        ratios = (1.0 - cp[:-1]) / denom
-        k = int(np.argmin(np.abs(ratios - 0.5))) + 1
+        k = _nearest_prefix(depth, 0, len(items) - 1, positive / 2.0)
     return tuple(items[:k]), tuple(items[k:])
 
 
@@ -219,37 +235,19 @@ def sf_first_stage(p: PriorVector, items: Sequence[int] | None = None) -> list[t
     singleton pool.  Certain defectives are emitted first as singletons and
     impossible items are left out, as in :func:`me_first_stage`.
     """
-    if items is None:
-        items = list(p.item_ids)
-    groups = [(i,) for i in items if p.probs[i] >= 1.0]
-    rest = [i for i in items if 0.0 < p.probs[i] < 1.0]
-    start = 0
-    while start < len(rest):
-        grp = [rest[start]]
-        prod = 1.0 - p.probs[rest[start]]
-        k = start + 1
-        while k < len(rest) and prod * (1.0 - p.probs[rest[k]]) >= 0.5:
-            prod *= 1.0 - p.probs[rest[k]]
-            grp.append(rest[k])
-            k += 1
-        groups.append(tuple(grp))
-        start = k
-    return groups
+
+    def cut(depth: np.ndarray, start: int, stop: int) -> int:
+        # The product stays at or above 1/2 while the depth grows by at most ln 2.
+        return max(start + 1, int(np.searchsorted(depth, depth[start] + math.log(2.0), "right")) - 1)
+
+    return _first_stage(p, items, cut)
 
 
 def _sf_cut(pool: Sequence[int], p: PriorVector) -> int:
     """Left size of the split where the two sides' weights are most nearly
     equal; ties go to the shorter prefix."""
-    weights = [p.probs[i] for i in pool]
-    total = math.fsum(weights)
-    acc = 0.0
-    best_k, best_d = 1, None
-    for k in range(1, len(pool)):
-        acc += weights[k - 1]
-        d = abs(2.0 * acc - total)
-        if best_d is None or d < best_d:
-            best_d, best_k = d, k
-    return best_k
+    weights = p.as_array()[np.asarray(pool, dtype=np.int64)]
+    return int(np.argmin(np.abs(2.0 * np.cumsum(weights[:-1]) - math.fsum(weights)))) + 1
 
 
 def _huffman(items: Sequence[int], p: PriorVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -442,12 +440,3 @@ def plan_from_json_dict(data: dict) -> NestedPlan:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed plan JSON: {exc!r}") from exc
-
-
-def write_transcript_csv(path: str, result: AdaptiveRunResult, trial_id: int = 0) -> None:
-    """Transcript rows as (trial_id, step, subset_size, outcome)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial_id", "step", "subset_size", "outcome"])
-        for step, (items, outcome) in enumerate(result.transcript):
-            writer.writerow([trial_id, step, len(items), outcome])

@@ -12,14 +12,18 @@ The block design applies the same sampler independently inside each ample
 band of a pre-partition, giving the matrix a direct-sum shape; zero-set items
 get no rows and are cleared by the decoder directly, while tail and
 under-sized-band items get one singleton row each.
+
+A matrix is stored in compressed sparse row form, so every row is measured
+from one prefix count of the truth and every negative row is cleared in one
+scatter.  Repeated draws change neither, so sampled rows keep each id once.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,16 +34,12 @@ from .priors import PopulationVector, PriorVector
 
 def sampling_distribution(p: PriorVector) -> np.ndarray:
     """Row-sampling distribution (1 - p_i) / (n - mu); sums to one."""
-    if p.mu >= p.n:
-        raise ValueError("sampling distribution is degenerate when every item is certainly defective")
-    return (1.0 - p.as_array()) / (p.n - p.mu)
+    return _distribution(p.as_array(), p.n - p.mu)
 
 
-def _restricted_distribution(p: PriorVector, items: Sequence[int]) -> np.ndarray:
-    probs = np.asarray([p.probs[i] for i in items])
-    mass = len(items) - math.fsum(probs)
+def _distribution(probs: np.ndarray, mass: float) -> np.ndarray:
     if mass <= 0.0:
-        raise ValueError("sampling distribution is degenerate on this subset")
+        raise ValueError("sampling distribution is degenerate when every item is certainly defective")
     return (1.0 - probs) / mass
 
 
@@ -88,37 +88,61 @@ class BlockSpan:
 
 @dataclass(frozen=True)
 class TestMatrix:
-    """Sparse row-set representation of a boolean test matrix.
+    """A boolean test matrix in compressed sparse row form.
 
-    ``rows`` holds one sorted integer array of item ids per test; treat the
-    arrays as read-only.  ``zero_assigned`` lists items the decoder clears
+    Row r tests ``indices[indptr[r]:indptr[r+1]]``, in build order: ascending
+    for sampled rows, band order in the block design.  Both arrays are
+    read-only int64.  ``zero_assigned`` lists items the decoder clears
     directly without any covering row.
     """
 
     __test__ = False  # not a pytest class, despite the name
 
     n: int
-    rows: tuple[np.ndarray, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     block_spans: tuple[BlockSpan, ...] | None = None
     zero_assigned: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) and (row.min() < 0 or row.max() >= self.n):
-                raise ValueError("row contains an item id outside 0..n-1")
+        for name in ("indptr", "indices"):
+            arr = np.array(getattr(self, name), dtype=np.int64)
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        indptr, indices = self.indptr, self.indices
+        if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(indices) or (np.diff(indptr) < 0).any():
+            raise ValueError("indptr must start at 0, never decrease and end at len(indices)")
+        if len(indices) and (indices.min() < 0 or indices.max() >= self.n):
+            raise ValueError("row contains an item id outside 0..n-1")
+
+    @classmethod
+    def from_rows(cls, n: int, rows: Sequence[Sequence[int]], **fields) -> "TestMatrix":
+        """Build a matrix from one sequence of item ids per row."""
+        arrays = [np.zeros(0, dtype=np.int64)] + [np.asarray(row, dtype=np.int64) for row in rows]
+        return cls(n, np.cumsum([len(a) for a in arrays]), np.concatenate(arrays), **fields)
 
     @property
     def t(self) -> int:
-        return len(self.rows)
+        return len(self.indptr) - 1
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """One read-only view into ``indices`` per row."""
+        return tuple(np.split(self.indices, self.indptr[1:-1])) if self.t else ()
 
 
-def _sample_rows(rng: np.random.Generator, weights: np.ndarray, t: int, g: int) -> list[np.ndarray]:
-    """Draw t rows of g ids each with replacement; duplicates collapse to set
-    membership.  Inverse-CDF sampling keeps the exact distribution."""
+def _sample_rows(rng: np.random.Generator, weights: np.ndarray, t: int, g: int) -> tuple[np.ndarray, ...]:
+    """Draw t rows of g ids each with replacement as CSR ``(indptr, indices)``;
+    duplicates collapse to set membership, leaving each row's ids ascending.
+    Inverse-CDF sampling keeps the exact distribution."""
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, rng.random((t, g)), side="right")
-    return [np.unique(row) for row in draws]
+    draws = np.sort(np.searchsorted(cdf, rng.random((t, g)), side="right"), axis=1)
+    first = np.ones(draws.shape, dtype=bool)
+    first[:, 1:] = draws[:, 1:] != draws[:, :-1]
+    return np.concatenate(([0], np.cumsum(first.sum(axis=1)))), draws[first]
 
 
 def build_cca_matrix(p: PriorVector, t: int, g: int, seed: int) -> TestMatrix:
@@ -129,8 +153,8 @@ def build_cca_matrix(p: PriorVector, t: int, g: int, seed: int) -> TestMatrix:
     if g < 1:
         raise ValueError("g must be at least 1")
     rng = np.random.default_rng(seed)
-    rows = _sample_rows(rng, sampling_distribution(p), t, g)
-    return TestMatrix(n=p.n, rows=tuple(rows))
+    indptr, indices = _sample_rows(rng, sampling_distribution(p), t, g)
+    return TestMatrix(n=p.n, indptr=indptr, indices=indices)
 
 
 def build_block_matrix(p: PriorVector, eps: float, delta: float, seed: int) -> TestMatrix:
@@ -145,8 +169,11 @@ def build_block_matrix(p: PriorVector, eps: float, delta: float, seed: int) -> T
         raise ValueError("delta must be positive")
     part = build_partition(p, eps)
     rng = np.random.default_rng(seed)
-    rows: list[np.ndarray] = []
+    # Row sizes after a leading 0, so that their cumulative sum is indptr.
+    sizes = [np.zeros(1, dtype=np.int64)]
+    blocks = [np.zeros(0, dtype=np.int64)]
     spans: list[BlockSpan] = []
+    t = 0
 
     for k, band in enumerate(part.ample_bands()):
         n_s = band.size
@@ -154,47 +181,39 @@ def build_block_matrix(p: PriorVector, eps: float, delta: float, seed: int) -> T
         t_s = 0 if n_s == 1 else math.ceil(4.0 * math.e * (1.0 + delta) * mu_s * math.log(n_s))
         if t_s == 0:
             continue
-        weights = _restricted_distribution(p, band.items)
-        probs = np.asarray([p.probs[i] for i in band.items])
-        g_s = _optimal_g_from(weights, probs)
         local = np.asarray(band.items, dtype=np.int64)
-        row_lo = len(rows)
-        for row in _sample_rows(rng, weights, t_s, g_s):
-            rows.append(local[row])
-        spans.append(BlockSpan(row_lo=row_lo, row_hi=len(rows), items=band.items, label=f"band{k}"))
+        probs = p.as_array()[local]
+        weights = _distribution(probs, n_s - mu_s)
+        indptr, indices = _sample_rows(rng, weights, t_s, _optimal_g_from(weights, probs))
+        sizes.append(np.diff(indptr))
+        blocks.append(local[indices])
+        spans.append(BlockSpan(row_lo=t, row_hi=t + t_s, items=band.items, label=f"band{k}"))
+        t += t_s
 
     route = part.individual_route()
     if route:
-        row_lo = len(rows)
-        for i in route:
-            rows.append(np.asarray([i], dtype=np.int64))
-        spans.append(BlockSpan(row_lo=row_lo, row_hi=len(rows), items=route, label="individual"))
+        sizes.append(np.ones(len(route), dtype=np.int64))
+        blocks.append(np.asarray(route, dtype=np.int64))
+        spans.append(BlockSpan(row_lo=t, row_hi=t + len(route), items=route, label="individual"))
 
     return TestMatrix(
         n=p.n,
-        rows=tuple(rows),
+        indptr=np.cumsum(np.concatenate(sizes)),
+        indices=np.concatenate(blocks),
         block_spans=tuple(spans),
         zero_assigned=frozenset(part.zero_items),
     )
 
 
-def decode_comp(
-    m: TestMatrix,
-    outcomes: Sequence[int],
-    zero_assigned: frozenset[int] | set[int] | None = None,
-) -> PopulationVector:
+def decode_comp(m: TestMatrix, outcomes: Sequence[int]) -> PopulationVector:
     """Clear every item seen in a negative row (plus the pre-cleared set);
     declare everything else defective."""
     if len(outcomes) != m.t:
         raise ValueError(f"got {len(outcomes)} outcomes for {m.t} rows")
-    if zero_assigned is None:
-        zero_assigned = m.zero_assigned
+    negative = ~np.asarray(outcomes, dtype=bool)
     cleared = np.zeros(m.n, dtype=bool)
-    negatives = [m.rows[i] for i, y in enumerate(outcomes) if not y]
-    if negatives:
-        cleared[np.unique(np.concatenate(negatives))] = True
-    for i in zero_assigned:
-        cleared[i] = True
+    cleared[m.indices[np.repeat(negative, np.diff(m.indptr))]] = True
+    cleared[list(m.zero_assigned)] = True
     return PopulationVector(~cleared)
 
 
@@ -204,18 +223,16 @@ def run_nonadaptive(
     """Measure every row against the truth (noiseless OR) and decode."""
     if truth.n != m.n:
         raise ValueError(f"truth length {truth.n} does not match matrix width {m.n}")
-    truth_arr = truth.as_array()
-    outcomes = tuple(int(truth_arr[row].any()) for row in m.rows)
-    return outcomes, decode_comp(m, outcomes)
+    # counts[j] is the number of defectives among indices[:j].
+    counts = np.concatenate(([0], np.cumsum(truth.as_array()[m.indices])))
+    positive = counts[m.indptr[1:]] > counts[m.indptr[:-1]]
+    return tuple(positive.view(np.uint8).tolist()), decode_comp(m, positive)
 
 
 def matrix_to_json_dict(m: TestMatrix) -> dict:
-    out: dict = {"n": m.n, "rows": [[int(i) for i in row] for row in m.rows]}
+    out: dict = {"n": m.n, "rows": [row.tolist() for row in m.rows]}
     if m.block_spans is not None:
-        out["blocks"] = [
-            {"row_lo": s.row_lo, "row_hi": s.row_hi, "items": list(s.items), "label": s.label}
-            for s in m.block_spans
-        ]
+        out["blocks"] = [{**asdict(s), "items": list(s.items)} for s in m.block_spans]
     if m.zero_assigned:
         out["zero_assigned"] = sorted(m.zero_assigned)
     return out
@@ -233,27 +250,9 @@ def matrix_from_json_dict(data: dict) -> TestMatrix:
             )
             for b in data["blocks"]
         )
-    return TestMatrix(
+    return TestMatrix.from_rows(
         n=int(data["n"]),
-        rows=tuple(np.asarray(sorted(int(i) for i in row), dtype=np.int64) for row in data["rows"]),
+        rows=[[int(i) for i in row] for row in data["rows"]],
         block_spans=spans,
         zero_assigned=frozenset(int(i) for i in data.get("zero_assigned", [])),
     )
-
-
-def write_matrix_edge_csv(path: str, m: TestMatrix) -> None:
-    """Compact (row_id, item_id) edge list."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_id", "item_id"])
-        for r, row in enumerate(m.rows):
-            for i in row:
-                writer.writerow([r, int(i)])
-
-
-def write_outcomes_csv(path: str, outcomes: Sequence[int]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_id", "outcome"])
-        for r, y in enumerate(outcomes):
-            writer.writerow([r, int(y)])

@@ -111,7 +111,6 @@ def exact_expected_tests(plan: NestedPlan, p: PriorVector) -> ExactExpectation:
     if n > MAX_PLAN_ITEMS:
         raise ValueError(f"exhaustive enumeration capped at {MAX_PLAN_ITEMS} items")
     weights = _truth_weights(p)
-    total = 0.0
     contributions = []
     for mask, truth in enumerate(_all_truths(n)):
         result = run_adaptive(plan, truth, eps=0.0)

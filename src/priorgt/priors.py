@@ -41,13 +41,15 @@ class PriorVector:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
-        if len(probs) < 1:
+        arr = np.array(self.probs, dtype=np.float64)
+        if arr.ndim != 1 or len(arr) < 1:
             raise ValueError("prior vector must contain at least one item")
-        for i, p in enumerate(probs):
-            if not (0.0 <= p <= 1.0) or math.isnan(p):
-                raise ValueError(f"probability out of [0, 1] at item {i}: {p}")
-        object.__setattr__(self, "probs", probs)
+        bad = np.flatnonzero(~((arr >= 0.0) & (arr <= 1.0)))  # NaN fails both
+        if len(bad):
+            raise ValueError(f"probability out of [0, 1] at item {bad[0]}: {arr[bad[0]]}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "probs", tuple(arr.tolist()))
+        object.__setattr__(self, "_array", arr)
 
     @property
     def n(self) -> int:
@@ -72,7 +74,8 @@ class PriorVector:
         return max(self.probs)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=np.float64)
+        """The probabilities as one read-only float64 array, built once."""
+        return self._array
 
     def restricted_mu(self, items: Iterable[int]) -> float:
         return math.fsum(self.probs[i] for i in items)
@@ -160,11 +163,14 @@ def prior_to_json_dict(p: PriorVector) -> dict:
 def prior_from_json_dict(data: dict) -> PriorVector:
     """Parse either an explicit {"probs": [...]} vector or a generator spec
     {"family": ..., "n": ..., "mu": ..., "rho"?: ...}."""
-    if "probs" in data:
-        return PriorVector(tuple(float(x) for x in data["probs"]))
-    if "family" in data:
-        rho = float(data.get("rho", DEFAULT_EXPONENTIAL_DECAY))
-        return generate_prior(data["family"], int(data["n"]), float(data["mu"]), rho=rho)
+    try:
+        if "probs" in data:
+            return PriorVector(tuple(float(x) for x in data["probs"]))
+        if "family" in data:
+            rho = float(data.get("rho", DEFAULT_EXPONENTIAL_DECAY))
+            return generate_prior(data["family"], int(data["n"]), float(data["mu"]), rho=rho)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed prior JSON: {exc!r}") from exc
     raise ValueError("prior spec needs either a 'probs' list or a 'family' generator block")
 
 

@@ -120,13 +120,12 @@ def _run_one(
             g = nonadaptive.optimal_g(p)
             plan_cache["cca_g"] = g
         m = nonadaptive.build_cca_matrix(p, t, g, seed)
-        _, rec = nonadaptive.run_nonadaptive(m, truth)
-        return m.t, rec.matches(truth)
-    if algorithm == "block":
+    elif algorithm == "block":
         m = nonadaptive.build_block_matrix(p, eps, delta, seed)
-        _, rec = nonadaptive.run_nonadaptive(m, truth)
-        return m.t, rec.matches(truth)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    else:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    _, rec = nonadaptive.run_nonadaptive(m, truth)
+    return m.t, rec.matches(truth)
 
 
 def run_campaign(campaign: Campaign) -> list[TrialReport]:
@@ -264,17 +263,20 @@ def mann_kendall_increasing(values: Sequence[float]) -> TrendResult:
 
 
 def campaign_from_json_dict(data: dict) -> Campaign:
-    return Campaign(
-        family=data["family"],
-        n=int(data["n"]),
-        sweep=tuple(float(x) for x in data["sweep"]),
-        trials=int(data["trials"]),
-        algorithms=tuple(data["algorithms"]),
-        base_seed=int(data.get("base_seed", 0)),
-        eps=float(data.get("eps", 0.01)),
-        delta=float(data.get("delta", 1.0)),
-        rho=float(data.get("rho", 0.99)),
-    )
+    try:
+        return Campaign(
+            family=data["family"],
+            n=int(data["n"]),
+            sweep=tuple(float(x) for x in data["sweep"]),
+            trials=int(data["trials"]),
+            algorithms=tuple(data["algorithms"]),
+            base_seed=int(data.get("base_seed", 0)),
+            eps=float(data.get("eps", 0.01)),
+            delta=float(data.get("delta", 1.0)),
+            rho=float(data.get("rho", 0.99)),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed campaign JSON: {exc!r}") from exc
 
 
 def load_campaign(path: str) -> Campaign:

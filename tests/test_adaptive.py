@@ -16,10 +16,10 @@ from priorgt.adaptive import (
     run_prepartitioned_adaptive,
     sf_build_tree,
     sf_first_stage,
-    write_transcript_csv,
 )
 from priorgt.partition import build_partition, combine_for_concentration
 from priorgt.priors import PopulationVector, PriorVector, generate_prior
+from priorgt.sim import draw_truth
 
 
 def pool(plan, k):
@@ -72,6 +72,21 @@ def test_me_first_stage_certain_items_become_leading_singletons():
 def test_me_first_stage_drops_impossible_items():
     groups = me_first_stage(PriorVector((0.0, 0.5, 0.0)))
     assert groups == [(1,)]
+
+
+def test_me_first_stage_pools_probabilities_below_rounding():
+    # 1 - 1e-17 rounds to 1, so only log-domain sums see these items at all.
+    p = PriorVector((1e-17,) * 8)
+    assert me_first_stage(p) == [tuple(range(8))]
+    assert len(build_plan(p, "max_entropy").roots) == 1
+
+
+def test_max_entropy_meets_t2_when_most_probabilities_are_below_rounding():
+    # 6664 of these 10000 probabilities lie below 1.1e-16.
+    p = generate_prior("exponential", 10000, 4.0)
+    plan = build_plan(p, "max_entropy")
+    tests = [run_adaptive(plan, draw_truth(p, seed)).tests_used for seed in range(20)]
+    assert sum(tests) / len(tests) <= 2 * p.entropy_bits + 2 * p.mu
 
 
 def test_sf_first_stage_growth_stops_at_half():
@@ -461,15 +476,3 @@ def test_plan_json_rejects_malformed_and_nested_forms():
     for d in bad:
         with pytest.raises(ValueError):
             plan_from_json_dict(d)
-
-
-def test_transcript_csv(tmp_path):
-    p = PriorVector((0.3, 0.3, 0.3, 0.3))
-    plan = build_plan(p, "max_entropy")
-    result = run_adaptive(plan, PopulationVector((0, 1, 0, 0)))
-    path = tmp_path / "transcript.csv"
-    write_transcript_csv(str(path), result, trial_id=7)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "trial_id,step,subset_size,outcome"
-    assert lines[1] == "7,0,2,1"
-    assert len(lines) == 1 + result.tests_used

@@ -84,6 +84,31 @@ def test_plan_malformed_prior_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+SMALL_CAMPAIGN = {"family": "uniform", "n": 20, "sweep": [1.0], "trials": 1, "algorithms": ["cca"]}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("simulate", {**SMALL_CAMPAIGN, "sweep": 5}),
+        ("simulate", [SMALL_CAMPAIGN]),
+        ("bounds", {"probs": 5}),
+    ],
+    ids=["campaign-scalar-sweep", "campaign-list", "prior-scalar-probs"],
+)
+def test_malformed_campaign_and_prior_json_exit_2(tmp_path, capsys, command, payload):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload))
+    out = tmp_path / "out.csv"
+    if command == "simulate":
+        argv = ["simulate", "--campaign", str(spec), "--out", str(out)]
+    else:
+        argv = ["bounds", "--prior", str(spec)]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bounds_text_pe_zero_t1_equals_entropy(uniform_prior_file, capsys):
     rc = main(["bounds", "--prior", uniform_prior_file, "--pe", "0.0"])
     assert rc == 0

@@ -181,7 +181,7 @@ def test_exhaustive_decode_check_plans():
 
 def test_exhaustive_decode_check_singleton_matrix_is_exact():
     p = PriorVector((0.2,) * 5)
-    m = TestMatrix(n=5, rows=tuple(np.array([i]) for i in range(5)))
+    m = TestMatrix.from_rows(5, [[i] for i in range(5)])
     check = exhaustive_decode_check(m, p)
     assert check.passed
     assert check.error_probability == pytest.approx(0.0, abs=1e-15)
