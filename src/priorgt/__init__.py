@@ -28,6 +28,7 @@ from .adaptive import (
     me_first_stage,
     me_split,
     run_adaptive,
+    run_adaptive_batch,
     run_prepartitioned_adaptive,
     sf_build_tree,
     sf_first_stage,

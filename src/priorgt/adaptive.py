@@ -19,6 +19,12 @@ individually tested items are singleton roots.  Execution answers each pool
 from prefix counts of the truth in ``perm`` order and descends only through
 positive pools, so a noiseless run recovers the true population vector
 exactly.  Plans serialize to one flat JSON object marked ``"format": 2``.
+
+There are two executors.  :func:`run_adaptive_batch` runs many truths in one
+numpy pass and returns only test counts and recovered vectors; the oracles
+and the campaign harness use it.  :func:`run_adaptive` walks one truth and
+also returns the transcript of tests; it is the reference the batch executor
+is tested against.
 """
 
 from __future__ import annotations
@@ -103,6 +109,17 @@ class NestedPlan:
     @cached_property
     def perm_array(self) -> np.ndarray:
         return np.asarray(self.perm, dtype=np.int64)
+
+    @cached_property
+    def node_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``lo``, ``hi`` and ``left`` as int64 arrays."""
+        return tuple(np.asarray(a, dtype=np.int64) for a in (self.lo, self.hi, self.left))
+
+    @cached_property
+    def leaf_items(self) -> np.ndarray:
+        """The item each leaf tests, in node order."""
+        lo, _, left = self.node_arrays
+        return self.perm_array[lo[left < 0]]
 
 
 @dataclass(frozen=True)
@@ -398,6 +415,41 @@ def run_adaptive(plan: NestedPlan, truth: PopulationVector, eps: float = 0.0) ->
         tests_used=len(transcript),
         transcript=tuple(transcript),
     )
+
+
+def run_adaptive_batch(
+    plan: NestedPlan, truths: np.ndarray, eps: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`run_adaptive` on every row of a (T, n) bool truth matrix in one
+    numpy pass; returns the test counts (int64, length T) and the recovered
+    vectors (bool, T x n).
+
+    A pool is positive when the prefix counts of the truth in ``perm`` order
+    differ across its range.  Every root is tested, and so is every child of
+    a positive pool except, in inference mode, the right child of a pool
+    whose left child came back negative.  A leaf's item is recovered
+    defective when its singleton pool is positive.
+    """
+    truths = np.asarray(truths)
+    if truths.dtype != np.bool_ or truths.ndim != 2 or truths.shape[1] != plan.n:
+        raise ValueError(f"truths must be a (T, {plan.n}) bool array; got {truths.dtype} {truths.shape}")
+    recovered = np.zeros(truths.shape, dtype=bool)
+    if eps > 0.0 and plan.mu_covered < eps:
+        return np.zeros(len(truths), dtype=np.int64), recovered
+    # The smallest unsigned type that holds len(perm) keeps the arrays small.
+    counts = np.zeros((len(truths), len(plan.perm) + 1), dtype=np.min_scalar_type(len(plan.perm)))
+    np.cumsum(truths[:, plan.perm_array], axis=1, dtype=counts.dtype, out=counts[:, 1:])
+    lo, hi, left = plan.node_arrays
+    positive = counts[:, hi] > counts[:, lo]
+    internal = left >= 0
+    tested_left = positive[:, internal].sum(axis=1, dtype=np.int64)
+    if plan.counts_both_children:
+        tested_right = tested_left
+    else:
+        tested_right = positive[:, left[internal]].sum(axis=1)
+    recovered[:, plan.leaf_items] = positive[:, ~internal]
+    recovered[:, list(plan.auto_defective)] = True
+    return len(plan.roots) + tested_left + tested_right, recovered
 
 
 def run_prepartitioned_adaptive(

@@ -86,14 +86,14 @@ class BlockSpan:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestMatrix:
     """A boolean test matrix in compressed sparse row form.
 
     Row r tests ``indices[indptr[r]:indptr[r+1]]``, in build order: ascending
     for sampled rows, band order in the block design.  Both arrays are
     read-only int64.  ``zero_assigned`` lists items the decoder clears
-    directly without any covering row.
+    directly without any covering row.  Matrices compare and hash by value.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -111,11 +111,23 @@ class TestMatrix:
                 raise ValueError(f"{name} must be one-dimensional")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "zero_assigned", frozenset(self.zero_assigned))
         indptr, indices = self.indptr, self.indices
         if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(indices) or (np.diff(indptr) < 0).any():
             raise ValueError("indptr must start at 0, never decrease and end at len(indices)")
         if len(indices) and (indices.min() < 0 or indices.max() >= self.n):
             raise ValueError("row contains an item id outside 0..n-1")
+
+    def _key(self) -> tuple:
+        return (self.n, self.indptr.tobytes(), self.indices.tobytes(), self.block_spans, self.zero_assigned)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TestMatrix):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[Sequence[int]], **fields) -> "TestMatrix":

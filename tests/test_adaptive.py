@@ -13,6 +13,7 @@ from priorgt.adaptive import (
     plan_from_json_dict,
     plan_to_json_dict,
     run_adaptive,
+    run_adaptive_batch,
     run_prepartitioned_adaptive,
     sf_build_tree,
     sf_first_stage,
@@ -313,6 +314,15 @@ def test_run_adaptive_exact_for_every_truth(construction, counts_both):
             result = run_adaptive(plan, truth, eps=0.0)
             assert result.recovered.bits == truth.bits
             assert result.tests_used == len(result.transcript)
+
+
+def test_run_adaptive_batch_rejects_malformed_truths():
+    plan = build_plan(PriorVector((0.2, 0.3, 0.4)), "max_entropy")
+    good = np.zeros((2, 3), dtype=bool)
+    assert run_adaptive_batch(plan, good)[0].tolist() == [len(plan.roots)] * 2
+    for bad in (np.zeros((2, 4), dtype=bool), np.zeros(3, dtype=bool), np.zeros((2, 3), dtype=int)):
+        with pytest.raises(ValueError):
+            run_adaptive_batch(plan, bad)
 
 
 def test_inference_mode_never_uses_more_tests():

@@ -85,6 +85,7 @@ def test_plan_malformed_prior_exits_2(tmp_path, capsys):
 
 
 SMALL_CAMPAIGN = {"family": "uniform", "n": 20, "sweep": [1.0], "trials": 1, "algorithms": ["cca"]}
+ADAPTIVE_CAMPAIGN = {**SMALL_CAMPAIGN, "algorithms": ["adaptive_me"]}
 
 
 @pytest.mark.parametrize(
@@ -93,8 +94,24 @@ SMALL_CAMPAIGN = {"family": "uniform", "n": 20, "sweep": [1.0], "trials": 1, "al
         ("simulate", {**SMALL_CAMPAIGN, "sweep": 5}),
         ("simulate", [SMALL_CAMPAIGN]),
         ("bounds", {"probs": 5}),
+        ("simulate", {**ADAPTIVE_CAMPAIGN, "eps": -1}),
+        ("simulate", {**ADAPTIVE_CAMPAIGN, "eps": float("nan")}),
+        ("simulate", {**SMALL_CAMPAIGN, "trials": 2.5}),
+        ("simulate", {**SMALL_CAMPAIGN, "n": 20.5}),
+        ("simulate", {**SMALL_CAMPAIGN, "base_seed": 2.5}),
+        ("simulate", {**SMALL_CAMPAIGN, "delta": float("inf")}),
     ],
-    ids=["campaign-scalar-sweep", "campaign-list", "prior-scalar-probs"],
+    ids=[
+        "campaign-scalar-sweep",
+        "campaign-list",
+        "prior-scalar-probs",
+        "campaign-negative-eps",
+        "campaign-nan-eps",
+        "campaign-fractional-trials",
+        "campaign-fractional-n",
+        "campaign-fractional-seed",
+        "campaign-infinite-delta",
+    ],
 )
 def test_malformed_campaign_and_prior_json_exit_2(tmp_path, capsys, command, payload):
     spec = tmp_path / "spec.json"

@@ -3,7 +3,8 @@
 Priors have at most 10 items and may hold the extreme values 0, 1, 1e-300
 and exactly 1/2.  Every construction, built whole or pre-partitioned, must
 give a plan that passes the constructor's check, covers every item once,
-recovers every sampled truth exactly, and survives a JSON round trip.
+recovers every sampled truth exactly, and survives a JSON round trip.  The
+batch executor must agree with the scalar one on every truth vector.
 
 Matrices have at most 12 items and may hold empty rows, repeated ids and a
 pre-cleared set.  Measuring and decoding must agree with a per-row reference,
@@ -26,6 +27,7 @@ from priorgt.adaptive import (
     plan_from_json_dict,
     plan_to_json_dict,
     run_adaptive,
+    run_adaptive_batch,
 )
 from priorgt.nonadaptive import (
     BlockSpan,
@@ -79,6 +81,22 @@ def test_plans_recover_sampled_truths_exactly(spec, seeds):
         expected[list(plan.auto_clear)] = False
         assert np.array_equal(result.recovered.as_array(), expected)
         assert result.tests_used == len(result.transcript)
+
+
+@PROPERTY_SETTINGS
+@given(plan_specs)
+def test_batch_executor_matches_scalar_on_every_truth(spec):
+    plan = make_plan(*spec)
+    n = spec[0].n
+    truths = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    # The second eps lies above the covered mass, so the shortcut fires.
+    for eps in (0.0, plan.mu_covered + 0.5):
+        tests, recovered = run_adaptive_batch(plan, truths, eps=eps)
+        assert tests.dtype == np.int64 and recovered.shape == truths.shape
+        for truth, used, bits in zip(truths, tests, recovered):
+            result = run_adaptive(plan, PopulationVector(truth), eps=eps)
+            assert result.tests_used == used
+            assert np.array_equal(result.recovered.as_array(), bits)
 
 
 @PROPERTY_SETTINGS

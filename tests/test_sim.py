@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from priorgt.adaptive import build_plan, build_prepartitioned_plan, run_adaptive
 from priorgt.bounds import adaptive_expected_upper
+from priorgt.nonadaptive import build_block_matrix, build_cca_matrix, num_tests_cca, optimal_g, run_nonadaptive
+from priorgt import sim
 from priorgt.priors import PriorVector, generate_prior
 from priorgt.sim import (
+    ALGORITHMS,
+    TRUTH_BLOCK_CELLS,
     Campaign,
+    TrialReport,
     campaign_from_json_dict,
     draw_truth,
     fit_slope,
@@ -74,6 +80,56 @@ def test_run_campaign_truth_shared_across_algorithms():
         by_trial.setdefault(r.trial_id, []).append(r.seed)
     for seeds in by_trial.values():
         assert len(set(seeds)) == 1
+
+
+@pytest.mark.parametrize("block_trials", [3, TRUTH_BLOCK_CELLS // 200], ids=["blocks-of-3", "default-blocks"])
+def test_run_campaign_matches_per_trial_scalar_reference(monkeypatch, block_trials):
+    # Blocks of 3 trials split each point into blocks of 3, 3, 3 and 1; the
+    # default size holds every trial in one block.  The first point's mass
+    # lies below eps, so the adaptive shortcut fires there.
+    monkeypatch.setattr(sim, "TRUTH_BLOCK_CELLS", 200 * block_trials)
+    c = Campaign(
+        family="exponential",
+        n=200,
+        sweep=(0.3, 4.0),
+        trials=10,
+        algorithms=ALGORITHMS,
+        base_seed=6,
+        eps=0.5,
+    )
+    construction = {"me": "max_entropy", "sf": "shannon_fano", "huffman": "huffman"}
+    expected = []
+    for point_index, target_mu in enumerate(c.sweep):
+        p = generate_prior(c.family, c.n, target_mu, rho=c.rho)
+        plans = {}
+        for algorithm in c.algorithms[:6]:
+            kind, suffix = algorithm.split("_")
+            if kind == "adaptive":
+                plans[algorithm] = build_plan(p, construction[suffix])
+            else:
+                plans[algorithm] = build_prepartitioned_plan(p, c.eps, construction[suffix])
+        for trial_index in range(c.trials):
+            ss = np.random.SeedSequence([c.base_seed, point_index, trial_index])
+            truth_seed, matrix_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
+            truth = draw_truth(p, truth_seed)
+            for algorithm in c.algorithms:
+                if algorithm in plans:
+                    result = run_adaptive(plans[algorithm], truth, eps=c.eps)
+                    tests, success = result.tests_used, result.recovered.matches(truth)
+                else:
+                    if algorithm == "cca":
+                        m = build_cca_matrix(p, num_tests_cca(p, c.delta), optimal_g(p), matrix_seed)
+                    else:
+                        m = build_block_matrix(p, c.eps, c.delta, matrix_seed)
+                    tests, success = m.t, run_nonadaptive(m, truth)[1].matches(truth)
+                trial_id = point_index * c.trials + trial_index
+                expected.append(
+                    TrialReport(
+                        point_index, trial_id, truth_seed, algorithm, c.n, p.mu, p.entropy_bits, tests, success
+                    )
+                )
+    assert run_campaign(c) == expected
+    assert not all(r.success for r in expected if r.algorithm.startswith("adaptive"))
 
 
 def test_adaptive_campaign_stays_under_expected_bound():
