@@ -22,9 +22,10 @@ exactly.  Plans serialize to one flat JSON object marked ``"format": 2``.
 
 There are two executors.  :func:`run_adaptive_batch` runs many truths in one
 numpy pass and returns only test counts and recovered vectors; the oracles
-and the campaign harness use it.  :func:`run_adaptive` walks one truth and
-also returns the transcript of tests; it is the reference the batch executor
-is tested against.
+and the campaign harness's whole-vector plans use it.  :func:`run_adaptive`
+walks one truth and also returns the transcript of tests; it is the
+reference the batch executor is tested against, and the campaign harness
+runs pre-partitioned plans on it.
 """
 
 from __future__ import annotations

@@ -100,6 +100,8 @@ ADAPTIVE_CAMPAIGN = {**SMALL_CAMPAIGN, "algorithms": ["adaptive_me"]}
         ("simulate", {**SMALL_CAMPAIGN, "n": 20.5}),
         ("simulate", {**SMALL_CAMPAIGN, "base_seed": 2.5}),
         ("simulate", {**SMALL_CAMPAIGN, "delta": float("inf")}),
+        ("simulate", {**SMALL_CAMPAIGN, "trials": 10**400}),
+        ("simulate", {**SMALL_CAMPAIGN, "n": 10**400}),
     ],
     ids=[
         "campaign-scalar-sweep",
@@ -111,6 +113,8 @@ ADAPTIVE_CAMPAIGN = {**SMALL_CAMPAIGN, "algorithms": ["adaptive_me"]}
         "campaign-fractional-n",
         "campaign-fractional-seed",
         "campaign-infinite-delta",
+        "campaign-huge-trials",
+        "campaign-huge-n",
     ],
 )
 def test_malformed_campaign_and_prior_json_exit_2(tmp_path, capsys, command, payload):

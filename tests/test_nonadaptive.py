@@ -279,10 +279,9 @@ def test_matrix_json_roundtrip():
         assert json.dumps(matrix_to_json_dict(back)) == text
 
 
-def test_matrix_equality_and_hash_are_by_value():
+def test_matrix_equality_is_by_value():
     a = TestMatrix.from_rows(2, [[0]])
     assert a == TestMatrix.from_rows(2, [[0]])
-    assert hash(a) == hash(TestMatrix.from_rows(2, [[0]]))
     assert a != TestMatrix.from_rows(2, [[1]])
     assert a != TestMatrix.from_rows(3, [[0]])
     assert a != TestMatrix.from_rows(2, [[0], []])
@@ -292,7 +291,6 @@ def test_matrix_equality_and_hash_are_by_value():
     block = build_block_matrix(p, eps=0.01, delta=1.0, seed=9)
     assert block == build_block_matrix(p, eps=0.01, delta=1.0, seed=9)
     assert block != build_block_matrix(p, eps=0.01, delta=1.0, seed=10)
-    assert len({block, build_block_matrix(p, eps=0.01, delta=1.0, seed=9), a}) == 2
 
 
 def test_matrix_rejects_out_of_range_ids():
