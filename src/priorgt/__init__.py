@@ -25,6 +25,7 @@ from .adaptive import (
     NestedPlan,
     build_plan,
     build_prepartitioned_plan,
+    expected_tests,
     me_first_stage,
     me_split,
     run_adaptive,

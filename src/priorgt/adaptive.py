@@ -20,12 +20,24 @@ from prefix counts of the truth in ``perm`` order and descends only through
 positive pools, so a noiseless run recovers the true population vector
 exactly.  Plans serialize to one flat JSON object marked ``"format": 2``.
 
+Preorder numbers are closed-form.  A tree over m items has 2m - 1 nodes, so
+the root over ``perm[s:e]`` that follows j earlier roots is node 2s - j, the
+left child of node k is k + 1 and its right child is k + 2 |left range|.
+Plans are therefore built level by level over int64 arrays: the frontier is
+every range still to split, of every root at once, and one numpy pass per
+level returns all their left sizes.  :func:`me_split` and :func:`_sf_cut`
+are the one-node references for those passes.  The constructor checks the
+same preorder relations with a dozen array comparisons; by induction on
+range size they hold exactly when a depth-first walk from the roots visits
+nodes 0, 1, 2, ... with every pool split into two nonempty parts.
+
 There are two executors.  :func:`run_adaptive_batch` runs many truths in one
 numpy pass and returns only test counts and recovered vectors; the oracles
 and the campaign harness's whole-vector plans use it.  :func:`run_adaptive`
 walks one truth and also returns the transcript of tests; it is the
 reference the batch executor is tested against, and the campaign harness
-runs pre-partitioned plans on it.
+runs pre-partitioned plans on it.  :func:`expected_tests` gives a plan's
+exact expected test count in closed form.
 """
 
 from __future__ import annotations
@@ -44,6 +56,9 @@ from .priors import PopulationVector, PriorVector
 CONSTRUCTIONS = ("max_entropy", "shannon_fano", "huffman")
 PLAN_FORMAT = 2
 _INDEX_FIELDS = ("perm", "lo", "hi", "left", "right", "roots", "auto_defective", "auto_clear")
+# A level's ranges share one padded block unless that wastes more than this
+# many cells beyond twice their length.
+_ONE_BLOCK_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -72,39 +87,63 @@ class NestedPlan:
     mu_covered: float = 0.0
 
     def __post_init__(self):
+        arrays = {}
         for name in _INDEX_FIELDS:
-            object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                arrays[name] = value.astype(np.int64)
+                continue
+            value = tuple(map(int, value))
+            object.__setattr__(self, name, value)
+            try:
+                arrays[name] = np.array(value, dtype=np.int64)
+            except OverflowError:
+                raise ValueError(f"plan field {name} holds an index beyond int64") from None
         if self.construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {self.construction!r}; expected one of {CONSTRUCTIONS}")
-        ids = self.perm + self.auto_defective + self.auto_clear
-        if len(set(ids)) != len(ids) or any(not 0 <= i < self.n for i in ids):
+        self._check(**arrays)
+        # Fields given as arrays become tuples that share one int object per
+        # value: five tuples of their own ints would hold several times as many.
+        given = [name for name in _INDEX_FIELDS if isinstance(getattr(self, name), np.ndarray)]
+        if given:
+            # Checked: ids lie below n, positions at most len(perm), nodes below len(lo).
+            shared = np.arange(-1, max(self.n, len(arrays["perm"]) + 1, len(arrays["lo"]))).astype(object)
+            for name in given:
+                object.__setattr__(self, name, tuple(shared[arrays[name] + 1].tolist()))
+
+    def _check(self, perm, lo, hi, left, right, roots, auto_defective, auto_clear) -> None:
+        ids = np.concatenate((perm, auto_defective, auto_clear))
+        if len(ids) and (ids.min() < 0 or int(ids.max()) >= self.n or np.bincount(ids).max() > 1):
             raise ValueError("plan item ids must be distinct and lie in 0..n-1")
-        lo, hi, left, right = self.lo, self.hi, self.left, self.right
         size = len(lo)
         if not len(hi) == len(left) == len(right) == size:
             raise ValueError("lo, hi, left and right need one entry per node")
-        visited = cursor = 0
-        for root in self.roots:
-            stack = [root]
-            while stack:
-                k = stack.pop()
-                if k != visited or k >= size:
-                    raise ValueError("nodes must be numbered in preorder, each reached once")
-                visited += 1
-                a, b = left[k], right[k]
-                if a < 0 and b < 0:
-                    if hi[k] - lo[k] != 1:
-                        raise ValueError(f"leaf pools must be singletons, got {self.perm[lo[k]:hi[k]]}")
-                    continue
-                if not (0 <= a < size and 0 <= b < size):
-                    raise ValueError("plan nodes need either two children or none")
-                if not lo[a] == lo[k] < hi[a] == lo[b] < hi[b] == hi[k]:
-                    raise ValueError("children must partition their parent into nonempty pools")
-                stack += (b, a)
-            if lo[root] != cursor:
-                raise ValueError("root pools must tile perm in order")
-            cursor = hi[root]
-        if visited != size or cursor != len(self.perm):
+        preorder = "nodes must be numbered in preorder, each reached once"
+        if len(roots) and (roots.min() < 0 or roots.max() >= size):
+            raise ValueError(preorder)
+        internal = (left >= 0) | (right >= 0)
+        inner = internal.nonzero()[0]
+        a, b = left[inner], right[inner]
+        children = np.concatenate((a, b))
+        if len(inner) and (children.min() < 0 or children.max() >= size):
+            raise ValueError("plan nodes need either two children or none")
+        p_lo, p_hi, a_lo, a_hi, b_lo, b_hi = lo[inner], hi[inner], lo[a], hi[a], lo[b], hi[b]
+        if not ((a_lo == p_lo) & (a_lo < a_hi) & (a_hi == b_lo) & (b_lo < b_hi) & (b_hi == p_hi)).all():
+            raise ValueError("children must partition their parent into nonempty pools")
+        width = hi - lo
+        bad = (~internal & (width != 1)).nonzero()[0]
+        if len(bad):
+            k = bad[0]
+            raise ValueError(f"leaf pools must be singletons, got {tuple(perm[lo[k]:hi[k]].tolist())}")
+        # A tree over m items has 2m - 1 nodes: the closed-form preorder numbers.
+        nodes = 2 * width[roots] - 1
+        ends = np.cumsum(nodes)
+        if (a != inner + 1).any() or (b != inner + 2 * (a_hi - a_lo)).any() or (roots != ends - nodes).any():
+            raise ValueError(preorder)
+        if len(roots) and (lo[roots[0]] != 0 or (lo[roots[1:]] != hi[roots[:-1]]).any()):
+            raise ValueError("root pools must tile perm in order")
+        covered = (ends[-1], hi[roots[-1]]) if len(roots) else (0, 0)
+        if covered != (size, len(perm)):
             raise ValueError("every node and every perm position must belong to a root's tree")
 
     @cached_property
@@ -130,58 +169,6 @@ class AdaptiveRunResult:
     transcript: tuple[tuple[tuple[int, ...], int], ...]
 
 
-class _Layout:
-    """Preorder node lists that the plan builders append trees to."""
-
-    def __init__(self):
-        self.perm: list[int] = []
-        self.lo: list[int] = []
-        self.hi: list[int] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.roots: list[int] = []
-
-    def add_tree(self, pool: Sequence[int], split: Callable[[list[int]], int] | None) -> None:
-        """Append one tree whose leaves are ``pool`` in order.
-
-        ``split`` gets a node's items and returns the size of its left child;
-        it is called in preorder.  The walk is iterative, so spine-shaped
-        plans cannot overflow the stack.
-        """
-        start = len(self.perm)
-        self.perm.extend(pool)
-        self.roots.append(len(self.lo))
-        # Entries: (lo, hi, parent); the parent is set for right children only,
-        # since a left child always directly follows its parent in preorder.
-        stack = [(start, len(self.perm), -1)]
-        while stack:
-            a, b, parent = stack.pop()
-            k = len(self.lo)
-            if parent >= 0:
-                self.right[parent] = k
-            self.lo.append(a)
-            self.hi.append(b)
-            self.left.append(k + 1 if b - a > 1 else -1)
-            self.right.append(-1)
-            if b - a > 1:
-                mid = a + split(self.perm[a:b])
-                stack.append((mid, b, k))
-                stack.append((a, mid, -1))
-
-    def plan(self, p: PriorVector, construction: str, **fields) -> NestedPlan:
-        return NestedPlan(
-            n=p.n,
-            construction=construction,
-            perm=self.perm,
-            lo=self.lo,
-            hi=self.hi,
-            left=self.left,
-            right=self.right,
-            roots=self.roots,
-            **fields,
-        )
-
-
 def _depths(p: PriorVector, items: Sequence[int]) -> np.ndarray:
     """Prefix sums of -log(1 - p_i) over ``items``, from 0: items[a:b] holds a
     defective with probability -expm1(depth[a] - depth[b]), even at tiny p_i."""
@@ -192,27 +179,39 @@ def _nearest_prefix(depth: np.ndarray, start: int, stop: int, target: float) -> 
     """End c in start+1..stop of the range [start, c) whose probability of
     holding a defective, which grows with c, lies nearest ``target``: the last
     range below it or the first that reaches it.  Ties go to the shorter."""
-    hi = max(int(np.searchsorted(depth, depth[start] - math.log1p(-target))), start + 1)
+    hi = max(int(depth.searchsorted(depth[start] - math.log1p(-target))), start + 1)
     if hi > stop:
         return stop
     miss = [abs(-math.expm1(depth[start] - depth[c]) - target) for c in (hi - 1, hi)]
     return hi - 1 if hi - 1 > start and miss[0] <= miss[1] else hi
 
 
-def _first_stage(p: PriorVector, items: Sequence[int] | None, cut: Callable) -> list[tuple[int, ...]]:
-    """Certain defectives as leading singletons, then consecutive pools of the
-    items with 0 < p < 1, each ended by ``cut(depth, start, stop)``."""
-    if items is None:
-        items = list(p.item_ids)
-    groups = [(i,) for i in items if p.probs[i] >= 1.0]
-    rest = [i for i in items if 0.0 < p.probs[i] < 1.0]
+def _me_first_cut(depth: np.ndarray, start: int, stop: int) -> int:
+    return _nearest_prefix(depth, start, stop, 0.5)
+
+
+def _sf_first_cut(depth: np.ndarray, start: int, stop: int) -> int:
+    # The product stays at or above 1/2 while the depth grows by at most ln 2.
+    return max(start + 1, int(depth.searchsorted(depth[start] + math.log(2.0), "right")) - 1)
+
+
+def _first_stage(p: PriorVector, items: Sequence[int] | None, construction: str) -> tuple:
+    """The certain defectives (p = 1) among ``items``, the items with
+    0 < p < 1 in order, and the bounds 0 = s_0 < s_1 < ... of the
+    consecutive first-stage pools those are cut into."""
+    items = np.arange(p.n) if items is None else np.asarray(items, dtype=np.int64)
+    q = p.as_array()[items]
+    rest = items[(q > 0.0) & (q < 1.0)]
     depth = _depths(p, rest)
-    start = 0
-    while start < len(rest):
-        stop = cut(depth, start, len(rest))
-        groups.append(tuple(rest[start:stop]))
-        start = stop
-    return groups
+    cut = _me_first_cut if construction == "max_entropy" else _sf_first_cut
+    bounds = [0]
+    while bounds[-1] < len(rest):
+        bounds.append(cut(depth, bounds[-1], len(rest)))
+    return items[q >= 1.0], rest, bounds
+
+
+def _groups(certain: np.ndarray, rest: np.ndarray, bounds: list[int]) -> list[tuple[int, ...]]:
+    return [(i,) for i in certain.tolist()] + [tuple(rest[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
 
 
 def me_first_stage(p: PriorVector, items: Sequence[int] | None = None) -> list[tuple[int, ...]]:
@@ -223,7 +222,7 @@ def me_first_stage(p: PriorVector, items: Sequence[int] | None = None) -> list[t
     pools; impossible items (p = 0) are left out entirely, since they are
     cleared without testing.  Ties go to the shorter prefix.
     """
-    return _first_stage(p, items, lambda depth, start, stop: _nearest_prefix(depth, start, stop, 0.5))
+    return _groups(*_first_stage(p, items, "max_entropy"))
 
 
 def me_split(items: Sequence[int], p: PriorVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -253,12 +252,7 @@ def sf_first_stage(p: PriorVector, items: Sequence[int] | None = None) -> list[t
     singleton pool.  Certain defectives are emitted first as singletons and
     impossible items are left out, as in :func:`me_first_stage`.
     """
-
-    def cut(depth: np.ndarray, start: int, stop: int) -> int:
-        # The product stays at or above 1/2 while the depth grows by at most ln 2.
-        return max(start + 1, int(np.searchsorted(depth, depth[start] + math.log(2.0), "right")) - 1)
-
-    return _first_stage(p, items, cut)
+    return _groups(*_first_stage(p, items, "shannon_fano"))
 
 
 def _sf_cut(pool: Sequence[int], p: PriorVector) -> int:
@@ -268,37 +262,145 @@ def _sf_cut(pool: Sequence[int], p: PriorVector) -> int:
     return int(np.argmin(np.abs(2.0 * np.cumsum(weights[:-1]) - math.fsum(weights)))) + 1
 
 
-def _huffman(items: Sequence[int], p: PriorVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Merge the two lightest subtrees until one is left.  A subtree is kept
-    as its leaves in depth-first order plus its left-child sizes in preorder;
-    weight ties break on the smallest item id."""
-    heap = [(p.probs[i], i, (i,), ()) for i in items]
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        w1, t1, leaves1, cuts1 = heapq.heappop(heap)
-        w2, t2, leaves2, cuts2 = heapq.heappop(heap)
-        heapq.heappush(heap, (w1 + w2, min(t1, t2), leaves1 + leaves2, (len(leaves1),) + cuts1 + cuts2))
-    return heap[0][2], heap[0][3]
+def _map(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """``fn`` from :mod:`math` on every entry, so the result rounds exactly
+    as the one-node references do (numpy's vector kernels may differ)."""
+    return np.array(list(map(fn, values.tolist())), dtype=np.float64)
 
 
-def _add_tree(layout: _Layout, pool: Sequence[int], p: PriorVector, construction: str) -> None:
+def _blocks(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
+    """The ranges values[a:b] as rows padded with +inf, one block of rows
+    when padding costs little and otherwise one per ceil(log2) of length.
+    ``values`` ends with an extra +inf, which the pads read.  Returns
+    (row ids, rows) per block."""
+    m = b - a
+    groups = [slice(None)]
+    if len(m) * int(m.max()) > 2 * int(m.sum()) + _ONE_BLOCK_CELLS:
+        width = np.frexp(m - 1)[1]
+        order = np.argsort(width, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(width[order])) + 1)
+    blocks = []
+    for rows in groups:
+        pos = a[rows, None] + np.arange(m[rows].max())
+        blocks.append((rows, values[np.where(pos < b[rows, None], pos, -1)]))
+    return blocks
+
+
+def _me_cuts(xs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`me_split`'s left size for every range [a, b) of ``xs``, the
+    item depths -log1p(-p) in ``perm`` order plus a +inf pad.  Each range's
+    prefix sums start from 0 and run along its own row, as me_split's do."""
+    cut = np.empty(len(a), dtype=np.int64)
+    for rows, x in _blocks(xs, a, b):
+        depth = np.cumsum(x, axis=1)
+        m, i = b[rows] - a[rows], np.arange(len(x))
+        positive = -_map(math.expm1, -depth[i, m - 1])
+        target = positive / 2.0
+        # The nearest prefix ends at the count of prefix depths below the
+        # target's, at least 1 and at most m - 1, or one item earlier when
+        # that misses the target by no more: ties go to the shorter prefix.
+        end = 1 + (depth < -_map(math.log1p, -target)[:, None]).sum(axis=1)
+        near = -_map(math.expm1, -np.concatenate((depth[i, end - 2], depth[i, end - 1])))
+        miss = np.abs(near.reshape(2, -1) - target)
+        shorter = (miss[0] <= miss[1]) & (end >= 2) & (end < m)
+        cut[rows] = np.where(positive <= 0.0, m // 2, np.minimum(end, m - 1) - shorter)
+    return cut
+
+
+def _sf_cuts(weights: np.ndarray, listed: list[float], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`_sf_cut` for every range [a, b) of ``weights``, the item
+    probabilities in ``perm`` order plus a +inf pad; ``listed`` holds the
+    same as Python floats for the exactly rounded totals."""
+    totals = np.array([math.fsum(listed[s:e]) for s, e in zip(a.tolist(), b.tolist())])
+    cut = np.empty(len(a), dtype=np.int64)
+    for rows, w in _blocks(weights, a, b):
+        gap = np.abs(2.0 * np.cumsum(w, axis=1) - totals[rows, None])
+        gap[np.arange(w.shape[1]) >= (b[rows] - a[rows] - 1)[:, None]] = np.inf
+        cut[rows] = np.argmin(gap, axis=1) + 1
+    return cut
+
+
+def _layout(bounds: np.ndarray, split: Callable) -> tuple[np.ndarray, ...]:
+    """Preorder ``lo``, ``hi``, ``left``, ``right`` and ``roots`` of trees
+    over the consecutive ranges bounds[j]:bounds[j + 1], each nonempty.
+
+    ``split(k, a, b)`` gets the nodes k of the frontier with their ranges
+    [a, b) and returns their left sizes, each in 1..b - a - 1.
+    """
+    starts, ends = bounds[:-1], bounds[1:]
+    roots = 2 * starts - np.arange(len(starts))
+    size = 2 * int(bounds[-1]) - len(starts)
+    lo, hi = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    left, right = np.full(size, -1, dtype=np.int64), np.full(size, -1, dtype=np.int64)
+    lo[roots], hi[roots] = starts, ends
+    wide = ends - starts > 1
+    k, a, b = roots[wide], starts[wide], ends[wide]
+    while len(k):
+        cut = split(k, a, b)
+        left[k], right[k] = k + 1, k + 2 * cut
+        k, a, b = np.concatenate((left[k], right[k])), np.concatenate((a, a + cut)), np.concatenate((a + cut, b))
+        lo[k], hi[k] = a, b
+        wide = b - a > 1
+        k, a, b = k[wide], a[wide], b[wide]
+    return lo, hi, left, right, roots
+
+
+def _huffman(p: PriorVector, perm: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per root range, merge the two lightest subtrees until one is left;
+    weight ties break on the smallest item id.  Subtree j < len(perm) is the
+    leaf perm[j]; merged subtrees follow.  Returns each subtree's first and
+    second merged child and the first one's leaf count (-1 at a leaf), and
+    each root's subtree."""
+    probs, items = p.probs, perm.tolist()
+    merges, tops, merged = [np.full((len(items), 3), -1)], [], len(items)
+    for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        heap = [(probs[t], t, i, 1) for i, t in enumerate(items[s:e], s)]
+        heapq.heapify(heap)
+        steps = []
+        for j in range(merged, merged + e - s - 1):
+            w1, t1, j1, c1 = heapq.heappop(heap)
+            w2, t2, j2, c2 = heap[0]
+            heapq.heapreplace(heap, (w1 + w2, t1 if t1 < t2 else t2, j, c1 + c2))
+            steps.append((j1, j2, c1))
+        if steps:
+            merges.append(np.array(steps))
+        merged += e - s - 1
+        tops.append(heap[0][2])
+    return (*np.concatenate(merges).T, np.array(tops, dtype=np.int64))
+
+
+def _trees(p: PriorVector, construction: str, perm: np.ndarray, bounds: np.ndarray) -> dict:
+    """One tree per root range of ``perm``, laid out level by level."""
     if construction == "max_entropy":
-        layout.add_tree(pool, lambda sub: len(me_split(sub, p)[0]))
+        with np.errstate(divide="ignore"):  # p = 1 only at singleton roots
+            xs = np.append(-np.log1p(-p.as_array()[perm]), np.inf)
+        layout = _layout(bounds, lambda k, a, b: _me_cuts(xs, a, b))
     elif construction == "shannon_fano":
-        layout.add_tree(sorted(pool, key=lambda i: (-p.probs[i], i)), lambda sub: _sf_cut(sub, p))
+        # Each root's items by descending weight, ties by item id.
+        root_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        perm = perm[np.lexsort((perm, -p.as_array()[perm], root_of))]
+        weights = np.append(p.as_array()[perm], np.inf)
+        listed = weights.tolist()
+        layout = _layout(bounds, lambda k, a, b: _sf_cuts(weights, listed, a, b))
     elif construction == "huffman":
-        leaves, cuts = _huffman(pool, p)
-        next_cut = iter(cuts)
-        layout.add_tree(leaves, lambda sub: next(next_cut))
+        first, second, first_count, tops = _huffman(p, perm, bounds)
+        subtree = np.empty(2 * len(perm) - len(tops), dtype=np.int64)
+
+        def split(k, a, b):
+            j = subtree[k]
+            cut = first_count[j]
+            subtree[k + 1], subtree[k + 2 * cut] = first[j], second[j]
+            return cut
+
+        subtree[2 * bounds[:-1] - np.arange(len(tops))] = tops
+        layout = _layout(bounds, split)
+        lo, left = layout[0], layout[2]
+        leaves = left < 0
+        perm, leaf_item = np.empty_like(perm), perm
+        perm[lo[leaves]] = leaf_item[subtree[leaves]]
     else:
         raise ValueError(f"unknown construction {construction!r}; expected one of {CONSTRUCTIONS}")
-
-
-def _add_pools(layout: _Layout, p: PriorVector, construction: str, testable: Sequence[int]) -> None:
-    """First-stage pools over ``testable`` in order, one tree per pool."""
-    first_stage = me_first_stage if construction == "max_entropy" else sf_first_stage
-    for pool in first_stage(p, testable):
-        _add_tree(layout, pool, p, construction)
+    return dict(zip(("lo", "hi", "left", "right", "roots"), layout), perm=perm)
 
 
 def sf_build_tree(items: Sequence[int], p: PriorVector, kind: str) -> NestedPlan:
@@ -314,9 +416,11 @@ def sf_build_tree(items: Sequence[int], p: PriorVector, kind: str) -> NestedPlan
     """
     if kind not in ("shannon_fano", "huffman"):
         raise ValueError(f"unknown source-code kind {kind!r}")
-    layout = _Layout()
-    _add_tree(layout, items, p, kind)
-    return layout.plan(p, kind, mu_covered=p.restricted_mu(items))
+    pool = np.asarray(items, dtype=np.int64)
+    if not len(pool):
+        raise ValueError("cannot build a tree over an empty pool")
+    trees = _trees(p, kind, pool, np.array([0, len(pool)]))
+    return NestedPlan(n=p.n, construction=kind, mu_covered=p.restricted_mu(pool), **trees)
 
 
 def build_plan(p: PriorVector, construction: str, counts_both_children: bool = True) -> NestedPlan:
@@ -324,15 +428,16 @@ def build_plan(p: PriorVector, construction: str, counts_both_children: bool = T
 
     Certain and impossible items never enter the trees.
     """
-    layout = _Layout()
-    _add_pools(layout, p, construction, [i for i in p.item_ids if 0.0 < p.probs[i] < 1.0])
-    return layout.plan(
-        p,
-        construction,
-        auto_defective=[i for i in p.item_ids if p.probs[i] >= 1.0],
-        auto_clear=[i for i in p.item_ids if p.probs[i] <= 0.0],
+    probs, ids = p.as_array(), np.arange(p.n)
+    _, rest, bounds = _first_stage(p, ids[(probs > 0.0) & (probs < 1.0)], construction)
+    return NestedPlan(
+        n=p.n,
+        construction=construction,
+        auto_defective=ids[probs >= 1.0],
+        auto_clear=ids[probs <= 0.0],
         counts_both_children=counts_both_children,
         mu_covered=p.mu,
+        **_trees(p, construction, rest, np.array(bounds)),
     )
 
 
@@ -351,17 +456,19 @@ def build_prepartitioned_plan(
     probability.  The small-mass shortcut sees the whole vector's mass.
     """
     part = combine_for_concentration(build_partition(p, eps), p)
-    layout = _Layout()
-    for i in part.individual_route():
-        layout.add_tree((i,), None)
+    route = np.asarray(part.individual_route(), dtype=np.int64)
+    pieces, bounds = [route], [np.arange(len(route) + 1)]
     for band in part.ample_bands():
-        _add_pools(layout, p, construction, band.items)
-    return layout.plan(
-        p,
-        construction,
+        _, rest, pools = _first_stage(p, band.items, construction)
+        pieces.append(rest)
+        bounds.append(bounds[-1][-1] + np.asarray(pools[1:], dtype=np.int64))
+    return NestedPlan(
+        n=p.n,
+        construction=construction,
         auto_clear=part.zero_items,
         counts_both_children=counts_both_children,
         mu_covered=p.mu,
+        **_trees(p, construction, np.concatenate(pieces), np.concatenate(bounds)),
     )
 
 
@@ -437,9 +544,10 @@ def run_adaptive_batch(
     recovered = np.zeros(truths.shape, dtype=bool)
     if eps > 0.0 and plan.mu_covered < eps:
         return np.zeros(len(truths), dtype=np.int64), recovered
-    # The smallest unsigned type that holds len(perm) keeps the arrays small.
+    # The smallest unsigned type that holds len(perm) keeps the arrays small;
+    # summing the truths' bytes as uint8 spares the cumsum a cast at n < 256.
     counts = np.zeros((len(truths), len(plan.perm) + 1), dtype=np.min_scalar_type(len(plan.perm)))
-    np.cumsum(truths[:, plan.perm_array], axis=1, dtype=counts.dtype, out=counts[:, 1:])
+    np.cumsum(truths[:, plan.perm_array].view(np.uint8), axis=1, dtype=counts.dtype, out=counts[:, 1:])
     lo, hi, left = plan.node_arrays
     positive = counts[:, hi] > counts[:, lo]
     internal = left >= 0
@@ -451,6 +559,33 @@ def run_adaptive_batch(
     recovered[:, plan.leaf_items] = positive[:, ~internal]
     recovered[:, list(plan.auto_defective)] = True
     return len(plan.roots) + tested_left + tested_right, recovered
+
+
+def expected_tests(plan: NestedPlan, p: PriorVector) -> float:
+    """Exact expected test count of a noiseless run with the shortcut off,
+    in closed form.
+
+    Every root is tested.  An internal node whose pool is positive adds a
+    test of its left child, and then of its right child with
+    ``counts_both_children`` or, in inference mode, only when the left child
+    is positive (which implies the parent is).  So E[T] is the number of
+    roots plus, over internal nodes, P(node positive) + P(node positive) or
+    P(left child positive).  A pool is positive with probability
+    -expm1(-sum of -log1p(-p_i)) over its items, each range summed on its
+    own.  Items declared without testing, ``auto_defective`` and
+    ``auto_clear``, cost nothing.
+    """
+    if plan.n != p.n:
+        raise ValueError("plan and prior disagree on the universe size")
+    lo, hi, left = plan.node_arrays
+    if not len(lo):
+        return 0.0
+    with np.errstate(divide="ignore"):  # p = 1 gives depth +inf
+        depths = np.append(-np.log1p(-p.as_array()[plan.perm_array]), 0.0)
+    positive = -np.expm1(-np.add.reduceat(depths, np.stack((lo, hi), axis=1).ravel())[::2])
+    internal = left >= 0
+    second = positive[internal] if plan.counts_both_children else positive[left[internal]]
+    return len(plan.roots) + math.fsum(positive[internal].tolist()) + math.fsum(second.tolist())
 
 
 def run_prepartitioned_adaptive(

@@ -64,8 +64,7 @@ def num_tests_cca(p: PriorVector, delta: float) -> int:
     The guarantee needs every p_i below 1/2; a warning is emitted otherwise
     and the count is still returned.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     if p.max_prob >= 0.5:
         warnings.warn(
             "recovery guarantee void: some prior probability is at least 1/2",
@@ -73,7 +72,20 @@ def num_tests_cca(p: PriorVector, delta: float) -> int:
         )
     if p.mu == 0.0 or p.n == 1:
         return 0
-    return math.ceil(4.0 * math.e * (1.0 + delta) * p.mu * math.log(p.n))
+    return _row_budget(p.mu, p.n, delta)
+
+
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+
+
+def _row_budget(mu: float, n: int, delta: float) -> int:
+    """ceil(4e (1+delta) mu ln n), refused when the product overflows."""
+    budget = 4.0 * math.e * (1.0 + delta) * mu * math.log(n)
+    if not math.isfinite(budget):
+        raise ValueError(f"row budget 4e(1+delta) mu ln n overflows at delta={delta!r}")
+    return math.ceil(budget)
 
 
 @dataclass(frozen=True)
@@ -178,8 +190,7 @@ def build_block_matrix(p: PriorVector, eps: float, delta: float, seed: int) -> T
     the tail get one singleton row per item; zero-set items are passed to the
     decoder as cleared.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
     part = build_partition(p, eps)
     rng = np.random.default_rng(seed)
     # Row sizes after a leading 0, so that their cumulative sum is indptr.
@@ -191,7 +202,7 @@ def build_block_matrix(p: PriorVector, eps: float, delta: float, seed: int) -> T
     for k, band in enumerate(part.ample_bands()):
         n_s = band.size
         mu_s = p.restricted_mu(band.items)
-        t_s = 0 if n_s == 1 else math.ceil(4.0 * math.e * (1.0 + delta) * mu_s * math.log(n_s))
+        t_s = 0 if n_s == 1 else _row_budget(mu_s, n_s, delta)
         if t_s == 0:
             continue
         local = np.asarray(band.items, dtype=np.int64)

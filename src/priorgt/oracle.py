@@ -12,6 +12,7 @@ truth vectors; the scalar executor it is tested against stays the reference.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -101,10 +102,14 @@ def _truth_weights(p: PriorVector) -> np.ndarray:
     return weights
 
 
+@functools.lru_cache(maxsize=1)
 def _truth_matrix(n: int) -> np.ndarray:
-    """Every truth vector as one row of a 2**n x n bool matrix, in bitmask
-    order (bit i = item i)."""
-    return (np.arange(1 << n)[:, None] & (1 << np.arange(n))) != 0
+    """Every truth vector as one row of a read-only 2**n x n bool matrix, in
+    bitmask order (bit i = item i).  The plan oracles enumerate the same n
+    twice per plan, so the last matrix is kept."""
+    truths = (np.arange(1 << n)[:, None] & (1 << np.arange(n))) != 0
+    truths.flags.writeable = False
+    return truths
 
 
 def exact_expected_tests(plan: NestedPlan, p: PriorVector) -> ExactExpectation:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .priors import PriorVector
 
 
@@ -131,44 +133,31 @@ def build_partition(p: PriorVector, eps: float) -> Partition:
     n = p.n
     gamma = measure_factor(n, eps)
     lo_cut = eps / (2.0 * n)
-    order = tuple(sorted(range(n), key=lambda i: (p.probs[i], i)))
-
-    zero_items: list[int] = []
-    tail_items: list[int] = []
-    middle: list[int] = []
-    for i in order:
-        q = p.probs[i]
-        if q <= lo_cut:
-            zero_items.append(i)
-        elif q >= 0.5:
-            tail_items.append(i)
-        else:
-            middle.append(i)
+    probs = p.as_array()
+    order = np.lexsort((np.arange(n), probs))
+    ranked = probs[order]
+    # Ascending probabilities: the zero set is a prefix and the tail a suffix.
+    start, stop = int(ranked.searchsorted(lo_cut, side="right")), int(ranked.searchsorted(0.5))
 
     bounds = band_boundaries(n, eps)
-    # Ascending band ranges [lo, hi); the lowest is clipped at eps/2n.
+    # Ascending band ranges [lo, hi); the lowest is clipped at eps/2n.  Every
+    # hi lies above eps/2n, and the last is 1/2.
     ranges = [
         (max(bounds[k + 1], lo_cut), bounds[k])
         for k in reversed(range(len(bounds) - 1))
     ]
-    bands: list[Band] = []
-    idx = 0
-    for lo, hi in ranges:
-        members: list[int] = []
-        while idx < len(middle) and p.probs[middle[idx]] < hi:
-            members.append(middle[idx])
-            idx += 1
-        if members:
-            bands.append(Band(lo=lo, hi=hi, items=tuple(members)))
+    ends = ranked.searchsorted([hi for _, hi in ranges]).tolist()
+    ids = order.tolist()
+    bands = [Band(lo=lo, hi=hi, items=tuple(ids[a:b])) for (lo, hi), a, b in zip(ranges, [start] + ends, ends) if b > a]
 
     return Partition(
         n=n,
         eps=eps,
         gamma=gamma,
-        order=order,
-        zero_items=tuple(zero_items),
+        order=tuple(ids),
+        zero_items=tuple(ids[:start]),
         bands=tuple(bands),
-        tail_items=tuple(tail_items),
+        tail_items=tuple(ids[stop:]),
     )
 
 

@@ -78,7 +78,8 @@ class PriorVector:
         return self._array
 
     def restricted_mu(self, items: Iterable[int]) -> float:
-        return math.fsum(self.probs[i] for i in items)
+        """Sum of p_i over ``items``, exactly rounded."""
+        return math.fsum(self._array[np.fromiter(items, dtype=np.int64)].tolist())
 
 
 class PopulationVector:

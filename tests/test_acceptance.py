@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from priorgt.adaptive import build_plan, run_prepartitioned_adaptive
+from priorgt.adaptive import build_plan, build_prepartitioned_plan, expected_tests, run_prepartitioned_adaptive
 from priorgt.bounds import (
     MIN_CONCENTRATION_DELTA,
     adaptive_concentration,
@@ -104,6 +104,24 @@ def test_criterion_02_expected_tests_paper_scale():
     assert elapsed < 600.0
     pretty = ", ".join(f"{f}/{a.split('_')[1]}={s:.2f}" for (f, a), s in slopes.items())
     report(2, f"all 120 points within bound; slopes {pretty}", started)
+
+
+def test_criterion_02_exact_bound_at_paper_scale():
+    """Closed-form E[T] <= 2H + 2mu at n = 10 000 for every family and
+    construction, built whole and pre-partitioned (eps = 0.01), at mu = 4,
+    16 and 40: the exact counterpart of criterion 02's Monte Carlo check."""
+    started = time.time()
+    worst_margin = math.inf
+    for family in ("uniform", "linear", "exponential"):
+        for target_mu in (4.0, 16.0, 40.0):
+            p = generate_prior(family, 10_000, target_mu)
+            bound = adaptive_expected_upper(p)
+            for construction in ("max_entropy", "shannon_fano", "huffman"):
+                for plan in (build_plan(p, construction), build_prepartitioned_plan(p, 0.01, construction)):
+                    value = expected_tests(plan, p)
+                    assert value <= bound, (family, target_mu, construction, value, bound)
+                    worst_margin = min(worst_margin, bound - value)
+    report(2, f"54 exact expectations at n=10000 within 2H+2mu, worst margin {worst_margin:.1f}", started)
 
 
 def test_criterion_03_noiseless_exactness():

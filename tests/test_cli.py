@@ -86,6 +86,7 @@ def test_plan_malformed_prior_exits_2(tmp_path, capsys):
 
 SMALL_CAMPAIGN = {"family": "uniform", "n": 20, "sweep": [1.0], "trials": 1, "algorithms": ["cca"]}
 ADAPTIVE_CAMPAIGN = {**SMALL_CAMPAIGN, "algorithms": ["adaptive_me"]}
+UNIFORM_PRIOR = {"family": "uniform", "n": 100, "mu": 2.0}
 
 
 @pytest.mark.parametrize(
@@ -102,6 +103,8 @@ ADAPTIVE_CAMPAIGN = {**SMALL_CAMPAIGN, "algorithms": ["adaptive_me"]}
         ("simulate", {**SMALL_CAMPAIGN, "delta": float("inf")}),
         ("simulate", {**SMALL_CAMPAIGN, "trials": 10**400}),
         ("simulate", {**SMALL_CAMPAIGN, "n": 10**400}),
+        ("plan --algorithm cca --delta inf", UNIFORM_PRIOR),
+        ("plan --algorithm block --delta inf", UNIFORM_PRIOR),
     ],
     ids=[
         "campaign-scalar-sweep",
@@ -115,6 +118,8 @@ ADAPTIVE_CAMPAIGN = {**SMALL_CAMPAIGN, "algorithms": ["adaptive_me"]}
         "campaign-infinite-delta",
         "campaign-huge-trials",
         "campaign-huge-n",
+        "plan-cca-infinite-delta",
+        "plan-block-infinite-delta",
     ],
 )
 def test_malformed_campaign_and_prior_json_exit_2(tmp_path, capsys, command, payload):
@@ -123,8 +128,10 @@ def test_malformed_campaign_and_prior_json_exit_2(tmp_path, capsys, command, pay
     out = tmp_path / "out.csv"
     if command == "simulate":
         argv = ["simulate", "--campaign", str(spec), "--out", str(out)]
-    else:
+    elif command == "bounds":
         argv = ["bounds", "--prior", str(spec)]
+    else:
+        argv = ["plan", "--prior", str(spec), "--out", str(out), *command.split()[1:]]
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()

@@ -4,7 +4,14 @@ Priors have at most 10 items and may hold the extreme values 0, 1, 1e-300
 and exactly 1/2.  Every construction, built whole or pre-partitioned, must
 give a plan that passes the constructor's check, covers every item once,
 recovers every sampled truth exactly, and survives a JSON round trip.  The
-batch executor must agree with the scalar one on every truth vector.
+batch executor must agree with the scalar one on every truth vector, and the
+closed-form E[T] with full enumeration.
+
+The level-by-level builders must lay out exactly the plan of a per-node
+reference kept here: a preorder walk that asks :func:`me_split`,
+:func:`_sf_cut` or the Huffman merge for one node's split at a time.  The
+vectorized constructor check must reject a corrupted plan exactly when the
+depth-first walk it replaced, also kept here, rejects it.
 
 Matrices have at most 12 items and may hold empty rows, repeated ids and a
 pre-cleared set.  Measuring and decoding must agree with a per-row reference,
@@ -12,7 +19,9 @@ COMP must never miss a defective outside the pre-cleared set, the JSON round
 trip must be lossless, and the constructor must reject malformed arrays.
 """
 
+import heapq
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,12 +31,18 @@ from hypothesis import strategies as st
 
 from priorgt.adaptive import (
     CONSTRUCTIONS,
+    NestedPlan,
+    _sf_cut,
     build_plan,
     build_prepartitioned_plan,
+    expected_tests,
+    me_first_stage,
+    me_split,
     plan_from_json_dict,
     plan_to_json_dict,
     run_adaptive,
     run_adaptive_batch,
+    sf_first_stage,
 )
 from priorgt.nonadaptive import (
     BlockSpan,
@@ -36,7 +51,9 @@ from priorgt.nonadaptive import (
     matrix_to_json_dict,
     run_nonadaptive,
 )
-from priorgt.priors import PopulationVector, PriorVector
+from priorgt.oracle import exact_expected_tests
+from priorgt.partition import build_partition, combine_for_concentration
+from priorgt.priors import PopulationVector, PriorVector, generate_prior
 from priorgt.sim import draw_truth
 
 probabilities = st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 0.5]), st.floats(0.0, 1.0))
@@ -104,6 +121,225 @@ def test_batch_executor_matches_scalar_on_every_truth(spec):
 def test_plans_survive_json_roundtrip(spec):
     plan = make_plan(*spec)
     assert plan_from_json_dict(json.loads(json.dumps(plan_to_json_dict(plan)))) == plan
+
+
+def huffman_merge(items, p):
+    """Merge the two lightest subtrees until one is left, weight ties broken
+    on the smallest item id; returns the leaves in depth-first order and the
+    left-child sizes in preorder."""
+    heap = [(p.probs[i], i, (i,), ()) for i in items]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        w1, t1, leaves1, cuts1 = heapq.heappop(heap)
+        w2, t2, leaves2, cuts2 = heapq.heappop(heap)
+        heapq.heappush(heap, (w1 + w2, min(t1, t2), leaves1 + leaves2, (len(leaves1),) + cuts1 + cuts2))
+    return heap[0][2], heap[0][3]
+
+
+def reference_plan(p, construction, counts_both_children, eps):
+    """The plan of ``make_plan``, laid out one node at a time in preorder."""
+    perm, lo, hi, left, right, roots = [], [], [], [], [], []
+
+    def add_tree(pool, split):
+        start = len(perm)
+        perm.extend(pool)
+        roots.append(len(lo))
+        stack = [(start, len(perm), -1)]
+        while stack:
+            a, b, parent = stack.pop()
+            k = len(lo)
+            if parent >= 0:
+                right[parent] = k
+            lo.append(a)
+            hi.append(b)
+            left.append(k + 1 if b - a > 1 else -1)
+            right.append(-1)
+            if b - a > 1:
+                mid = a + split(perm[a:b])
+                stack += [(mid, b, k), (a, mid, -1)]
+
+    def add_pools(items):
+        first_stage = me_first_stage if construction == "max_entropy" else sf_first_stage
+        for pool in first_stage(p, items):
+            if construction == "max_entropy":
+                add_tree(pool, lambda sub: len(me_split(sub, p)[0]))
+            elif construction == "shannon_fano":
+                add_tree(sorted(pool, key=lambda i: (-p.probs[i], i)), lambda sub: _sf_cut(sub, p))
+            else:
+                leaves, cuts = huffman_merge(pool, p)
+                add_tree(leaves, lambda sub, cuts=iter(cuts): next(cuts))
+
+    if eps is None:
+        add_pools([i for i in p.item_ids if 0.0 < p.probs[i] < 1.0])
+        auto_defective = [i for i in p.item_ids if p.probs[i] >= 1.0]
+        auto_clear = [i for i in p.item_ids if p.probs[i] <= 0.0]
+    else:
+        part = combine_for_concentration(build_partition(p, eps), p)
+        for i in part.individual_route():
+            add_tree((i,), None)
+        for band in part.ample_bands():
+            add_pools(band.items)
+        auto_defective, auto_clear = [], part.zero_items
+    return NestedPlan(
+        p.n, construction, perm, lo, hi, left, right, roots, auto_defective, auto_clear, counts_both_children, p.mu
+    )
+
+
+@PROPERTY_SETTINGS
+@given(plan_specs)
+def test_level_builders_match_per_node_reference(spec):
+    assert make_plan(*spec) == reference_plan(*spec)
+
+
+def test_level_builders_match_per_node_reference_at_scale():
+    """Hundreds to thousands of items, so that levels hold ranges of many
+    lengths and are split in several padded blocks."""
+    rng = np.random.default_rng(5)
+    extremes = rng.choice([0.0, 1e-17, 1e-300, 0.25, 0.5, 1.0], size=1500)
+    mixed = np.where(rng.random(1500) < 0.2, extremes, rng.uniform(0.0, 0.05, 1500))
+    priors = [
+        generate_prior("exponential", 3000, 24.0, rho=0.999),
+        generate_prior("uniform", 2000, 40.0),
+        PriorVector(tuple(mixed.tolist())),
+    ]
+    for p in priors:
+        for construction in CONSTRUCTIONS:
+            for eps in (None, 0.01):
+                spec = (p, construction, eps is None, eps)
+                assert make_plan(*spec) == reference_plan(*spec), (p.n, construction, eps)
+
+
+@pytest.mark.parametrize("q", [1e-17, 1e-300, 0.01, 0.2])
+def test_equal_probabilities_split_like_the_reference(q):
+    """Equal probabilities with odd pool sizes put the nearest-prefix search
+    on a rounding tie.  Each range's sums start from 0, as me_split's do;
+    differences of one prefix sum over the whole pool round differently and
+    flip some of these ties (at 1e-300 with 5 items, for one)."""
+    for n in range(3, 40, 2):
+        p = PriorVector((q,) * n)
+        for eps in (None, 0.3):
+            spec = (p, "max_entropy", True, eps)
+            assert make_plan(*spec) == reference_plan(*spec), (q, n, eps)
+    for q, n, cuts in ((1e-300, 5, [2, 1, 2, 1]), (1e-17, 11, [6, 3, 1, 1, 1, 1, 3, 1, 1, 1])):
+        plan = build_plan(PriorVector((q,) * n), "max_entropy")
+        assert [plan.hi[plan.left[k]] - plan.lo[k] for k in range(len(plan.lo)) if plan.left[k] >= 0] == cuts
+
+
+def walk_check(n, perm, lo, hi, left, right, roots, auto_defective, auto_clear):
+    """The constructor's check as a depth-first walk from the roots."""
+    ids = perm + auto_defective + auto_clear
+    if len(set(ids)) != len(ids) or any(not 0 <= i < n for i in ids):
+        raise ValueError("ids")
+    size = len(lo)
+    if not len(hi) == len(left) == len(right) == size:
+        raise ValueError("lengths")
+    visited = cursor = 0
+    for root in roots:
+        stack = [root]
+        while stack:
+            k = stack.pop()
+            if k != visited or k >= size:
+                raise ValueError("preorder")
+            visited += 1
+            a, b = left[k], right[k]
+            if a < 0 and b < 0:
+                if hi[k] - lo[k] != 1:
+                    raise ValueError("singleton")
+                continue
+            if not (0 <= a < size and 0 <= b < size):
+                raise ValueError("children")
+            if not lo[a] == lo[k] < hi[a] == lo[b] < hi[b] == hi[k]:
+                raise ValueError("partition")
+            stack += (b, a)
+        if lo[root] != cursor:
+            raise ValueError("tile")
+        cursor = hi[root]
+    if visited != size or cursor != len(perm):
+        raise ValueError("cover")
+
+
+FIELDS = ("perm", "lo", "hi", "left", "right", "roots", "auto_defective", "auto_clear")
+
+
+def assert_same_verdict(plan, n, fields):
+    """The constructor accepts ``fields`` exactly when the walk does."""
+    try:
+        walk_check(n, **fields)
+        walk_accepts = True
+    except ValueError:
+        walk_accepts = False
+    try:
+        NestedPlan(n, plan.construction, counts_both_children=plan.counts_both_children, **fields)
+        accepts = True
+    except ValueError:
+        accepts = False
+    assert accepts == walk_accepts, (n, fields)
+
+
+def renumbered(plan, i, j):
+    """The plan's fields with nodes i and j trading numbers, every reference
+    to them included: the same tree, numbered out of preorder unless i = j."""
+    fields = {name: list(getattr(plan, name)) for name in FIELDS}
+    for values in (fields["lo"], fields["hi"], fields["left"], fields["right"]):
+        values[i], values[j] = values[j], values[i]
+    for key in ("left", "right", "roots"):
+        fields[key] = [{i: j, j: i}.get(v, v) for v in fields[key]]
+    return fields
+
+
+@PROPERTY_SETTINGS
+@given(plan_specs, st.data())
+def test_plan_check_rejects_corruptions_like_the_walk(spec, data):
+    """One field corrupted: an entry set, appended or deleted, two entries
+    swapped, or n moved by one."""
+    plan = make_plan(*spec)
+    fields = {name: list(getattr(plan, name)) for name in FIELDS}
+    n = plan.n
+    name = data.draw(st.sampled_from(FIELDS + ("n",)))
+    if name == "n":
+        n += data.draw(st.sampled_from([-1, 1]))
+    else:
+        values = fields[name]
+        top = max(n, len(plan.lo)) + 2
+        edit = data.draw(st.sampled_from(["set", "append", "delete", "swap"] if values else ["append"]))
+        if edit == "append":
+            values.append(data.draw(st.integers(-2, top)))
+        else:
+            k = data.draw(st.integers(0, len(values) - 1))
+            if edit == "set":
+                values[k] = data.draw(st.integers(-2, top))
+            elif edit == "delete":
+                del values[k]
+            else:
+                j = data.draw(st.integers(0, len(values) - 1))
+                values[k], values[j] = values[j], values[k]
+    assert_same_verdict(plan, n, fields)
+
+
+def test_plan_check_rejects_renumberings_like_the_walk():
+    """Every pair of nodes over equally many items traded: the local
+    partition and leaf checks still pass, so only the closed-form preorder
+    relations can tell."""
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        p = PriorVector(tuple(rng.uniform(0.02, 0.45, size=int(rng.integers(2, 9))).tolist()))
+        for construction in CONSTRUCTIONS:
+            for eps in (None, 0.3):
+                plan = make_plan(p, construction, True, eps)
+                width = [b - a for a, b in zip(plan.lo, plan.hi)]
+                for i in range(len(width)):
+                    for j in range(i, len(width)):
+                        if width[i] == width[j]:
+                            assert_same_verdict(plan, plan.n, renumbered(plan, i, j))
+
+
+@PROPERTY_SETTINGS
+@given(plan_specs)
+def test_closed_form_expected_tests_match_enumeration(spec):
+    plan = make_plan(*spec)
+    p = spec[0]
+    exact = exact_expected_tests(plan, p).value
+    assert math.isclose(expected_tests(plan, p), exact, rel_tol=1e-12, abs_tol=1e-12)
 
 
 @st.composite
