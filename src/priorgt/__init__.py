@@ -35,13 +35,17 @@ from .adaptive import (
     sf_first_stage,
 )
 from .nonadaptive import (
+    SampledDesign,
     TestMatrix,
     build_block_matrix,
     build_cca_matrix,
     decode_comp,
+    measure_design,
     num_tests_cca,
     optimal_g,
     run_nonadaptive,
+    sample_block,
+    sample_cca,
     sampling_distribution,
 )
 from .bounds import (

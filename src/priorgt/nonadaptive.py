@@ -13,9 +13,18 @@ band of a pre-partition, giving the matrix a direct-sum shape; zero-set items
 get no rows and are cleared by the decoder directly, while tail and
 under-sized-band items get one singleton row each.
 
+Ids are drawn by inverse-CDF sampling through a guide table (Chen & Asau
+1974): a table of K buckets, K a power of two at least 2n, gives each
+uniform a start at or before its answer, and a few forward steps end on it.
+Each draw costs O(1) on average, and since u K and b/K are exact for a
+power of two, the ids equal those of a binary search over the same CDF.
+
+A design is first drawn as raw (t, g) blocks of ids, a :class:`SampledDesign`.
 A matrix is stored in compressed sparse row form, so every row is measured
 from one prefix count of the truth and every negative row is cleared in one
-scatter.  Repeated draws change neither, so sampled rows keep each id once.
+scatter.  Repeated draws change neither, so sampled rows keep each id once;
+for the same reason :func:`measure_design` measures the raw draws directly,
+without sorting or deduplicating them, for Monte Carlo runs.
 """
 
 from __future__ import annotations
@@ -158,44 +167,107 @@ class TestMatrix:
         return tuple(np.split(self.indices, self.indptr[1:-1])) if self.t else ()
 
 
-def _sample_rows(rng: np.random.Generator, weights: np.ndarray, t: int, g: int) -> tuple[np.ndarray, ...]:
-    """Draw t rows of g ids each with replacement as CSR ``(indptr, indices)``;
-    duplicates collapse to set membership, leaving each row's ids ascending.
-    Inverse-CDF sampling keeps the exact distribution."""
-    cdf = np.cumsum(weights)
+def _sampling_cdf(weights: np.ndarray) -> np.ndarray:
+    """Running sum of ``weights`` clipped to at most 1 and ending at exactly
+    1.  The clip keeps it sorted where rounding lifts a partial sum above 1
+    before the last entry; every uniform lies below 1, so no draw moves."""
+    cdf = np.minimum(np.cumsum(weights), 1.0)
     cdf[-1] = 1.0
-    draws = np.sort(np.searchsorted(cdf, rng.random((t, g)), side="right"), axis=1)
-    first = np.ones(draws.shape, dtype=bool)
-    first[:, 1:] = draws[:, 1:] != draws[:, :-1]
-    return np.concatenate(([0], np.cumsum(first.sum(axis=1)))), draws[first]
+    return cdf
 
 
-def build_cca_matrix(p: PriorVector, t: int, g: int, seed: int) -> TestMatrix:
-    """Sample a t-row matrix with g draws per row from the whole-vector
-    sampling distribution.  Deterministic given the seed."""
+def _draw_ids(rng: np.random.Generator, weights: np.ndarray, t: int, g: int) -> np.ndarray:
+    """A (t, g) int64 array of ids drawn with replacement from ``weights``.
+
+    Uniform u maps to ``searchsorted(cdf, u, "right")``, the inverse CDF,
+    through a guide table (Chen & Asau 1974; Devroye 1986, III.2.4):
+    ``guide[b]`` is the answer for u = b/K, where K is the smallest power of
+    two at least 2n.  A draw starts at ``guide[floor(u K)]`` and steps
+    forward while ``cdf[id] <= u``, at most n/K <= 1/2 steps on average.
+    Because K is a power of two, u K and b/K are exact, so the start never
+    passes the answer and the steps stop exactly on it: the ids equal a
+    binary search's, from the same uniforms in the same order.
+    """
+    cdf = _sampling_cdf(weights)
+    k = 1 << (2 * len(cdf) - 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(k) / k, side="right")
+    u = rng.random((t, g))
+    ids = guide[(u * k).astype(np.intp)]
+    flat_ids, flat_u = ids.reshape(-1), u.reshape(-1)
+    todo = np.flatnonzero(cdf[flat_ids] <= flat_u)
+    while len(todo):
+        flat_ids[todo] += 1
+        todo = todo[cdf[flat_ids[todo]] <= flat_u[todo]]
+    return ids
+
+
+def _csr_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of drawn ids as (row sizes, indices); duplicates collapse to set
+    membership, leaving each row's ids ascending."""
+    ids = np.sort(ids, axis=1)
+    first = np.ones(ids.shape, dtype=bool)
+    first[:, 1:] = ids[:, 1:] != ids[:, :-1]
+    return first.sum(axis=1), ids[first]
+
+
+@dataclass(frozen=True, eq=False)
+class SampledDesign:
+    """A sampled design as drawn, before rows are sorted and deduplicated.
+
+    Each entry of ``blocks`` is (items, ids): every row of ``ids`` is one
+    test's draws, as positions in the int64 array ``items``.  ``zero`` items
+    get no row and are cleared by the decoder directly.
+    """
+
+    n: int
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    zero: np.ndarray
+    spans: tuple[BlockSpan, ...] | None = None
+
+    @property
+    def t(self) -> int:
+        return sum(len(ids) for _, ids in self.blocks)
+
+    def to_matrix(self) -> TestMatrix:
+        sizes = [np.zeros(1, dtype=np.int64)]
+        indices = [np.zeros(0, dtype=np.int64)]
+        for items, ids in self.blocks:
+            row_sizes, local = _csr_rows(ids)
+            sizes.append(row_sizes)
+            indices.append(items[local])
+        return TestMatrix(
+            n=self.n,
+            indptr=np.cumsum(np.concatenate(sizes)),
+            indices=np.concatenate(indices),
+            block_spans=self.spans,
+            zero_assigned=frozenset(self.zero.tolist()),
+        )
+
+
+def sample_cca(p: PriorVector, t: int, g: int, seed: int) -> SampledDesign:
+    """Draw t rows of g ids each from the whole-vector sampling
+    distribution.  Deterministic given the seed."""
     if t < 1:
         raise ValueError("t must be at least 1")
     if g < 1:
         raise ValueError("g must be at least 1")
     rng = np.random.default_rng(seed)
-    indptr, indices = _sample_rows(rng, sampling_distribution(p), t, g)
-    return TestMatrix(n=p.n, indptr=indptr, indices=indices)
+    ids = _draw_ids(rng, sampling_distribution(p), t, g)
+    return SampledDesign(n=p.n, blocks=((np.arange(p.n), ids),), zero=np.zeros(0, dtype=np.int64))
 
 
-def build_block_matrix(p: PriorVector, eps: float, delta: float, seed: int) -> TestMatrix:
-    """Direct sum of per-band sampled matrices over a pre-partition.
+def sample_block(p: PriorVector, eps: float, delta: float, seed: int) -> SampledDesign:
+    """Per-band draws over a pre-partition, the block design.
 
     Every ample band gets ceil(4e (1+delta) mu_s ln n_s) rows drawn from its
     own restricted distribution with its own optimal g; under-sized bands and
-    the tail get one singleton row per item; zero-set items are passed to the
-    decoder as cleared.
+    the tail get one singleton row per item, as a last block; zero-set
+    items get no row.
     """
     _check_delta(delta)
     part = build_partition(p, eps)
     rng = np.random.default_rng(seed)
-    # Row sizes after a leading 0, so that their cumulative sum is indptr.
-    sizes = [np.zeros(1, dtype=np.int64)]
-    blocks = [np.zeros(0, dtype=np.int64)]
+    blocks = []
     spans: list[BlockSpan] = []
     t = 0
 
@@ -208,25 +280,49 @@ def build_block_matrix(p: PriorVector, eps: float, delta: float, seed: int) -> T
         local = np.asarray(band.items, dtype=np.int64)
         probs = p.as_array()[local]
         weights = _distribution(probs, n_s - mu_s)
-        indptr, indices = _sample_rows(rng, weights, t_s, _optimal_g_from(weights, probs))
-        sizes.append(np.diff(indptr))
-        blocks.append(local[indices])
+        blocks.append((local, _draw_ids(rng, weights, t_s, _optimal_g_from(weights, probs))))
         spans.append(BlockSpan(row_lo=t, row_hi=t + t_s, items=band.items, label=f"band{k}"))
         t += t_s
 
     route = part.individual_route()
     if route:
-        sizes.append(np.ones(len(route), dtype=np.int64))
-        blocks.append(np.asarray(route, dtype=np.int64))
+        blocks.append((np.asarray(route, dtype=np.int64), np.arange(len(route))[:, None]))
         spans.append(BlockSpan(row_lo=t, row_hi=t + len(route), items=route, label="individual"))
-
-    return TestMatrix(
+    return SampledDesign(
         n=p.n,
-        indptr=np.cumsum(np.concatenate(sizes)),
-        indices=np.concatenate(blocks),
-        block_spans=tuple(spans),
-        zero_assigned=frozenset(part.zero_items),
+        blocks=tuple(blocks),
+        zero=np.asarray(part.zero_items, dtype=np.int64),
+        spans=tuple(spans),
     )
+
+
+def build_cca_matrix(p: PriorVector, t: int, g: int, seed: int) -> TestMatrix:
+    """The matrix of :func:`sample_cca`."""
+    return sample_cca(p, t, g, seed).to_matrix()
+
+
+def build_block_matrix(p: PriorVector, eps: float, delta: float, seed: int) -> TestMatrix:
+    """The direct-sum matrix of :func:`sample_block`."""
+    return sample_block(p, eps, delta, seed).to_matrix()
+
+
+def measure_design(design: SampledDesign, truth: PopulationVector) -> tuple[int, PopulationVector]:
+    """Measure a design's raw draws against the truth and decode by COMP:
+    ``(t, recovered)``, as :func:`run_nonadaptive` gives on its matrix.
+
+    A row is positive when any of its draws is defective; every draw of a
+    negative row and the zero set are cleared.  Repeated draws change
+    neither, so rows are never sorted or deduplicated.
+    """
+    if truth.n != design.n:
+        raise ValueError(f"truth length {truth.n} does not match design width {design.n}")
+    bits = truth.as_array()
+    cleared = np.zeros(design.n, dtype=bool)
+    for items, ids in design.blocks:
+        negative = ~bits[items][ids].any(axis=1)
+        cleared[items[ids[negative]]] = True
+    cleared[design.zero] = True
+    return design.t, PopulationVector(~cleared)
 
 
 def decode_comp(m: TestMatrix, outcomes: Sequence[int]) -> PopulationVector:

@@ -8,6 +8,8 @@ algorithms wherever both can answer.
 
 The plan oracles run the batch executor once over the matrix of all 2**n
 truth vectors; the scalar executor it is tested against stays the reference.
+The matrix audit measures and decodes the same truths in a few matrix
+products, against :func:`run_nonadaptive` as the reference.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import numpy as np
 # run_adaptive is no longer called here, but stays importable under this
 # module's name: the benchmark tracer wraps ``oracle.run_adaptive``.
 from .adaptive import NestedPlan, run_adaptive, run_adaptive_batch  # noqa: F401
-from .nonadaptive import TestMatrix, run_nonadaptive
-from .priors import PopulationVector, PriorVector
+# Likewise run_nonadaptive: the tracer wraps ``oracle.run_nonadaptive``.
+from .nonadaptive import TestMatrix, run_nonadaptive  # noqa: F401
+from .priors import PriorVector
 
 MAX_STOPPING_TIME_ITEMS = 20
 MAX_PLAN_ITEMS = 12
@@ -125,6 +128,24 @@ def exact_expected_tests(plan: NestedPlan, p: PriorVector) -> ExactExpectation:
     return ExactExpectation(value=total, terms=1 << n)
 
 
+# Truth vectors measured per matrix product, so that each product stays
+# small however many rows the matrix has.
+_TRUTH_CHUNK = 1 << 12
+
+
+def _decode_all(m: TestMatrix, truths: np.ndarray) -> np.ndarray:
+    """COMP estimates of ``m`` for every row of a (T, n) truth matrix, as
+    :func:`run_nonadaptive` gives them one truth at a time, from two
+    products with the 0/1 incidence matrix.  A float32 sum of ones is zero
+    exactly when no term is one, so rounding never flips a row or an item."""
+    incidence = np.zeros((m.n, m.t), dtype=np.float32)
+    incidence[m.indices, np.repeat(np.arange(m.t), np.diff(m.indptr))] = 1.0
+    negative = truths.astype(np.float32) @ incidence == 0.0
+    cleared = negative.astype(np.float32) @ incidence.T > 0.0
+    cleared[:, list(m.zero_assigned)] = True
+    return ~cleared
+
+
 @dataclass(frozen=True)
 class DecodeCheck:
     passed: bool
@@ -154,17 +175,16 @@ def exhaustive_decode_check(target: NestedPlan | TestMatrix, p: PriorVector) -> 
     if isinstance(target, TestMatrix):
         if n > MAX_MATRIX_ITEMS:
             raise ValueError(f"matrix enumeration capped at {MAX_MATRIX_ITEMS} items")
-        weights = _truth_weights(p)
+        truths = _truth_matrix(n)
+        recovered = np.concatenate(
+            [_decode_all(target, truths[a : a + _TRUTH_CHUNK]) for a in range(0, len(truths), _TRUTH_CHUNK)]
+        )
         checked = np.ones(n, dtype=bool)
         checked[list(target.zero_assigned)] = False
-        err_terms = []
-        for mask, truth in enumerate(map(PopulationVector, _truth_matrix(n))):
-            _, recovered = run_nonadaptive(target, truth)
-            if (truth.as_array() & ~recovered.as_array() & checked).any():
-                return DecodeCheck(passed=False)
-            if not recovered.matches(truth):
-                err_terms.append(weights[mask])
-        return DecodeCheck(passed=True, error_probability=math.fsum(err_terms))
+        if (truths & ~recovered & checked).any():
+            return DecodeCheck(passed=False)
+        wrong = (recovered != truths).any(axis=1)
+        return DecodeCheck(passed=True, error_probability=math.fsum(_truth_weights(p)[wrong].tolist()))
 
     raise TypeError(f"expected a NestedPlan or TestMatrix, got {type(target).__name__}")
 

@@ -10,8 +10,13 @@ Every plan is built once per sweep point.  The whole-vector adaptive plans
 are run by the batch executor over the stacked truths of a block of trials.
 A block holds at most ``TRUTH_BLOCK_CELLS`` truth bits, or one trial when n
 is larger, so memory does not grow with the trial count.  Pre-partitioned
-plans are run by the scalar executor one trial at a time, and the sampled
-and block designs draw a fresh matrix per trial.
+plans are run by the scalar executor one trial at a time.
+
+The sampled and block designs, in campaigns and success curves, are drawn
+afresh per trial and measured as raw draws: outcomes and the COMP decode
+need no sorted, deduplicated rows, so no ``TestMatrix`` is built.  Matrices
+remain for ``priorgt plan`` and the oracle, and running one gives the same
+tests and recovery on the same seed.
 """
 
 from __future__ import annotations
@@ -129,18 +134,18 @@ def _run_per_trial(
         result = adaptive.run_adaptive(plans[algorithm], truth, eps=campaign.eps)
         return result.tests_used, result.recovered.matches(truth)
     if algorithm == "cca":
-        m = nonadaptive.build_cca_matrix(p, nonadaptive.num_tests_cca(p, campaign.delta), g, seed)
+        design = nonadaptive.sample_cca(p, nonadaptive.num_tests_cca(p, campaign.delta), g, seed)
     else:
-        m = nonadaptive.build_block_matrix(p, campaign.eps, campaign.delta, seed)
-    _, rec = nonadaptive.run_nonadaptive(m, truth)
-    return m.t, rec.matches(truth)
+        design = nonadaptive.sample_block(p, campaign.eps, campaign.delta, seed)
+    t, rec = nonadaptive.measure_design(design, truth)
+    return t, rec.matches(truth)
 
 
 def run_campaign(campaign: Campaign) -> list[TrialReport]:
     """Execute every (sweep point, trial, algorithm) cell deterministically.
 
     The truth vector is drawn once per (point, trial) and shared across the
-    algorithms; matrix-building randomness uses a second stream derived from
+    algorithms; design-sampling randomness uses a second stream derived from
     the same trial seed.  Reports come in (point, trial, algorithm) order.
     """
     reports: list[TrialReport] = []
@@ -241,9 +246,9 @@ def success_curve(
     seed: int,
     g: int | None = None,
 ) -> list[tuple[int, float]]:
-    """Exact-recovery frequency at each row budget, one fresh matrix per
-    trial.  Only the sampled design supports a free row budget; adaptive
-    plans and the block design fix their own test counts."""
+    """Exact-recovery frequency at each row budget, one fresh draw of the
+    sampled design per trial.  Only the sampled design supports a free row
+    budget; adaptive plans and the block design fix their own test counts."""
     if algorithm != "cca":
         raise ValueError("success curves require the 'cca' algorithm (free row budget)")
     if g is None:
@@ -255,8 +260,7 @@ def success_curve(
             ss = np.random.SeedSequence([seed, ti, trial_index])
             truth_seed, matrix_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
             truth = draw_truth(p, truth_seed)
-            m = nonadaptive.build_cca_matrix(p, int(t), g, matrix_seed)
-            _, rec = nonadaptive.run_nonadaptive(m, truth)
+            _, rec = nonadaptive.measure_design(nonadaptive.sample_cca(p, int(t), g, matrix_seed), truth)
             successes += rec.matches(truth)
         out.append((int(t), successes / trials))
     return out

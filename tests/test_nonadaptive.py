@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from priorgt.nonadaptive import (
+    _draw_ids,
+    _sampling_cdf,
     build_block_matrix,
     build_cca_matrix,
     decode_comp,
@@ -117,6 +119,29 @@ def test_build_cca_matrix_seeded_determinism():
     c = build_cca_matrix(p, t=30, g=7, seed=100)
     assert all(np.array_equal(x, y) for x, y in zip(a.rows, b.rows))
     assert any(not np.array_equal(x, y) for x, y in zip(a.rows, c.rows))
+
+
+def test_sampling_cdf_is_sorted_with_trailing_certain_items():
+    # Items with p = 1 add zero weight, and the running sum can overshoot 1
+    # before the last entry; here it reads 1.0000000000000002 from item 1 on.
+    overshot = 0
+    rng = np.random.default_rng(41)
+    priors = [PriorVector((0.26, 0.46, 1.0, 1.0, 1.0))]
+    for _ in range(200):
+        head = rng.uniform(0.0, 0.5, int(rng.integers(1, 8)))
+        priors.append(PriorVector((*head.tolist(), *(1.0,) * int(rng.integers(1, 4)))))
+    for p in priors:
+        weights = sampling_distribution(p)
+        raw = np.cumsum(weights)
+        raw[-1] = 1.0
+        overshot += bool((raw > 1.0).any())
+        cdf = _sampling_cdf(weights)
+        assert (np.diff(cdf) >= 0).all()
+        ids = _draw_ids(np.random.default_rng(p.n), weights, 20, 6)
+        u = np.random.default_rng(p.n).random((20, 6))
+        assert np.array_equal(ids, np.searchsorted(raw, u, side="right"))
+        assert (weights[ids] > 0).all()  # certain items are never drawn
+    assert overshot >= 10
 
 
 def test_decode_comp_forced_rule():

@@ -17,6 +17,13 @@ Matrices have at most 12 items and may hold empty rows, repeated ids and a
 pre-cleared set.  Measuring and decoding must agree with a per-row reference,
 COMP must never miss a defective outside the pre-cleared set, the JSON round
 trip must be lossless, and the constructor must reject malformed arrays.
+The exhaustive matrix audit must agree with a per-truth loop over
+:func:`run_nonadaptive`.
+
+The guide-table sampler must return exactly the ids of a binary search over
+the same CDF, also for uniforms on its bucket edges and on the CDF values.
+Measuring a sampled design's raw draws must give the tests and recovery of
+running its matrix, and a success curve those of a per-trial matrix loop.
 """
 
 import heapq
@@ -47,14 +54,22 @@ from priorgt.adaptive import (
 from priorgt.nonadaptive import (
     BlockSpan,
     TestMatrix,
+    _draw_ids,
+    _sampling_cdf,
+    build_block_matrix,
+    build_cca_matrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
+    measure_design,
+    optimal_g,
     run_nonadaptive,
+    sample_block,
+    sample_cca,
 )
-from priorgt.oracle import exact_expected_tests
+from priorgt.oracle import exact_expected_tests, exhaustive_decode_check
 from priorgt.partition import build_partition, combine_for_concentration
 from priorgt.priors import PopulationVector, PriorVector, generate_prior
-from priorgt.sim import draw_truth
+from priorgt.sim import draw_truth, success_curve
 
 probabilities = st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 0.5]), st.floats(0.0, 1.0))
 priors = st.lists(probabilities, min_size=1, max_size=10).map(lambda ps: PriorVector(tuple(ps)))
@@ -405,3 +420,123 @@ def test_matrix_constructor_rejects_malformed_arrays(case, data):
     for bad_indptr, bad_indices in bad:
         with pytest.raises(ValueError):
             TestMatrix(n=m.n, indptr=bad_indptr, indices=bad_indices)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=50)
+@given(matrices(), st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12))
+def test_matrix_audit_matches_per_truth_loop(case, probs):
+    m = case[0]
+    p = PriorVector(tuple(probs[: m.n]))
+    checked = np.ones(m.n, dtype=bool)
+    checked[list(m.zero_assigned)] = False
+    passed, err_terms = True, []
+    for mask in range(1 << m.n):
+        truth = PopulationVector([(mask >> i) & 1 for i in range(m.n)])
+        _, recovered = run_nonadaptive(m, truth)
+        if (truth.as_array() & ~recovered.as_array() & checked).any():
+            passed = False
+            break
+        if not recovered.matches(truth):
+            err_terms.append(math.prod(q if bit else 1.0 - q for q, bit in zip(p.probs, truth.bits)))
+    check = exhaustive_decode_check(m, p)
+    assert check.passed == passed
+    if passed:
+        assert check.error_probability == math.fsum(err_terms)
+
+
+class _FixedUniforms:
+    """Stands in for a generator, handing out chosen uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(st.integers(1, 400), st.sampled_from([1, 2, 64, 256])),
+    st.sampled_from(["random", "zeros", "skewed", "equal"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_draw_ids_match_binary_search(n, shape, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n)
+    if shape == "zeros":
+        weights[rng.random(n) < 0.7] = 0.0
+        weights[rng.integers(n)] = 1.0
+    elif shape == "skewed":
+        weights = weights**30 + 1e-300
+    elif shape == "equal":
+        weights = np.ones(n)
+    weights /= weights.sum()
+    cdf = _sampling_cdf(weights)
+    assert (np.diff(cdf) >= 0).all() and cdf[-1] == 1.0
+    # The guide table has K buckets, K the smallest power of two >= 2n.
+    k = 1 << (2 * n - 1).bit_length()
+    edges = np.arange(k) / k
+    u = np.concatenate((edges, np.nextafter(edges, 0.0), cdf, np.nextafter(cdf, 0.0), rng.random(200)))
+    u = u[(u >= 0.0) & (u < 1.0)]
+    ids = _draw_ids(_FixedUniforms(u), weights, 1, len(u))
+    assert ids.dtype == np.int64
+    assert np.array_equal(ids[0], np.searchsorted(cdf, u, side="right"))
+    # A real generator is consumed exactly as by one (t, g) block of uniforms.
+    drawn = _draw_ids(np.random.default_rng(seed), weights, 7, 5)
+    assert np.array_equal(drawn, np.searchsorted(cdf, np.random.default_rng(seed).random((7, 5)), side="right"))
+
+
+@st.composite
+def sampled_priors(draw):
+    """Priors of 3..40 items holding a zero-set item (p = 0) and a tail item
+    (p = 0.7), so that the block design has a pre-cleared set and an
+    individual route, with truths that need not follow the prior."""
+    n = draw(st.integers(3, 40))
+    entries = st.one_of(st.floats(0.0, 0.45), st.sampled_from([0.0, 1e-300, 0.5, 1.0]))
+    probs = draw(st.lists(entries, min_size=n - 2, max_size=n - 2))
+    p = PriorVector((0.0, 0.7, *probs))
+    truths = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=3))
+    return p, [PopulationVector(bits) for bits in truths] + [draw_truth(p, draw(st.integers(0, 2**32 - 1)))]
+
+
+@PROPERTY_SETTINGS
+@given(
+    sampled_priors(),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.01, 0.3]),
+    st.sampled_from([0.5, 1.0]),
+)
+def test_measured_draws_match_matrix_runs(case, t, seed, eps, delta):
+    p, truths = case
+    g = optimal_g(p)
+    designs = [
+        (sample_cca(p, t, g, seed), build_cca_matrix(p, t, g, seed)),
+        (sample_block(p, eps, delta, seed), build_block_matrix(p, eps, delta, seed)),
+    ]
+    assert len(designs[1][0].zero) and designs[1][0].spans[-1].label == "individual"
+    for design, m in designs:
+        assert design.to_matrix() == m
+        for truth in truths:
+            t_used, recovered = measure_design(design, truth)
+            _, expected = run_nonadaptive(m, truth)
+            assert t_used == m.t
+            assert recovered == expected
+
+
+def test_success_curve_matches_per_trial_matrix_loop():
+    p = generate_prior("exponential", 80, 3.0)
+    grid, trials, seed = [1, 10, 40, 160], 12, 77
+    g = optimal_g(p)
+    expected = []
+    for ti, t in enumerate(grid):
+        successes = 0
+        for trial_index in range(trials):
+            ss = np.random.SeedSequence([seed, ti, trial_index])
+            truth_seed, matrix_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
+            truth = draw_truth(p, truth_seed)
+            _, recovered = run_nonadaptive(build_cca_matrix(p, t, g, matrix_seed), truth)
+            successes += recovered.matches(truth)
+        expected.append((t, successes / trials))
+    assert 0.0 < expected[2][1] < 1.0  # the grid spans partial recovery
+    assert success_curve(p, "cca", grid, trials, seed) == expected
