@@ -26,13 +26,9 @@ from .adaptive import (
     build_plan,
     build_prepartitioned_plan,
     expected_tests,
-    me_first_stage,
-    me_split,
     run_adaptive,
     run_adaptive_batch,
     run_prepartitioned_adaptive,
-    sf_build_tree,
-    sf_first_stage,
 )
 from .nonadaptive import (
     SampledDesign,
@@ -67,7 +63,6 @@ from .sim import (
     Campaign,
     TrialReport,
     draw_truth,
-    fit_slope,
     run_campaign,
     success_curve,
 )

@@ -25,11 +25,12 @@ the root over ``perm[s:e]`` that follows j earlier roots is node 2s - j, the
 left child of node k is k + 1 and its right child is k + 2 |left range|.
 Plans are therefore built level by level over int64 arrays: the frontier is
 every range still to split, of every root at once, and one numpy pass per
-level returns all their left sizes.  :func:`me_split` and :func:`_sf_cut`
-are the one-node references for those passes.  The constructor checks the
-same preorder relations with a dozen array comparisons; by induction on
-range size they hold exactly when a depth-first walk from the roots visits
-nodes 0, 1, 2, ... with every pool split into two nonempty parts.
+level returns all their left sizes.  The one-node references for those
+passes, ``me_split`` and ``_sf_cut``, live in ``tests/helpers.py``.  The
+constructor checks the same preorder relations with a dozen array
+comparisons; by induction on range size they hold exactly when a depth-first
+walk from the roots visits nodes 0, 1, 2, ... with every pool split into two
+nonempty parts.
 
 There are two executors.  :func:`run_adaptive_batch` runs many truths in one
 numpy pass and returns only test counts and recovered vectors; the oracles
@@ -51,7 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .partition import build_partition, combine_for_concentration
-from .priors import PopulationVector, PriorVector
+from .priors import PopulationVector, PriorVector, whole_number
 
 CONSTRUCTIONS = ("max_entropy", "shannon_fano", "huffman")
 PLAN_FORMAT = 2
@@ -210,58 +211,6 @@ def _first_stage(p: PriorVector, items: Sequence[int] | None, construction: str)
     return items[q >= 1.0], rest, bounds
 
 
-def _groups(certain: np.ndarray, rest: np.ndarray, bounds: list[int]) -> list[tuple[int, ...]]:
-    return [(i,) for i in certain.tolist()] + [tuple(rest[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
-
-
-def me_first_stage(p: PriorVector, items: Sequence[int] | None = None) -> list[tuple[int, ...]]:
-    """Greedy first-stage pools: repeatedly take the prefix whose probability
-    of containing no defective is closest to 1/2.
-
-    Certain defectives (p = 1) are emitted first as their own singleton
-    pools; impossible items (p = 0) are left out entirely, since they are
-    cleared without testing.  Ties go to the shorter prefix.
-    """
-    return _groups(*_first_stage(p, items, "max_entropy"))
-
-
-def me_split(items: Sequence[int], p: PriorVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a pool at the prefix whose conditional positive probability,
-    given the pool itself is positive, lies closest to 1/2.
-
-    Only contiguous prefixes of the pool's stored order are considered; ties
-    go to the shorter prefix.  Both sides are nonempty.
-    """
-    if len(items) < 2:
-        raise ValueError("cannot split a pool with fewer than two items")
-    depth = _depths(p, items)
-    positive = -math.expm1(-depth[-1])
-    if positive <= 0.0:
-        # No positive-probability member; balance sizes deterministically.
-        k = len(items) // 2
-    else:
-        k = _nearest_prefix(depth, 0, len(items) - 1, positive / 2.0)
-    return tuple(items[:k]), tuple(items[k:])
-
-
-def sf_first_stage(p: PriorVector, items: Sequence[int] | None = None) -> list[tuple[int, ...]]:
-    """Greedy maximal prefixes whose product of (1 - p_i) stays at or above
-    1/2, which caps each pool's probability mass at 1.
-
-    An item that alone drops the product below 1/2 (p > 1/2) forms a
-    singleton pool.  Certain defectives are emitted first as singletons and
-    impossible items are left out, as in :func:`me_first_stage`.
-    """
-    return _groups(*_first_stage(p, items, "shannon_fano"))
-
-
-def _sf_cut(pool: Sequence[int], p: PriorVector) -> int:
-    """Left size of the split where the two sides' weights are most nearly
-    equal; ties go to the shorter prefix."""
-    weights = p.as_array()[np.asarray(pool, dtype=np.int64)]
-    return int(np.argmin(np.abs(2.0 * np.cumsum(weights[:-1]) - math.fsum(weights)))) + 1
-
-
 def _map(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
     """``fn`` from :mod:`math` on every entry, so the result rounds exactly
     as the one-node references do (numpy's vector kernels may differ)."""
@@ -287,9 +236,10 @@ def _blocks(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
 
 
 def _me_cuts(xs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`me_split`'s left size for every range [a, b) of ``xs``, the
-    item depths -log1p(-p) in ``perm`` order plus a +inf pad.  Each range's
-    prefix sums start from 0 and run along its own row, as me_split's do."""
+    """The max-entropy split's left size for every range [a, b) of ``xs``,
+    the item depths -log1p(-p) in ``perm`` order plus a +inf pad.  Each
+    range's prefix sums start from 0 and run along its own row, as those of
+    the one-node reference ``me_split`` in ``tests/helpers.py`` do."""
     cut = np.empty(len(a), dtype=np.int64)
     for rows, x in _blocks(xs, a, b):
         depth = np.cumsum(x, axis=1)
@@ -308,9 +258,11 @@ def _me_cuts(xs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _sf_cuts(weights: np.ndarray, listed: list[float], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`_sf_cut` for every range [a, b) of ``weights``, the item
-    probabilities in ``perm`` order plus a +inf pad; ``listed`` holds the
-    same as Python floats for the exactly rounded totals."""
+    """The Shannon-Fano cut, where the two sides' weights are most nearly
+    equal, for every range [a, b) of ``weights``, the item probabilities in
+    ``perm`` order plus a +inf pad; ``listed`` holds the same as Python
+    floats for the exactly rounded totals.  The one-node reference is
+    ``_sf_cut`` in ``tests/helpers.py``."""
     totals = np.array([math.fsum(listed[s:e]) for s, e in zip(a.tolist(), b.tolist())])
     cut = np.empty(len(a), dtype=np.int64)
     for rows, w in _blocks(weights, a, b):
@@ -401,26 +353,6 @@ def _trees(p: PriorVector, construction: str, perm: np.ndarray, bounds: np.ndarr
     else:
         raise ValueError(f"unknown construction {construction!r}; expected one of {CONSTRUCTIONS}")
     return dict(zip(("lo", "hi", "left", "right", "roots"), layout), perm=perm)
-
-
-def sf_build_tree(items: Sequence[int], p: PriorVector, kind: str) -> NestedPlan:
-    """Source-code tree over one pool, weights w_i = p_i, as a one-root plan.
-
-    ``shannon_fano`` sorts by descending weight and recursively splits where
-    the two sides' weights are most nearly equal; on pools whose product of
-    (1 - p_i) is at least 1/2 the resulting depths stay within
-    ceil(log2(1/p_i)).  ``huffman`` merges the two lightest subtrees bottom
-    up, which minimizes the expected depth.  Zero-weight items sort last and
-    sink to the deepest leaves under either kind; weight ties break on the
-    smallest item id.
-    """
-    if kind not in ("shannon_fano", "huffman"):
-        raise ValueError(f"unknown source-code kind {kind!r}")
-    pool = np.asarray(items, dtype=np.int64)
-    if not len(pool):
-        raise ValueError("cannot build a tree over an empty pool")
-    trees = _trees(p, kind, pool, np.array([0, len(pool)]))
-    return NestedPlan(n=p.n, construction=kind, mu_covered=p.restricted_mu(pool), **trees)
 
 
 def build_plan(p: PriorVector, construction: str, counts_both_children: bool = True) -> NestedPlan:
@@ -615,16 +547,23 @@ def plan_to_json_dict(plan: NestedPlan) -> dict:
 
 def plan_from_json_dict(data: dict) -> NestedPlan:
     """Parse the flat form; anything else, including the nested form that
-    predates format 2, raises ValueError."""
+    predates format 2, raises ValueError.  Index fields must be lists of JSON
+    integers and ``counts_both_children`` a JSON boolean."""
     if not isinstance(data, dict) or data.get("format") != PLAN_FORMAT:
         raise ValueError(f"plan JSON must be an object with \"format\": {PLAN_FORMAT}")
     try:
+        fields = {name: data[name] for name in _INDEX_FIELDS}
+        bad = [name for name, v in fields.items() if not (isinstance(v, list) and all(type(i) is int for i in v))]
+        if bad:
+            raise ValueError(f"plan JSON field {bad[0]} must be a list of integers")
+        if not isinstance(data["counts_both_children"], bool):
+            raise ValueError("plan JSON counts_both_children must be true or false")
         return NestedPlan(
-            n=int(data["n"]),
+            n=whole_number("n", data["n"]),
             construction=str(data["construction"]),
-            counts_both_children=bool(data["counts_both_children"]),
+            counts_both_children=data["counts_both_children"],
             mu_covered=float(data["mu_covered"]),
-            **{name: data[name] for name in _INDEX_FIELDS},
+            **fields,
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed plan JSON: {exc!r}") from exc

@@ -63,6 +63,8 @@ def adaptive_concentration(p: PriorVector, eps: float, delta: float) -> BoundRep
     """High-probability ceiling 4 (1+delta) (gamma+3) H(X) for the
     pre-partitioned nested plan; needs slack delta >= 2e-1 and a non-skewed
     prior."""
+    if not delta > 0.0:  # also refuses NaN
+        raise ValueError("delta must be positive")
     gamma = measure_factor(p.n, eps)
     test_bound = 4.0 * (1.0 + delta) * (gamma + 3) * p.entropy_bits
     if p.mu <= 0.0:
@@ -87,7 +89,7 @@ def adaptive_concentration(p: PriorVector, eps: float, delta: float) -> BoundRep
 def cca_upper(p: PriorVector, delta: float) -> BoundReport:
     """Sampled-design budget 4e (1+delta) mu ln n with error n**-delta; needs
     every prior probability below 1/2."""
-    if delta <= 0.0:
+    if not delta > 0.0:  # also refuses NaN
         raise ValueError("delta must be positive")
     test_bound = 0.0 if p.n == 1 else 4.0 * math.e * (1.0 + delta) * p.mu * math.log(p.n)
     raw = float(p.n) ** (-delta)
@@ -106,7 +108,7 @@ def block_upper(p: PriorVector, eps: float, delta: float) -> BoundReport:
     """Block-design budget (12e+2) (1+delta) H(X) with error
     2 gamma**(1-delta) + eps/2; needs probabilities below 1/2 and a
     non-skewed prior.  The error term is informative only for delta > 1."""
-    if delta <= 0.0:
+    if not delta > 0.0:  # also refuses NaN
         raise ValueError("delta must be positive")
     gamma = measure_factor(p.n, eps)
     test_bound = (12.0 * math.e + 2.0) * (1.0 + delta) * p.entropy_bits

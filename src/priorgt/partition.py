@@ -28,7 +28,7 @@ def measure_factor(n: int, eps: float) -> int:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if eps <= 0.0:
+    if not eps > 0.0:  # also refuses NaN
         raise ValueError("eps must be positive")
     ratio = 2.0 * n / eps
     if ratio <= 2.0:
@@ -71,7 +71,6 @@ class Partition:
     n: int
     eps: float
     gamma: int
-    order: tuple[int, ...]
     zero_items: tuple[int, ...]
     bands: tuple[Band, ...]
     tail_items: tuple[int, ...]
@@ -91,25 +90,6 @@ class Partition:
             route.extend(band.items)
         route.extend(self.tail_items)
         return tuple(route)
-
-    def to_json_dict(self) -> dict:
-        subsets: list[dict] = [{"kind": "zero", "items": list(self.zero_items)}]
-        for band in self.bands:
-            subsets.append(
-                {
-                    "kind": "group",
-                    "items": list(band.items),
-                    "lo": band.lo,
-                    "hi": band.hi,
-                    "ample": band.size >= self.gamma,
-                }
-            )
-        subsets.append({"kind": "individual", "items": list(self.tail_items)})
-        out = {"n": self.n, "eps": self.eps, "gamma": self.gamma, "subsets": subsets}
-        if self.num_combined is not None:
-            out["num_combined"] = self.num_combined
-            out["concentration_void"] = self.concentration_void
-        return out
 
 
 def band_boundaries(n: int, eps: float) -> list[float]:
@@ -154,7 +134,6 @@ def build_partition(p: PriorVector, eps: float) -> Partition:
         n=n,
         eps=eps,
         gamma=gamma,
-        order=tuple(ids),
         zero_items=tuple(ids[:start]),
         bands=tuple(bands),
         tail_items=tuple(ids[stop:]),

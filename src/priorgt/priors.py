@@ -20,6 +20,19 @@ import numpy as np
 
 PRIOR_FAMILIES = ("uniform", "linear", "exponential")
 DEFAULT_EXPONENTIAL_DECAY = 0.99
+INT64_MAX = (1 << 63) - 1
+
+
+def whole_number(name: str, value, least: int = 1, most: float = INT64_MAX) -> int:
+    """``value`` as an int in [least, most]: an int or a float with no
+    fractional part, not a bool or a string.  Sizes default to what an int64
+    holds, since they size numpy arrays and loops."""
+    given = value
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or not least <= value <= most:
+        raise ValueError(f"{name} must be a whole number in [{least}, {most}], got {given!r}")
+    return value
 
 
 def binary_entropy(p: float) -> float:
@@ -54,10 +67,6 @@ class PriorVector:
     @property
     def n(self) -> int:
         return len(self.probs)
-
-    @property
-    def item_ids(self) -> range:
-        return range(len(self.probs))
 
     @cached_property
     def mu(self) -> float:
@@ -169,7 +178,7 @@ def prior_from_json_dict(data: dict) -> PriorVector:
             return PriorVector(tuple(float(x) for x in data["probs"]))
         if "family" in data:
             rho = float(data.get("rho", DEFAULT_EXPONENTIAL_DECAY))
-            return generate_prior(data["family"], int(data["n"]), float(data["mu"]), rho=rho)
+            return generate_prior(data["family"], whole_number("n", data["n"]), float(data["mu"]), rho=rho)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed prior JSON: {exc!r}") from exc
     raise ValueError("prior spec needs either a 'probs' list or a 'family' generator block")

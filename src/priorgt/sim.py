@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import adaptive, nonadaptive
-from .priors import PopulationVector, PriorVector, generate_prior
+from .priors import INT64_MAX, PopulationVector, PriorVector, generate_prior, whole_number
 
 ALGORITHMS = (
     "adaptive_me",
@@ -54,7 +54,6 @@ _CONSTRUCTION = {
 # Upper bound on trials x n in one block of stacked truths.  Larger blocks
 # ran no faster at n = 1000 and raised peak memory.
 TRUTH_BLOCK_CELLS = 1 << 14
-_INT64_MAX = (1 << 63) - 1
 
 TRIALS_CSV_HEADER = ["trial_id", "seed", "algorithm", "n", "mu", "entropy", "tests", "success"]
 SUMMARY_CSV_HEADER = [
@@ -96,14 +95,8 @@ class Campaign:
     rho: float = 0.99
 
     def __post_init__(self):
-        # n and trials size numpy arrays and loops, so they must fit an int64.
-        for name, least, most in (("n", 1, _INT64_MAX), ("trials", 1, _INT64_MAX), ("base_seed", 0, math.inf)):
-            given = value = getattr(self, name)
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            if isinstance(value, bool) or not isinstance(value, int) or not least <= value <= most:
-                raise ValueError(f"{name} must be a whole number in [{least}, {most}], got {given!r}")
-            object.__setattr__(self, name, value)
+        for name, least, most in (("n", 1, INT64_MAX), ("trials", 1, INT64_MAX), ("base_seed", 0, math.inf)):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), least, most))
         if not (math.isfinite(self.eps) and self.eps >= 0.0):
             raise ValueError(f"eps must be finite and at least 0, got {self.eps!r}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
@@ -227,17 +220,6 @@ def summarize(reports: Sequence[TrialReport]) -> list[dict]:
     return out
 
 
-def fit_slope(points: Sequence[tuple[float, float]]) -> float:
-    """Ordinary least squares slope of mean tests against entropy."""
-    if len(points) < 2:
-        raise ValueError("need at least two points")
-    xs = np.asarray([x for x, _ in points], dtype=float)
-    ys = np.asarray([y for _, y in points], dtype=float)
-    if np.allclose(xs, xs[0]):
-        raise ValueError("slope is undefined when every entropy value is equal")
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
 def success_curve(
     p: PriorVector,
     algorithm: str,
@@ -264,37 +246,6 @@ def success_curve(
             successes += rec.matches(truth)
         out.append((int(t), successes / trials))
     return out
-
-
-@dataclass(frozen=True)
-class TrendResult:
-    s: int
-    z: float
-    p_value: float
-
-
-def mann_kendall_increasing(values: Sequence[float]) -> TrendResult:
-    """One-sided Mann-Kendall test against the null of no monotone trend.
-
-    Small p favors an increasing trend; the variance uses the standard tie
-    correction and the statistic a continuity correction.
-    """
-    vals = list(values)
-    n = len(vals)
-    s = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if vals[j] > vals[i]:
-                s += 1
-            elif vals[j] < vals[i]:
-                s -= 1
-    _, counts = np.unique(np.asarray(vals), return_counts=True)
-    var = n * (n - 1) * (2 * n + 5) / 18.0 - sum(t * (t - 1) * (2 * t + 5) for t in counts) / 18.0
-    if var <= 0.0:
-        return TrendResult(s=s, z=0.0, p_value=1.0)
-    z = (s - math.copysign(1, s)) / math.sqrt(var) if s != 0 else 0.0
-    p_value = 1.0 - 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-    return TrendResult(s=s, z=z, p_value=p_value)
 
 
 def campaign_from_json_dict(data: dict) -> Campaign:

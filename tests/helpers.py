@@ -1,0 +1,134 @@
+"""One-node references and trend statistics that only the tests use.
+
+The package builds plans level by level over int64 arrays.  The functions
+below build one node at a time: first-stage pools as lists of tuples, one
+max-entropy split, one Shannon-Fano cut and one source-code tree over a
+single pool.  The tests check the level builders against them.  The trend
+statistics (least squares slope, one-sided Mann-Kendall) serve the
+acceptance and harness tests.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from priorgt.adaptive import NestedPlan, _depths, _first_stage, _nearest_prefix, _trees
+from priorgt.priors import PriorVector
+
+
+def _groups(certain: np.ndarray, rest: np.ndarray, bounds: list[int]) -> list[tuple[int, ...]]:
+    return [(i,) for i in certain.tolist()] + [tuple(rest[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+
+
+def me_first_stage(p: PriorVector, items: Sequence[int] | None = None) -> list[tuple[int, ...]]:
+    """Greedy first-stage pools: repeatedly take the prefix whose probability
+    of containing no defective is closest to 1/2.
+
+    Certain defectives (p = 1) are emitted first as their own singleton
+    pools; impossible items (p = 0) are left out entirely, since they are
+    cleared without testing.  Ties go to the shorter prefix.
+    """
+    return _groups(*_first_stage(p, items, "max_entropy"))
+
+
+def me_split(items: Sequence[int], p: PriorVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split a pool at the prefix whose conditional positive probability,
+    given the pool itself is positive, lies closest to 1/2.
+
+    Only contiguous prefixes of the pool's stored order are considered; ties
+    go to the shorter prefix.  Both sides are nonempty.
+    """
+    if len(items) < 2:
+        raise ValueError("cannot split a pool with fewer than two items")
+    depth = _depths(p, items)
+    positive = -math.expm1(-depth[-1])
+    if positive <= 0.0:
+        # No positive-probability member; balance sizes deterministically.
+        k = len(items) // 2
+    else:
+        k = _nearest_prefix(depth, 0, len(items) - 1, positive / 2.0)
+    return tuple(items[:k]), tuple(items[k:])
+
+
+def sf_first_stage(p: PriorVector, items: Sequence[int] | None = None) -> list[tuple[int, ...]]:
+    """Greedy maximal prefixes whose product of (1 - p_i) stays at or above
+    1/2, which caps each pool's probability mass at 1.
+
+    An item that alone drops the product below 1/2 (p > 1/2) forms a
+    singleton pool.  Certain defectives are emitted first as singletons and
+    impossible items are left out, as in :func:`me_first_stage`.
+    """
+    return _groups(*_first_stage(p, items, "shannon_fano"))
+
+
+def _sf_cut(pool: Sequence[int], p: PriorVector) -> int:
+    """Left size of the split where the two sides' weights are most nearly
+    equal; ties go to the shorter prefix."""
+    weights = p.as_array()[np.asarray(pool, dtype=np.int64)]
+    return int(np.argmin(np.abs(2.0 * np.cumsum(weights[:-1]) - math.fsum(weights)))) + 1
+
+
+def sf_build_tree(items: Sequence[int], p: PriorVector, kind: str) -> NestedPlan:
+    """Source-code tree over one pool, weights w_i = p_i, as a one-root plan.
+
+    ``shannon_fano`` sorts by descending weight and recursively splits where
+    the two sides' weights are most nearly equal; on pools whose product of
+    (1 - p_i) is at least 1/2 the resulting depths stay within
+    ceil(log2(1/p_i)).  ``huffman`` merges the two lightest subtrees bottom
+    up, which minimizes the expected depth.  Zero-weight items sort last and
+    sink to the deepest leaves under either kind; weight ties break on the
+    smallest item id.
+    """
+    if kind not in ("shannon_fano", "huffman"):
+        raise ValueError(f"unknown source-code kind {kind!r}")
+    pool = np.asarray(items, dtype=np.int64)
+    if not len(pool):
+        raise ValueError("cannot build a tree over an empty pool")
+    trees = _trees(p, kind, pool, np.array([0, len(pool)]))
+    return NestedPlan(n=p.n, construction=kind, mu_covered=p.restricted_mu(pool), **trees)
+
+
+def fit_slope(points: Sequence[tuple[float, float]]) -> float:
+    """Ordinary least squares slope of mean tests against entropy."""
+    if len(points) < 2:
+        raise ValueError("need at least two points")
+    xs = np.asarray([x for x, _ in points], dtype=float)
+    ys = np.asarray([y for _, y in points], dtype=float)
+    if np.allclose(xs, xs[0]):
+        raise ValueError("slope is undefined when every entropy value is equal")
+    return float(np.polyfit(xs, ys, 1)[0])
+
+
+@dataclass(frozen=True)
+class TrendResult:
+    s: int
+    z: float
+    p_value: float
+
+
+def mann_kendall_increasing(values: Sequence[float]) -> TrendResult:
+    """One-sided Mann-Kendall test against the null of no monotone trend.
+
+    Small p favors an increasing trend; the variance uses the standard tie
+    correction and the statistic a continuity correction.
+    """
+    vals = list(values)
+    n = len(vals)
+    s = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if vals[j] > vals[i]:
+                s += 1
+            elif vals[j] < vals[i]:
+                s -= 1
+    _, counts = np.unique(np.asarray(vals), return_counts=True)
+    var = n * (n - 1) * (2 * n + 5) / 18.0 - sum(t * (t - 1) * (2 * t + 5) for t in counts) / 18.0
+    if var <= 0.0:
+        return TrendResult(s=s, z=0.0, p_value=1.0)
+    z = (s - math.copysign(1, s)) / math.sqrt(var) if s != 0 else 0.0
+    p_value = 1.0 - 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    return TrendResult(s=s, z=z, p_value=p_value)

@@ -34,12 +34,12 @@ from priorgt.priors import PriorVector, generate_prior
 from priorgt.sim import (
     Campaign,
     draw_truth,
-    fit_slope,
-    mann_kendall_increasing,
     run_campaign,
     success_curve,
     summarize,
 )
+
+from helpers import fit_slope, mann_kendall_increasing
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

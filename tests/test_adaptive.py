@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,19 +10,17 @@ from priorgt.adaptive import (
     NestedPlan,
     build_plan,
     build_prepartitioned_plan,
-    me_first_stage,
-    me_split,
     plan_from_json_dict,
     plan_to_json_dict,
     run_adaptive,
     run_adaptive_batch,
     run_prepartitioned_adaptive,
-    sf_build_tree,
-    sf_first_stage,
 )
 from priorgt.partition import build_partition, combine_for_concentration
 from priorgt.priors import PopulationVector, PriorVector, generate_prior
 from priorgt.sim import draw_truth
+
+from helpers import me_first_stage, me_split, sf_build_tree, sf_first_stage
 
 
 def pool(plan, k):
@@ -482,7 +482,20 @@ def test_plan_json_rejects_malformed_and_nested_forms():
         {**data, "perm": [0, 1, 2, 2]},
         {**data, "right": [-1] * len(data["right"])},
         {**data, "construction": "binary"},
+        {**data, "counts_both_children": "false"},
+        {**data, "n": 4.9},
+        {**data, "perm": [0.9, 1, 2, 3]},
+        {**data, "roots": [False, 3]},
     ]
     for d in bad:
         with pytest.raises(ValueError):
             plan_from_json_dict(d)
+
+
+def test_readme_plan_json_example_matches_build_plan():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index('```json\n{"format": 2') + len("```json\n")
+    example = json.loads(text[start : text.index("```", start)])
+    assert example == plan_to_json_dict(build_plan(PriorVector((0.3,) * 4), "max_entropy"))

@@ -105,6 +105,11 @@ UNIFORM_PRIOR = {"family": "uniform", "n": 100, "mu": 2.0}
         ("simulate", {**SMALL_CAMPAIGN, "n": 10**400}),
         ("plan --algorithm cca --delta inf", UNIFORM_PRIOR),
         ("plan --algorithm block --delta inf", UNIFORM_PRIOR),
+        ("bounds", {**UNIFORM_PRIOR, "n": 100.7}),
+        ("bounds", {**UNIFORM_PRIOR, "n": True, "mu": 0.1}),
+        ("bounds", {**UNIFORM_PRIOR, "n": 10**400}),
+        ("bounds", {**UNIFORM_PRIOR, "n": float("inf")}),
+        ("plan --algorithm me", {**UNIFORM_PRIOR, "n": "100"}),
     ],
     ids=[
         "campaign-scalar-sweep",
@@ -120,6 +125,11 @@ UNIFORM_PRIOR = {"family": "uniform", "n": 100, "mu": 2.0}
         "campaign-huge-n",
         "plan-cca-infinite-delta",
         "plan-block-infinite-delta",
+        "prior-fractional-n",
+        "prior-boolean-n",
+        "prior-huge-n",
+        "prior-infinite-n",
+        "prior-string-n",
     ],
 )
 def test_malformed_campaign_and_prior_json_exit_2(tmp_path, capsys, command, payload):
@@ -135,6 +145,12 @@ def test_malformed_campaign_and_prior_json_exit_2(tmp_path, capsys, command, pay
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--eps", "--delta"])
+def test_nan_eps_and_delta_exit_2_naming_the_flag(uniform_prior_file, capsys, flag):
+    assert main(["bounds", "--prior", uniform_prior_file, flag, "nan"]) == 2
+    assert f"error: {flag[2:]} must be positive" in capsys.readouterr().err
 
 
 def test_bounds_text_pe_zero_t1_equals_entropy(uniform_prior_file, capsys):

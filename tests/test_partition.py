@@ -157,15 +157,3 @@ def test_combine_preserves_disjoint_cover():
             seen.extend(band.items)
         assert sorted(seen) == list(range(n))
 
-
-def test_partition_json_shape():
-    p = generate_prior("uniform", 100, 2.0)
-    part = combine_for_concentration(build_partition(p, 0.1), p)
-    data = part.to_json_dict()
-    kinds = [s["kind"] for s in data["subsets"]]
-    assert kinds[0] == "zero"
-    assert kinds[-1] == "individual"
-    assert all(k == "group" for k in kinds[1:-1])
-    group_sizes = sum(len(s["items"]) for s in data["subsets"])
-    assert group_sizes == 100
-    assert data["gamma"] == part.gamma

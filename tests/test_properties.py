@@ -8,10 +8,10 @@ batch executor must agree with the scalar one on every truth vector, and the
 closed-form E[T] with full enumeration.
 
 The level-by-level builders must lay out exactly the plan of a per-node
-reference kept here: a preorder walk that asks :func:`me_split`,
-:func:`_sf_cut` or the Huffman merge for one node's split at a time.  The
-vectorized constructor check must reject a corrupted plan exactly when the
-depth-first walk it replaced, also kept here, rejects it.
+reference kept here: a preorder walk that asks ``me_split`` or ``_sf_cut``
+from ``tests/helpers.py``, or the Huffman merge, for one node's split at a
+time.  The vectorized constructor check must reject a corrupted plan exactly
+when the depth-first walk it replaced, also kept here, rejects it.
 
 Matrices have at most 12 items and may hold empty rows, repeated ids and a
 pre-cleared set.  Measuring and decoding must agree with a per-row reference,
@@ -39,17 +39,13 @@ from hypothesis import strategies as st
 from priorgt.adaptive import (
     CONSTRUCTIONS,
     NestedPlan,
-    _sf_cut,
     build_plan,
     build_prepartitioned_plan,
     expected_tests,
-    me_first_stage,
-    me_split,
     plan_from_json_dict,
     plan_to_json_dict,
     run_adaptive,
     run_adaptive_batch,
-    sf_first_stage,
 )
 from priorgt.nonadaptive import (
     BlockSpan,
@@ -70,6 +66,8 @@ from priorgt.oracle import exact_expected_tests, exhaustive_decode_check
 from priorgt.partition import build_partition, combine_for_concentration
 from priorgt.priors import PopulationVector, PriorVector, generate_prior
 from priorgt.sim import draw_truth, success_curve
+
+from helpers import _sf_cut, me_first_stage, me_split, sf_first_stage
 
 probabilities = st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 0.5]), st.floats(0.0, 1.0))
 priors = st.lists(probabilities, min_size=1, max_size=10).map(lambda ps: PriorVector(tuple(ps)))
@@ -185,9 +183,9 @@ def reference_plan(p, construction, counts_both_children, eps):
                 add_tree(leaves, lambda sub, cuts=iter(cuts): next(cuts))
 
     if eps is None:
-        add_pools([i for i in p.item_ids if 0.0 < p.probs[i] < 1.0])
-        auto_defective = [i for i in p.item_ids if p.probs[i] >= 1.0]
-        auto_clear = [i for i in p.item_ids if p.probs[i] <= 0.0]
+        add_pools([i for i in range(p.n) if 0.0 < p.probs[i] < 1.0])
+        auto_defective = [i for i in range(p.n) if p.probs[i] >= 1.0]
+        auto_clear = [i for i in range(p.n) if p.probs[i] <= 0.0]
     else:
         part = combine_for_concentration(build_partition(p, eps), p)
         for i in part.individual_route():

@@ -15,14 +15,14 @@ from priorgt.sim import (
     TrialReport,
     campaign_from_json_dict,
     draw_truth,
-    fit_slope,
-    mann_kendall_increasing,
     run_campaign,
     success_curve,
     summarize,
     summary_csv_text,
     trials_csv_text,
 )
+
+from helpers import fit_slope, mann_kendall_increasing
 
 
 def test_draw_truth_degenerate():
