@@ -32,6 +32,15 @@ comparisons; by induction on range size they hold exactly when a depth-first
 walk from the roots visits nodes 0, 1, 2, ... with every pool split into two
 nonempty parts.
 
+The Huffman merge runs in numpy rounds over every root at once, with no heap.
+In each round a root pairs off, in (weight, smallest item id) order, all of
+its subtrees lighter than the rounded sum s of its two lightest: 1st with
+2nd, 3rd with 4th, and so on.  Rounding is monotone, so every subtree merged
+in the round weighs at least s, and each pair is the one the heap would pop
+next.  When s absorbs the lightest weight, the root merges just its first
+two.  The heap reference ``huffman_merge`` lives in
+``tests/test_properties.py``.
+
 There are two executors.  :func:`run_adaptive_batch` runs many truths in one
 numpy pass and returns only test counts and recovered vectors; the oracles
 and the campaign harness's whole-vector plans use it.  :func:`run_adaptive`
@@ -43,7 +52,6 @@ exact expected test count in closed form.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,7 +60,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .partition import build_partition, combine_for_concentration
-from .priors import PopulationVector, PriorVector, whole_number
+from .priors import PopulationVector, PriorVector, json_number, whole_number
 
 CONSTRUCTIONS = ("max_entropy", "shannon_fano", "huffman")
 PLAN_FORMAT = 2
@@ -302,23 +310,53 @@ def _huffman(p: PriorVector, perm: np.ndarray, bounds: np.ndarray) -> tuple[np.n
     weight ties break on the smallest item id.  Subtree j < len(perm) is the
     leaf perm[j]; merged subtrees follow.  Returns each subtree's first and
     second merged child and the first one's leaf count (-1 at a leaf), and
-    each root's subtree."""
-    probs, items = p.probs, perm.tolist()
-    merges, tops, merged = [np.full((len(items), 3), -1)], [], len(items)
-    for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        heap = [(probs[t], t, i, 1) for i, t in enumerate(items[s:e], s)]
-        heapq.heapify(heap)
-        steps = []
-        for j in range(merged, merged + e - s - 1):
-            w1, t1, j1, c1 = heapq.heappop(heap)
-            w2, t2, j2, c2 = heap[0]
-            heapq.heapreplace(heap, (w1 + w2, t1 if t1 < t2 else t2, j, c1 + c2))
-            steps.append((j1, j2, c1))
-        if steps:
-            merges.append(np.array(steps))
-        merged += e - s - 1
-        tops.append(heap[0][2])
-    return (*np.concatenate(merges).T, np.array(tops, dtype=np.int64))
+    each root's subtree.
+
+    The merges run in rounds over every root at once.  A round sorts the
+    live subtrees by (root, weight, smallest item id).  Each root then
+    pairs, in that order, all of its subtrees lighter than s, the rounded sum
+    of its two lightest: the 1st with the 2nd, the 3rd with the 4th, and so
+    on, while an odd last one waits.  When the sum absorbs the lightest, so
+    that s equals the second weight, only one subtree is lighter and the root
+    merges its first two.  Rounding is monotone, so every merged subtree
+    weighs at least s: each pair is the one a heap of (weight, smallest item
+    id) would pop next.  A root with m items needs at most m - 1 rounds,
+    typically about 2 log2(total weight / lightest weight).
+    """
+    size, width = len(perm), np.diff(bounds)
+    total = 2 * size - len(width)
+    first, second, first_count = np.full((3, total), -1, dtype=np.int64)
+    weight, least, count = np.empty(total), np.empty(total, dtype=np.int64), np.ones(total, dtype=np.int64)
+    weight[:size], least[:size] = p.as_array()[perm], perm
+    # A singleton root is its leaf; the others enter the rounds.
+    tops = bounds[:-1].copy()
+    root = np.repeat(np.arange(len(width)), width)
+    live = np.flatnonzero(width[root] > 1)
+    root, merged = root[live], size
+    # A root of m items needs at most m - 1 rounds.
+    for _ in range(int(width.max(initial=1)) - 1):
+        if not len(live):
+            break
+        order = np.lexsort((least[live], weight[live], root))
+        live, root = live[order], root[order]
+        step = np.concatenate(([True], root[1:] != root[:-1]))
+        head = np.flatnonzero(step)
+        group = np.cumsum(step) - 1
+        w = weight[live]
+        lighter = np.add.reduceat(w < (w[head] + w[head + 1])[group], head, dtype=np.int64)
+        rank = np.arange(len(live)) - head[group]
+        paired = rank < 2 * np.maximum(lighter // 2, 1)[group]
+        at = np.flatnonzero(paired & (rank % 2 == 0))
+        a, b, new = live[at], live[at + 1], np.arange(merged, merged + len(at))
+        first[new], second[new], first_count[new] = a, b, count[a]
+        weight[new], least[new], count[new] = weight[a] + weight[b], np.minimum(least[a], least[b]), count[a] + count[b]
+        merged += len(at)
+        # A root with two live subtrees is done once they merge.
+        done = (np.diff(np.append(head, len(live))) == 2)[group[at]]
+        tops[root[at[done]]] = new[done]
+        live = np.concatenate((live[~paired], new[~done]))
+        root = np.concatenate((root[~paired], root[at[~done]]))
+    return first, second, first_count, tops
 
 
 def _trees(p: PriorVector, construction: str, perm: np.ndarray, bounds: np.ndarray) -> dict:
@@ -548,7 +586,8 @@ def plan_to_json_dict(plan: NestedPlan) -> dict:
 def plan_from_json_dict(data: dict) -> NestedPlan:
     """Parse the flat form; anything else, including the nested form that
     predates format 2, raises ValueError.  Index fields must be lists of JSON
-    integers and ``counts_both_children`` a JSON boolean."""
+    integers, ``counts_both_children`` a JSON boolean and ``mu_covered`` a
+    finite JSON number at least 0."""
     if not isinstance(data, dict) or data.get("format") != PLAN_FORMAT:
         raise ValueError(f"plan JSON must be an object with \"format\": {PLAN_FORMAT}")
     try:
@@ -558,11 +597,14 @@ def plan_from_json_dict(data: dict) -> NestedPlan:
             raise ValueError(f"plan JSON field {bad[0]} must be a list of integers")
         if not isinstance(data["counts_both_children"], bool):
             raise ValueError("plan JSON counts_both_children must be true or false")
+        mu_covered = json_number("plan JSON mu_covered", data["mu_covered"])
+        if not (math.isfinite(mu_covered) and mu_covered >= 0.0):
+            raise ValueError(f"plan JSON mu_covered must be finite and at least 0, got {mu_covered!r}")
         return NestedPlan(
             n=whole_number("n", data["n"]),
             construction=str(data["construction"]),
             counts_both_children=data["counts_both_children"],
-            mu_covered=float(data["mu_covered"]),
+            mu_covered=mu_covered,
             **fields,
         )
     except (KeyError, TypeError) as exc:

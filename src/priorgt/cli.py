@@ -24,6 +24,10 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        # mkstemp creates mode 0600; give the file the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -77,8 +81,10 @@ def cmd_plan(args) -> int:
     else:
         m = nonadaptive.build_block_matrix(p, args.eps, args.delta, args.seed)
         payload = nonadaptive.matrix_to_json_dict(m)
+    # The bound table can still fail on its arguments; nothing is written then.
+    table = _bounds_table(bounds.all_reports(p, args.eps, args.delta, args.pe), "text")
     _atomic_write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    sys.stdout.write(_bounds_table(bounds.all_reports(p, args.eps, args.delta, args.pe), "text"))
+    sys.stdout.write(table)
     return 0
 
 

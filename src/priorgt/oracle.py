@@ -6,8 +6,9 @@ sum for the collection stopping time.  Size guards keep each check cheap
 enough for CI.  The test suite trusts these verifiers over the production
 algorithms wherever both can answer.
 
-The plan oracles run the batch executor once over the matrix of all 2**n
-truth vectors; the scalar executor it is tested against stays the reference.
+The plan oracles share one run of the batch executor over the matrix of all
+2**n truth vectors; the scalar executor it is tested against stays the
+reference.
 The matrix audit measures and decodes the same truths in a few matrix
 products, against :func:`run_nonadaptive` as the reference.
 """
@@ -108,11 +109,22 @@ def _truth_weights(p: PriorVector) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _truth_matrix(n: int) -> np.ndarray:
     """Every truth vector as one row of a read-only 2**n x n bool matrix, in
-    bitmask order (bit i = item i).  The plan oracles enumerate the same n
-    twice per plan, so the last matrix is kept."""
+    bitmask order (bit i = item i).  The oracles enumerate the same n many
+    times in a row, so the last matrix is kept."""
     truths = (np.arange(1 << n)[:, None] & (1 << np.arange(n))) != 0
     truths.flags.writeable = False
     return truths
+
+
+@functools.lru_cache(maxsize=1)
+def _plan_pass(plan: NestedPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The test count and recovered vector of ``plan`` on every truth in
+    :func:`_truth_matrix` order, shortcut off, as read-only arrays.  Both
+    plan oracles read this one pass; frozen plans hash and compare by value,
+    so the last plan's pass is kept."""
+    tests, recovered = run_adaptive_batch(plan, _truth_matrix(plan.n), eps=0.0)
+    tests.flags.writeable = recovered.flags.writeable = False
+    return tests, recovered
 
 
 def exact_expected_tests(plan: NestedPlan, p: PriorVector) -> ExactExpectation:
@@ -123,7 +135,7 @@ def exact_expected_tests(plan: NestedPlan, p: PriorVector) -> ExactExpectation:
         raise ValueError("plan and prior disagree on the universe size")
     if n > MAX_PLAN_ITEMS:
         raise ValueError(f"exhaustive enumeration capped at {MAX_PLAN_ITEMS} items")
-    tests, _ = run_adaptive_batch(plan, _truth_matrix(n), eps=0.0)
+    tests, _ = _plan_pass(plan)
     total = math.fsum((_truth_weights(p) * tests).tolist())
     return ExactExpectation(value=total, terms=1 << n)
 
@@ -166,11 +178,12 @@ def exhaustive_decode_check(target: NestedPlan | TestMatrix, p: PriorVector) -> 
     """
     n = p.n
     if isinstance(target, NestedPlan):
+        if target.n != n:
+            raise ValueError("plan and prior disagree on the universe size")
         if n > MAX_PLAN_ITEMS:
             raise ValueError(f"plan enumeration capped at {MAX_PLAN_ITEMS} items")
-        truths = _truth_matrix(n)
-        _, recovered = run_adaptive_batch(target, truths, eps=0.0)
-        return DecodeCheck(passed=np.array_equal(recovered, truths))
+        _, recovered = _plan_pass(target)
+        return DecodeCheck(passed=np.array_equal(recovered, _truth_matrix(n)))
 
     if isinstance(target, TestMatrix):
         if n > MAX_MATRIX_ITEMS:

@@ -35,6 +35,17 @@ def whole_number(name: str, value, least: int = 1, most: float = INT64_MAX) -> i
     return value
 
 
+def json_number(name: str, value) -> float:
+    """``value`` as a float: a JSON number, that is an int or a float, not a
+    bool or a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must fit in a float, got {value!r}") from None
+
+
 def binary_entropy(p: float) -> float:
     """Entropy in bits of a Bernoulli(p) variable, with h(0) = h(1) = 0."""
     if p <= 0.0 or p >= 1.0:

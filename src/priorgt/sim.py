@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import adaptive, nonadaptive
-from .priors import INT64_MAX, PopulationVector, PriorVector, generate_prior, whole_number
+from .priors import INT64_MAX, PopulationVector, PriorVector, generate_prior, json_number, whole_number
 
 ALGORITHMS = (
     "adaptive_me",
@@ -249,17 +249,19 @@ def success_curve(
 
 
 def campaign_from_json_dict(data: dict) -> Campaign:
+    """Parse a campaign object.  Sweep points, eps, delta and rho must be
+    JSON numbers: numeric strings and booleans raise ValueError."""
     try:
         return Campaign(
             family=data["family"],
             n=data["n"],
-            sweep=tuple(float(x) for x in data["sweep"]),
+            sweep=tuple(json_number("sweep point", x) for x in data["sweep"]),
             trials=data["trials"],
             algorithms=tuple(data["algorithms"]),
             base_seed=data.get("base_seed", 0),
-            eps=float(data.get("eps", 0.01)),
-            delta=float(data.get("delta", 1.0)),
-            rho=float(data.get("rho", 0.99)),
+            eps=json_number("eps", data.get("eps", 0.01)),
+            delta=json_number("delta", data.get("delta", 1.0)),
+            rho=json_number("rho", data.get("rho", 0.99)),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed campaign JSON: {exc!r}") from exc

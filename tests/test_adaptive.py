@@ -486,6 +486,13 @@ def test_plan_json_rejects_malformed_and_nested_forms():
         {**data, "n": 4.9},
         {**data, "perm": [0.9, 1, 2, 3]},
         {**data, "roots": [False, 3]},
+        {**data, "mu_covered": "1e9"},
+        {**data, "mu_covered": True},
+        {**data, "mu_covered": None},
+        {**data, "mu_covered": float("nan")},
+        {**data, "mu_covered": float("inf")},
+        {**data, "mu_covered": -0.5},
+        {**data, "mu_covered": 10**400},
     ]
     for d in bad:
         with pytest.raises(ValueError):

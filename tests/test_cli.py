@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -84,6 +85,28 @@ def test_plan_malformed_prior_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--eps", "0"], ["--eps", "nan"], ["--delta", "0"]])
+def test_plan_with_bad_bound_arguments_writes_nothing(tmp_path, uniform_prior_file, capsys, flags):
+    """The bound table is checked before the plan file is written."""
+    out = tmp_path / "plan.json"
+    assert main(["plan", "--prior", uniform_prior_file, "--algorithm", "me", *flags, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["prior.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_output_files_follow_the_umask(tmp_path, uniform_prior_file, capsys, umask):
+    out, plain = tmp_path / "plan.json", tmp_path / "plain.txt"
+    previous = os.umask(umask)
+    try:
+        assert main(["plan", "--prior", uniform_prior_file, "--algorithm", "huffman", "--out", str(out)]) == 0
+        with open(plain, "w", encoding="utf-8"):
+            pass
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == 0o666 & ~umask
+
+
 SMALL_CAMPAIGN = {"family": "uniform", "n": 20, "sweep": [1.0], "trials": 1, "algorithms": ["cca"]}
 ADAPTIVE_CAMPAIGN = {**SMALL_CAMPAIGN, "algorithms": ["adaptive_me"]}
 UNIFORM_PRIOR = {"family": "uniform", "n": 100, "mu": 2.0}
@@ -110,6 +133,12 @@ UNIFORM_PRIOR = {"family": "uniform", "n": 100, "mu": 2.0}
         ("bounds", {**UNIFORM_PRIOR, "n": 10**400}),
         ("bounds", {**UNIFORM_PRIOR, "n": float("inf")}),
         ("plan --algorithm me", {**UNIFORM_PRIOR, "n": "100"}),
+        ("simulate", {**SMALL_CAMPAIGN, "sweep": ["1.0"]}),
+        ("simulate", {**SMALL_CAMPAIGN, "sweep": [1.0, True]}),
+        ("simulate", {**SMALL_CAMPAIGN, "eps": "0.01"}),
+        ("simulate", {**SMALL_CAMPAIGN, "delta": True}),
+        ("simulate", {**SMALL_CAMPAIGN, "rho": "0.99"}),
+        ("simulate", {**SMALL_CAMPAIGN, "eps": 10**400}),
     ],
     ids=[
         "campaign-scalar-sweep",
@@ -130,6 +159,12 @@ UNIFORM_PRIOR = {"family": "uniform", "n": 100, "mu": 2.0}
         "prior-huge-n",
         "prior-infinite-n",
         "prior-string-n",
+        "campaign-string-sweep",
+        "campaign-boolean-sweep",
+        "campaign-string-eps",
+        "campaign-boolean-delta",
+        "campaign-string-rho",
+        "campaign-huge-eps",
     ],
 )
 def test_malformed_campaign_and_prior_json_exit_2(tmp_path, capsys, command, payload):

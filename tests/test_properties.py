@@ -10,8 +10,12 @@ closed-form E[T] with full enumeration.
 The level-by-level builders must lay out exactly the plan of a per-node
 reference kept here: a preorder walk that asks ``me_split`` or ``_sf_cut``
 from ``tests/helpers.py``, or the Huffman merge, for one node's split at a
-time.  The vectorized constructor check must reject a corrupted plan exactly
-when the depth-first walk it replaced, also kept here, rejects it.
+time.  Deterministic cases hold the Huffman merge rounds to the heap
+reference on halving weights (one pair per round), on sums that absorb the
+lightest weight, on weight ties and on pre-partitioned plans with many
+singleton roots.  The vectorized constructor check must reject a corrupted
+plan exactly when the depth-first walk it replaced, also kept here, rejects
+it.
 
 Matrices have at most 12 items and may hold empty rows, repeated ids and a
 pre-cleared set.  Measuring and decoding must agree with a per-row reference,
@@ -39,6 +43,7 @@ from hypothesis import strategies as st
 from priorgt.adaptive import (
     CONSTRUCTIONS,
     NestedPlan,
+    _trees,
     build_plan,
     build_prepartitioned_plan,
     expected_tests,
@@ -236,6 +241,71 @@ def test_equal_probabilities_split_like_the_reference(q):
     for q, n, cuts in ((1e-300, 5, [2, 1, 2, 1]), (1e-17, 11, [6, 3, 1, 1, 1, 1, 3, 1, 1, 1])):
         plan = build_plan(PriorVector((q,) * n), "max_entropy")
         assert [plan.hi[plan.left[k]] - plan.lo[k] for k in range(len(plan.lo)) if plan.left[k] >= 0] == cuts
+
+
+def assert_huffman_merges_like_the_heap(p, pools):
+    """``_trees`` over consecutive root pools of item ids lays out, per pool,
+    the leaves and left sizes of the heap merge."""
+    perm = np.array([i for pool in pools for i in pool], dtype=np.int64)
+    bounds = np.cumsum([0] + [len(pool) for pool in pools])
+    trees = _trees(p, "huffman", perm, bounds)
+    lo, hi, left = trees["lo"], trees["hi"], trees["left"]
+    leaves, cuts = [], []
+    for pool in pools:
+        pool_leaves, pool_cuts = huffman_merge(pool, p)
+        leaves += pool_leaves
+        cuts += pool_cuts
+    assert trees["perm"].tolist() == leaves
+    assert [int(hi[left[k]] - lo[k]) for k in range(len(lo)) if left[k] >= 0] == cuts
+
+
+def test_huffman_rounds_merge_halving_weights_one_pair_at_a_time():
+    """Each weight is the sum of all lighter ones plus the lightest, so every
+    round pairs only the two lightest: the worst case, m - 1 rounds."""
+    p = PriorVector(tuple((0.4 * 0.5 ** np.arange(60)).tolist()))
+    for m in (2, 3, 7, 31, 60):
+        assert_huffman_merges_like_the_heap(p, [list(range(m))])
+        assert_huffman_merges_like_the_heap(p, [list(range(m))[::-1]])
+    assert_huffman_merges_like_the_heap(p, [[i] for i in range(3)] + [list(range(3, 60))[::-1]])
+
+
+@pytest.mark.parametrize("tiny, heavy", [(1e-300, 0.5), (1e-17, 0.3)])
+def test_huffman_rounds_merge_two_when_the_sum_absorbs_the_lightest(tiny, heavy):
+    """fl(tiny + heavy) == heavy: only the tiny subtree is lighter than the
+    sum of the two lightest, and its merge ties the other heavy ones."""
+    assert tiny + heavy == heavy
+    p = PriorVector((heavy, heavy, tiny, heavy, heavy, tiny / 2, heavy, 0.1))
+    for pool in ([2, 0, 1, 3], [0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [6, 5, 4, 3, 2], list(range(8)), [7, 1, 2, 0]):
+        assert_huffman_merges_like_the_heap(p, [pool])
+    assert_huffman_merges_like_the_heap(p, [[2, 0, 1], [5], [3, 4, 6, 7]])
+
+
+@pytest.mark.parametrize("q", [1e-300, 1e-17, 0.01, 0.2])
+def test_huffman_rounds_break_weight_ties_on_the_smallest_item(q):
+    """Equal weights at odd counts leave a leaf to wait a round; weights q
+    and 2q tie leaves with merged subtrees.  Ids run against pool order so
+    that the position in a pool never agrees with the smallest item id."""
+    for n in range(3, 40, 2):
+        p = PriorVector((q,) * n)
+        assert_huffman_merges_like_the_heap(p, [list(range(n))[::-1]])
+        assert_huffman_merges_like_the_heap(p, [list(range(n))])
+    p = PriorVector(tuple(q * (1 + (i % 3 == 0)) for i in range(39)))
+    assert_huffman_merges_like_the_heap(p, [list(range(39))[::-1]])
+    assert_huffman_merges_like_the_heap(p, [list(range(0, 39, 2)), list(range(1, 39, 2))[::-1]])
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.3])
+def test_prepartitioned_huffman_with_many_singleton_roots(eps):
+    """Singleton roots of the individual route sit between the band pools;
+    they take no round, and every other root keeps its own merge."""
+    rng = np.random.default_rng(3)
+    mixed = np.concatenate((rng.uniform(0.5, 0.95, 60), rng.uniform(0.0, 0.02, 300)))
+    for p in (generate_prior("exponential", 400, 40.0, rho=0.99), PriorVector(tuple(rng.permutation(mixed).tolist()))):
+        spec = (p, "huffman", True, eps)
+        plan = make_plan(*spec)
+        widths = [plan.hi[k] - plan.lo[k] for k in plan.roots]
+        assert widths.count(1) >= 20 and max(widths) > 1
+        assert plan == reference_plan(*spec)
 
 
 def walk_check(n, perm, lo, hi, left, right, roots, auto_defective, auto_clear):
