@@ -19,12 +19,19 @@ uniform a start at or before its answer, and a few forward steps end on it.
 Each draw costs O(1) on average, and since u K and b/K are exact for a
 power of two, the ids equal those of a binary search over the same CDF.
 
-A design is first drawn as raw (t, g) blocks of ids, a :class:`SampledDesign`.
+A :class:`SampledDesign` is a design's law and its seed: per block the
+items, the clipped CDF with its guide table and the row and draw counts,
+plus the individually tested items and the zero set.  Its ids are drawn on
+demand by one generator, max(1, CHUNK // g) rows at a time, so a temporary
+holds at most ``CHUNK`` draws, or one row where a row is wider.  PCG64
+spends one 64-bit output per double, so the chunks hold exactly the ids of
+one (t, g) draw.  The same law serves any seed.
+
 A matrix is stored in compressed sparse row form, so every row is measured
 from one prefix count of the truth and every negative row is cleared in one
 scatter.  Repeated draws change neither, so sampled rows keep each id once;
-for the same reason :func:`measure_design` measures the raw draws directly,
-without sorting or deduplicating them, for Monte Carlo runs.
+for the same reason :func:`measure_design` measures the drawn chunks
+directly, without sorting or deduplicating them, for Monte Carlo runs.
 """
 
 from __future__ import annotations
@@ -33,12 +40,16 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .partition import build_partition
 from .priors import PopulationVector, PriorVector
+
+# Draws per chunk.  A design's ids are drawn and consumed max(1, CHUNK // g)
+# rows at a time, so temporaries stay cache-sized however many rows it has.
+CHUNK = 1 << 15
 
 
 def sampling_distribution(p: PriorVector) -> np.ndarray:
@@ -176,29 +187,56 @@ def _sampling_cdf(weights: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _draw_ids(rng: np.random.Generator, weights: np.ndarray, t: int, g: int) -> np.ndarray:
-    """A (t, g) int64 array of ids drawn with replacement from ``weights``.
+@dataclass(frozen=True, eq=False)
+class BlockLaw:
+    """``t`` rows of ``g`` draws each, positions in the int64 array
+    ``items`` drawn from the clipped sampling CDF ``cdf`` through its guide
+    table ``guide``."""
 
-    Uniform u maps to ``searchsorted(cdf, u, "right")``, the inverse CDF,
-    through a guide table (Chen & Asau 1974; Devroye 1986, III.2.4):
-    ``guide[b]`` is the answer for u = b/K, where K is the smallest power of
-    two at least 2n.  A draw starts at ``guide[floor(u K)]`` and steps
-    forward while ``cdf[id] <= u``, at most n/K <= 1/2 steps on average.
-    Because K is a power of two, u K and b/K are exact, so the start never
-    passes the answer and the steps stop exactly on it: the ids equal a
-    binary search's, from the same uniforms in the same order.
-    """
+    items: np.ndarray
+    cdf: np.ndarray
+    guide: np.ndarray
+    t: int
+    g: int
+
+
+def _block_law(items: np.ndarray, weights: np.ndarray, t: int, g: int) -> BlockLaw:
+    """The law of t rows of g draws from ``weights`` over ``items``.  Its
+    guide table has K buckets, K the smallest power of two at least 2n, and
+    ``guide[b]`` is the binary search's answer for u = b/K."""
     cdf = _sampling_cdf(weights)
     k = 1 << (2 * len(cdf) - 1).bit_length()
-    guide = np.searchsorted(cdf, np.arange(k) / k, side="right")
-    u = rng.random((t, g))
-    ids = guide[(u * k).astype(np.intp)]
-    flat_ids, flat_u = ids.reshape(-1), u.reshape(-1)
-    todo = np.flatnonzero(cdf[flat_ids] <= flat_u)
-    while len(todo):
-        flat_ids[todo] += 1
-        todo = todo[cdf[flat_ids[todo]] <= flat_u[todo]]
-    return ids
+    return BlockLaw(items, cdf, np.searchsorted(cdf, np.arange(k) / k, side="right"), t, g)
+
+
+def _draw_chunks(blocks: Sequence[BlockLaw], rng) -> Iterator[tuple[int, np.ndarray]]:
+    """Every block's ids, drawn with replacement, as (block index, ids)
+    chunks in row order: ``ids`` is an (r, g) int64 array of positions in
+    the block's ``items``, r = max(1, CHUNK // g) rows or the block's rest.
+
+    Uniform u maps to ``searchsorted(cdf, u, "right")``, the inverse CDF,
+    through the guide table (Chen & Asau 1974; Devroye 1986, III.2.4): a
+    draw starts at ``guide[floor(u K)]`` and steps forward while
+    ``cdf[id] <= u``, at most n/K <= 1/2 steps on average.  Because K is a
+    power of two, u K and b/K are exact, so the start never passes the
+    answer and the steps stop exactly on it: the ids equal a binary
+    search's, from the same uniforms in the same order.  PCG64 spends one
+    64-bit output per double, so successive (r, g) chunks of uniforms are
+    exactly one (t, g) block's.
+    """
+    for index, block in enumerate(blocks):
+        cdf, guide = block.cdf, block.guide
+        k = len(guide)
+        rows = max(1, CHUNK // block.g)
+        for lo in range(0, block.t, rows):
+            u = rng.random((min(rows, block.t - lo), block.g))
+            ids = guide[(u * k).astype(np.intp)]
+            flat_ids, flat_u = ids.reshape(-1), u.reshape(-1)
+            todo = np.flatnonzero(cdf[flat_ids] <= flat_u)
+            while len(todo):
+                flat_ids[todo] += 1
+                todo = todo[cdf[flat_ids[todo]] <= flat_u[todo]]
+            yield index, ids
 
 
 def _csr_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,29 +250,39 @@ def _csr_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class SampledDesign:
-    """A sampled design as drawn, before rows are sorted and deduplicated.
+    """A sampled design as its law and seed; its ids are drawn on demand.
 
-    Each entry of ``blocks`` is (items, ids): every row of ``ids`` is one
-    test's draws, as positions in the int64 array ``items``.  ``zero`` items
-    get no row and are cleared by the decoder directly.
+    ``blocks`` are drawn in order from one generator seeded with ``seed``.
+    Every ``route`` item then gets one singleton row, and ``zero`` items get
+    no row and are cleared by the decoder directly.  The same law serves
+    every seed: ``dataclasses.replace(design, seed=s)`` is the design drawn
+    with seed s.
     """
 
     n: int
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    seed: int
+    blocks: tuple[BlockLaw, ...]
+    route: np.ndarray
     zero: np.ndarray
     spans: tuple[BlockSpan, ...] | None = None
 
     @property
     def t(self) -> int:
-        return sum(len(ids) for _, ids in self.blocks)
+        return sum(block.t for block in self.blocks) + len(self.route)
+
+    def draws(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The drawn ids as (block index, ids) chunks, see :func:`_draw_chunks`."""
+        return _draw_chunks(self.blocks, np.random.default_rng(self.seed))
 
     def to_matrix(self) -> TestMatrix:
         sizes = [np.zeros(1, dtype=np.int64)]
-        indices = [np.zeros(0, dtype=np.int64)]
-        for items, ids in self.blocks:
+        indices = []
+        for index, ids in self.draws():
             row_sizes, local = _csr_rows(ids)
             sizes.append(row_sizes)
-            indices.append(items[local])
+            indices.append(self.blocks[index].items[local])
+        sizes.append(np.ones(len(self.route), dtype=np.int64))
+        indices.append(self.route)
         return TestMatrix(
             n=self.n,
             indptr=np.cumsum(np.concatenate(sizes)),
@@ -245,15 +293,15 @@ class SampledDesign:
 
 
 def sample_cca(p: PriorVector, t: int, g: int, seed: int) -> SampledDesign:
-    """Draw t rows of g ids each from the whole-vector sampling
-    distribution.  Deterministic given the seed."""
+    """t rows of g ids each from the whole-vector sampling distribution.
+    Deterministic given the seed."""
     if t < 1:
         raise ValueError("t must be at least 1")
     if g < 1:
         raise ValueError("g must be at least 1")
-    rng = np.random.default_rng(seed)
-    ids = _draw_ids(rng, sampling_distribution(p), t, g)
-    return SampledDesign(n=p.n, blocks=((np.arange(p.n), ids),), zero=np.zeros(0, dtype=np.int64))
+    law = _block_law(np.arange(p.n, dtype=np.int64), sampling_distribution(p), t, g)
+    none = np.zeros(0, dtype=np.int64)
+    return SampledDesign(n=p.n, seed=seed, blocks=(law,), route=none, zero=none)
 
 
 def sample_block(p: PriorVector, eps: float, delta: float, seed: int) -> SampledDesign:
@@ -261,12 +309,11 @@ def sample_block(p: PriorVector, eps: float, delta: float, seed: int) -> Sampled
 
     Every ample band gets ceil(4e (1+delta) mu_s ln n_s) rows drawn from its
     own restricted distribution with its own optimal g; under-sized bands and
-    the tail get one singleton row per item, as a last block; zero-set
+    the tail get one singleton row per item, after the bands' rows; zero-set
     items get no row.
     """
     _check_delta(delta)
     part = build_partition(p, eps)
-    rng = np.random.default_rng(seed)
     blocks = []
     spans: list[BlockSpan] = []
     t = 0
@@ -280,17 +327,18 @@ def sample_block(p: PriorVector, eps: float, delta: float, seed: int) -> Sampled
         local = np.asarray(band.items, dtype=np.int64)
         probs = p.as_array()[local]
         weights = _distribution(probs, n_s - mu_s)
-        blocks.append((local, _draw_ids(rng, weights, t_s, _optimal_g_from(weights, probs))))
+        blocks.append(_block_law(local, weights, t_s, _optimal_g_from(weights, probs)))
         spans.append(BlockSpan(row_lo=t, row_hi=t + t_s, items=band.items, label=f"band{k}"))
         t += t_s
 
     route = part.individual_route()
     if route:
-        blocks.append((np.asarray(route, dtype=np.int64), np.arange(len(route))[:, None]))
         spans.append(BlockSpan(row_lo=t, row_hi=t + len(route), items=route, label="individual"))
     return SampledDesign(
         n=p.n,
+        seed=seed,
         blocks=tuple(blocks),
+        route=np.asarray(route, dtype=np.int64),
         zero=np.asarray(part.zero_items, dtype=np.int64),
         spans=tuple(spans),
     )
@@ -307,20 +355,23 @@ def build_block_matrix(p: PriorVector, eps: float, delta: float, seed: int) -> T
 
 
 def measure_design(design: SampledDesign, truth: PopulationVector) -> tuple[int, PopulationVector]:
-    """Measure a design's raw draws against the truth and decode by COMP:
+    """Measure a design's draws against the truth and decode by COMP:
     ``(t, recovered)``, as :func:`run_nonadaptive` gives on its matrix.
 
     A row is positive when any of its draws is defective; every draw of a
     negative row and the zero set are cleared.  Repeated draws change
-    neither, so rows are never sorted or deduplicated.
+    neither, so rows are never sorted or deduplicated, and no more than one
+    chunk of draws is held at a time.
     """
     if truth.n != design.n:
         raise ValueError(f"truth length {truth.n} does not match design width {design.n}")
     bits = truth.as_array()
     cleared = np.zeros(design.n, dtype=bool)
-    for items, ids in design.blocks:
-        negative = ~bits[items][ids].any(axis=1)
-        cleared[items[ids[negative]]] = True
+    local = [bits[block.items] for block in design.blocks]
+    for index, ids in design.draws():
+        negative = ~local[index][ids].any(axis=1)
+        cleared[design.blocks[index].items[ids[negative]]] = True
+    cleared[design.route[~bits[design.route]]] = True
     cleared[design.zero] = True
     return design.t, PopulationVector(~cleared)
 

@@ -183,13 +183,16 @@ def prior_to_json_dict(p: PriorVector) -> dict:
 
 def prior_from_json_dict(data: dict) -> PriorVector:
     """Parse either an explicit {"probs": [...]} vector or a generator spec
-    {"family": ..., "n": ..., "mu": ..., "rho"?: ...}."""
+    {"family": ..., "n": ..., "mu": ..., "rho"?: ...}.  Probabilities, mu
+    and rho must be JSON numbers: numeric strings and booleans raise
+    ValueError."""
     try:
         if "probs" in data:
-            return PriorVector(tuple(float(x) for x in data["probs"]))
+            return PriorVector(tuple(json_number(f"probs[{i}]", x) for i, x in enumerate(data["probs"])))
         if "family" in data:
-            rho = float(data.get("rho", DEFAULT_EXPONENTIAL_DECAY))
-            return generate_prior(data["family"], whole_number("n", data["n"]), float(data["mu"]), rho=rho)
+            rho = json_number("rho", data.get("rho", DEFAULT_EXPONENTIAL_DECAY))
+            mu = json_number("mu", data["mu"])
+            return generate_prior(data["family"], whole_number("n", data["n"]), mu, rho=rho)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed prior JSON: {exc!r}") from exc
     raise ValueError("prior spec needs either a 'probs' list or a 'family' generator block")

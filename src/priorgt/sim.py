@@ -12,18 +12,20 @@ A block holds at most ``TRUTH_BLOCK_CELLS`` truth bits, or one trial when n
 is larger, so memory does not grow with the trial count.  Pre-partitioned
 plans are run by the scalar executor one trial at a time.
 
-The sampled and block designs, in campaigns and success curves, are drawn
-afresh per trial and measured as raw draws: outcomes and the COMP decode
-need no sorted, deduplicated rows, so no ``TestMatrix`` is built.  Matrices
-remain for ``priorgt plan`` and the oracle, and running one gives the same
-tests and recovery on the same seed.
+The sampled and block designs' laws (the partition, sampling CDFs, guide
+tables and row counts) are likewise built once per sweep point, or once
+per row budget in a success curve.  Each trial gives the law only its own
+matrix seed and measures the draws chunk by chunk: outcomes and the COMP
+decode need no sorted, deduplicated rows, so no ``TestMatrix`` is built.
+Matrices remain for ``priorgt plan`` and the oracle, and running one gives
+the same tests and recovery on the same seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -116,22 +118,17 @@ def draw_truth(p: PriorVector, seed: int) -> PopulationVector:
 
 def _run_per_trial(
     algorithm: str,
-    p: PriorVector,
     truth: PopulationVector,
     seed: int,
     campaign: Campaign,
-    plans: dict,
-    g: int,
+    per_trial: dict,
 ) -> tuple[int, bool]:
-    if algorithm in plans:
-        result = adaptive.run_adaptive(plans[algorithm], truth, eps=campaign.eps)
-        return result.tests_used, result.recovered.matches(truth)
-    if algorithm == "cca":
-        design = nonadaptive.sample_cca(p, nonadaptive.num_tests_cca(p, campaign.delta), g, seed)
-    else:
-        design = nonadaptive.sample_block(p, campaign.eps, campaign.delta, seed)
-    t, rec = nonadaptive.measure_design(design, truth)
-    return t, rec.matches(truth)
+    law = per_trial[algorithm]
+    if isinstance(law, nonadaptive.SampledDesign):
+        t, rec = nonadaptive.measure_design(replace(law, seed=seed), truth)
+        return t, rec.matches(truth)
+    result = adaptive.run_adaptive(law, truth, eps=campaign.eps)
+    return result.tests_used, result.recovered.matches(truth)
 
 
 def run_campaign(campaign: Campaign) -> list[TrialReport]:
@@ -151,13 +148,19 @@ def run_campaign(campaign: Campaign) -> list[TrialReport]:
         # trial: at n = 1e4 one truth took 0.7-1.3 ms on the scalar executor
         # and 0.9-1.4 ms batched.  Their runs also stay visible to the
         # benchmark tracer, which counts tests through run_adaptive.
-        batched, prepartitioned = {}, {}
+        # Sampled designs are kept as laws: seed 0 is a placeholder that each
+        # trial replaces with its matrix seed.
+        batched, per_trial = {}, {}
         for a in campaign.algorithms:
             if a.startswith("adaptive_"):
                 batched[a] = adaptive.build_plan(p, _CONSTRUCTION[a])
             elif a.startswith("prepartitioned_"):
-                prepartitioned[a] = adaptive.build_prepartitioned_plan(p, campaign.eps, _CONSTRUCTION[a])
-        g = nonadaptive.optimal_g(p) if "cca" in campaign.algorithms else 0
+                per_trial[a] = adaptive.build_prepartitioned_plan(p, campaign.eps, _CONSTRUCTION[a])
+            elif a == "cca":
+                t = nonadaptive.num_tests_cca(p, campaign.delta)
+                per_trial[a] = nonadaptive.sample_cca(p, t, nonadaptive.optimal_g(p), seed=0)
+            else:
+                per_trial[a] = nonadaptive.sample_block(p, campaign.eps, campaign.delta, seed=0)
         for first in range(0, campaign.trials, block):
             seeds, truths = [], []
             for trial_index in range(first, min(first + block, campaign.trials)):
@@ -175,9 +178,7 @@ def run_campaign(campaign: Campaign) -> list[TrialReport]:
                     if algorithm in batches:
                         tests, success = batches[algorithm][k]
                     else:
-                        tests, success = _run_per_trial(
-                            algorithm, p, truth, matrix_seed, campaign, prepartitioned, g
-                        )
+                        tests, success = _run_per_trial(algorithm, truth, matrix_seed, campaign, per_trial)
                     reports.append(
                         TrialReport(
                             point_index=point_index,
@@ -228,21 +229,23 @@ def success_curve(
     seed: int,
     g: int | None = None,
 ) -> list[tuple[int, float]]:
-    """Exact-recovery frequency at each row budget, one fresh draw of the
-    sampled design per trial.  Only the sampled design supports a free row
-    budget; adaptive plans and the block design fix their own test counts."""
+    """Exact-recovery frequency at each row budget, one draw of the sampled
+    design per trial from the law built for that budget.  Only the sampled
+    design supports a free row budget; adaptive plans and the block design
+    fix their own test counts."""
     if algorithm != "cca":
         raise ValueError("success curves require the 'cca' algorithm (free row budget)")
     if g is None:
         g = nonadaptive.optimal_g(p)
     out = []
     for ti, t in enumerate(t_grid):
+        law = nonadaptive.sample_cca(p, int(t), g, seed=0)
         successes = 0
         for trial_index in range(trials):
             ss = np.random.SeedSequence([seed, ti, trial_index])
             truth_seed, matrix_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
             truth = draw_truth(p, truth_seed)
-            _, rec = nonadaptive.measure_design(nonadaptive.sample_cca(p, int(t), g, matrix_seed), truth)
+            _, rec = nonadaptive.measure_design(replace(law, seed=matrix_seed), truth)
             successes += rec.matches(truth)
         out.append((int(t), successes / trials))
     return out

@@ -5,7 +5,8 @@ below build one node at a time: first-stage pools as lists of tuples, one
 max-entropy split, one Shannon-Fano cut and one source-code tree over a
 single pool.  The tests check the level builders against them.  The trend
 statistics (least squares slope, one-sided Mann-Kendall) serve the
-acceptance and harness tests.
+acceptance and harness tests, and ``drawn_ids`` stacks the sampler's chunks
+for the tests that compare them with a binary search.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from priorgt.adaptive import NestedPlan, _depths, _first_stage, _nearest_prefix, _trees
+from priorgt.nonadaptive import _block_law, _draw_chunks
 from priorgt.priors import PriorVector
 
 
@@ -132,3 +134,10 @@ def mann_kendall_increasing(values: Sequence[float]) -> TrendResult:
     z = (s - math.copysign(1, s)) / math.sqrt(var) if s != 0 else 0.0
     p_value = 1.0 - 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
     return TrendResult(s=s, z=z, p_value=p_value)
+
+
+def drawn_ids(rng, weights: np.ndarray, t: int, g: int) -> np.ndarray:
+    """The (t, g) ids the sampler draws from ``weights`` with ``rng``, its
+    chunks stacked in row order."""
+    law = _block_law(np.arange(len(weights), dtype=np.int64), weights, t, g)
+    return np.concatenate([ids for _, ids in _draw_chunks((law,), rng)])

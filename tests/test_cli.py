@@ -139,6 +139,11 @@ UNIFORM_PRIOR = {"family": "uniform", "n": 100, "mu": 2.0}
         ("simulate", {**SMALL_CAMPAIGN, "delta": True}),
         ("simulate", {**SMALL_CAMPAIGN, "rho": "0.99"}),
         ("simulate", {**SMALL_CAMPAIGN, "eps": 10**400}),
+        ("bounds", {"probs": ["0.5", True, 0.1]}),
+        ("bounds", {"probs": [0.5, True, 0.1]}),
+        ("bounds", {**UNIFORM_PRIOR, "mu": "2"}),
+        ("bounds", {**UNIFORM_PRIOR, "mu": 10**400}),
+        ("plan --algorithm me", {**UNIFORM_PRIOR, "family": "exponential", "rho": "0.95"}),
     ],
     ids=[
         "campaign-scalar-sweep",
@@ -165,6 +170,11 @@ UNIFORM_PRIOR = {"family": "uniform", "n": 100, "mu": 2.0}
         "campaign-boolean-delta",
         "campaign-string-rho",
         "campaign-huge-eps",
+        "prior-string-probs",
+        "prior-boolean-probs",
+        "prior-string-mu",
+        "prior-huge-mu",
+        "prior-string-rho",
     ],
 )
 def test_malformed_campaign_and_prior_json_exit_2(tmp_path, capsys, command, payload):

@@ -1,25 +1,31 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from priorgt.nonadaptive import (
-    _draw_ids,
+    CHUNK,
     _sampling_cdf,
     build_block_matrix,
     build_cca_matrix,
     decode_comp,
     matrix_from_json_dict,
     matrix_to_json_dict,
+    measure_design,
     num_tests_cca,
     optimal_g,
     run_nonadaptive,
+    sample_block,
+    sample_cca,
     sampling_distribution,
     TestMatrix,
 )
 from priorgt.partition import build_partition
 from priorgt.priors import PopulationVector, PriorVector, generate_prior
+
+from helpers import drawn_ids
 
 
 def test_sampling_distribution_uniform_when_equal():
@@ -137,11 +143,72 @@ def test_sampling_cdf_is_sorted_with_trailing_certain_items():
         overshot += bool((raw > 1.0).any())
         cdf = _sampling_cdf(weights)
         assert (np.diff(cdf) >= 0).all()
-        ids = _draw_ids(np.random.default_rng(p.n), weights, 20, 6)
+        ids = drawn_ids(np.random.default_rng(p.n), weights, 20, 6)
         u = np.random.default_rng(p.n).random((20, 6))
         assert np.array_equal(ids, np.searchsorted(raw, u, side="right"))
         assert (weights[ids] > 0).all()  # certain items are never drawn
     assert overshot >= 10
+
+
+def _one_block_reference(design, seed):
+    """Each block's ids from one (t_s, g_s) block of uniforms per block, in
+    block order from one generator, by binary search."""
+    rng = np.random.default_rng(seed)
+    return [np.searchsorted(b.cdf, rng.random((b.t, b.g)), side="right") for b in design.blocks]
+
+
+def _stacked_draws(design):
+    stacked = [[] for _ in design.blocks]
+    for index, ids in design.draws():
+        stacked[index].append(ids)
+    return [np.concatenate(chunks) for chunks in stacked]
+
+
+@pytest.mark.parametrize(
+    "t, g, chunks",
+    [
+        (2000, 124, 8),  # 264 rows per chunk, the last one ragged
+        (2 * CHUNK + 5, 1, 3),  # rows of one draw
+        (3, CHUNK + 3, 3),  # a single row wider than a chunk
+    ],
+    ids=["ragged-rows", "one-draw-rows", "row-wider-than-chunk"],
+)
+def test_chunked_draws_equal_one_block_of_uniforms(t, g, chunks):
+    p = generate_prior("uniform", 1000, 8.0)
+    design = sample_cca(p, t, g, seed=5)
+    shapes = [ids.shape for _, ids in design.draws()]
+    assert len(shapes) == chunks
+    assert all(r * g <= max(CHUNK, g) for r, _ in shapes)
+    [ids] = _stacked_draws(design)
+    [reference] = _one_block_reference(design, 5)
+    assert np.array_equal(ids, reference)
+    rows = [np.unique(row) for row in ids]
+    assert all(np.array_equal(a, b) for a, b in zip(design.to_matrix().rows, rows))
+
+
+def test_chunked_block_draws_equal_one_block_of_uniforms():
+    # One band of this design is a single row of 109,105 draws, a chunk of
+    # its own wider than CHUNK; the other bands follow on the same generator.
+    p = generate_prior("exponential", 1000, 8.0)
+    design = sample_block(p, eps=0.01, delta=1.0, seed=9)
+    assert any(b.t == 1 and b.g > CHUNK for b in design.blocks)
+    expected = _one_block_reference(design, 9)
+    for ids, reference in zip(_stacked_draws(design), expected, strict=True):
+        assert np.array_equal(ids, reference)
+
+
+def test_measuring_holds_one_chunk_of_draws():
+    # About 2M draws; the whole (t, g) block of ids alone would take 15 MiB.
+    p = generate_prior("uniform", 1000, 8.0)
+    truth = PopulationVector(np.random.default_rng(3).random(1000) < p.as_array())
+    tracemalloc.start()
+    try:
+        t, _ = measure_design(sample_cca(p, 16000, 124, seed=3), truth)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t == 16000
+    assert peak < 4 << 20
 
 
 def test_decode_comp_forced_rule():

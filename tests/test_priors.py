@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,3 +174,22 @@ def test_prior_json_generator_spec():
     assert p == generate_prior("exponential", 20, 1.5, rho=0.9)
     with pytest.raises(ValueError):
         prior_from_json_dict({"nothing": 1})
+    # Integers are JSON numbers too.
+    assert prior_from_json_dict({"probs": [0, 1, 0.5]}).probs == (0.0, 1.0, 0.5)
+    assert prior_from_json_dict({"family": "uniform", "n": 100, "mu": 2}) == generate_prior("uniform", 100, 2.0)
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"probs": ["0.5", 0.1]}, "probs[0]"),
+        ({"probs": [0.5, True, 0.1]}, "probs[1]"),
+        ({"probs": [0.5, 10**400]}, "probs[1]"),
+        ({"family": "uniform", "n": 100, "mu": "2"}, "mu"),
+        ({"family": "uniform", "n": 100, "mu": 10**400}, "mu"),
+        ({"family": "exponential", "n": 100, "mu": 2.0, "rho": True}, "rho"),
+    ],
+)
+def test_prior_json_numbers_must_be_json_numbers(spec, field):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must "):
+        prior_from_json_dict(spec)

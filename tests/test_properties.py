@@ -25,9 +25,11 @@ The exhaustive matrix audit must agree with a per-truth loop over
 :func:`run_nonadaptive`.
 
 The guide-table sampler must return exactly the ids of a binary search over
-the same CDF, also for uniforms on its bucket edges and on the CDF values.
-Measuring a sampled design's raw draws must give the tests and recovery of
-running its matrix, and a success curve those of a per-trial matrix loop.
+the same CDF, also for uniforms on its bucket edges and on the CDF values,
+taking its uniforms in order across chunk edges.  Measuring a sampled
+design's drawn chunks must give the tests and recovery of running its
+matrix, also at n = 1000 where designs span several chunks, and a success
+curve those of a per-trial matrix loop.
 """
 
 import heapq
@@ -54,8 +56,8 @@ from priorgt.adaptive import (
 )
 from priorgt.nonadaptive import (
     BlockSpan,
+    CHUNK,
     TestMatrix,
-    _draw_ids,
     _sampling_cdf,
     build_block_matrix,
     build_cca_matrix,
@@ -72,7 +74,7 @@ from priorgt.partition import build_partition, combine_for_concentration
 from priorgt.priors import PopulationVector, PriorVector, generate_prior
 from priorgt.sim import draw_truth, success_curve
 
-from helpers import _sf_cut, me_first_stage, me_split, sf_first_stage
+from helpers import _sf_cut, drawn_ids, me_first_stage, me_split, sf_first_stage
 
 probabilities = st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 0.5]), st.floats(0.0, 1.0))
 priors = st.lists(probabilities, min_size=1, max_size=10).map(lambda ps: PriorVector(tuple(ps)))
@@ -513,13 +515,16 @@ def test_matrix_audit_matches_per_truth_loop(case, probs):
 
 
 class _FixedUniforms:
-    """Stands in for a generator, handing out chosen uniforms."""
+    """Stands in for a generator, handing out chosen uniforms in order."""
 
     def __init__(self, u):
-        self.u = u
+        self.u, self.used = u, 0
 
     def random(self, shape):
-        return self.u.reshape(shape)
+        size = math.prod(shape)
+        out = self.u[self.used : self.used + size].reshape(shape)
+        self.used += size
+        return out
 
 
 @PROPERTY_SETTINGS
@@ -546,11 +551,17 @@ def test_draw_ids_match_binary_search(n, shape, seed):
     edges = np.arange(k) / k
     u = np.concatenate((edges, np.nextafter(edges, 0.0), cdf, np.nextafter(cdf, 0.0), rng.random(200)))
     u = u[(u >= 0.0) & (u < 1.0)]
-    ids = _draw_ids(_FixedUniforms(u), weights, 1, len(u))
-    assert ids.dtype == np.int64
-    assert np.array_equal(ids[0], np.searchsorted(cdf, u, side="right"))
+    # Rows of 7 draws, cycling through the chosen uniforms, over more than
+    # two chunks: the sampler must take them in order across chunk edges.
+    g = 7
+    t = -(-max(len(u), 2 * CHUNK + 1) // g)
+    u = np.resize(u, t * g)
+    fixed = _FixedUniforms(u)
+    ids = drawn_ids(fixed, weights, t, g)
+    assert ids.dtype == np.int64 and fixed.used == len(u)
+    assert np.array_equal(ids.reshape(-1), np.searchsorted(cdf, u, side="right"))
     # A real generator is consumed exactly as by one (t, g) block of uniforms.
-    drawn = _draw_ids(np.random.default_rng(seed), weights, 7, 5)
+    drawn = drawn_ids(np.random.default_rng(seed), weights, 7, 5)
     assert np.array_equal(drawn, np.searchsorted(cdf, np.random.default_rng(seed).random((7, 5)), side="right"))
 
 
@@ -590,6 +601,27 @@ def test_measured_draws_match_matrix_runs(case, t, seed, eps, delta):
             _, expected = run_nonadaptive(m, truth)
             assert t_used == m.t
             assert recovered == expected
+
+
+@pytest.mark.parametrize("family", ["uniform", "exponential"])
+def test_measured_draws_match_matrix_runs_across_chunks(family):
+    # At n = 1000 and mu = 8 the CCA design is 1202 rows of 124 or 129 draws,
+    # five chunks, and the block design is one band of five chunks (uniform) or
+    # four bands, one of them a single row of 109,105 draws (exponential).
+    p = generate_prior(family, 1000, 8.0)
+    g = optimal_g(p)
+    rng = np.random.default_rng(23)
+    truths = [draw_truth(p, int(s)) for s in rng.integers(0, 2**32, size=6)]
+    truths.append(PopulationVector(rng.random(1000) < 0.002))
+    for design, m in [
+        (sample_cca(p, 1202, g, 8), build_cca_matrix(p, 1202, g, 8)),
+        (sample_block(p, 0.01, 1.0, 8), build_block_matrix(p, 0.01, 1.0, 8)),
+    ]:
+        assert sum(1 for _ in design.draws()) > len(design.blocks)
+        for truth in truths:
+            t_used, recovered = measure_design(design, truth)
+            assert t_used == m.t
+            assert recovered == run_nonadaptive(m, truth)[1]
 
 
 def test_success_curve_matches_per_trial_matrix_loop():

@@ -6,7 +6,7 @@ import pytest
 from priorgt.adaptive import build_plan, build_prepartitioned_plan, run_adaptive
 from priorgt.bounds import adaptive_expected_upper
 from priorgt.nonadaptive import build_block_matrix, build_cca_matrix, num_tests_cca, optimal_g, run_nonadaptive
-from priorgt import sim
+from priorgt import nonadaptive, sim
 from priorgt.priors import PriorVector, generate_prior
 from priorgt.sim import (
     ALGORITHMS,
@@ -290,3 +290,37 @@ def test_prepartitioned_and_block_algorithms_run():
     reports = run_campaign(c)
     assert len(reports) == 6
     assert all(r.tests > 0 for r in reports)
+
+
+def test_sampled_design_laws_are_built_once_per_point(monkeypatch):
+    c = Campaign(
+        family="exponential",
+        n=200,
+        sweep=(2.0, 4.0, 6.0),
+        trials=5,
+        algorithms=("block", "cca"),
+        base_seed=4,
+        eps=0.05,
+    )
+    priors = [generate_prior(c.family, c.n, mu) for mu in c.sweep]
+    bands = sum(len(nonadaptive.sample_block(p, c.eps, c.delta, 0).blocks) for p in priors)
+    calls = {"build_partition": 0, "_block_law": 0}
+
+    def count(name):
+        real = getattr(nonadaptive, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(nonadaptive, name, counted)
+
+    for name in calls:
+        count(name)
+    assert len(run_campaign(c)) == 30
+    # One partition per point, and one law per point for cca and per band
+    # for block, not one per trial.
+    assert calls == {"build_partition": 3, "_block_law": 3 + bands}
+    calls.update(build_partition=0, _block_law=0)
+    success_curve(priors[0], "cca", [2, 40, 160], trials=6, seed=5)
+    assert calls == {"build_partition": 0, "_block_law": 3}
