@@ -41,13 +41,14 @@ next.  When s absorbs the lightest weight, the root merges just its first
 two.  The heap reference ``huffman_merge`` lives in
 ``tests/test_properties.py``.
 
-There are two executors.  :func:`run_adaptive_batch` runs many truths in one
-numpy pass and returns only test counts and recovered vectors; the oracles
-and the campaign harness's whole-vector plans use it.  :func:`run_adaptive`
-walks one truth and also returns the transcript of tests; it is the
-reference the batch executor is tested against, and the campaign harness
-runs pre-partitioned plans on it.  :func:`expected_tests` gives a plan's
-exact expected test count in closed form.
+Both executors test the pools that :func:`_tested_children` selects.
+:func:`run_adaptive_batch` runs a (T, n) matrix of truths and returns test
+counts and recovered vectors.  :func:`run_adaptive` runs one truth and also
+returns the transcript: the tested pools by ascending node id, which is
+preorder, the order of a depth-first walk.  That walk, ``walk_plan`` in
+``tests/helpers.py``, is the reference both are tested against.
+:func:`expected_tests` gives a plan's exact expected test count in closed
+form.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ class NestedPlan:
         if self.construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {self.construction!r}; expected one of {CONSTRUCTIONS}")
         self._check(**arrays)
+        # Execution reads the checked arrays, so no run converts a tuple.
+        object.__setattr__(self, "_arrays", arrays)
         # Fields given as arrays become tuples that share one int object per
         # value: five tuples of their own ints would hold several times as many.
         given = [name for name in _INDEX_FIELDS if isinstance(getattr(self, name), np.ndarray)]
@@ -155,20 +158,21 @@ class NestedPlan:
         if covered != (size, len(perm)):
             raise ValueError("every node and every perm position must belong to a root's tree")
 
-    @cached_property
+    @property
     def perm_array(self) -> np.ndarray:
-        return np.asarray(self.perm, dtype=np.int64)
+        return self._arrays["perm"]
 
     @cached_property
-    def node_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``lo``, ``hi`` and ``left`` as int64 arrays."""
-        return tuple(np.asarray(a, dtype=np.int64) for a in (self.lo, self.hi, self.left))
+    def internal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The internal nodes, ascending, with their left and right children."""
+        left = self._arrays["left"]
+        inner = np.flatnonzero(left >= 0)
+        return inner, left[inner], self._arrays["right"][inner]
 
     @cached_property
-    def leaf_items(self) -> np.ndarray:
-        """The item each leaf tests, in node order."""
-        lo, _, left = self.node_arrays
-        return self.perm_array[lo[left < 0]]
+    def untested_items(self) -> np.ndarray:
+        """The items outside ``perm``, which no run tests."""
+        return np.setdiff1d(np.arange(self.n), self.perm_array, assume_unique=True)
 
 
 @dataclass(frozen=True)
@@ -442,12 +446,54 @@ def build_prepartitioned_plan(
     )
 
 
+def _columns(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``a[..., index]``: numpy takes an index after an Ellipsis several
+    times slower, on one truth, than the same index alone."""
+    return a[index] if a.ndim == 1 else a[:, index]
+
+
+def _positive(plan: NestedPlan, truths: np.ndarray) -> np.ndarray:
+    """Whether each pool holds a defective, for one bool truth of length n or
+    for every row of a (T, n) matrix: the truth's prefix counts in ``perm``
+    order differ across the pool's range."""
+    perm = plan.perm_array
+    # The smallest unsigned type that holds len(perm) keeps the counts small;
+    # summing the truths' bytes as uint8 spares the cumsum a cast at n < 256.
+    counts = np.zeros(truths.shape[:-1] + (len(perm) + 1,), dtype=np.min_scalar_type(len(perm)))
+    np.cumsum(_columns(truths, perm).view(np.uint8), axis=-1, dtype=counts.dtype, out=counts[..., 1:])
+    return _columns(counts, plan._arrays["hi"]) > _columns(counts, plan._arrays["lo"])
+
+
+def _tested_children(plan: NestedPlan, positive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each internal node's left and right child is tested, given
+    whether each pool is positive (or how likely, given how likely each pool
+    is positive).  A positive pool's left child is tested, and so is its
+    right child with ``counts_both_children``, the same array; otherwise only
+    when the left child is positive, as a negative one leaves it positive."""
+    inner, left, _ = plan.internal
+    tested_left = _columns(positive, inner)
+    return tested_left, tested_left if plan.counts_both_children else _columns(positive, left)
+
+
+def _recovered(plan: NestedPlan, truths: np.ndarray) -> np.ndarray:
+    """The truths on the items in ``perm``: every pool above a defective
+    item's leaf is positive, so the leaf is reached and reads positive, and
+    no clear item reads positive.  Of the other items only ``auto_defective``
+    ones are defective."""
+    recovered = truths.copy()
+    # The transpose puts the items first, for one truth and for many.
+    recovered.T[plan.untested_items] = False
+    recovered.T[plan._arrays["auto_defective"]] = True
+    return recovered
+
+
 def run_adaptive(plan: NestedPlan, truth: PopulationVector, eps: float = 0.0) -> AdaptiveRunResult:
     """Execute a plan against a truth vector with noiseless OR pools.
 
-    Pools are tested depth first.  With ``counts_both_children`` both
-    children of a positive pool are measured.  Otherwise the left child is
-    measured first and, when it comes back negative, the right child is
+    Pools are tested depth first, that is in preorder: the transcript lists
+    the tested pools by ascending node id.  With ``counts_both_children``
+    both children of a positive pool are measured.  Otherwise the left child
+    is measured first and, when it comes back negative, the right child is
     inferred positive without spending a test.
 
     When ``eps`` is positive and the plan's covered prior mass is below it,
@@ -457,41 +503,21 @@ def run_adaptive(plan: NestedPlan, truth: PopulationVector, eps: float = 0.0) ->
     """
     if truth.n != plan.n:
         raise ValueError(f"truth length {truth.n} does not match plan universe {plan.n}")
-    bits = np.zeros(plan.n, dtype=bool)
     if eps > 0.0 and plan.mu_covered < eps:
-        return AdaptiveRunResult(recovered=PopulationVector(bits), tests_used=0, transcript=())
-    # counts[j] is the number of defectives among perm[:j].
-    counts = [0] + np.cumsum(truth.as_array()[plan.perm_array]).tolist()
-    perm, lo, hi, left, right = plan.perm, plan.lo, plan.hi, plan.left, plan.right
-    transcript: list[tuple[tuple[int, ...], int]] = []
-    defective = list(plan.auto_defective)
-
-    def measure(k: int) -> int:
-        outcome = int(counts[hi[k]] > counts[lo[k]])
-        transcript.append((perm[lo[k] : hi[k]], outcome))
-        return outcome
-
-    # Stack entries: (node, needs_test).  A node pushed with needs_test=False
-    # is already known positive.
-    stack = [(k, True) for k in reversed(plan.roots)]
-    while stack:
-        k, needs_test = stack.pop()
-        if needs_test and not measure(k):
-            continue
-        a, b = left[k], right[k]
-        if a < 0:
-            defective.append(perm[lo[k]])
-        elif plan.counts_both_children:
-            stack += ((b, True), (a, True))
-        elif measure(a):
-            stack += ((b, True), (a, False))
-        else:
-            stack.append((b, False))
-    bits[defective] = True
+        return AdaptiveRunResult(PopulationVector(np.zeros(plan.n, dtype=bool)), tests_used=0, transcript=())
+    bits = truth.as_array()
+    positive = _positive(plan, bits)
+    _, left, right = plan.internal
+    tested = np.zeros(len(positive), dtype=bool)
+    tested[plan._arrays["roots"]] = True
+    tested[left], tested[right] = _tested_children(plan, positive)
+    nodes = tested.nonzero()[0]
+    perm, lo, hi = plan.perm, plan.lo, plan.hi
+    outcomes = positive[nodes].view(np.uint8).tolist()
     return AdaptiveRunResult(
-        recovered=PopulationVector(bits),
-        tests_used=len(transcript),
-        transcript=tuple(transcript),
+        recovered=PopulationVector(_recovered(plan, bits)),
+        tests_used=len(nodes),
+        transcript=tuple((perm[lo[k] : hi[k]], o) for k, o in zip(nodes.tolist(), outcomes)),
     )
 
 
@@ -500,62 +526,39 @@ def run_adaptive_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`run_adaptive` on every row of a (T, n) bool truth matrix in one
     numpy pass; returns the test counts (int64, length T) and the recovered
-    vectors (bool, T x n).
-
-    A pool is positive when the prefix counts of the truth in ``perm`` order
-    differ across its range.  Every root is tested, and so is every child of
-    a positive pool except, in inference mode, the right child of a pool
-    whose left child came back negative.  A leaf's item is recovered
-    defective when its singleton pool is positive.
-    """
+    vectors (bool, T x n)."""
     truths = np.asarray(truths)
     if truths.dtype != np.bool_ or truths.ndim != 2 or truths.shape[1] != plan.n:
         raise ValueError(f"truths must be a (T, {plan.n}) bool array; got {truths.dtype} {truths.shape}")
-    recovered = np.zeros(truths.shape, dtype=bool)
     if eps > 0.0 and plan.mu_covered < eps:
-        return np.zeros(len(truths), dtype=np.int64), recovered
-    # The smallest unsigned type that holds len(perm) keeps the arrays small;
-    # summing the truths' bytes as uint8 spares the cumsum a cast at n < 256.
-    counts = np.zeros((len(truths), len(plan.perm) + 1), dtype=np.min_scalar_type(len(plan.perm)))
-    np.cumsum(truths[:, plan.perm_array].view(np.uint8), axis=1, dtype=counts.dtype, out=counts[:, 1:])
-    lo, hi, left = plan.node_arrays
-    positive = counts[:, hi] > counts[:, lo]
-    internal = left >= 0
-    tested_left = positive[:, internal].sum(axis=1, dtype=np.int64)
-    if plan.counts_both_children:
-        tested_right = tested_left
-    else:
-        tested_right = positive[:, left[internal]].sum(axis=1)
-    recovered[:, plan.leaf_items] = positive[:, ~internal]
-    recovered[:, list(plan.auto_defective)] = True
-    return len(plan.roots) + tested_left + tested_right, recovered
+        return np.zeros(len(truths), dtype=np.int64), np.zeros(truths.shape, dtype=bool)
+    positive = _positive(plan, truths)
+    tested_left, tested_right = _tested_children(plan, positive)
+    left_tests = tested_left.sum(axis=1, dtype=np.int64)
+    right_tests = left_tests if tested_right is tested_left else tested_right.sum(axis=1, dtype=np.int64)
+    return len(plan.roots) + left_tests + right_tests, _recovered(plan, truths)
 
 
 def expected_tests(plan: NestedPlan, p: PriorVector) -> float:
     """Exact expected test count of a noiseless run with the shortcut off,
-    in closed form.
-
-    Every root is tested.  An internal node whose pool is positive adds a
-    test of its left child, and then of its right child with
-    ``counts_both_children`` or, in inference mode, only when the left child
-    is positive (which implies the parent is).  So E[T] is the number of
-    roots plus, over internal nodes, P(node positive) + P(node positive) or
-    P(left child positive).  A pool is positive with probability
-    -expm1(-sum of -log1p(-p_i)) over its items, each range summed on its
-    own.  Items declared without testing, ``auto_defective`` and
-    ``auto_clear``, cost nothing.
+    in closed form: the number of roots plus each child's probability of
+    being tested, which :func:`_tested_children` gives from the pools'
+    probabilities of being positive.  In inference mode a right child is
+    tested when its left sibling is positive, which implies the parent is.
+    A pool is positive with probability -expm1(-sum of -log1p(-p_i)) over
+    its items, each range summed on its own.  Items declared without
+    testing, ``auto_defective`` and ``auto_clear``, cost nothing.
     """
     if plan.n != p.n:
         raise ValueError("plan and prior disagree on the universe size")
-    lo, hi, left = plan.node_arrays
+    lo, hi = plan._arrays["lo"], plan._arrays["hi"]
     if not len(lo):
         return 0.0
     with np.errstate(divide="ignore"):  # p = 1 gives depth +inf
         depths = np.append(-np.log1p(-p.as_array()[plan.perm_array]), 0.0)
     positive = -np.expm1(-np.add.reduceat(depths, np.stack((lo, hi), axis=1).ravel())[::2])
-    internal = left >= 0
-    second = positive[internal] if plan.counts_both_children else positive[left[internal]]
-    return len(plan.roots) + math.fsum(positive[internal].tolist()) + math.fsum(second.tolist())
+    first, second = _tested_children(plan, positive)
+    return len(plan.roots) + math.fsum(first.tolist()) + math.fsum(second.tolist())
 
 
 def run_prepartitioned_adaptive(

@@ -7,8 +7,7 @@ enough for CI.  The test suite trusts these verifiers over the production
 algorithms wherever both can answer.
 
 The plan oracles share one run of the batch executor over the matrix of all
-2**n truth vectors; the scalar executor it is tested against stays the
-reference.
+2**n truth vectors; the tests hold it to a depth-first walk of the plan.
 The matrix audit measures and decodes the same truths in a few matrix
 products, against :func:`run_nonadaptive` as the reference.
 """

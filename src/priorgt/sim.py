@@ -10,7 +10,8 @@ Every plan is built once per sweep point.  The whole-vector adaptive plans
 are run by the batch executor over the stacked truths of a block of trials.
 A block holds at most ``TRUTH_BLOCK_CELLS`` truth bits, or one trial when n
 is larger, so memory does not grow with the trial count.  Pre-partitioned
-plans are run by the scalar executor one trial at a time.
+plans are run one trial at a time by ``adaptive.run_adaptive``, through
+which the benchmark tracer counts their tests.
 
 The sampled and block designs' laws (the partition, sampling CDFs, guide
 tables and row counts) are likewise built once per sweep point, or once
@@ -108,6 +109,8 @@ class Campaign:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}; expected one of {ALGORITHMS}")
+        if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError(f"algorithms must list at least one algorithm, each once; got {list(self.algorithms)}")
 
 
 def draw_truth(p: PriorVector, seed: int) -> PopulationVector:
@@ -144,10 +147,9 @@ def run_campaign(campaign: Campaign) -> list[TrialReport]:
     for point_index, target_mu in enumerate(campaign.sweep):
         p = generate_prior(campaign.family, campaign.n, target_mu, rho=campaign.rho)
         h_bits = p.entropy_bits
-        # Pre-partitioned plans are meant for large n, where a block holds one
-        # trial: at n = 1e4 one truth took 0.7-1.3 ms on the scalar executor
-        # and 0.9-1.4 ms batched.  Their runs also stay visible to the
-        # benchmark tracer, which counts tests through run_adaptive.
+        # Pre-partitioned plans run per trial, as the benchmark tracer counts
+        # their tests through run_adaptive; at their large n a block holds
+        # one trial anyway.
         # Sampled designs are kept as laws: seed 0 is a placeholder that each
         # trial replaces with its matrix seed.
         batched, per_trial = {}, {}
@@ -221,22 +223,12 @@ def summarize(reports: Sequence[TrialReport]) -> list[dict]:
     return out
 
 
-def success_curve(
-    p: PriorVector,
-    algorithm: str,
-    t_grid: Sequence[int],
-    trials: int,
-    seed: int,
-    g: int | None = None,
-) -> list[tuple[int, float]]:
-    """Exact-recovery frequency at each row budget, one draw of the sampled
-    design per trial from the law built for that budget.  Only the sampled
-    design supports a free row budget; adaptive plans and the block design
-    fix their own test counts."""
-    if algorithm != "cca":
-        raise ValueError("success curves require the 'cca' algorithm (free row budget)")
-    if g is None:
-        g = nonadaptive.optimal_g(p)
+def success_curve(p: PriorVector, t_grid: Sequence[int], trials: int, seed: int) -> list[tuple[int, float]]:
+    """Exact-recovery frequency of the sampled design at each row budget,
+    with ``optimal_g(p)`` draws per row: one draw per trial from the law
+    built for that budget.  Only the sampled design has a free row budget;
+    adaptive plans and the block design fix their own test counts."""
+    g = nonadaptive.optimal_g(p)
     out = []
     for ti, t in enumerate(t_grid):
         law = nonadaptive.sample_cca(p, int(t), g, seed=0)

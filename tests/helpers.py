@@ -1,12 +1,15 @@
 """One-node references and trend statistics that only the tests use.
 
-The package builds plans level by level over int64 arrays.  The functions
-below build one node at a time: first-stage pools as lists of tuples, one
-max-entropy split, one Shannon-Fano cut and one source-code tree over a
-single pool.  The tests check the level builders against them.  The trend
-statistics (least squares slope, one-sided Mann-Kendall) serve the
-acceptance and harness tests, and ``drawn_ids`` stacks the sampler's chunks
-for the tests that compare them with a binary search.
+The package builds plans level by level over int64 arrays and runs them in
+numpy passes.  The functions below build one node at a time: first-stage
+pools as lists of tuples, one max-entropy split, one Shannon-Fano cut and
+one source-code tree over a single pool.  The tests check the level
+builders against them.  ``walk_plan`` runs a plan on one truth by a
+depth-first walk with an explicit stack, and the tests check both executors
+against it.  The trend statistics (least squares slope, one-sided
+Mann-Kendall) serve the acceptance and harness tests, and ``drawn_ids``
+stacks the sampler's chunks for the tests that compare them with a binary
+search.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from priorgt.adaptive import NestedPlan, _depths, _first_stage, _nearest_prefix, _trees
+from priorgt.adaptive import AdaptiveRunResult, NestedPlan, _depths, _first_stage, _nearest_prefix, _trees
 from priorgt.nonadaptive import _block_law, _draw_chunks
-from priorgt.priors import PriorVector
+from priorgt.priors import PopulationVector, PriorVector
 
 
 def _groups(certain: np.ndarray, rest: np.ndarray, bounds: list[int]) -> list[tuple[int, ...]]:
@@ -92,6 +95,59 @@ def sf_build_tree(items: Sequence[int], p: PriorVector, kind: str) -> NestedPlan
         raise ValueError("cannot build a tree over an empty pool")
     trees = _trees(p, kind, pool, np.array([0, len(pool)]))
     return NestedPlan(n=p.n, construction=kind, mu_covered=p.restricted_mu(pool), **trees)
+
+
+def walk_plan(plan: NestedPlan, truth: PopulationVector, eps: float = 0.0) -> AdaptiveRunResult:
+    """Execute a plan against a truth vector with noiseless OR pools.
+
+    Pools are tested depth first.  With ``counts_both_children`` both
+    children of a positive pool are measured.  Otherwise the left child is
+    measured first and, when it comes back negative, the right child is
+    inferred positive without spending a test.
+
+    When ``eps`` is positive and the plan's covered prior mass is below it,
+    the run returns all-zero without testing; that shortcut errs only when
+    the truth is nonzero, which happens with probability at most the covered
+    mass.  Pass ``eps=0`` to disable the shortcut.
+    """
+    if truth.n != plan.n:
+        raise ValueError(f"truth length {truth.n} does not match plan universe {plan.n}")
+    bits = np.zeros(plan.n, dtype=bool)
+    if eps > 0.0 and plan.mu_covered < eps:
+        return AdaptiveRunResult(recovered=PopulationVector(bits), tests_used=0, transcript=())
+    # counts[j] is the number of defectives among perm[:j].
+    counts = [0] + np.cumsum(truth.as_array()[plan.perm_array]).tolist()
+    perm, lo, hi, left, right = plan.perm, plan.lo, plan.hi, plan.left, plan.right
+    transcript: list[tuple[tuple[int, ...], int]] = []
+    defective = list(plan.auto_defective)
+
+    def measure(k: int) -> int:
+        outcome = int(counts[hi[k]] > counts[lo[k]])
+        transcript.append((perm[lo[k] : hi[k]], outcome))
+        return outcome
+
+    # Stack entries: (node, needs_test).  A node pushed with needs_test=False
+    # is already known positive.
+    stack = [(k, True) for k in reversed(plan.roots)]
+    while stack:
+        k, needs_test = stack.pop()
+        if needs_test and not measure(k):
+            continue
+        a, b = left[k], right[k]
+        if a < 0:
+            defective.append(perm[lo[k]])
+        elif plan.counts_both_children:
+            stack += ((b, True), (a, True))
+        elif measure(a):
+            stack += ((b, True), (a, False))
+        else:
+            stack.append((b, False))
+    bits[defective] = True
+    return AdaptiveRunResult(
+        recovered=PopulationVector(bits),
+        tests_used=len(transcript),
+        transcript=tuple(transcript),
+    )
 
 
 def fit_slope(points: Sequence[tuple[float, float]]) -> float:

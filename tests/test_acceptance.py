@@ -170,7 +170,7 @@ def test_criterion_05_success_curves_nondecreasing():
         t4 = num_tests_cca(p, 1.0)
         fracs = 0.2 * (6.0 ** (np.arange(13) / 12.0))  # geometric from 0.2x to 1.2x
         grid = sorted({max(1, int(round(f * t4))) for f in fracs})
-        curve = success_curve(p, "cca", grid, trials=200, seed=505)
+        curve = success_curve(p, grid, trials=200, seed=505)
         trend = mann_kendall_increasing([rate for _, rate in curve])
         assert trend.p_value < 0.05, (target_mu, curve, trend)
         pvals[int(target_mu)] = round(trend.p_value, 4)

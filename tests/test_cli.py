@@ -144,6 +144,8 @@ UNIFORM_PRIOR = {"family": "uniform", "n": 100, "mu": 2.0}
         ("bounds", {**UNIFORM_PRIOR, "mu": "2"}),
         ("bounds", {**UNIFORM_PRIOR, "mu": 10**400}),
         ("plan --algorithm me", {**UNIFORM_PRIOR, "family": "exponential", "rho": "0.95"}),
+        ("simulate", {**ADAPTIVE_CAMPAIGN, "algorithms": ["adaptive_me", "adaptive_me"]}),
+        ("simulate", {**SMALL_CAMPAIGN, "algorithms": []}),
     ],
     ids=[
         "campaign-scalar-sweep",
@@ -175,6 +177,8 @@ UNIFORM_PRIOR = {"family": "uniform", "n": 100, "mu": 2.0}
         "prior-string-mu",
         "prior-huge-mu",
         "prior-string-rho",
+        "campaign-duplicate-algorithms",
+        "campaign-no-algorithms",
     ],
 )
 def test_malformed_campaign_and_prior_json_exit_2(tmp_path, capsys, command, payload):

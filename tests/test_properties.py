@@ -3,9 +3,12 @@
 Priors have at most 10 items and may hold the extreme values 0, 1, 1e-300
 and exactly 1/2.  Every construction, built whole or pre-partitioned, must
 give a plan that passes the constructor's check, covers every item once,
-recovers every sampled truth exactly, and survives a JSON round trip.  The
-batch executor must agree with the scalar one on every truth vector, and the
-closed-form E[T] with full enumeration.
+recovers every sampled truth exactly, and survives a JSON round trip.  Both
+executors must agree with the depth-first walk ``walk_plan`` from
+``tests/helpers.py`` on every truth vector, the one-truth executor down to
+the order of its transcript, also on plans over some of the items and on
+the pre-partitioned plans of the benchmark's n = 1e4 priors; and the
+closed-form E[T] must agree with full enumeration.
 
 The level-by-level builders must lay out exactly the plan of a per-node
 reference kept here: a preorder walk that asks ``me_split`` or ``_sf_cut``
@@ -74,7 +77,7 @@ from priorgt.partition import build_partition, combine_for_concentration
 from priorgt.priors import PopulationVector, PriorVector, generate_prior
 from priorgt.sim import draw_truth, success_curve
 
-from helpers import _sf_cut, drawn_ids, me_first_stage, me_split, sf_first_stage
+from helpers import _sf_cut, drawn_ids, me_first_stage, me_split, sf_build_tree, sf_first_stage, walk_plan
 
 probabilities = st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 0.5]), st.floats(0.0, 1.0))
 priors = st.lists(probabilities, min_size=1, max_size=10).map(lambda ps: PriorVector(tuple(ps)))
@@ -120,20 +123,51 @@ def test_plans_recover_sampled_truths_exactly(spec, seeds):
         assert result.tests_used == len(result.transcript)
 
 
+def every_truth(n):
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+
+
+def assert_executors_match_the_walk(plan, truths, eps=0.0):
+    """Both executors agree with ``walk_plan`` on every row of ``truths``,
+    the one-truth executor down to its transcript."""
+    tests, recovered = run_adaptive_batch(plan, truths, eps=eps)
+    assert tests.dtype == np.int64 and recovered.shape == truths.shape
+    for truth, used, bits in zip(truths, tests, recovered):
+        reference = walk_plan(plan, PopulationVector(truth), eps=eps)
+        assert run_adaptive(plan, PopulationVector(truth), eps=eps) == reference
+        assert reference.tests_used == used
+        assert np.array_equal(reference.recovered.as_array(), bits)
+
+
 @PROPERTY_SETTINGS
 @given(plan_specs)
 def test_batch_executor_matches_scalar_on_every_truth(spec):
     plan = make_plan(*spec)
-    n = spec[0].n
-    truths = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
     # The second eps lies above the covered mass, so the shortcut fires.
     for eps in (0.0, plan.mu_covered + 0.5):
-        tests, recovered = run_adaptive_batch(plan, truths, eps=eps)
-        assert tests.dtype == np.int64 and recovered.shape == truths.shape
-        for truth, used, bits in zip(truths, tests, recovered):
-            result = run_adaptive(plan, PopulationVector(truth), eps=eps)
-            assert result.tests_used == used
-            assert np.array_equal(result.recovered.as_array(), bits)
+        assert_executors_match_the_walk(plan, every_truth(spec[0].n), eps)
+
+
+@pytest.mark.parametrize("kind", ["shannon_fano", "huffman"])
+@pytest.mark.parametrize("counts_both_children", [True, False], ids=["both", "infer"])
+def test_executors_match_the_walk_on_plans_over_some_items(kind, counts_both_children):
+    # Items outside the plan's one pool read clear, whatever the truth.
+    p = PriorVector((0.3, 0.05, 0.5, 0.2, 0.0, 0.1, 1.0, 0.4))
+    for pool in [(3,), (1, 5, 7), (7, 0, 2, 6, 4)]:
+        plan = replace(sf_build_tree(pool, p, kind), counts_both_children=counts_both_children)
+        assert_executors_match_the_walk(plan, every_truth(p.n))
+
+
+@pytest.mark.parametrize("construction", ["max_entropy", "huffman"])
+@pytest.mark.parametrize("counts_both_children", [True, False], ids=["both", "infer"])
+def test_executors_match_the_walk_on_benchmark_scale_plans(construction, counts_both_children):
+    # The prepart_scale workload's priors and eps, 20 truths each.
+    for family, mu, rho in [("uniform", 16.0, 0.99), ("uniform", 100.0, 0.99), ("exponential", 16.0, 0.999),
+                            ("exponential", 48.0, 0.999)]:
+        p = generate_prior(family, 10_000, mu, rho=rho)
+        plan = build_prepartitioned_plan(p, 0.01, construction, counts_both_children)
+        truths = np.stack([draw_truth(p, seed).as_array() for seed in range(20)])
+        assert_executors_match_the_walk(plan, truths, eps=0.01)
 
 
 @PROPERTY_SETTINGS
@@ -639,4 +673,4 @@ def test_success_curve_matches_per_trial_matrix_loop():
             successes += recovered.matches(truth)
         expected.append((t, successes / trials))
     assert 0.0 < expected[2][1] < 1.0  # the grid spans partial recovery
-    assert success_curve(p, "cca", grid, trials, seed) == expected
+    assert success_curve(p, grid, trials, seed) == expected

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from priorgt.adaptive import build_plan, build_prepartitioned_plan, run_adaptive
+from priorgt.adaptive import build_plan, build_prepartitioned_plan
 from priorgt.bounds import adaptive_expected_upper
 from priorgt.nonadaptive import build_block_matrix, build_cca_matrix, num_tests_cca, optimal_g, run_nonadaptive
 from priorgt import nonadaptive, sim
@@ -22,7 +22,7 @@ from priorgt.sim import (
     trials_csv_text,
 )
 
-from helpers import fit_slope, mann_kendall_increasing
+from helpers import fit_slope, mann_kendall_increasing, walk_plan
 
 
 def test_draw_truth_degenerate():
@@ -114,7 +114,7 @@ def test_run_campaign_matches_per_trial_scalar_reference(monkeypatch, block_tria
             truth = draw_truth(p, truth_seed)
             for algorithm in c.algorithms:
                 if algorithm in plans:
-                    result = run_adaptive(plans[algorithm], truth, eps=c.eps)
+                    result = walk_plan(plans[algorithm], truth, eps=c.eps)
                     tests, success = result.tests_used, result.recovered.matches(truth)
                 else:
                     if algorithm == "cca":
@@ -159,22 +159,14 @@ def test_fit_slope_degenerate():
         fit_slope([(1.0, 2.0)])
 
 
-def test_success_curve_rejects_fixed_budget_algorithms():
-    p = generate_prior("uniform", 10, 1.0)
-    with pytest.raises(ValueError):
-        success_curve(p, "adaptive_me", [5], trials=2, seed=0)
-    with pytest.raises(ValueError):
-        success_curve(p, "block", [5], trials=2, seed=0)
-
-
 def test_success_curve_small_grid():
     p = generate_prior("uniform", 30, 2.0)
-    curve = success_curve(p, "cca", [2, 40, 160], trials=40, seed=5)
+    curve = success_curve(p, [2, 40, 160], trials=40, seed=5)
     assert [t for t, _ in curve] == [2, 40, 160]
     rates = [r for _, r in curve]
     assert all(0.0 <= r <= 1.0 for r in rates)
     assert rates[2] >= rates[0]  # far more rows, no worse recovery
-    assert curve == success_curve(p, "cca", [2, 40, 160], trials=40, seed=5)
+    assert curve == success_curve(p, [2, 40, 160], trials=40, seed=5)
 
 
 def test_mann_kendall_detects_increase():
@@ -322,5 +314,5 @@ def test_sampled_design_laws_are_built_once_per_point(monkeypatch):
     # for block, not one per trial.
     assert calls == {"build_partition": 3, "_block_law": 3 + bands}
     calls.update(build_partition=0, _block_law=0)
-    success_curve(priors[0], "cca", [2, 40, 160], trials=6, seed=5)
+    success_curve(priors[0], [2, 40, 160], trials=6, seed=5)
     assert calls == {"build_partition": 0, "_block_law": 3}
