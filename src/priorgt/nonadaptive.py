@@ -11,7 +11,8 @@ defective.
 The block design applies the same sampler independently inside each ample
 band of a pre-partition, giving the matrix a direct-sum shape; zero-set items
 get no rows and are cleared by the decoder directly, while tail and
-under-sized-band items get one singleton row each.
+under-sized-band items, and a band whose row budget is zero, get one
+singleton row each.
 
 Ids are drawn by inverse-CDF sampling through a guide table (Chen & Asau
 1974): a table of K buckets, K a power of two at least 2n, gives each
@@ -32,6 +33,14 @@ from one prefix count of the truth and every negative row is cleared in one
 scatter.  Repeated draws change neither, so sampled rows keep each id once;
 for the same reason :func:`measure_design` measures the drawn chunks
 directly, without sorting or deduplicating them, for Monte Carlo runs.
+
+:func:`measure_design` also stops drawing a block once every clear item in
+it is cleared, and skips the block's unread uniforms with
+``PCG64.advance``.  A negative row holds only clear items and blocks are
+disjoint, so the rows it leaves unread could not change the decode, and
+advancing equals drawing, so later blocks get the same ids.
+:meth:`SampledDesign.draws` and :meth:`SampledDesign.to_matrix` stay
+complete: they are the reference that measuring is tested against.
 """
 
 from __future__ import annotations
@@ -209,10 +218,11 @@ def _block_law(items: np.ndarray, weights: np.ndarray, t: int, g: int) -> BlockL
     return BlockLaw(items, cdf, np.searchsorted(cdf, np.arange(k) / k, side="right"), t, g)
 
 
-def _draw_chunks(blocks: Sequence[BlockLaw], rng) -> Iterator[tuple[int, np.ndarray]]:
-    """Every block's ids, drawn with replacement, as (block index, ids)
-    chunks in row order: ``ids`` is an (r, g) int64 array of positions in
-    the block's ``items``, r = max(1, CHUNK // g) rows or the block's rest.
+def _block_chunks(block: BlockLaw, rng) -> Iterator[np.ndarray]:
+    """One block's ids, drawn with replacement, as (r, g) int64 arrays of
+    positions in the block's ``items`` in row order, r = max(1, CHUNK // g)
+    rows or the block's rest.  Each chunk's uniforms are drawn when it is
+    pulled.
 
     Uniform u maps to ``searchsorted(cdf, u, "right")``, the inverse CDF,
     through the guide table (Chen & Asau 1974; Devroye 1986, III.2.4): a
@@ -224,19 +234,18 @@ def _draw_chunks(blocks: Sequence[BlockLaw], rng) -> Iterator[tuple[int, np.ndar
     64-bit output per double, so successive (r, g) chunks of uniforms are
     exactly one (t, g) block's.
     """
-    for index, block in enumerate(blocks):
-        cdf, guide = block.cdf, block.guide
-        k = len(guide)
-        rows = max(1, CHUNK // block.g)
-        for lo in range(0, block.t, rows):
-            u = rng.random((min(rows, block.t - lo), block.g))
-            ids = guide[(u * k).astype(np.intp)]
-            flat_ids, flat_u = ids.reshape(-1), u.reshape(-1)
-            todo = np.flatnonzero(cdf[flat_ids] <= flat_u)
-            while len(todo):
-                flat_ids[todo] += 1
-                todo = todo[cdf[flat_ids[todo]] <= flat_u[todo]]
-            yield index, ids
+    cdf, guide = block.cdf, block.guide
+    k = len(guide)
+    rows = max(1, CHUNK // block.g)
+    for lo in range(0, block.t, rows):
+        u = rng.random((min(rows, block.t - lo), block.g))
+        ids = guide[(u * k).astype(np.intp)]
+        flat_ids, flat_u = ids.reshape(-1), u.reshape(-1)
+        todo = np.flatnonzero(cdf[flat_ids] <= flat_u)
+        while len(todo):
+            flat_ids[todo] += 1
+            todo = todo[cdf[flat_ids[todo]] <= flat_u[todo]]
+        yield ids
 
 
 def _csr_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,8 +280,14 @@ class SampledDesign:
         return sum(block.t for block in self.blocks) + len(self.route)
 
     def draws(self) -> Iterator[tuple[int, np.ndarray]]:
-        """The drawn ids as (block index, ids) chunks, see :func:`_draw_chunks`."""
-        return _draw_chunks(self.blocks, np.random.default_rng(self.seed))
+        """Every drawn id as (block index, ids) chunks: each block's
+        :func:`_block_chunks` in block order from one generator.  Unlike
+        :func:`measure_design`, which stops a block early, this never skips
+        a row."""
+        rng = np.random.default_rng(self.seed)
+        for index, block in enumerate(self.blocks):
+            for ids in _block_chunks(block, rng):
+                yield index, ids
 
     def to_matrix(self) -> TestMatrix:
         sizes = [np.zeros(1, dtype=np.int64)]
@@ -309,20 +324,23 @@ def sample_block(p: PriorVector, eps: float, delta: float, seed: int) -> Sampled
 
     Every ample band gets ceil(4e (1+delta) mu_s ln n_s) rows drawn from its
     own restricted distribution with its own optimal g; under-sized bands and
-    the tail get one singleton row per item, after the bands' rows; zero-set
-    items get no row.
+    the tail get one singleton row per item, after the bands' rows, and so
+    does an ample band whose budget is zero rows, such as a one-item band
+    (ln 1 = 0) when gamma is 1; zero-set items get no row.
     """
     _check_delta(delta)
     part = build_partition(p, eps)
     blocks = []
     spans: list[BlockSpan] = []
+    route = list(part.individual_route())
     t = 0
 
     for k, band in enumerate(part.ample_bands()):
         n_s = band.size
         mu_s = p.restricted_mu(band.items)
-        t_s = 0 if n_s == 1 else _row_budget(mu_s, n_s, delta)
+        t_s = _row_budget(mu_s, n_s, delta)
         if t_s == 0:
+            route.extend(band.items)
             continue
         local = np.asarray(band.items, dtype=np.int64)
         probs = p.as_array()[local]
@@ -331,9 +349,8 @@ def sample_block(p: PriorVector, eps: float, delta: float, seed: int) -> Sampled
         spans.append(BlockSpan(row_lo=t, row_hi=t + t_s, items=band.items, label=f"band{k}"))
         t += t_s
 
-    route = part.individual_route()
     if route:
-        spans.append(BlockSpan(row_lo=t, row_hi=t + len(route), items=route, label="individual"))
+        spans.append(BlockSpan(row_lo=t, row_hi=t + len(route), items=tuple(route), label="individual"))
     return SampledDesign(
         n=p.n,
         seed=seed,
@@ -362,15 +379,32 @@ def measure_design(design: SampledDesign, truth: PopulationVector) -> tuple[int,
     negative row and the zero set are cleared.  Repeated draws change
     neither, so rows are never sorted or deduplicated, and no more than one
     chunk of draws is held at a time.
+
+    Each block is measured only until every clear item in it is cleared;
+    its later rows are never drawn.  This is exact: a negative row holds
+    only clear items, so later rows could clear nothing more, and blocks
+    are disjoint from each other and from the route and the zero set.  The
+    generator then skips the block's unread uniforms with
+    ``PCG64.advance``, which equals drawing them, one 64-bit output per
+    double, so the next block gets the same ids.  ``t`` still counts every
+    row of the design.
     """
     if truth.n != design.n:
         raise ValueError(f"truth length {truth.n} does not match design width {design.n}")
     bits = truth.as_array()
     cleared = np.zeros(design.n, dtype=bool)
-    local = [bits[block.items] for block in design.blocks]
-    for index, ids in design.draws():
-        negative = ~local[index][ids].any(axis=1)
-        cleared[design.blocks[index].items[ids[negative]]] = True
+    rng = np.random.default_rng(design.seed)
+    for block in design.blocks:
+        local = bits[block.items]
+        done = local.copy()
+        drawn = 0
+        chunks = _block_chunks(block, rng)
+        # Test before pulling: a chunk's uniforms are spent once it is drawn.
+        while not done.all() and (ids := next(chunks, None)) is not None:
+            drawn += ids.size
+            done[ids[~local[ids].any(axis=1)]] = True
+        rng.bit_generator.advance(block.t * block.g - drawn)
+        cleared[block.items] = done & ~local
     cleared[design.route[~bits[design.route]]] = True
     cleared[design.zero] = True
     return design.t, PopulationVector(~cleared)

@@ -18,8 +18,11 @@ tables and row counts) are likewise built once per sweep point, or once
 per row budget in a success curve.  Each trial gives the law only its own
 matrix seed and measures the draws chunk by chunk: outcomes and the COMP
 decode need no sorted, deduplicated rows, so no ``TestMatrix`` is built.
-Matrices remain for ``priorgt plan`` and the oracle, and running one gives
-the same tests and recovery on the same seed.
+Measuring stops drawing a block once every clear item in it is cleared and
+skips its unread uniforms, which cannot change the decode or the ids of
+later blocks; the reported tests still count every row of the design.
+Matrices remain for ``priorgt plan`` and the oracle, are always drawn in
+full, and running one gives the same tests and recovery on the same seed.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from priorgt.adaptive import AdaptiveRunResult, NestedPlan, _depths, _first_stage, _nearest_prefix, _trees
-from priorgt.nonadaptive import _block_law, _draw_chunks
+from priorgt.nonadaptive import _block_chunks, _block_law
 from priorgt.priors import PopulationVector, PriorVector
 
 
@@ -196,4 +196,4 @@ def drawn_ids(rng, weights: np.ndarray, t: int, g: int) -> np.ndarray:
     """The (t, g) ids the sampler draws from ``weights`` with ``rng``, its
     chunks stacked in row order."""
     law = _block_law(np.arange(len(weights), dtype=np.int64), weights, t, g)
-    return np.concatenate([ids for _, ids in _draw_chunks((law,), rng)])
+    return np.concatenate(list(_block_chunks(law, rng)))

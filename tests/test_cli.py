@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -260,6 +261,45 @@ def test_cli_outputs_are_byte_identical_across_reruns(tmp_path, uniform_prior_fi
         paths[tag] = (plan_out, sim_out, tmp_path / f"sim_{tag}.summary.csv", bounds_out)
     for a, b in zip(paths["a"], paths["b"]):
         assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the trials and summary CSVs of ``priorgt simulate``.  A change
+# that moves any byte of a campaign's output must say so and re-pin these.
+PINNED_CSV_DIGESTS = {
+    "quick": (
+        "67ad8e360859c75f5ead0fca32601c8a8929757e80f0d188279a015283378c9a",
+        "50af31aa6eb4a5892660e031f472bc2fd46ea2e3b6ed91301845a2249f5d3890",
+    ),
+    # Three ample bands per point at eps 0.01, so the block design measures
+    # three blocks from one generator.
+    "sampled": (
+        "d205f8e9addc78cd34330cee9dbb7247771ffd89d70c913995a63acc2cd131ec",
+        "cea6f18ed391dd33df30cfd52715596e267f0c3c73df04d2ce97d16601f78aba",
+    ),
+}
+SAMPLED_CAMPAIGN = {
+    "family": "exponential",
+    "n": 400,
+    "sweep": [10.0, 20.0],
+    "trials": 10,
+    "algorithms": ["cca", "block"],
+    "base_seed": 3,
+    "eps": 0.01,
+    "delta": 1.0,
+}
+
+
+def test_simulate_csv_bytes_are_pinned(tmp_path):
+    sampled = tmp_path / "sampled.json"
+    sampled.write_text(json.dumps(SAMPLED_CAMPAIGN))
+    campaigns = {"quick": os.path.join(REPO_ROOT, "campaigns", "quick.json"), "sampled": str(sampled)}
+    for name, campaign in campaigns.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(["simulate", "--campaign", campaign, "--out", str(out)]) == 0
+        digests = tuple(
+            hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, tmp_path / f"{name}.summary.csv")
+        )
+        assert digests == PINNED_CSV_DIGESTS[name], name
 
 
 def test_oracle_subcommand_green(capsys):

@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from priorgt import nonadaptive
 from priorgt.nonadaptive import (
+    BlockSpan,
     CHUNK,
     _sampling_cdf,
     build_block_matrix,
@@ -24,6 +26,7 @@ from priorgt.nonadaptive import (
 )
 from priorgt.partition import build_partition
 from priorgt.priors import PopulationVector, PriorVector, generate_prior
+from priorgt.sim import draw_truth
 
 from helpers import drawn_ids
 
@@ -209,6 +212,101 @@ def test_measuring_holds_one_chunk_of_draws():
         tracemalloc.stop()
     assert t == 16000
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1,), (CHUNK - 1,), (CHUNK,), (CHUNK + 1,), (264, 124), (3 * CHUNK + 7,), (1, CHUNK + 3), (3, CHUNK + 3)],
+    ids=["one", "chunk-less-one", "chunk", "chunk-plus-one", "ragged-chunk", "three-chunks", "wide-row", "wide-rows"],
+)
+def test_pcg64_advance_equals_drawing_doubles(shape):
+    # measure_design skips a block's unread uniforms with advance(k); that is
+    # exact only while PCG64 spends one 64-bit output per double.
+    skipped, drawn = np.random.default_rng(11), np.random.default_rng(11)
+    assert isinstance(skipped.bit_generator, np.random.PCG64)
+    skipped.bit_generator.advance(math.prod(shape))
+    drawn.random(shape)
+    assert np.array_equal(skipped.random((2, CHUNK + 3)), drawn.random((2, CHUNK + 3)))
+
+
+def _chunk_counts(design):
+    """How many chunks :meth:`SampledDesign.draws` yields for each block."""
+    counts = [0] * len(design.blocks)
+    for index, _ in design.draws():
+        counts[index] += 1
+    return counts
+
+
+def _count_pulled_chunks(monkeypatch, design):
+    """Count, per block of ``design``, the chunks that measuring pulls."""
+    pulled = [0] * len(design.blocks)
+    real = nonadaptive._block_chunks
+
+    def counted(block, rng):
+        index = next(k for k, b in enumerate(design.blocks) if b is block)
+        for ids in real(block, rng):
+            pulled[index] += 1
+            yield ids
+
+    monkeypatch.setattr(nonadaptive, "_block_chunks", counted)
+    return pulled
+
+
+def test_measuring_stops_each_block_once_its_clear_items_are_cleared(monkeypatch):
+    # Three bands: 20 rows of 364 draws (one chunk), 714 rows of 47 (two
+    # chunks) and 336 rows of 12 (one chunk).  The middle band is done after
+    # its first chunk, and the last band must still draw its own ids: a
+    # quarter of its items are defective, so few of its rows come back
+    # negative, and ids drawn from the wrong uniforms leave clear items
+    # uncleared.
+    p = generate_prior("exponential", 400, 10.0)
+    design = sample_block(p, eps=0.01, delta=1.0, seed=9)
+    bits = draw_truth(p, 4).as_array().copy()
+    last = design.blocks[-1].items
+    bits[last[::4]] = True
+    truth = PopulationVector(bits)
+    total = _chunk_counts(design)
+    assert total == [1, 2, 1]
+    _, expected = run_nonadaptive(design.to_matrix(), truth)
+    pulled = _count_pulled_chunks(monkeypatch, design)
+    t, recovered = measure_design(design, truth)
+    assert sum(pulled) < sum(total)
+    assert pulled == [1, 1, 1]
+    assert t == design.t
+    assert recovered == expected
+
+
+def test_measuring_draws_every_chunk_while_a_clear_item_cannot_be_drawn(monkeypatch):
+    # Item 0 has p = 1, so the sampler never draws it.  While the truth leaves
+    # it clear its block is never done, and COMP declares it defective.
+    p = PriorVector((1.0,) + (0.01,) * 999)
+    design = sample_cca(p, 1000, optimal_g(p), seed=2)
+    truth = PopulationVector(np.zeros(1000, dtype=bool))
+    total = _chunk_counts(design)
+    assert total[0] > 1
+    _, expected = run_nonadaptive(design.to_matrix(), truth)
+    pulled = _count_pulled_chunks(monkeypatch, design)
+    t, recovered = measure_design(design, truth)
+    assert pulled == total
+    assert t == 1000
+    assert recovered == expected
+    assert recovered.as_array()[0]
+
+
+def test_block_design_tests_a_one_item_ample_band():
+    # eps >= n/2 makes gamma 1, so a band of one item is ample, but its row
+    # budget ceil(4e (1+delta) mu_s ln 1) is zero; it is tested on its own.
+    p = PriorVector((0.3, 0.01))
+    part = build_partition(p, 1.0)
+    assert part.gamma == 1 and [b.items for b in part.ample_bands()] == [(0,)] and part.zero_items == (1,)
+    design = sample_block(p, eps=1.0, delta=1.0, seed=0)
+    assert design.route.tolist() == [0]
+    assert design.spans[-1] == BlockSpan(row_lo=0, row_hi=1, items=(0,), label="individual")
+    for bits in ([False, False], [True, False]):
+        truth = PopulationVector(bits)
+        t, recovered = measure_design(design, truth)
+        assert t == 1
+        assert recovered == truth == run_nonadaptive(design.to_matrix(), truth)[1]
 
 
 def test_decode_comp_forced_rule():

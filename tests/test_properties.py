@@ -31,7 +31,8 @@ The guide-table sampler must return exactly the ids of a binary search over
 the same CDF, also for uniforms on its bucket edges and on the CDF values,
 taking its uniforms in order across chunk edges.  Measuring a sampled
 design's drawn chunks must give the tests and recovery of running its
-matrix, also at n = 1000 where designs span several chunks, and a success
+matrix, also at n = 1000 where designs span several chunks, and on
+multi-band block designs where measuring stops blocks early, and a success
 curve those of a per-trial matrix loop.
 """
 
@@ -635,6 +636,47 @@ def test_measured_draws_match_matrix_runs(case, t, seed, eps, delta):
             _, expected = run_nonadaptive(m, truth)
             assert t_used == m.t
             assert recovered == expected
+
+
+@st.composite
+def banded_priors(draw):
+    """Priors over several probability bands at eps = 0.01, two of them with
+    at least gamma = 4 items, plus zero-set items (p = 0) and certain items
+    (p = 1) in shuffled order.  Truths: all clear, every zero-set item
+    defective, free bits and a draw from the prior."""
+    ranges = [(0.25, 0.5), (1 / 16, 0.25), (1 / 256, 1 / 16), (2.0**-16, 1 / 256)]
+    sizes = [draw(st.integers(0, 6)), draw(st.integers(4, 8)), draw(st.integers(4, 8)), draw(st.integers(0, 6))]
+    probs = [draw(st.floats(lo, hi, exclude_max=True)) for (lo, hi), size in zip(ranges, sizes) for _ in range(size)]
+    probs += [0.0] * draw(st.integers(1, 3)) + [1.0] * draw(st.integers(1, 2))
+    p = PriorVector(tuple(draw(st.permutations(probs))))
+    zero = p.as_array() == 0.0
+    bits = np.asarray(draw(st.lists(st.booleans(), min_size=p.n, max_size=p.n)))
+    truths = [np.zeros(p.n, dtype=bool), zero, bits, draw_truth(p, draw(st.integers(0, 2**32 - 1))).as_array()]
+    return p, truths
+
+
+@PROPERTY_SETTINGS
+@given(banded_priors(), st.integers(1, 200), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0]))
+def test_early_stopped_measure_matches_full_matrix_runs(case, t, seed, delta):
+    # measure_design stops each block once its clear items are cleared and
+    # skips the block's unread uniforms; run_nonadaptive on the full matrix
+    # is the reference.  Each block is also measured with all its items
+    # defective, which needs no row of it.
+    p, truths = case
+    block = sample_block(p, 0.01, delta, seed)
+    assert len(block.blocks) >= 2 and len(block.zero) and len(block.route)
+    for design in (block, sample_cca(p, t, optimal_g(p), seed)):
+        m = design.to_matrix()
+        cases = list(truths)
+        for law in design.blocks:
+            bits = truths[2].copy()
+            bits[law.items] = True
+            cases.append(bits)
+        for bits in cases:
+            truth = PopulationVector(bits)
+            t_used, recovered = measure_design(design, truth)
+            assert t_used == m.t
+            assert recovered == run_nonadaptive(m, truth)[1]
 
 
 @pytest.mark.parametrize("family", ["uniform", "exponential"])
