@@ -14,11 +14,13 @@ With the leaves laid out depth first, every pool is a contiguous run of one
 item permutation ``perm``.  The top-down splits keep each pool's order and
 cut it at a prefix; the bottom-up merge lays its leaves out after merging.
 So a plan is stored flat: node k, numbered in preorder, tests
-``perm[lo[k]:hi[k]]``.  A pre-partitioned run is one such plan too, whose
-individually tested items are singleton roots.  Execution answers each pool
-from prefix counts of the truth in ``perm`` order and descends only through
-positive pools, so a noiseless run recovers the true population vector
-exactly.  Plans serialize to one flat JSON object marked ``"format": 2``.
+``perm[lo[k]:hi[k]]``.  Each index field is held once, as a read-only int64
+array, and plans compare and hash by the arrays' values.  A pre-partitioned
+run is one such plan too, whose individually tested items are singleton
+roots.  Execution answers each pool from prefix counts of the truth in
+``perm`` order and descends only through positive pools, so a noiseless run
+recovers the true population vector exactly.  Plans serialize to one flat
+JSON object marked ``"format": 2``.
 
 Preorder numbers are closed-form.  A tree over m items has 2m - 1 nodes, so
 the root over ``perm[s:e]`` that follows j earlier roots is node 2s - j, the
@@ -71,7 +73,7 @@ _INDEX_FIELDS = ("perm", "lo", "hi", "left", "right", "roots", "auto_defective",
 _ONE_BLOCK_CELLS = 1 << 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NestedPlan:
     """A laminar family of pools stored as ranges over one item permutation.
 
@@ -81,47 +83,46 @@ class NestedPlan:
     ``auto_defective`` and ``auto_clear`` hold items declared without testing;
     the trees cover everything else.  ``mu_covered`` is the prior mass over
     all covered items, used by the small-mass shortcut at execution time.
+    The eight index fields take any integer sequences and hold them as 1-D,
+    read-only int64 arrays.  Plans compare and hash by value.
     """
 
     n: int
     construction: str
-    perm: tuple[int, ...]
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    roots: tuple[int, ...]
-    auto_defective: tuple[int, ...] = ()
-    auto_clear: tuple[int, ...] = ()
+    perm: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    roots: np.ndarray
+    auto_defective: np.ndarray = ()
+    auto_clear: np.ndarray = ()
     counts_both_children: bool = True
     mu_covered: float = 0.0
 
     def __post_init__(self):
-        arrays = {}
         for name in _INDEX_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, np.ndarray):
-                arrays[name] = value.astype(np.int64)
-                continue
-            value = tuple(map(int, value))
-            object.__setattr__(self, name, value)
             try:
-                arrays[name] = np.array(value, dtype=np.int64)
+                arr = np.array(getattr(self, name), dtype=np.int64)
             except OverflowError:
                 raise ValueError(f"plan field {name} holds an index beyond int64") from None
+            if arr.ndim != 1:
+                raise ValueError(f"plan field {name} must be one-dimensional")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {self.construction!r}; expected one of {CONSTRUCTIONS}")
-        self._check(**arrays)
-        # Execution reads the checked arrays, so no run converts a tuple.
-        object.__setattr__(self, "_arrays", arrays)
-        # Fields given as arrays become tuples that share one int object per
-        # value: five tuples of their own ints would hold several times as many.
-        given = [name for name in _INDEX_FIELDS if isinstance(getattr(self, name), np.ndarray)]
-        if given:
-            # Checked: ids lie below n, positions at most len(perm), nodes below len(lo).
-            shared = np.arange(-1, max(self.n, len(arrays["perm"]) + 1, len(arrays["lo"]))).astype(object)
-            for name in given:
-                object.__setattr__(self, name, tuple(shared[arrays[name] + 1].tolist()))
+        self._check(*(getattr(self, name) for name in _INDEX_FIELDS))
+
+    def _key(self) -> tuple:
+        arrays = (getattr(self, name).tobytes() for name in _INDEX_FIELDS)
+        return (self.n, self.construction, self.counts_both_children, self.mu_covered, *arrays)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, NestedPlan) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def _check(self, perm, lo, hi, left, right, roots, auto_defective, auto_clear) -> None:
         ids = np.concatenate((perm, auto_defective, auto_clear))
@@ -158,21 +159,16 @@ class NestedPlan:
         if covered != (size, len(perm)):
             raise ValueError("every node and every perm position must belong to a root's tree")
 
-    @property
-    def perm_array(self) -> np.ndarray:
-        return self._arrays["perm"]
-
     @cached_property
     def internal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The internal nodes, ascending, with their left and right children."""
-        left = self._arrays["left"]
-        inner = np.flatnonzero(left >= 0)
-        return inner, left[inner], self._arrays["right"][inner]
+        inner = np.flatnonzero(self.left >= 0)
+        return inner, self.left[inner], self.right[inner]
 
     @cached_property
     def untested_items(self) -> np.ndarray:
         """The items outside ``perm``, which no run tests."""
-        return np.setdiff1d(np.arange(self.n), self.perm_array, assume_unique=True)
+        return np.setdiff1d(np.arange(self.n), self.perm, assume_unique=True)
 
 
 @dataclass(frozen=True)
@@ -456,12 +452,12 @@ def _positive(plan: NestedPlan, truths: np.ndarray) -> np.ndarray:
     """Whether each pool holds a defective, for one bool truth of length n or
     for every row of a (T, n) matrix: the truth's prefix counts in ``perm``
     order differ across the pool's range."""
-    perm = plan.perm_array
+    perm = plan.perm
     # The smallest unsigned type that holds len(perm) keeps the counts small;
     # summing the truths' bytes as uint8 spares the cumsum a cast at n < 256.
     counts = np.zeros(truths.shape[:-1] + (len(perm) + 1,), dtype=np.min_scalar_type(len(perm)))
     np.cumsum(_columns(truths, perm).view(np.uint8), axis=-1, dtype=counts.dtype, out=counts[..., 1:])
-    return _columns(counts, plan._arrays["hi"]) > _columns(counts, plan._arrays["lo"])
+    return _columns(counts, plan.hi) > _columns(counts, plan.lo)
 
 
 def _tested_children(plan: NestedPlan, positive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -483,7 +479,7 @@ def _recovered(plan: NestedPlan, truths: np.ndarray) -> np.ndarray:
     recovered = truths.copy()
     # The transpose puts the items first, for one truth and for many.
     recovered.T[plan.untested_items] = False
-    recovered.T[plan._arrays["auto_defective"]] = True
+    recovered.T[plan.auto_defective] = True
     return recovered
 
 
@@ -509,15 +505,15 @@ def run_adaptive(plan: NestedPlan, truth: PopulationVector, eps: float = 0.0) ->
     positive = _positive(plan, bits)
     _, left, right = plan.internal
     tested = np.zeros(len(positive), dtype=bool)
-    tested[plan._arrays["roots"]] = True
+    tested[plan.roots] = True
     tested[left], tested[right] = _tested_children(plan, positive)
     nodes = tested.nonzero()[0]
-    perm, lo, hi = plan.perm, plan.lo, plan.hi
+    perm, lo, hi = tuple(plan.perm.tolist()), plan.lo[nodes].tolist(), plan.hi[nodes].tolist()
     outcomes = positive[nodes].view(np.uint8).tolist()
     return AdaptiveRunResult(
         recovered=PopulationVector(_recovered(plan, bits)),
         tests_used=len(nodes),
-        transcript=tuple((perm[lo[k] : hi[k]], o) for k, o in zip(nodes.tolist(), outcomes)),
+        transcript=tuple((perm[a:b], o) for a, b, o in zip(lo, hi, outcomes)),
     )
 
 
@@ -551,12 +547,11 @@ def expected_tests(plan: NestedPlan, p: PriorVector) -> float:
     """
     if plan.n != p.n:
         raise ValueError("plan and prior disagree on the universe size")
-    lo, hi = plan._arrays["lo"], plan._arrays["hi"]
-    if not len(lo):
+    if not len(plan.lo):
         return 0.0
     with np.errstate(divide="ignore"):  # p = 1 gives depth +inf
-        depths = np.append(-np.log1p(-p.as_array()[plan.perm_array]), 0.0)
-    positive = -np.expm1(-np.add.reduceat(depths, np.stack((lo, hi), axis=1).ravel())[::2])
+        depths = np.append(-np.log1p(-p.as_array()[plan.perm]), 0.0)
+    positive = -np.expm1(-np.add.reduceat(depths, np.stack((plan.lo, plan.hi), axis=1).ravel())[::2])
     first, second = _tested_children(plan, positive)
     return len(plan.roots) + math.fsum(first.tolist()) + math.fsum(second.tolist())
 
@@ -582,7 +577,7 @@ def plan_to_json_dict(plan: NestedPlan) -> dict:
         "counts_both_children": plan.counts_both_children,
         "mu_covered": plan.mu_covered,
     }
-    out.update((name, list(getattr(plan, name))) for name in _INDEX_FIELDS)
+    out.update((name, getattr(plan, name).tolist()) for name in _INDEX_FIELDS)
     return out
 
 

@@ -119,8 +119,9 @@ def _truth_matrix(n: int) -> np.ndarray:
 def _plan_pass(plan: NestedPlan) -> tuple[np.ndarray, np.ndarray]:
     """The test count and recovered vector of ``plan`` on every truth in
     :func:`_truth_matrix` order, shortcut off, as read-only arrays.  Both
-    plan oracles read this one pass; frozen plans hash and compare by value,
-    so the last plan's pass is kept."""
+    plan oracles read this one pass.  A plan's index fields are read-only
+    int64 arrays, and plans hash and compare by their values, so the last
+    plan's pass also serves an equal plan built again."""
     tests, recovered = run_adaptive_batch(plan, _truth_matrix(plan.n), eps=0.0)
     tests.flags.writeable = recovered.flags.writeable = False
     return tests, recovered
@@ -185,6 +186,8 @@ def exhaustive_decode_check(target: NestedPlan | TestMatrix, p: PriorVector) -> 
         return DecodeCheck(passed=np.array_equal(recovered, _truth_matrix(n)))
 
     if isinstance(target, TestMatrix):
+        if target.n != n:
+            raise ValueError("matrix and prior disagree on the universe size")
         if n > MAX_MATRIX_ITEMS:
             raise ValueError(f"matrix enumeration capped at {MAX_MATRIX_ITEMS} items")
         truths = _truth_matrix(n)

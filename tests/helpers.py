@@ -116,19 +116,19 @@ def walk_plan(plan: NestedPlan, truth: PopulationVector, eps: float = 0.0) -> Ad
     if eps > 0.0 and plan.mu_covered < eps:
         return AdaptiveRunResult(recovered=PopulationVector(bits), tests_used=0, transcript=())
     # counts[j] is the number of defectives among perm[:j].
-    counts = [0] + np.cumsum(truth.as_array()[plan.perm_array]).tolist()
-    perm, lo, hi, left, right = plan.perm, plan.lo, plan.hi, plan.left, plan.right
+    counts = [0] + np.cumsum(truth.as_array()[plan.perm]).tolist()
+    perm, lo, hi, left, right = (getattr(plan, name).tolist() for name in ("perm", "lo", "hi", "left", "right"))
     transcript: list[tuple[tuple[int, ...], int]] = []
-    defective = list(plan.auto_defective)
+    defective = plan.auto_defective.tolist()
 
     def measure(k: int) -> int:
         outcome = int(counts[hi[k]] > counts[lo[k]])
-        transcript.append((perm[lo[k] : hi[k]], outcome))
+        transcript.append((tuple(perm[lo[k] : hi[k]]), outcome))
         return outcome
 
     # Stack entries: (node, needs_test).  A node pushed with needs_test=False
     # is already known positive.
-    stack = [(k, True) for k in reversed(plan.roots)]
+    stack = [(k, True) for k in reversed(plan.roots.tolist())]
     while stack:
         k, needs_test = stack.pop()
         if needs_test and not measure(k):

@@ -252,6 +252,24 @@ def test_criterion_08_concentration_budget_empirical():
     report(8, f"{within}/200 under budget {budget:.0f} (max observed {max_t}); combined {part.num_combined} < {gamma}", started)
 
 
+def test_criterion_08_budget_holds_for_every_truth():
+    """The exact certificate beside criterion 08's sampled one: a run tests
+    each node of its plan at most once, so a pre-partitioned plan with no
+    more nodes than the budget 4(1+delta)(gamma+3) H stays within it on every
+    truth vector.  Checked for all three constructions in both modes."""
+    started = time.time()
+    p = generate_prior("uniform", 1000, 8.0)
+    eps = 0.01
+    budget = adaptive_concentration(p, eps, MIN_CONCENTRATION_DELTA).test_bound
+    nodes = set()
+    for construction in ("max_entropy", "shannon_fano", "huffman"):
+        for counts_both in (True, False):
+            plan = build_prepartitioned_plan(p, eps, construction, counts_both)
+            assert len(plan.lo) <= budget, (construction, counts_both, len(plan.lo), budget)
+            nodes.add(len(plan.lo))
+    report(8, f"every plan has at most {max(nodes)} nodes <= budget {budget:.1f}, so T <= budget on every truth", started)
+
+
 def test_criterion_09_block_design_structure_and_budget():
     """Fifty random non-skewed sparse priors: direct-sum structure holds,
     total rows stay under (12e+2)(1+delta) H at delta = 2, and decoding

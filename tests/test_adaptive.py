@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from helpers import me_first_stage, me_split, sf_build_tree, sf_first_stage
 
 def pool(plan, k):
     """Items tested by node ``k``."""
-    return plan.perm[plan.lo[k] : plan.hi[k]]
+    return tuple(plan.perm[plan.lo[k] : plan.hi[k]].tolist())
 
 
 def leaf_depths(plan):
@@ -244,6 +245,63 @@ def test_nested_plan_validation():
         NestedPlan(1, "binary", (0,), (0,), (1,), (-1,), (-1,), (0,))
 
 
+# The plan of test_nested_plan_validation's first case, over n = 4 items
+# with item 2 declared defective and item 3 clear.
+SMALL_PLAN = dict(
+    perm=(0, 1), lo=(0, 0, 1), hi=(2, 1, 2), left=(1, -1, -1), right=(2, -1, -1), roots=(0,),
+    auto_defective=(2,), auto_clear=(3,),
+)
+
+
+@pytest.mark.parametrize("name", list(SMALL_PLAN))
+def test_nested_plan_rejects_index_fields_that_are_not_one_dimensional(name):
+    NestedPlan(4, "max_entropy", **SMALL_PLAN)
+    for shape in ((1, -1), (-1, 1)):
+        fields = {**SMALL_PLAN, name: np.array(SMALL_PLAN[name]).reshape(shape)}
+        with pytest.raises(ValueError, match="one-dimensional"):
+            NestedPlan(4, "max_entropy", **fields)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        NestedPlan(4, "max_entropy", **{**SMALL_PLAN, name: np.int64(0)})
+
+
+def test_nested_plan_index_fields_are_read_only_int64_arrays():
+    p = generate_prior("exponential", 60, 4.0)
+    source = np.array([0, 1], dtype=np.int32)
+    plans = [
+        build_plan(PriorVector((1.0, 0.3, 0.2, 0.0)), "huffman"),
+        build_prepartitioned_plan(p, 0.05, "shannon_fano"),
+        plan_from_json_dict(plan_to_json_dict(build_plan(p, "max_entropy"))),
+        NestedPlan(4, "max_entropy", **{**SMALL_PLAN, "perm": source}),
+    ]
+    for plan in plans:
+        for name in SMALL_PLAN:
+            value = getattr(plan, name)
+            assert type(value) is np.ndarray and value.dtype == np.int64 and value.ndim == 1, name
+            assert not value.flags.writeable, name
+            with pytest.raises(ValueError):
+                value[:1] = 0
+    # The plan holds its own copy: the caller's array stays writeable and
+    # writing to it leaves the plan alone.
+    source[0] = 3
+    assert plans[-1].perm.tolist() == [0, 1]
+
+
+def test_nested_plans_compare_and_hash_by_value():
+    p = generate_prior("linear", 200, 6.0)
+    for construction in ("max_entropy", "shannon_fano", "huffman"):
+        plan, again = build_prepartitioned_plan(p, 0.01, construction), build_prepartitioned_plan(p, 0.01, construction)
+        assert plan is not again and plan == again and hash(plan) == hash(again)
+        assert len({plan, again}) == 1
+        assert plan != replace(plan, counts_both_children=False)
+    plan = NestedPlan(4, "max_entropy", **SMALL_PLAN)
+    assert plan == NestedPlan(4, "max_entropy", **{k: list(v) for k, v in SMALL_PLAN.items()})
+    # One perm entry apart, every other field equal.
+    base = NestedPlan(4, "max_entropy", **{**SMALL_PLAN, "auto_clear": ()})
+    changed = NestedPlan(4, "max_entropy", **{**SMALL_PLAN, "perm": (0, 3), "auto_clear": ()})
+    assert base != changed and changed != base
+    assert plan != "plan"
+
+
 def test_plan_trees_are_laminar_with_singleton_leaves():
     rng = np.random.default_rng(23)
     for construction in ("max_entropy", "shannon_fano", "huffman"):
@@ -385,8 +443,8 @@ def test_shortcut_error_rate_bounded_by_eps():
 def test_auto_items_are_declared_without_tests():
     p = PriorVector((1.0, 0.3, 0.0))
     plan = build_plan(p, "max_entropy")
-    assert plan.auto_defective == (0,)
-    assert plan.auto_clear == (2,)
+    assert plan.auto_defective.tolist() == [0]
+    assert plan.auto_clear.tolist() == [2]
     result = run_adaptive(plan, PopulationVector((1, 0, 0)))
     assert result.tests_used == 1  # only item 1's pool is tested
     assert result.recovered.bits == (1, 0, 0)
@@ -433,9 +491,9 @@ def test_prepartitioned_plan_layout():
     route = part.individual_route()
     assert len(route) == 5 and len(part.ample_bands()) == 1 and len(part.zero_items) == 5
     assert [pool(plan, k) for k in plan.roots[: len(route)]] == [(i,) for i in route]
-    banded = plan.perm[len(route) :]
+    banded = plan.perm[len(route) :].tolist()
     assert sorted(banded) == sorted(i for b in part.ample_bands() for i in b.items)
-    assert plan.auto_clear == part.zero_items and plan.auto_defective == ()
+    assert plan.auto_clear.tolist() == list(part.zero_items) and plan.auto_defective.tolist() == []
     assert plan.mu_covered == p.mu and not plan.counts_both_children
     for _ in range(20):
         truth = PopulationVector(rng.random(40) < np.array(p.probs))

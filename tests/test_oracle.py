@@ -161,7 +161,7 @@ def test_exact_expected_tests_permutation_covariant():
     old_to_new = {old: new for new, old in enumerate(perm)}
     p2 = PriorVector(tuple(probs[i] for i in perm))
     relabeled = relabel_plan(plan, old_to_new)
-    assert relabeled.perm != plan.perm
+    assert not np.array_equal(relabeled.perm, plan.perm)
     assert exact_expected_tests(relabeled, p2).value == pytest.approx(base, abs=1e-9)
 
 
@@ -228,6 +228,13 @@ def test_exhaustive_decode_error_probability_matches_monte_carlo():
     rate = fails / trials
     sigma = math.sqrt(max(check.error_probability * (1 - check.error_probability), 1e-12) / trials)
     assert abs(rate - check.error_probability) <= 4 * sigma + 1e-9
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_exhaustive_decode_check_rejects_a_matrix_over_another_universe(n):
+    m = TestMatrix.from_rows(n, [[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match="matrix and prior disagree on the universe size"):
+        exhaustive_decode_check(m, PriorVector((0.2,) * 5))
 
 
 def test_exhaustive_decode_check_type_errors():

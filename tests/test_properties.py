@@ -104,7 +104,7 @@ def test_plans_are_valid_and_cover_every_item_once(spec):
     plan = make_plan(*spec)
     p, eps = spec[0], spec[3]
     assert replace(plan) == plan  # re-runs the constructor's check
-    assert sorted(plan.perm + plan.auto_defective + plan.auto_clear) == list(range(p.n))
+    assert sorted(plan.perm.tolist() + plan.auto_defective.tolist() + plan.auto_clear.tolist()) == list(range(p.n))
     clear_cut = 0.0 if eps is None else eps / (2 * p.n)
     assert all(p.probs[i] <= clear_cut for i in plan.auto_clear)
     assert all(p.probs[i] == 1.0 for i in plan.auto_defective)
