@@ -63,7 +63,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .partition import build_partition, combine_for_concentration
-from .priors import PopulationVector, PriorVector, json_number, whole_number
+from .priors import PopulationVector, PriorVector, index_array, json_number, whole_number
 
 CONSTRUCTIONS = ("max_entropy", "shannon_fano", "huffman")
 PLAN_FORMAT = 2
@@ -84,7 +84,8 @@ class NestedPlan:
     the trees cover everything else.  ``mu_covered`` is the prior mass over
     all covered items, used by the small-mass shortcut at execution time.
     The eight index fields take any integer sequences and hold them as 1-D,
-    read-only int64 arrays.  Plans compare and hash by value.
+    read-only int64 arrays; float or bool values are refused, not truncated.
+    Plans compare and hash by value.
     """
 
     n: int
@@ -102,14 +103,7 @@ class NestedPlan:
 
     def __post_init__(self):
         for name in _INDEX_FIELDS:
-            try:
-                arr = np.array(getattr(self, name), dtype=np.int64)
-            except OverflowError:
-                raise ValueError(f"plan field {name} holds an index beyond int64") from None
-            if arr.ndim != 1:
-                raise ValueError(f"plan field {name} must be one-dimensional")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, index_array(f"plan field {name}", getattr(self, name)))
         if self.construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {self.construction!r}; expected one of {CONSTRUCTIONS}")
         self._check(*(getattr(self, name) for name in _INDEX_FIELDS))
@@ -584,15 +578,12 @@ def plan_to_json_dict(plan: NestedPlan) -> dict:
 def plan_from_json_dict(data: dict) -> NestedPlan:
     """Parse the flat form; anything else, including the nested form that
     predates format 2, raises ValueError.  Index fields must be lists of JSON
-    integers, ``counts_both_children`` a JSON boolean and ``mu_covered`` a
-    finite JSON number at least 0."""
+    integers, as :class:`NestedPlan` checks, ``counts_both_children`` a JSON
+    boolean and ``mu_covered`` a finite JSON number at least 0."""
     if not isinstance(data, dict) or data.get("format") != PLAN_FORMAT:
         raise ValueError(f"plan JSON must be an object with \"format\": {PLAN_FORMAT}")
     try:
         fields = {name: data[name] for name in _INDEX_FIELDS}
-        bad = [name for name, v in fields.items() if not (isinstance(v, list) and all(type(i) is int for i in v))]
-        if bad:
-            raise ValueError(f"plan JSON field {bad[0]} must be a list of integers")
         if not isinstance(data["counts_both_children"], bool):
             raise ValueError("plan JSON counts_both_children must be true or false")
         mu_covered = json_number("plan JSON mu_covered", data["mu_covered"])

@@ -38,7 +38,12 @@ directly, without sorting or deduplicating them, for Monte Carlo runs.
 it is cleared, and skips the block's unread uniforms with
 ``PCG64.advance``.  A negative row holds only clear items and blocks are
 disjoint, so the rows it leaves unread could not change the decode, and
-advancing equals drawing, so later blocks get the same ids.
+advancing equals drawing, so later blocks get the same ids.  A block with
+no defective in the truth is read as its row-major stream of draws, in
+rows of one draw, since every row of it is negative: it stops within a
+chunk of the draw that covers its last item, mid-row if need be.  With
+``CHUNK`` = 2^13, any block overshoots the draw where it is settled by less
+than 8,192 draws, or one row where a row is wider.
 :meth:`SampledDesign.draws` and :meth:`SampledDesign.to_matrix` stay
 complete: they are the reference that measuring is tested against.
 """
@@ -47,18 +52,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .partition import build_partition
-from .priors import PopulationVector, PriorVector
+from .priors import PopulationVector, PriorVector, index_array, whole_number
 
 # Draws per chunk.  A design's ids are drawn and consumed max(1, CHUNK // g)
-# rows at a time, so temporaries stay cache-sized however many rows it has.
-CHUNK = 1 << 15
+# rows at a time, so temporaries stay cache-sized however many rows it has,
+# and measuring overshoots the draw where a block is settled by less than a
+# chunk, or one row where a row is wider.
+CHUNK = 1 << 13
 
 
 def sampling_distribution(p: PriorVector) -> np.ndarray:
@@ -133,9 +140,10 @@ class TestMatrix:
 
     Row r tests ``indices[indptr[r]:indptr[r+1]]``, in build order: ascending
     for sampled rows, band order in the block design.  Both arrays are
-    read-only int64.  ``zero_assigned`` lists items the decoder clears
-    directly without any covering row.  Matrices compare by value and are
-    unhashable.
+    read-only int64, and their values must be integers: floats and bools
+    are refused, not truncated.  ``zero_assigned`` lists items the decoder
+    clears directly without any covering row.  Matrices compare by value
+    and are unhashable.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -148,11 +156,7 @@ class TestMatrix:
 
     def __post_init__(self):
         for name in ("indptr", "indices"):
-            arr = np.array(getattr(self, name), dtype=np.int64)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be one-dimensional")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, index_array(name, getattr(self, name)))
         object.__setattr__(self, "zero_assigned", frozenset(self.zero_assigned))
         indptr, indices = self.indptr, self.indices
         if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(indices) or (np.diff(indptr) < 0).any():
@@ -174,7 +178,7 @@ class TestMatrix:
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[Sequence[int]], **fields) -> "TestMatrix":
         """Build a matrix from one sequence of item ids per row."""
-        arrays = [np.zeros(0, dtype=np.int64)] + [np.asarray(row, dtype=np.int64) for row in rows]
+        arrays = [np.zeros(0, dtype=np.int64)] + [index_array("row", row) for row in rows]
         return cls(n, np.cumsum([len(a) for a in arrays]), np.concatenate(arrays), **fields)
 
     @property
@@ -383,7 +387,12 @@ def measure_design(design: SampledDesign, truth: PopulationVector) -> tuple[int,
     Each block is measured only until every clear item in it is cleared;
     its later rows are never drawn.  This is exact: a negative row holds
     only clear items, so later rows could clear nothing more, and blocks
-    are disjoint from each other and from the route and the zero set.  The
+    are disjoint from each other and from the route and the zero set.  A
+    block with no defective is measured as its stream of t g draws in rows
+    of one draw, the same doubles in the same order: each of its rows is
+    negative, so each draw clears its item whatever row it falls in, and
+    the block can stop mid-row.  Either way the stop rule is tested once
+    per chunk of at most ``CHUNK`` draws (or one wider row).  The
     generator then skips the block's unread uniforms with
     ``PCG64.advance``, which equals drawing them, one 64-bit output per
     double, so the next block gets the same ids.  ``t`` still counts every
@@ -398,7 +407,10 @@ def measure_design(design: SampledDesign, truth: PopulationVector) -> tuple[int,
         local = bits[block.items]
         done = local.copy()
         drawn = 0
-        chunks = _block_chunks(block, rng)
+        # With no defective every row is negative, so each draw clears its
+        # item whatever row it falls in: read the same doubles as rows of one.
+        law = block if local.any() else replace(block, t=block.t * block.g, g=1)
+        chunks = _block_chunks(law, rng)
         # Test before pulling: a chunk's uniforms are spent once it is drawn.
         while not done.all() and (ids := next(chunks, None)) is not None:
             drawn += ids.size
@@ -444,20 +456,26 @@ def matrix_to_json_dict(m: TestMatrix) -> dict:
 
 
 def matrix_from_json_dict(data: dict) -> TestMatrix:
+    """Parse a matrix written by :func:`matrix_to_json_dict`.  ``n``, row ids,
+    block bounds and items and ``zero_assigned`` must be whole numbers."""
+
+    def ids(name: str, values) -> list[int]:
+        return [whole_number(name, i, least=0) for i in values]
+
     spans = None
     if "blocks" in data:
         spans = tuple(
             BlockSpan(
-                row_lo=int(b["row_lo"]),
-                row_hi=int(b["row_hi"]),
-                items=tuple(int(i) for i in b["items"]),
+                row_lo=whole_number("row_lo", b["row_lo"], least=0),
+                row_hi=whole_number("row_hi", b["row_hi"], least=0),
+                items=tuple(ids("block item", b["items"])),
                 label=str(b["label"]),
             )
             for b in data["blocks"]
         )
     return TestMatrix.from_rows(
-        n=int(data["n"]),
-        rows=[[int(i) for i in row] for row in data["rows"]],
+        n=whole_number("n", data["n"]),
+        rows=[ids("row id", row) for row in data["rows"]],
         block_spans=spans,
-        zero_assigned=frozenset(int(i) for i in data.get("zero_assigned", [])),
+        zero_assigned=frozenset(ids("zero_assigned id", data.get("zero_assigned", []))),
     )

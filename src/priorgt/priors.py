@@ -35,6 +35,33 @@ def whole_number(name: str, value, least: int = 1, most: float = INT64_MAX) -> i
     return value
 
 
+def index_array(name: str, value) -> np.ndarray:
+    """``value`` as a 1-D, read-only int64 array of its own.  Its values must
+    be integers that int64 holds: floats and bools are refused, not
+    truncated, and an empty sequence gives the empty array."""
+    beyond = f"{name} holds an index beyond int64"
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        # A cast from uint64 wraps silently.
+        if value.dtype.kind == "u" and value.size and value.max() > INT64_MAX:
+            raise ValueError(beyond)
+        arr = value.astype(np.int64)
+    else:
+        # numpy reads bools among ints as ints, and ints beyond int64 as
+        # floats or objects, so entries are checked by type and converted to
+        # int64 directly.
+        types = set(map(type, value if np.iterable(value) else (value,)))
+        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+            raise ValueError(f"{name} must hold integers, got {sorted(t.__name__ for t in types)}")
+        try:
+            arr = np.array(value, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(beyond) from None
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    arr.flags.writeable = False
+    return arr
+
+
 def json_number(name: str, value) -> float:
     """``value`` as a float: a JSON number, that is an int or a float, not a
     bool or a numeric string."""

@@ -20,7 +20,9 @@ matrix seed and measures the draws chunk by chunk: outcomes and the COMP
 decode need no sorted, deduplicated rows, so no ``TestMatrix`` is built.
 Measuring stops drawing a block once every clear item in it is cleared and
 skips its unread uniforms, which cannot change the decode or the ids of
-later blocks; the reported tests still count every row of the design.
+later blocks; a block that holds no defective is read as one stream of
+draws and may stop mid-row.  The reported tests still count every row of
+the design.
 Matrices remain for ``priorgt plan`` and the oracle, are always drawn in
 full, and running one gives the same tests and recovery on the same seed.
 """

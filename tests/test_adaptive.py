@@ -264,6 +264,24 @@ def test_nested_plan_rejects_index_fields_that_are_not_one_dimensional(name):
         NestedPlan(4, "max_entropy", **{**SMALL_PLAN, name: np.int64(0)})
 
 
+def test_nested_plan_refuses_index_values_that_are_not_integers():
+    # The float perm (0.9, 1.2) was truncated to [0, 1].
+    with pytest.raises(ValueError, match="plan field perm must hold integers"):
+        NestedPlan(2, "max_entropy", (0.9, 1.2), (0, 0, 1), (2, 1, 2), (1, -1, -1), (2, -1, -1), (0,))
+    for name in SMALL_PLAN:
+        ints = SMALL_PLAN[name]
+        for values in (np.asarray(ints, dtype=float), (True,) * len(ints), (*ints, True), [*ints, 1.0]):
+            with pytest.raises(ValueError, match=f"plan field {name} must hold integers"):
+                NestedPlan(4, "max_entropy", **{**SMALL_PLAN, name: values})
+    for huge in ((2**63,), (3, 2**64), np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="plan field auto_clear holds an index beyond int64"):
+            NestedPlan(4, "max_entropy", **{**SMALL_PLAN, "auto_clear": huge})
+    # The empty defaults stay valid.
+    plan = NestedPlan(2, "max_entropy", (0, 1), (0, 0, 1), (2, 1, 2), (1, -1, -1), (2, -1, -1), (0,))
+    assert plan.auto_defective.dtype == plan.auto_clear.dtype == np.int64
+    assert len(plan.auto_defective) == len(plan.auto_clear) == 0
+
+
 def test_nested_plan_index_fields_are_read_only_int64_arrays():
     p = generate_prior("exponential", 60, 4.0)
     source = np.array([0, 1], dtype=np.int32)

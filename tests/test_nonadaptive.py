@@ -168,20 +168,23 @@ def _stacked_draws(design):
 
 
 @pytest.mark.parametrize(
-    "t, g, chunks",
+    "t, g",
     [
-        (2000, 124, 8),  # 264 rows per chunk, the last one ragged
-        (2 * CHUNK + 5, 1, 3),  # rows of one draw
-        (3, CHUNK + 3, 3),  # a single row wider than a chunk
+        (2000, 124),  # CHUNK // 124 rows per chunk, the last one ragged
+        (2 * CHUNK + 5, 1),  # rows of one draw
+        (3, CHUNK + 3),  # a single row wider than a chunk
     ],
     ids=["ragged-rows", "one-draw-rows", "row-wider-than-chunk"],
 )
-def test_chunked_draws_equal_one_block_of_uniforms(t, g, chunks):
+def test_chunked_draws_equal_one_block_of_uniforms(t, g):
     p = generate_prior("uniform", 1000, 8.0)
     design = sample_cca(p, t, g, seed=5)
     shapes = [ids.shape for _, ids in design.draws()]
-    assert len(shapes) == chunks
+    rows = max(1, CHUNK // g)
+    assert len(shapes) == -(-t // rows) > 2
+    assert shapes == [(min(rows, t - lo), g) for lo in range(0, t, rows)]
     assert all(r * g <= max(CHUNK, g) for r, _ in shapes)
+    assert sum(r * g for r, _ in shapes) == t * g
     [ids] = _stacked_draws(design)
     [reference] = _one_block_reference(design, 5)
     assert np.array_equal(ids, reference)
@@ -229,49 +232,64 @@ def test_pcg64_advance_equals_drawing_doubles(shape):
     assert np.array_equal(skipped.random((2, CHUNK + 3)), drawn.random((2, CHUNK + 3)))
 
 
-def _chunk_counts(design):
-    """How many chunks :meth:`SampledDesign.draws` yields for each block."""
-    counts = [0] * len(design.blocks)
-    for index, _ in design.draws():
-        counts[index] += 1
-    return counts
-
-
-def _count_pulled_chunks(monkeypatch, design):
-    """Count, per block of ``design``, the chunks that measuring pulls."""
-    pulled = [0] * len(design.blocks)
+def _count_drawn(monkeypatch, design):
+    """Count, per block of ``design``, the draws that measuring reads.  A
+    block with no defective is drawn through a law of rows of one draw, so
+    blocks are found by their ``items``."""
+    drawn = [0] * len(design.blocks)
     real = nonadaptive._block_chunks
 
     def counted(block, rng):
-        index = next(k for k, b in enumerate(design.blocks) if b is block)
+        index = next(k for k, b in enumerate(design.blocks) if b.items is block.items)
         for ids in real(block, rng):
-            pulled[index] += 1
+            drawn[index] += ids.size
             yield ids
 
     monkeypatch.setattr(nonadaptive, "_block_chunks", counted)
-    return pulled
+    return drawn
+
+
+def _settled_draws(design, truth):
+    """Per block, the draws measuring should read, replayed from the full
+    draws: whole chunks up to the first row after which every clear item of
+    the block is cleared, and at most the block's t g draws.  A block with no
+    defective is read in rows of one draw, CHUNK draws a chunk."""
+    bits = truth.as_array()
+    expected = []
+    for block, ids in zip(design.blocks, _stacked_draws(design), strict=True):
+        local = bits[block.items]
+        rows = ids if local.any() else ids.reshape(-1, 1)
+        negative = np.flatnonzero(~local[rows].any(axis=1))
+        first = np.full(len(local), len(rows))
+        np.minimum.at(first, rows[negative].reshape(-1), np.repeat(negative, rows.shape[1]))
+        settled = first[~local].max(initial=-1) + 1
+        per = max(1, CHUNK // rows.shape[1])
+        expected.append(min(len(rows), -(-settled // per) * per) * rows.shape[1])
+    return expected
 
 
 def test_measuring_stops_each_block_once_its_clear_items_are_cleared(monkeypatch):
-    # Three bands: 20 rows of 364 draws (one chunk), 714 rows of 47 (two
-    # chunks) and 336 rows of 12 (one chunk).  The middle band is done after
-    # its first chunk, and the last band must still draw its own ids: a
-    # quarter of its items are defective, so few of its rows come back
-    # negative, and ids drawn from the wrong uniforms leave clear items
-    # uncleared.
+    # Three bands: 20 rows of 364 draws, 714 rows of 47 and 336 rows of 12.
+    # The middle band is done after its first chunk of CHUNK // 47 rows, and
+    # the last band must still draw its own ids: a quarter of its items are
+    # defective, so few of its rows come back negative, and ids drawn from
+    # the wrong uniforms leave clear items uncleared.  The first band holds
+    # no defective and is read as one stream of draws.
     p = generate_prior("exponential", 400, 10.0)
     design = sample_block(p, eps=0.01, delta=1.0, seed=9)
     bits = draw_truth(p, 4).as_array().copy()
     last = design.blocks[-1].items
     bits[last[::4]] = True
     truth = PopulationVector(bits)
-    total = _chunk_counts(design)
-    assert total == [1, 2, 1]
+    total = [b.t * b.g for b in design.blocks]
+    assert [(b.t, b.g) for b in design.blocks] == [(20, 364), (714, 47), (336, 12)]
+    assert [bits[b.items].any() for b in design.blocks] == [False, True, True]
+    expected_draws = _settled_draws(design, truth)
     _, expected = run_nonadaptive(design.to_matrix(), truth)
-    pulled = _count_pulled_chunks(monkeypatch, design)
+    drawn = _count_drawn(monkeypatch, design)
     t, recovered = measure_design(design, truth)
-    assert sum(pulled) < sum(total)
-    assert pulled == [1, 1, 1]
+    assert drawn == expected_draws
+    assert drawn[1] == CHUNK // 47 * 47 < total[1] and sum(drawn) < sum(total)
     assert t == design.t
     assert recovered == expected
 
@@ -282,15 +300,38 @@ def test_measuring_draws_every_chunk_while_a_clear_item_cannot_be_drawn(monkeypa
     p = PriorVector((1.0,) + (0.01,) * 999)
     design = sample_cca(p, 1000, optimal_g(p), seed=2)
     truth = PopulationVector(np.zeros(1000, dtype=bool))
-    total = _chunk_counts(design)
-    assert total[0] > 1
+    total = [b.t * b.g for b in design.blocks]
+    assert total[0] > 2 * CHUNK
     _, expected = run_nonadaptive(design.to_matrix(), truth)
-    pulled = _count_pulled_chunks(monkeypatch, design)
+    drawn = _count_drawn(monkeypatch, design)
     t, recovered = measure_design(design, truth)
-    assert pulled == total
+    assert drawn == total == _settled_draws(design, truth)
     assert t == 1000
     assert recovered == expected
     assert recovered.as_array()[0]
+
+
+def test_measuring_stops_a_block_with_no_defective_mid_row(monkeypatch):
+    # band0 of this design is one row of 109,105 draws over 111 items.  With
+    # no defective in it that row is negative, so measuring stops within a
+    # chunk of the draw that covers its last item.  The later bands must still
+    # get the ids of a full draw after the skip.
+    p = generate_prior("exponential", 1000, 8.0)
+    design = sample_block(p, eps=0.01, delta=1.0, seed=9)
+    band0 = design.blocks[0]
+    assert (band0.t, band0.g, len(band0.items)) == (1, 109105, 111)
+    assert design.spans[0].label == "band0"
+    bits = np.zeros(1000, dtype=bool)
+    bits[design.blocks[2].items[::5]] = True
+    truth = PopulationVector(bits)
+    expected_draws = _settled_draws(design, truth)
+    _, expected = run_nonadaptive(design.to_matrix(), truth)
+    drawn = _count_drawn(monkeypatch, design)
+    t, recovered = measure_design(design, truth)
+    assert 0 < drawn[0] <= CHUNK < band0.g
+    assert drawn == expected_draws
+    assert t == design.t
+    assert recovered == expected
 
 
 def test_block_design_tests_a_one_item_ample_band():
@@ -486,6 +527,43 @@ def test_matrix_equality_is_by_value():
 def test_matrix_rejects_out_of_range_ids():
     with pytest.raises(ValueError):
         TestMatrix.from_rows(2, (np.array([0, 2]),))
+
+
+def test_matrix_refuses_index_values_that_are_not_integers():
+    # Such values were truncated: [0.7, 2.9] became row [0, 2].
+    for rows in ([[0.7, 2.9]], [[0], [True]], [[0, True]], [[0.0, 1.0]], [[0, 1.0]]):
+        with pytest.raises(ValueError, match="must hold integers"):
+            TestMatrix.from_rows(3, rows)
+    with pytest.raises(ValueError, match="indptr must hold integers"):
+        TestMatrix(3, [0.0, 1.5], [1])
+    with pytest.raises(ValueError, match="indices must hold integers"):
+        TestMatrix(3, [0, 2], [0.0, 2.0])
+    with pytest.raises(ValueError, match="indices must hold integers"):
+        TestMatrix(3, [0, 2], [0, False])
+    empty = TestMatrix.from_rows(3, [[], [2]])
+    assert empty.indptr.tolist() == [0, 0, 1] and empty.indices.tolist() == [2]
+    assert TestMatrix(3, [0], ()).t == 0
+
+
+def test_matrix_json_refuses_values_that_are_not_whole_numbers():
+    # These read as rows [0, 1] and [1] through int().
+    base = {"n": 3, "rows": [[0, 1], [1]], "blocks": [{"row_lo": 0, "row_hi": 2, "items": [0, 1], "label": "b"}]}
+    assert matrix_from_json_dict(base).rows[0].tolist() == [0, 1]
+    bad = [
+        {**base, "rows": [[0.7, 1.9], [True]]},
+        {**base, "rows": [[0, 1], [True]]},
+        {**base, "rows": [[0, "1"], [1]]},
+        {**base, "n": 3.5},
+        {**base, "n": True},
+        {**base, "zero_assigned": [2.5]},
+        {**base, "zero_assigned": [False]},
+        {**base, "blocks": [{**base["blocks"][0], "row_hi": 1.5}]},
+        {**base, "blocks": [{**base["blocks"][0], "row_lo": True}]},
+        {**base, "blocks": [{**base["blocks"][0], "items": [0, 0.5]}]},
+    ]
+    for data in bad:
+        with pytest.raises(ValueError, match="whole number"):
+            matrix_from_json_dict(data)
 
 
 def test_sampling_distribution_degenerate():

@@ -682,8 +682,8 @@ def test_early_stopped_measure_matches_full_matrix_runs(case, t, seed, delta):
 @pytest.mark.parametrize("family", ["uniform", "exponential"])
 def test_measured_draws_match_matrix_runs_across_chunks(family):
     # At n = 1000 and mu = 8 the CCA design is 1202 rows of 124 or 129 draws,
-    # five chunks, and the block design is one band of five chunks (uniform) or
-    # four bands, one of them a single row of 109,105 draws (exponential).
+    # 19 or 20 chunks, and the block design is one band of 19 chunks (uniform)
+    # or four bands, one of them a single row of 109,105 draws (exponential).
     p = generate_prior(family, 1000, 8.0)
     g = optimal_g(p)
     rng = np.random.default_rng(23)
