@@ -198,19 +198,15 @@ def _sf_first_cut(depth: np.ndarray, start: int, stop: int) -> int:
     return max(start + 1, int(depth.searchsorted(depth[start] + math.log(2.0), "right")) - 1)
 
 
-def _first_stage(p: PriorVector, items: Sequence[int] | None, construction: str) -> tuple:
-    """The certain defectives (p = 1) among ``items``, the items with
-    0 < p < 1 in order, and the bounds 0 = s_0 < s_1 < ... of the
-    consecutive first-stage pools those are cut into."""
-    items = np.arange(p.n) if items is None else np.asarray(items, dtype=np.int64)
-    q = p.as_array()[items]
-    rest = items[(q > 0.0) & (q < 1.0)]
-    depth = _depths(p, rest)
+def _first_stage(p: PriorVector, items: np.ndarray, construction: str) -> list[int]:
+    """The bounds 0 = s_0 < s_1 < ... of the consecutive first-stage pools
+    that ``items``, each with 0 < p < 1, are cut into, in order."""
+    depth = _depths(p, items)
     cut = _me_first_cut if construction == "max_entropy" else _sf_first_cut
     bounds = [0]
-    while bounds[-1] < len(rest):
-        bounds.append(cut(depth, bounds[-1], len(rest)))
-    return items[q >= 1.0], rest, bounds
+    while bounds[-1] < len(items):
+        bounds.append(cut(depth, bounds[-1], len(items)))
+    return bounds
 
 
 def _map(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
@@ -393,7 +389,8 @@ def build_plan(p: PriorVector, construction: str, counts_both_children: bool = T
     Certain and impossible items never enter the trees.
     """
     probs, ids = p.as_array(), np.arange(p.n)
-    _, rest, bounds = _first_stage(p, ids[(probs > 0.0) & (probs < 1.0)], construction)
+    rest = ids[(probs > 0.0) & (probs < 1.0)]
+    bounds = _first_stage(p, rest, construction)
     return NestedPlan(
         n=p.n,
         construction=construction,
@@ -420,12 +417,11 @@ def build_prepartitioned_plan(
     probability.  The small-mass shortcut sees the whole vector's mass.
     """
     part = combine_for_concentration(build_partition(p, eps), p)
-    route = np.asarray(part.individual_route(), dtype=np.int64)
+    route = part.individual_route()
     pieces, bounds = [route], [np.arange(len(route) + 1)]
     for band in part.ample_bands():
-        _, rest, pools = _first_stage(p, band.items, construction)
-        pieces.append(rest)
-        bounds.append(bounds[-1][-1] + np.asarray(pools[1:], dtype=np.int64))
+        pieces.append(band.items)
+        bounds.append(bounds[-1][-1] + np.array(_first_stage(p, band.items, construction)[1:], dtype=np.int64))
     return NestedPlan(
         n=p.n,
         construction=construction,

@@ -142,8 +142,8 @@ class TestMatrix:
     for sampled rows, band order in the block design.  Both arrays are
     read-only int64, and their values must be integers: floats and bools
     are refused, not truncated.  ``zero_assigned`` lists items the decoder
-    clears directly without any covering row.  Matrices compare by value
-    and are unhashable.
+    clears directly without any covering row; its ids must be integers in
+    0..n-1 as well.  Matrices compare by value and are unhashable.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -163,6 +163,9 @@ class TestMatrix:
             raise ValueError("indptr must start at 0, never decrease and end at len(indices)")
         if len(indices) and (indices.min() < 0 or indices.max() >= self.n):
             raise ValueError("row contains an item id outside 0..n-1")
+        zero = index_array("zero_assigned", list(self.zero_assigned))
+        if len(zero) and (zero.min() < 0 or zero.max() >= self.n):
+            raise ValueError("zero_assigned holds an item id outside 0..n-1")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TestMatrix):
@@ -336,7 +339,7 @@ def sample_block(p: PriorVector, eps: float, delta: float, seed: int) -> Sampled
     part = build_partition(p, eps)
     blocks = []
     spans: list[BlockSpan] = []
-    route = list(part.individual_route())
+    routed = [part.individual_route()]
     t = 0
 
     for k, band in enumerate(part.ample_bands()):
@@ -344,23 +347,23 @@ def sample_block(p: PriorVector, eps: float, delta: float, seed: int) -> Sampled
         mu_s = p.restricted_mu(band.items)
         t_s = _row_budget(mu_s, n_s, delta)
         if t_s == 0:
-            route.extend(band.items)
+            routed.append(band.items)
             continue
-        local = np.asarray(band.items, dtype=np.int64)
-        probs = p.as_array()[local]
+        probs = p.as_array()[band.items]
         weights = _distribution(probs, n_s - mu_s)
-        blocks.append(_block_law(local, weights, t_s, _optimal_g_from(weights, probs)))
-        spans.append(BlockSpan(row_lo=t, row_hi=t + t_s, items=band.items, label=f"band{k}"))
+        blocks.append(_block_law(band.items, weights, t_s, _optimal_g_from(weights, probs)))
+        spans.append(BlockSpan(row_lo=t, row_hi=t + t_s, items=tuple(band.items.tolist()), label=f"band{k}"))
         t += t_s
 
-    if route:
-        spans.append(BlockSpan(row_lo=t, row_hi=t + len(route), items=tuple(route), label="individual"))
+    route = np.concatenate(routed)
+    if len(route):
+        spans.append(BlockSpan(row_lo=t, row_hi=t + len(route), items=tuple(route.tolist()), label="individual"))
     return SampledDesign(
         n=p.n,
         seed=seed,
         blocks=tuple(blocks),
-        route=np.asarray(route, dtype=np.int64),
-        zero=np.asarray(part.zero_items, dtype=np.int64),
+        route=route,
+        zero=part.zero_items,
         spans=tuple(spans),
     )
 

@@ -100,7 +100,7 @@ class ExactExpectation:
 def _truth_weights(p: PriorVector) -> np.ndarray:
     """Probability of every truth vector, indexed by bitmask (bit i = item i)."""
     weights = np.ones(1)
-    for q in p.probs:
+    for q in p.probs.tolist():
         weights = np.concatenate([weights * (1.0 - q), weights * q])
     return weights
 

@@ -7,6 +7,11 @@ bands with repeatedly squared boundaries 1/2, 1/4, 1/16, ...  Squaring makes
 every band well balanced: for members i, j of one band, p_i**2 <= p_j.  Bands
 with fewer than ``gamma`` members lack the size needed for group-level
 guarantees and are routed to individual testing as well.
+
+The three regions are consecutive ranges of one stable sort of the items by
+probability, so the zero set, the tail and every band's items are read-only
+int64 slices of that one order.  Only a merged band, see
+:func:`combine_for_concentration`, holds an array of its own.
 """
 
 from __future__ import annotations
@@ -47,49 +52,46 @@ def is_skewed(p: PriorVector, eps: float) -> bool:
     return p.entropy_bits <= max(2.0 * p.mu, float(gamma * gamma))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Band:
-    """One middle subset: items whose probability falls in [lo, hi)."""
+    """One middle subset: the items, a read-only int64 array in ascending
+    order of probability, whose probability falls in [lo, hi)."""
 
     lo: float
     hi: float
-    items: tuple[int, ...]
+    items: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.items)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Ordered classification of items into zero / band / individual routes.
 
-    ``num_combined`` and ``concentration_void`` are populated by
+    ``zero_items`` and ``tail_items`` are read-only int64 arrays in
+    ascending order of probability.  ``num_combined`` and
+    ``concentration_void`` are populated by
     :func:`combine_for_concentration`.
     """
 
     n: int
     eps: float
     gamma: int
-    zero_items: tuple[int, ...]
+    zero_items: np.ndarray
     bands: tuple[Band, ...]
-    tail_items: tuple[int, ...]
+    tail_items: np.ndarray
     num_combined: int | None = None
     concentration_void: bool = False
 
     def ample_bands(self) -> tuple[Band, ...]:
         return tuple(b for b in self.bands if b.size >= self.gamma)
 
-    def not_ample_bands(self) -> tuple[Band, ...]:
-        return tuple(b for b in self.bands if b.size < self.gamma)
-
-    def individual_route(self) -> tuple[int, ...]:
-        """Items tested one at a time: under-sized bands then the tail."""
-        route: list[int] = []
-        for band in self.not_ample_bands():
-            route.extend(band.items)
-        route.extend(self.tail_items)
-        return tuple(route)
+    def individual_route(self) -> np.ndarray:
+        """Items tested one at a time, as one int64 array: the under-sized
+        bands' items, band by band, then the tail."""
+        return np.concatenate([b.items for b in self.bands if b.size < self.gamma] + [self.tail_items])
 
 
 def band_boundaries(n: int, eps: float) -> list[float]:
@@ -114,7 +116,8 @@ def build_partition(p: PriorVector, eps: float) -> Partition:
     gamma = measure_factor(n, eps)
     lo_cut = eps / (2.0 * n)
     probs = p.as_array()
-    order = np.lexsort((np.arange(n), probs))
+    order = np.argsort(probs, kind="stable")
+    order.flags.writeable = False
     ranked = probs[order]
     # Ascending probabilities: the zero set is a prefix and the tail a suffix.
     start, stop = int(ranked.searchsorted(lo_cut, side="right")), int(ranked.searchsorted(0.5))
@@ -127,16 +130,15 @@ def build_partition(p: PriorVector, eps: float) -> Partition:
         for k in reversed(range(len(bounds) - 1))
     ]
     ends = ranked.searchsorted([hi for _, hi in ranges]).tolist()
-    ids = order.tolist()
-    bands = [Band(lo=lo, hi=hi, items=tuple(ids[a:b])) for (lo, hi), a, b in zip(ranges, [start] + ends, ends) if b > a]
+    bands = [Band(lo=lo, hi=hi, items=order[a:b]) for (lo, hi), a, b in zip(ranges, [start] + ends, ends) if b > a]
 
     return Partition(
         n=n,
         eps=eps,
         gamma=gamma,
-        zero_items=tuple(ids[:start]),
+        zero_items=order[:start],
         bands=tuple(bands),
-        tail_items=tuple(ids[stop:]),
+        tail_items=order[stop:],
     )
 
 
@@ -144,44 +146,28 @@ def combine_for_concentration(part: Partition, p: PriorVector) -> Partition:
     """Merge leading ample bands until their probability mass reaches 1/2.
 
     Bands are consumed in ascending probability order.  ``num_combined``
-    records how many were folded into the merged band.  If the ample mass
+    records how many were folded into the merged band, which takes the first
+    one's place and holds their items in band order.  If the ample mass
     never reaches 1/2 the partition is returned structurally unchanged with
     ``concentration_void`` set; the concentration guarantee is then
     unavailable.  The merged band is not re-checked for balance: guarantees
     fall back on the band count staying below the measure factor.
     """
-    ample = [b for b in part.bands if b.size >= part.gamma]
-    if not ample:
-        return replace(part, num_combined=0, concentration_void=True)
-
+    ample = [k for k, b in enumerate(part.bands) if b.size >= part.gamma]
     cumulative = 0.0
-    taken = 0
-    for band in ample:
-        cumulative += p.restricted_mu(band.items)
-        taken += 1
+    for taken, k in enumerate(ample, 1):
+        cumulative += p.restricted_mu(part.bands[k].items)
         if cumulative >= 0.5:
             break
     else:
-        return replace(part, num_combined=taken, concentration_void=True)
+        return replace(part, num_combined=len(ample), concentration_void=True)
 
     if taken == 1:
         return replace(part, num_combined=1, concentration_void=False)
 
-    merged_members = tuple(i for band in ample[:taken] for i in band.items)
-    merged = Band(lo=ample[0].lo, hi=ample[taken - 1].hi, items=merged_members)
-    absorbed = set(id(b) for b in ample[:taken])
-    new_bands: list[Band] = []
-    placed = False
-    for band in part.bands:
-        if id(band) in absorbed:
-            if not placed:
-                new_bands.append(merged)
-                placed = True
-            continue
-        new_bands.append(band)
-    return replace(
-        part,
-        bands=tuple(new_bands),
-        num_combined=taken,
-        concentration_void=False,
-    )
+    first, *rest = absorbed = ample[:taken]
+    items = np.concatenate([part.bands[k].items for k in absorbed])
+    items.flags.writeable = False
+    merged = Band(lo=part.bands[first].lo, hi=part.bands[rest[-1]].hi, items=items)
+    bands = tuple(merged if k == first else b for k, b in enumerate(part.bands) if k not in rest)
+    return replace(part, bands=bands, num_combined=taken, concentration_void=False)

@@ -1,11 +1,11 @@
 """Prior probability vectors and the generators used by the experiment harness.
 
 Every item i of a population carries an independent probability ``p_i`` of
-being defective.  This module owns the vector of those probabilities, its two
-summary statistics (expected number of defectives and total binary entropy),
-the bit vector that holds a population's states, and deterministic
-generators for the three experimental families: uniform, linear, and
-exponential.
+being defective.  This module owns the vector of those probabilities, held
+as one read-only float64 array, its two summary statistics (expected number
+of defectives and total binary entropy), the bit vector that holds a
+population's states, and deterministic generators for the three
+experimental families: uniform, linear, and exponential.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -80,16 +79,18 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorVector:
     """Per-item defect probabilities, indexed by item ids 0..n-1.
 
-    Immutable after construction; the derived statistics are cached.  Entropy
-    is accumulated with ``math.fsum`` so it is exactly rounded and therefore
+    ``probs`` is one read-only float64 array, copied from what is given
+    (a -0.0 is held as 0.0), and priors compare and hash by its bytes, that
+    is by value.  The derived statistics are cached.  Entropy is
+    accumulated with ``math.fsum`` so it is exactly rounded and therefore
     independent of item order.
     """
 
-    probs: tuple[float, ...]
+    probs: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.probs, dtype=np.float64)
@@ -98,9 +99,15 @@ class PriorVector:
         bad = np.flatnonzero(~((arr >= 0.0) & (arr <= 1.0)))  # NaN fails both
         if len(bad):
             raise ValueError(f"probability out of [0, 1] at item {bad[0]}: {arr[bad[0]]}")
+        arr += 0.0  # -0.0 becomes 0.0, so equal values have equal bytes
         arr.flags.writeable = False
-        object.__setattr__(self, "probs", tuple(arr.tolist()))
-        object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "probs", arr)
+
+    def __eq__(self, other) -> bool:
+        return self.probs.tobytes() == other.probs.tobytes() if isinstance(other, PriorVector) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.probs.tobytes())
 
     @property
     def n(self) -> int:
@@ -109,24 +116,24 @@ class PriorVector:
     @cached_property
     def mu(self) -> float:
         """Expected number of defective items, sum of all p_i."""
-        return math.fsum(self.probs)
+        return math.fsum(self.probs.tolist())
 
     @cached_property
     def entropy_bits(self) -> float:
         """Total entropy in bits, sum of the per-item binary entropies."""
-        return math.fsum(binary_entropy(p) for p in self.probs)
+        return math.fsum(map(binary_entropy, self.probs.tolist()))
 
     @cached_property
     def max_prob(self) -> float:
-        return max(self.probs)
+        return float(self.probs.max())
 
     def as_array(self) -> np.ndarray:
-        """The probabilities as one read-only float64 array, built once."""
-        return self._array
+        """The probabilities, ``probs`` itself."""
+        return self.probs
 
-    def restricted_mu(self, items: Iterable[int]) -> float:
+    def restricted_mu(self, items) -> float:
         """Sum of p_i over ``items``, exactly rounded."""
-        return math.fsum(self._array[np.fromiter(items, dtype=np.int64)].tolist())
+        return math.fsum(self.probs[np.asarray(items, dtype=np.int64)].tolist())
 
 
 class PopulationVector:
@@ -183,29 +190,29 @@ def generate_prior(
         raise ValueError(f"target_mu must lie in (0, n/2); got {target_mu} with n={n}")
 
     if family == "uniform":
-        probs = [target_mu / n] * n
+        probs = np.full(n, target_mu / n)
     elif family == "linear":
         total = n * (n + 1) / 2
-        probs = [target_mu * (i + 1) / total for i in range(n)]
+        probs = target_mu * np.arange(1, n + 1) / total
     else:
         if not (0.0 < rho < 1.0):
             raise ValueError(f"exponential decay must lie in (0, 1); got {rho}")
         weights = rho ** np.arange(n)
-        probs = list(target_mu * weights / weights.sum())
+        probs = target_mu * weights / weights.sum()
 
-    worst = max(probs)
+    worst = probs.max()
     if worst >= 0.5:
         raise ValueError(
             f"parameters produce an entry >= 1/2 (max p_i = {worst:.6g}); "
             "reduce target_mu or flatten the family"
         )
-    return PriorVector(tuple(probs))
+    return PriorVector(probs)
 
 
 def prior_to_json_dict(p: PriorVector) -> dict:
     """Serializable form; float repr is shortest-roundtrip, so probabilities
     survive a write/read cycle bit-for-bit."""
-    return {"probs": list(p.probs)}
+    return {"probs": p.probs.tolist()}
 
 
 def prior_from_json_dict(data: dict) -> PriorVector:
@@ -215,7 +222,7 @@ def prior_from_json_dict(data: dict) -> PriorVector:
     ValueError."""
     try:
         if "probs" in data:
-            return PriorVector(tuple(json_number(f"probs[{i}]", x) for i, x in enumerate(data["probs"])))
+            return PriorVector([json_number(f"probs[{i}]", x) for i, x in enumerate(data["probs"])])
         if "family" in data:
             rho = json_number("rho", data.get("rho", DEFAULT_EXPONENTIAL_DECAY))
             mu = json_number("mu", data["mu"])

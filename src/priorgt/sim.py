@@ -37,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import adaptive, nonadaptive
+from .partition import measure_factor
 from .priors import INT64_MAX, PopulationVector, PriorVector, generate_prior, json_number, whole_number
 
 ALGORITHMS = (
@@ -116,6 +117,12 @@ class Campaign:
                 raise ValueError(f"unknown algorithm {a!r}; expected one of {ALGORITHMS}")
         if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError(f"algorithms must list at least one algorithm, each once; got {list(self.algorithms)}")
+        partitioned = [a for a in self.algorithms if a == "block" or a.startswith("prepartitioned_")]
+        if partitioned:
+            try:
+                measure_factor(self.n, self.eps)
+            except ValueError as exc:
+                raise ValueError(f"eps={self.eps!r} cannot partition n={self.n} for {partitioned}: {exc}") from None
 
 
 def draw_truth(p: PriorVector, seed: int) -> PopulationVector:

@@ -9,24 +9,33 @@ depth-first walk with an explicit stack, and the tests check both executors
 against it.  The trend statistics (least squares slope, one-sided
 Mann-Kendall) serve the acceptance and harness tests, and ``drawn_ids``
 stacks the sampler's chunks for the tests that compare them with a binary
-search.
+search.  ``combine_reference`` is the per-band combining loop that
+``combine_for_concentration`` is tested against, and ``partition_fields``
+compares partitions by value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from priorgt.adaptive import AdaptiveRunResult, NestedPlan, _depths, _first_stage, _nearest_prefix, _trees
 from priorgt.nonadaptive import _block_chunks, _block_law
+from priorgt.partition import Band, Partition
 from priorgt.priors import PopulationVector, PriorVector
 
 
-def _groups(certain: np.ndarray, rest: np.ndarray, bounds: list[int]) -> list[tuple[int, ...]]:
-    return [(i,) for i in certain.tolist()] + [tuple(rest[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+def _groups(p: PriorVector, items: Sequence[int] | None, construction: str) -> list[tuple[int, ...]]:
+    """The certain defectives (p = 1) among ``items``, all items when None,
+    as singletons, then the first-stage pools of the items with 0 < p < 1."""
+    items = np.arange(p.n) if items is None else np.asarray(items, dtype=np.int64)
+    q = p.as_array()[items]
+    rest = items[(q > 0.0) & (q < 1.0)]
+    bounds = _first_stage(p, rest, construction)
+    return [(i,) for i in items[q >= 1.0].tolist()] + [tuple(rest[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
 
 
 def me_first_stage(p: PriorVector, items: Sequence[int] | None = None) -> list[tuple[int, ...]]:
@@ -37,7 +46,7 @@ def me_first_stage(p: PriorVector, items: Sequence[int] | None = None) -> list[t
     pools; impossible items (p = 0) are left out entirely, since they are
     cleared without testing.  Ties go to the shorter prefix.
     """
-    return _groups(*_first_stage(p, items, "max_entropy"))
+    return _groups(p, items, "max_entropy")
 
 
 def me_split(items: Sequence[int], p: PriorVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -67,7 +76,7 @@ def sf_first_stage(p: PriorVector, items: Sequence[int] | None = None) -> list[t
     singleton pool.  Certain defectives are emitted first as singletons and
     impossible items are left out, as in :func:`me_first_stage`.
     """
-    return _groups(*_first_stage(p, items, "shannon_fano"))
+    return _groups(p, items, "shannon_fano")
 
 
 def _sf_cut(pool: Sequence[int], p: PriorVector) -> int:
@@ -197,3 +206,53 @@ def drawn_ids(rng, weights: np.ndarray, t: int, g: int) -> np.ndarray:
     chunks stacked in row order."""
     law = _block_law(np.arange(len(weights), dtype=np.int64), weights, t, g)
     return np.concatenate(list(_block_chunks(law, rng)))
+
+
+def partition_fields(part: Partition) -> tuple:
+    """Every field of a partition by value, item sets as lists in order.
+    Partitions and bands compare by identity."""
+    bands = [(b.lo, b.hi, np.asarray(b.items).tolist()) for b in part.bands]
+    zero, tail = (np.asarray(items).tolist() for items in (part.zero_items, part.tail_items))
+    return (part.n, part.eps, part.gamma, zero, bands, tail, part.num_combined, part.concentration_void)
+
+
+def combine_reference(part: Partition, p: PriorVector) -> Partition:
+    """The band-combining loop that ``combine_for_concentration`` replaced:
+    merge leading ample bands until their mass reaches 1/2, placing the
+    merged band, a tuple of the absorbed items, where the first absorbed
+    band was, found by object identity."""
+    ample = [b for b in part.bands if b.size >= part.gamma]
+    if not ample:
+        return replace(part, num_combined=0, concentration_void=True)
+
+    cumulative = 0.0
+    taken = 0
+    for band in ample:
+        cumulative += p.restricted_mu(band.items)
+        taken += 1
+        if cumulative >= 0.5:
+            break
+    else:
+        return replace(part, num_combined=taken, concentration_void=True)
+
+    if taken == 1:
+        return replace(part, num_combined=1, concentration_void=False)
+
+    merged_members = tuple(i for band in ample[:taken] for i in band.items)
+    merged = Band(lo=ample[0].lo, hi=ample[taken - 1].hi, items=merged_members)
+    absorbed = set(id(b) for b in ample[:taken])
+    new_bands: list[Band] = []
+    placed = False
+    for band in part.bands:
+        if id(band) in absorbed:
+            if not placed:
+                new_bands.append(merged)
+                placed = True
+            continue
+        new_bands.append(band)
+    return replace(
+        part,
+        bands=tuple(new_bands),
+        num_combined=taken,
+        concentration_void=False,
+    )

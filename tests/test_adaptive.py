@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -518,6 +519,25 @@ def test_prepartitioned_plan_layout():
         direct = run_prepartitioned_adaptive(p, 0.05, truth, "huffman", counts_both_children=False)
         assert direct == run_adaptive(plan, truth, eps=0.05)
         assert direct.recovered.matches(truth)
+
+
+# sha256 of the sorted-key JSON of each construction's pre-partitioned plan
+# on exponential n = 1000, mu = 8 at eps 0.01, where combining merges three
+# of the four bands and 36 items fall in the zero set.
+PINNED_PREPARTITIONED_PLANS = {
+    "max_entropy": "5208708b6c15c9c1cf449cc4e8a99e41a150a17a44c090a20126a1403b638ef6",
+    "shannon_fano": "3f4e38a91cabd0279f6ecb02ffa0dc493bda88876435f3e0f4397ef1950a3289",
+    "huffman": "039e5d285d3706a802e5424da21ef18939a5649ec16cd5c198d5a8ef4a1c1278",
+}
+
+
+@pytest.mark.parametrize("construction", sorted(PINNED_PREPARTITIONED_PLANS))
+def test_prepartitioned_plan_json_is_pinned(construction):
+    p = generate_prior("exponential", 1000, 8.0)
+    part = combine_for_concentration(build_partition(p, 0.01), p)
+    assert (part.num_combined, len(part.bands), len(part.zero_items)) == (3, 2, 36)
+    text = json.dumps(plan_to_json_dict(build_prepartitioned_plan(p, 0.01, construction)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PREPARTITIONED_PLANS[construction]
 
 
 def test_prepartitioned_mixed_routes():

@@ -197,6 +197,27 @@ def test_malformed_campaign_and_prior_json_exit_2(tmp_path, capsys, command, pay
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "algorithm, eps", [("block", 0.0), ("prepartitioned_me", 0.0), ("block", 20.0), ("prepartitioned_huffman", 25.0)]
+)
+def test_campaign_eps_that_cannot_partition_exits_2_naming_eps(tmp_path, capsys, algorithm, eps):
+    # At n = 20, eps 0 and eps >= n leave no measure factor: 2n/eps <= 2.
+    spec, out = tmp_path / "spec.json", tmp_path / "out.csv"
+    spec.write_text(json.dumps({**SMALL_CAMPAIGN, "algorithms": ["cca", algorithm], "eps": eps}))
+    assert main(["simulate", "--campaign", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: eps={eps!r} cannot partition n=20 for ['{algorithm}']")
+    assert list(tmp_path.iterdir()) == [spec]
+
+
+def test_adaptive_only_campaign_runs_at_eps_zero(tmp_path):
+    # There eps only gates the small-mass shortcut, and 0 turns it off.
+    spec, out = tmp_path / "spec.json", tmp_path / "out.csv"
+    spec.write_text(json.dumps({**SMALL_CAMPAIGN, "algorithms": ["adaptive_me", "cca"], "eps": 0}))
+    assert main(["simulate", "--campaign", str(spec), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize("flag", ["--eps", "--delta"])
 def test_nan_eps_and_delta_exit_2_naming_the_flag(uniform_prior_file, capsys, flag):
     assert main(["bounds", "--prior", uniform_prior_file, flag, "nan"]) == 2
@@ -276,6 +297,12 @@ PINNED_CSV_DIGESTS = {
         "d205f8e9addc78cd34330cee9dbb7247771ffd89d70c913995a63acc2cd131ec",
         "cea6f18ed391dd33df30cfd52715596e267f0c3c73df04d2ce97d16601f78aba",
     ),
+    # Three pre-partitioned constructions on the sampled campaign's priors,
+    # where combining merges two of the three bands at both points.
+    "prepartitioned": (
+        "0247c5ffb1eb8208181e8be29a57a59d70fe062f4d3df9476b03dc12a2098319",
+        "ee8a207aaead9c8f156624a087aeb02d0100f16be2f52e45713809dbfb7163f1",
+    ),
 }
 SAMPLED_CAMPAIGN = {
     "family": "exponential",
@@ -287,12 +314,20 @@ SAMPLED_CAMPAIGN = {
     "eps": 0.01,
     "delta": 1.0,
 }
+PINNED_CAMPAIGNS = {
+    "sampled": SAMPLED_CAMPAIGN,
+    "prepartitioned": {
+        **SAMPLED_CAMPAIGN,
+        "algorithms": ["prepartitioned_me", "prepartitioned_sf", "prepartitioned_huffman"],
+    },
+}
 
 
 def test_simulate_csv_bytes_are_pinned(tmp_path):
-    sampled = tmp_path / "sampled.json"
-    sampled.write_text(json.dumps(SAMPLED_CAMPAIGN))
-    campaigns = {"quick": os.path.join(REPO_ROOT, "campaigns", "quick.json"), "sampled": str(sampled)}
+    campaigns = {"quick": os.path.join(REPO_ROOT, "campaigns", "quick.json")}
+    for name, spec in PINNED_CAMPAIGNS.items():
+        campaigns[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
     for name, campaign in campaigns.items():
         out = tmp_path / f"{name}.csv"
         assert main(["simulate", "--campaign", campaign, "--out", str(out)]) == 0
@@ -300,6 +335,16 @@ def test_simulate_csv_bytes_are_pinned(tmp_path):
             hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, tmp_path / f"{name}.summary.csv")
         )
         assert digests == PINNED_CSV_DIGESTS[name], name
+
+
+def test_plan_block_json_is_pinned(tmp_path, capsys):
+    """The block design's matrix JSON on exponential n = 400, mu = 10: three
+    ample bands, each a block with its own span."""
+    prior, out = tmp_path / "prior.json", tmp_path / "block.json"
+    prior.write_text(json.dumps({"family": "exponential", "n": 400, "mu": 10.0}))
+    assert main(["plan", "--prior", str(prior), "--algorithm", "block", "--seed", "4", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "ddd5cb3db95d1897aca94dca157cc68279a5c2515513763091c9f988faa56146"
 
 
 def test_oracle_subcommand_green(capsys):

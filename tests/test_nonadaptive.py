@@ -529,6 +529,22 @@ def test_matrix_rejects_out_of_range_ids():
         TestMatrix.from_rows(2, (np.array([0, 2]),))
 
 
+def test_matrix_refuses_zero_assigned_ids_outside_the_items():
+    # A -1 wrapped to item 2 and cleared its defective, which COMP's
+    # one-sided rule never does: the run returned (0, 1, 0) on truth (0, 0, 1).
+    for zero in ({-1}, {3}, {0, 7}):
+        with pytest.raises(ValueError, match="zero_assigned holds an item id outside 0..n-1"):
+            TestMatrix(3, [0, 1], [0], zero_assigned=zero)
+    for zero in ({0.5}, {True}):
+        with pytest.raises(ValueError, match="zero_assigned must hold integers"):
+            TestMatrix(3, [0, 1], [0], zero_assigned=zero)
+    # Such a matrix was read from JSON, and its first run raised IndexError.
+    with pytest.raises(ValueError, match="zero_assigned holds an item id outside 0..n-1"):
+        matrix_from_json_dict({"n": 3, "rows": [[0]], "zero_assigned": [7]})
+    m = TestMatrix(3, [0, 1], [0], zero_assigned={0, 2})
+    assert run_nonadaptive(m, PopulationVector((0, 1, 0)))[1].bits == (0, 1, 0)
+
+
 def test_matrix_refuses_index_values_that_are_not_integers():
     # Such values were truncated: [0.7, 2.9] became row [0, 2].
     for rows in ([[0.7, 2.9]], [[0], [True]], [[0, True]], [[0.0, 1.0]], [[0, 1.0]]):

@@ -10,6 +10,8 @@ from priorgt.partition import (
 )
 from priorgt.priors import PriorVector, generate_prior
 
+from helpers import partition_fields
+
 
 def test_measure_factor_values():
     # ceil(log2(log2(1024))) = ceil(log2(10))
@@ -62,8 +64,8 @@ def test_build_partition_interval_count_matches_measure_factor():
 def test_build_partition_all_tail():
     part = build_partition(PriorVector((0.6, 0.7)), 0.5)
     assert part.bands == ()
-    assert set(part.tail_items) == {0, 1}
-    assert part.zero_items == ()
+    assert part.tail_items.tolist() == [0, 1]
+    assert part.zero_items.tolist() == []
 
 
 def test_build_partition_tiny_entry_in_zero_set():
@@ -107,7 +109,23 @@ def test_partition_is_deterministic():
     p = generate_prior("linear", 300, 5.0)
     a = build_partition(p, 0.01)
     b = build_partition(p, 0.01)
-    assert a == b
+    assert partition_fields(a) == partition_fields(b)
+    assert partition_fields(combine_for_concentration(a, p)) == partition_fields(combine_for_concentration(b, p))
+
+
+def test_partition_item_sets_are_read_only_slices_of_one_stable_order():
+    probs = np.array([0.3, 1e-9, 0.7, 0.1, 0.3, 0.0, 0.1, 1.0, 0.01, 0.2, 0.0625])
+    part = build_partition(PriorVector(probs), 0.05)
+    sets = [part.zero_items, *(b.items for b in part.bands), part.tail_items]
+    for items in sets:
+        assert items.dtype == np.int64 and not items.flags.writeable
+    # Ascending probability, ties by item id.
+    assert np.concatenate(sets).tolist() == sorted(range(len(probs)), key=lambda i: (probs[i], i))
+    assert part.zero_items.tolist() == [5, 1] and part.tail_items.tolist() == [2, 7]
+    # gamma is 4: only the band [1/16, 1/4) is ample, and 1/16 joins it.
+    assert [b.items.tolist() for b in part.ample_bands()] == [[10, 3, 6, 9]]
+    route = part.individual_route()
+    assert route.dtype == np.int64 and route.tolist() == [8, 0, 4, 2, 7]
 
 
 def test_combine_single_heavy_band_unchanged():

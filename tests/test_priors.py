@@ -83,7 +83,7 @@ def test_binary_entropy_symmetry_and_edges():
 
 def test_generate_uniform_forced_values():
     p = generate_prior("uniform", 4, 1.0)
-    assert p.probs == (0.25, 0.25, 0.25, 0.25)
+    assert p.probs.tolist() == [0.25, 0.25, 0.25, 0.25]
 
 
 def test_generate_linear_weights_1_to_n():
@@ -105,7 +105,7 @@ def test_generate_exponential_geometric_ratio_and_sum():
 def test_generate_prior_is_deterministic():
     a = generate_prior("exponential", 50, 2.0)
     b = generate_prior("exponential", 50, 2.0)
-    assert a.probs == b.probs
+    assert a.probs.tobytes() == b.probs.tobytes() and a == b
     with pytest.raises(TypeError):
         generate_prior("exponential", 50, 2.0, seed=1)  # generation takes no seed
 
@@ -151,6 +151,18 @@ def test_prior_vector_validation():
         PriorVector((-0.1,))
 
 
+def test_prior_vector_holds_one_read_only_array_and_compares_by_value():
+    given = np.array([0.1, -0.0, 0.5])
+    p = PriorVector(given)
+    given[0] = 0.9
+    assert p.probs.tolist() == [0.1, 0.0, 0.5] and p.as_array() is p.probs
+    assert p.probs.dtype == np.float64 and not p.probs.flags.writeable
+    q = PriorVector([0.1, 0.0, 0.5])
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != PriorVector([0.1, 0.0, 0.25]) and p != (0.1, 0.0, 0.5)
+    assert p.restricted_mu([]) == 0.0 and p.restricted_mu((0, 2)) == 0.6
+
+
 def test_population_vector_coercion():
     v = PopulationVector((True, 0, 1))
     assert v.bits == (1, 0, 1)
@@ -165,7 +177,7 @@ def test_prior_json_roundtrip_is_lossless():
     p = PriorVector(tuple(rng.uniform(0, 0.5, size=64)))
     text = json.dumps(prior_to_json_dict(p))
     back = prior_from_json_dict(json.loads(text))
-    assert back.probs == p.probs
+    assert back.probs.tobytes() == p.probs.tobytes()
 
 
 def test_prior_json_generator_spec():
@@ -175,7 +187,7 @@ def test_prior_json_generator_spec():
     with pytest.raises(ValueError):
         prior_from_json_dict({"nothing": 1})
     # Integers are JSON numbers too.
-    assert prior_from_json_dict({"probs": [0, 1, 0.5]}).probs == (0.0, 1.0, 0.5)
+    assert prior_from_json_dict({"probs": [0, 1, 0.5]}).probs.tolist() == [0.0, 1.0, 0.5]
     assert prior_from_json_dict({"family": "uniform", "n": 100, "mu": 2}) == generate_prior("uniform", 100, 2.0)
 
 

@@ -20,6 +20,11 @@ singleton roots.  The vectorized constructor check must reject a corrupted
 plan exactly when the depth-first walk it replaced, also kept here, rejects
 it.
 
+Band combining must give the partition of the per-band loop it replaced,
+``combine_reference`` in ``tests/helpers.py``, on priors that fill chosen
+bands with chosen counts, so that merged, skipped, void and absent ample
+bands all occur.
+
 Matrices have at most 12 items and may hold empty rows, repeated ids and a
 pre-cleared set.  Measuring and decoding must agree with a per-row reference,
 COMP must never miss a defective outside the pre-cleared set, the JSON round
@@ -43,7 +48,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from priorgt.adaptive import (
@@ -74,11 +79,21 @@ from priorgt.nonadaptive import (
     sample_cca,
 )
 from priorgt.oracle import exact_expected_tests, exhaustive_decode_check
-from priorgt.partition import build_partition, combine_for_concentration
+from priorgt.partition import band_boundaries, build_partition, combine_for_concentration
 from priorgt.priors import PopulationVector, PriorVector, generate_prior
 from priorgt.sim import draw_truth, success_curve
 
-from helpers import _sf_cut, drawn_ids, me_first_stage, me_split, sf_build_tree, sf_first_stage, walk_plan
+from helpers import (
+    _sf_cut,
+    combine_reference,
+    drawn_ids,
+    me_first_stage,
+    me_split,
+    partition_fields,
+    sf_build_tree,
+    sf_first_stage,
+    walk_plan,
+)
 
 probabilities = st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 0.5]), st.floats(0.0, 1.0))
 priors = st.lists(probabilities, min_size=1, max_size=10).map(lambda ps: PriorVector(tuple(ps)))
@@ -345,6 +360,43 @@ def test_prepartitioned_huffman_with_many_singleton_roots(eps):
         assert plan == reference_plan(*spec)
 
 
+@st.composite
+def combining_priors(draw):
+    """(prior, eps) at n = 12..40, so gamma is 3 or 4: each band gets 0..6
+    items, some exactly on its lower boundary, and the rest of the n items
+    are 0, 1, 1/2, 1/4, 1/16 or eps/2n, in a drawn order."""
+    eps = draw(st.sampled_from([0.05, 0.5]))
+    n = draw(st.integers(12, 40))
+    lo_cut = eps / (2 * n)
+    bounds = band_boundaries(n, eps)
+    probs = []
+    for hi, lo in zip(bounds, bounds[1:]):
+        lo = max(lo, lo_cut)
+        member = st.one_of(st.just(lo), st.floats(lo, hi, exclude_min=True, exclude_max=True))
+        probs += draw(st.lists(member, max_size=6))
+    specials = st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.0625, lo_cut])
+    probs = probs[:n] + draw(st.lists(specials, min_size=n - len(probs[:n]), max_size=n - len(probs[:n])))
+    return PriorVector(draw(st.permutations(probs))), eps
+
+
+@PROPERTY_SETTINGS
+@given(combining_priors())
+# gamma 3 at n = 12, eps 0.5, and eps/2n = 1/48.  Ample bands of mass 0.15
+# and 0.9 absorb both around a one-item band; one ample band of mass 0.15
+# leaves the concentration void; no band is ample; items sit exactly on
+# 1/4, 1/16 and eps/2n, with p = 0 and p = 1 beside them.
+@example(case=(PriorVector([0.05] * 3 + [0.1] + [0.3] * 3 + [0.0] * 5), 0.5))
+@example(case=(PriorVector([0.05] * 3 + [0.0] * 9), 0.5))
+@example(case=(PriorVector([0.05, 0.1, 0.3, 0.7, 1.0] + [0.0] * 7), 0.5))
+@example(case=(PriorVector([0.25] * 3 + [0.0625] * 3 + [1 / 48, 0.0, 1.0] + [0.3] * 3), 0.5))
+def test_combining_matches_the_per_band_reference(case):
+    p, eps = case
+    part = build_partition(p, eps)
+    combined = combine_for_concentration(part, p)
+    assert partition_fields(combined) == partition_fields(combine_reference(part, p))
+    assert all(b.items.dtype == np.int64 and not b.items.flags.writeable for b in combined.bands)
+
+
 def walk_check(n, perm, lo, hi, left, right, roots, auto_defective, auto_clear):
     """The constructor's check as a depth-first walk from the roots."""
     ids = perm + auto_defective + auto_clear
@@ -525,6 +577,9 @@ def test_matrix_constructor_rejects_malformed_arrays(case, data):
     for bad_indptr, bad_indices in bad:
         with pytest.raises(ValueError):
             TestMatrix(n=m.n, indptr=bad_indptr, indices=bad_indices)
+    for zero in ({m.n}, {-1}, m.zero_assigned | {data.draw(st.integers(m.n, 2 * m.n))}):
+        with pytest.raises(ValueError):
+            TestMatrix(n=m.n, indptr=indptr, indices=indices, zero_assigned=zero)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=50)
