@@ -7,7 +7,6 @@ harness.
 """
 
 from .priors import (
-    PopulationVector,
     PriorVector,
     binary_entropy,
     generate_prior,

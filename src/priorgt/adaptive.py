@@ -43,12 +43,13 @@ next.  When s absorbs the lightest weight, the root merges just its first
 two.  The heap reference ``huffman_merge`` lives in
 ``tests/test_properties.py``.
 
-Both executors test the pools that :func:`_tested_children` selects.
-:func:`run_adaptive_batch` runs a (T, n) matrix of truths and returns test
-counts and recovered vectors.  :func:`run_adaptive` runs one truth and also
-returns the transcript: the tested pools by ascending node id, which is
-preorder, the order of a depth-first walk.  That walk, ``walk_plan`` in
-``tests/helpers.py``, is the reference both are tested against.
+Truths and recovered vectors are bool arrays.  :func:`run_adaptive` runs
+one truth of length n and :func:`run_adaptive_batch` every row of a (T, n)
+matrix, through one body over the last axis: it tests the pools that
+:func:`_tested_children` selects and returns test counts and recovered
+vectors.  A depth-first walk that records each tested pool in order,
+``walk_plan`` in ``tests/helpers.py``, is the reference both are tested
+against.
 :func:`expected_tests` gives a plan's exact expected test count in closed
 form.
 """
@@ -63,7 +64,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .partition import build_partition, combine_for_concentration
-from .priors import PopulationVector, PriorVector, index_array, json_number, whole_number
+from .priors import PriorVector, index_array, json_number, truth_array, whole_number
 
 CONSTRUCTIONS = ("max_entropy", "shannon_fano", "huffman")
 PLAN_FORMAT = 2
@@ -154,10 +155,10 @@ class NestedPlan:
             raise ValueError("every node and every perm position must belong to a root's tree")
 
     @cached_property
-    def internal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The internal nodes, ascending, with their left and right children."""
+    def internal(self) -> tuple[np.ndarray, np.ndarray]:
+        """The internal nodes, ascending, with their left children."""
         inner = np.flatnonzero(self.left >= 0)
-        return inner, self.left[inner], self.right[inner]
+        return inner, self.left[inner]
 
     @cached_property
     def untested_items(self) -> np.ndarray:
@@ -165,11 +166,10 @@ class NestedPlan:
         return np.setdiff1d(np.arange(self.n), self.perm, assume_unique=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdaptiveRunResult:
-    recovered: PopulationVector
+    recovered: np.ndarray
     tests_used: int
-    transcript: tuple[tuple[tuple[int, ...], int], ...]
 
 
 def _depths(p: PriorVector, items: Sequence[int]) -> np.ndarray:
@@ -456,7 +456,7 @@ def _tested_children(plan: NestedPlan, positive: np.ndarray) -> tuple[np.ndarray
     is positive).  A positive pool's left child is tested, and so is its
     right child with ``counts_both_children``, the same array; otherwise only
     when the left child is positive, as a negative one leaves it positive."""
-    inner, left, _ = plan.internal
+    inner, left = plan.internal
     tested_left = _columns(positive, inner)
     return tested_left, tested_left if plan.counts_both_children else _columns(positive, left)
 
@@ -473,38 +473,32 @@ def _recovered(plan: NestedPlan, truths: np.ndarray) -> np.ndarray:
     return recovered
 
 
-def run_adaptive(plan: NestedPlan, truth: PopulationVector, eps: float = 0.0) -> AdaptiveRunResult:
-    """Execute a plan against a truth vector with noiseless OR pools.
+def _run(plan: NestedPlan, truths: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The test counts and recovered vectors of one truth or of every row of
+    a (T, n) matrix, over the last axis."""
+    if eps > 0.0 and plan.mu_covered < eps:
+        return np.zeros(truths.shape[:-1], dtype=np.int64), np.zeros(truths.shape, dtype=bool)
+    tested_left, tested_right = _tested_children(plan, _positive(plan, truths))
+    left_tests = tested_left.sum(axis=-1, dtype=np.int64)
+    right_tests = left_tests if tested_right is tested_left else tested_right.sum(axis=-1, dtype=np.int64)
+    return len(plan.roots) + left_tests + right_tests, _recovered(plan, truths)
 
-    Pools are tested depth first, that is in preorder: the transcript lists
-    the tested pools by ascending node id.  With ``counts_both_children``
-    both children of a positive pool are measured.  Otherwise the left child
-    is measured first and, when it comes back negative, the right child is
-    inferred positive without spending a test.
+
+def run_adaptive(plan: NestedPlan, truth: np.ndarray, eps: float = 0.0) -> AdaptiveRunResult:
+    """Execute a plan against a bool truth of length n with noiseless OR pools.
+
+    Every root is tested, then the children of each positive pool.  With
+    ``counts_both_children`` both children are measured.  Otherwise the left
+    child is measured first and, when it comes back negative, the right
+    child is inferred positive without spending a test.
 
     When ``eps`` is positive and the plan's covered prior mass is below it,
     the run returns all-zero without testing; that shortcut errs only when
     the truth is nonzero, which happens with probability at most the covered
     mass.  Pass ``eps=0`` to disable the shortcut.
     """
-    if truth.n != plan.n:
-        raise ValueError(f"truth length {truth.n} does not match plan universe {plan.n}")
-    if eps > 0.0 and plan.mu_covered < eps:
-        return AdaptiveRunResult(PopulationVector(np.zeros(plan.n, dtype=bool)), tests_used=0, transcript=())
-    bits = truth.as_array()
-    positive = _positive(plan, bits)
-    _, left, right = plan.internal
-    tested = np.zeros(len(positive), dtype=bool)
-    tested[plan.roots] = True
-    tested[left], tested[right] = _tested_children(plan, positive)
-    nodes = tested.nonzero()[0]
-    perm, lo, hi = tuple(plan.perm.tolist()), plan.lo[nodes].tolist(), plan.hi[nodes].tolist()
-    outcomes = positive[nodes].view(np.uint8).tolist()
-    return AdaptiveRunResult(
-        recovered=PopulationVector(_recovered(plan, bits)),
-        tests_used=len(nodes),
-        transcript=tuple((perm[a:b], o) for a, b, o in zip(lo, hi, outcomes)),
-    )
+    tests, recovered = _run(plan, truth_array(plan.n, truth), eps)
+    return AdaptiveRunResult(recovered, int(tests))
 
 
 def run_adaptive_batch(
@@ -516,13 +510,7 @@ def run_adaptive_batch(
     truths = np.asarray(truths)
     if truths.dtype != np.bool_ or truths.ndim != 2 or truths.shape[1] != plan.n:
         raise ValueError(f"truths must be a (T, {plan.n}) bool array; got {truths.dtype} {truths.shape}")
-    if eps > 0.0 and plan.mu_covered < eps:
-        return np.zeros(len(truths), dtype=np.int64), np.zeros(truths.shape, dtype=bool)
-    positive = _positive(plan, truths)
-    tested_left, tested_right = _tested_children(plan, positive)
-    left_tests = tested_left.sum(axis=1, dtype=np.int64)
-    right_tests = left_tests if tested_right is tested_left else tested_right.sum(axis=1, dtype=np.int64)
-    return len(plan.roots) + left_tests + right_tests, _recovered(plan, truths)
+    return _run(plan, truths, eps)
 
 
 def expected_tests(plan: NestedPlan, p: PriorVector) -> float:
@@ -549,7 +537,7 @@ def expected_tests(plan: NestedPlan, p: PriorVector) -> float:
 def run_prepartitioned_adaptive(
     p: PriorVector,
     eps: float,
-    truth: PopulationVector,
+    truth: np.ndarray,
     construction: str = "max_entropy",
     counts_both_children: bool = True,
 ) -> AdaptiveRunResult:

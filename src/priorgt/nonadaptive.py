@@ -52,14 +52,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .partition import build_partition
-from .priors import PopulationVector, PriorVector, index_array, whole_number
+from .priors import PriorVector, index_array, truth_array, whole_number
 
 # Draws per chunk.  A design's ids are drawn and consumed max(1, CHUNK // g)
 # rows at a time, so temporaries stay cache-sized however many rows it has,
@@ -124,14 +124,27 @@ def _row_budget(mu: float, n: int, delta: float) -> int:
     return math.ceil(budget)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSpan:
-    """Row range [row_lo, row_hi) whose supports stay inside ``items``."""
+    """Row range [row_lo, row_hi) whose supports stay inside ``items``, held
+    as a read-only int64 array.  Spans compare and hash by value."""
 
     row_lo: int
     row_hi: int
-    items: tuple[int, ...]
+    items: np.ndarray
     label: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "items", index_array("block items", self.items))
+
+    def _key(self) -> tuple:
+        return (self.row_lo, self.row_hi, self.items.tobytes(), self.label)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, BlockSpan) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +156,8 @@ class TestMatrix:
     read-only int64, and their values must be integers: floats and bools
     are refused, not truncated.  ``zero_assigned`` lists items the decoder
     clears directly without any covering row; its ids must be integers in
-    0..n-1 as well.  Matrices compare by value and are unhashable.
+    0..n-1 as well.  Each block span must cover rows within 0..t and items
+    within 0..n-1.  Matrices compare by value and are unhashable.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -166,6 +180,11 @@ class TestMatrix:
         zero = index_array("zero_assigned", list(self.zero_assigned))
         if len(zero) and (zero.min() < 0 or zero.max() >= self.n):
             raise ValueError("zero_assigned holds an item id outside 0..n-1")
+        for span in self.block_spans or ():
+            if not 0 <= span.row_lo <= span.row_hi <= self.t:
+                raise ValueError(f"block {span.label!r} rows [{span.row_lo}, {span.row_hi}) are not a range in 0..{self.t}")
+            if len(span.items) and (span.items.min() < 0 or span.items.max() >= self.n):
+                raise ValueError(f"block {span.label!r} holds an item id outside 0..n-1")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TestMatrix):
@@ -352,12 +371,12 @@ def sample_block(p: PriorVector, eps: float, delta: float, seed: int) -> Sampled
         probs = p.as_array()[band.items]
         weights = _distribution(probs, n_s - mu_s)
         blocks.append(_block_law(band.items, weights, t_s, _optimal_g_from(weights, probs)))
-        spans.append(BlockSpan(row_lo=t, row_hi=t + t_s, items=tuple(band.items.tolist()), label=f"band{k}"))
+        spans.append(BlockSpan(row_lo=t, row_hi=t + t_s, items=band.items, label=f"band{k}"))
         t += t_s
 
     route = np.concatenate(routed)
     if len(route):
-        spans.append(BlockSpan(row_lo=t, row_hi=t + len(route), items=tuple(route.tolist()), label="individual"))
+        spans.append(BlockSpan(row_lo=t, row_hi=t + len(route), items=route, label="individual"))
     return SampledDesign(
         n=p.n,
         seed=seed,
@@ -378,9 +397,10 @@ def build_block_matrix(p: PriorVector, eps: float, delta: float, seed: int) -> T
     return sample_block(p, eps, delta, seed).to_matrix()
 
 
-def measure_design(design: SampledDesign, truth: PopulationVector) -> tuple[int, PopulationVector]:
-    """Measure a design's draws against the truth and decode by COMP:
-    ``(t, recovered)``, as :func:`run_nonadaptive` gives on its matrix.
+def measure_design(design: SampledDesign, truth: np.ndarray) -> tuple[int, np.ndarray]:
+    """Measure a design's draws against a bool truth of length n and decode
+    by COMP: ``(t, recovered)``, as :func:`run_nonadaptive` gives on its
+    matrix.
 
     A row is positive when any of its draws is defective; every draw of a
     negative row and the zero set are cleared.  Repeated draws change
@@ -401,9 +421,7 @@ def measure_design(design: SampledDesign, truth: PopulationVector) -> tuple[int,
     double, so the next block gets the same ids.  ``t`` still counts every
     row of the design.
     """
-    if truth.n != design.n:
-        raise ValueError(f"truth length {truth.n} does not match design width {design.n}")
-    bits = truth.as_array()
+    bits = truth_array(design.n, truth)
     cleared = np.zeros(design.n, dtype=bool)
     rng = np.random.default_rng(design.seed)
     for block in design.blocks:
@@ -422,37 +440,35 @@ def measure_design(design: SampledDesign, truth: PopulationVector) -> tuple[int,
         cleared[block.items] = done & ~local
     cleared[design.route[~bits[design.route]]] = True
     cleared[design.zero] = True
-    return design.t, PopulationVector(~cleared)
+    return design.t, ~cleared
 
 
-def decode_comp(m: TestMatrix, outcomes: Sequence[int]) -> PopulationVector:
+def decode_comp(m: TestMatrix, outcomes: Sequence[int]) -> np.ndarray:
     """Clear every item seen in a negative row (plus the pre-cleared set);
-    declare everything else defective."""
+    declare everything else defective.  Returns the estimate as a bool
+    array."""
     if len(outcomes) != m.t:
         raise ValueError(f"got {len(outcomes)} outcomes for {m.t} rows")
     negative = ~np.asarray(outcomes, dtype=bool)
     cleared = np.zeros(m.n, dtype=bool)
     cleared[m.indices[np.repeat(negative, np.diff(m.indptr))]] = True
     cleared[list(m.zero_assigned)] = True
-    return PopulationVector(~cleared)
+    return ~cleared
 
 
-def run_nonadaptive(
-    m: TestMatrix, truth: PopulationVector
-) -> tuple[tuple[int, ...], PopulationVector]:
-    """Measure every row against the truth (noiseless OR) and decode."""
-    if truth.n != m.n:
-        raise ValueError(f"truth length {truth.n} does not match matrix width {m.n}")
+def run_nonadaptive(m: TestMatrix, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measure every row against a bool truth of length n (noiseless OR) and
+    decode: ``(outcomes, recovered)``, both bool arrays."""
     # counts[j] is the number of defectives among indices[:j].
-    counts = np.concatenate(([0], np.cumsum(truth.as_array()[m.indices])))
+    counts = np.concatenate(([0], np.cumsum(truth_array(m.n, truth)[m.indices])))
     positive = counts[m.indptr[1:]] > counts[m.indptr[:-1]]
-    return tuple(positive.view(np.uint8).tolist()), decode_comp(m, positive)
+    return positive, decode_comp(m, positive)
 
 
 def matrix_to_json_dict(m: TestMatrix) -> dict:
     out: dict = {"n": m.n, "rows": [row.tolist() for row in m.rows]}
     if m.block_spans is not None:
-        out["blocks"] = [{**asdict(s), "items": list(s.items)} for s in m.block_spans]
+        out["blocks"] = [{**vars(s), "items": s.items.tolist()} for s in m.block_spans]
     if m.zero_assigned:
         out["zero_assigned"] = sorted(m.zero_assigned)
     return out
@@ -471,7 +487,7 @@ def matrix_from_json_dict(data: dict) -> TestMatrix:
             BlockSpan(
                 row_lo=whole_number("row_lo", b["row_lo"], least=0),
                 row_hi=whole_number("row_hi", b["row_hi"], least=0),
-                items=tuple(ids("block item", b["items"])),
+                items=ids("block item", b["items"]),
                 label=str(b["label"]),
             )
             for b in data["blocks"]

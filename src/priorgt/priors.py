@@ -3,9 +3,10 @@
 Every item i of a population carries an independent probability ``p_i`` of
 being defective.  This module owns the vector of those probabilities, held
 as one read-only float64 array, its two summary statistics (expected number
-of defectives and total binary entropy), the bit vector that holds a
-population's states, and deterministic generators for the three
-experimental families: uniform, linear, and exponential.
+of defectives and total binary entropy), the check that a population's
+states, a truth, are a bool array of the right length, and deterministic
+generators for the three experimental families: uniform, linear, and
+exponential.
 """
 
 from __future__ import annotations
@@ -58,6 +59,16 @@ def index_array(name: str, value) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     arr.flags.writeable = False
+    return arr
+
+
+def truth_array(n: int, value) -> np.ndarray:
+    """``value`` as a 1-D bool array of length n, the states of n items
+    (True = defective).  Any other dtype or shape is refused, not cast, so
+    an int or a float such as 0.5 is never read as defective."""
+    arr = np.asarray(value)
+    if arr.dtype != np.bool_ or arr.shape != (n,):
+        raise ValueError(f"a truth must be a bool array of shape ({n},), got {arr.dtype} {arr.shape}")
     return arr
 
 
@@ -134,37 +145,6 @@ class PriorVector:
     def restricted_mu(self, items) -> float:
         """Sum of p_i over ``items``, exactly rounded."""
         return math.fsum(self.probs[np.asarray(items, dtype=np.int64)].tolist())
-
-
-class PopulationVector:
-    """A defectiveness vector (1 = defective): a truth or a decoder's estimate.
-
-    Stored as a read-only numpy bool array; ``bits`` gives a tuple view.
-    """
-
-    def __init__(self, bits):
-        arr = np.array(bits, dtype=bool)
-        if arr.ndim != 1:
-            raise ValueError("a population vector is one-dimensional")
-        arr.flags.writeable = False
-        self._bits = arr
-
-    @property
-    def n(self) -> int:
-        return len(self._bits)
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self._bits.view(np.uint8).tolist())
-
-    def as_array(self) -> np.ndarray:
-        return self._bits
-
-    def matches(self, other: "PopulationVector") -> bool:
-        return np.array_equal(self._bits, other._bits)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PopulationVector) and self.matches(other)
 
 
 def generate_prior(

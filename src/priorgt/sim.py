@@ -38,7 +38,7 @@ import numpy as np
 
 from . import adaptive, nonadaptive
 from .partition import measure_factor
-from .priors import INT64_MAX, PopulationVector, PriorVector, generate_prior, json_number, whole_number
+from .priors import INT64_MAX, PriorVector, generate_prior, json_number, whole_number
 
 ALGORITHMS = (
     "adaptive_me",
@@ -125,15 +125,17 @@ class Campaign:
                 raise ValueError(f"eps={self.eps!r} cannot partition n={self.n} for {partitioned}: {exc}") from None
 
 
-def draw_truth(p: PriorVector, seed: int) -> PopulationVector:
-    """Independent Bernoulli(p_i) draws, deterministic given the seed."""
-    rng = np.random.default_rng(seed)
-    return PopulationVector(rng.random(p.n) < p.as_array())
+def draw_truth(p: PriorVector, seed: int) -> np.ndarray:
+    """Independent Bernoulli(p_i) draws, deterministic given the seed, as a
+    read-only bool array: every algorithm of a trial shares it."""
+    truth = np.random.default_rng(seed).random(p.n) < p.as_array()
+    truth.flags.writeable = False
+    return truth
 
 
 def _run_per_trial(
     algorithm: str,
-    truth: PopulationVector,
+    truth: np.ndarray,
     seed: int,
     campaign: Campaign,
     per_trial: dict,
@@ -141,9 +143,9 @@ def _run_per_trial(
     law = per_trial[algorithm]
     if isinstance(law, nonadaptive.SampledDesign):
         t, rec = nonadaptive.measure_design(replace(law, seed=seed), truth)
-        return t, rec.matches(truth)
+        return t, np.array_equal(rec, truth)
     result = adaptive.run_adaptive(law, truth, eps=campaign.eps)
-    return result.tests_used, result.recovered.matches(truth)
+    return result.tests_used, np.array_equal(result.recovered, truth)
 
 
 def run_campaign(campaign: Campaign) -> list[TrialReport]:
@@ -182,7 +184,7 @@ def run_campaign(campaign: Campaign) -> list[TrialReport]:
                 truth_seed, matrix_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
                 seeds.append((truth_seed, matrix_seed))
                 truths.append(draw_truth(p, truth_seed))
-            bits = np.stack([truth.as_array() for truth in truths])
+            bits = np.stack(truths)
             batches = {}
             for algorithm, plan in batched.items():
                 tests, recovered = adaptive.run_adaptive_batch(plan, bits, eps=campaign.eps)
@@ -250,7 +252,7 @@ def success_curve(p: PriorVector, t_grid: Sequence[int], trials: int, seed: int)
             truth_seed, matrix_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
             truth = draw_truth(p, truth_seed)
             _, rec = nonadaptive.measure_design(replace(law, seed=matrix_seed), truth)
-            successes += rec.matches(truth)
+            successes += np.array_equal(rec, truth)
         out.append((int(t), successes / trials))
     return out
 

@@ -5,11 +5,11 @@ numpy passes.  The functions below build one node at a time: first-stage
 pools as lists of tuples, one max-entropy split, one Shannon-Fano cut and
 one source-code tree over a single pool.  The tests check the level
 builders against them.  ``walk_plan`` runs a plan on one truth by a
-depth-first walk with an explicit stack, and the tests check both executors
-against it.  The trend statistics (least squares slope, one-sided
-Mann-Kendall) serve the acceptance and harness tests, and ``drawn_ids``
-stacks the sampler's chunks for the tests that compare them with a binary
-search.  ``combine_reference`` is the per-band combining loop that
+depth-first walk with an explicit stack and records each tested pool in
+order, and the tests check both executors against it.  The trend
+statistics (least squares slope, one-sided Mann-Kendall) serve the
+acceptance and harness tests, and ``drawn_ids`` stacks the sampler's chunks
+for the tests that compare them with a binary search.  ``combine_reference`` is the per-band combining loop that
 ``combine_for_concentration`` is tested against, and ``partition_fields``
 compares partitions by value.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from priorgt.adaptive import AdaptiveRunResult, NestedPlan, _depths, _first_stage, _nearest_prefix, _trees
 from priorgt.nonadaptive import _block_chunks, _block_law
 from priorgt.partition import Band, Partition
-from priorgt.priors import PopulationVector, PriorVector
+from priorgt.priors import PriorVector, truth_array
 
 
 def _groups(p: PriorVector, items: Sequence[int] | None, construction: str) -> list[tuple[int, ...]]:
@@ -106,8 +106,12 @@ def sf_build_tree(items: Sequence[int], p: PriorVector, kind: str) -> NestedPlan
     return NestedPlan(n=p.n, construction=kind, mu_covered=p.restricted_mu(pool), **trees)
 
 
-def walk_plan(plan: NestedPlan, truth: PopulationVector, eps: float = 0.0) -> AdaptiveRunResult:
-    """Execute a plan against a truth vector with noiseless OR pools.
+def walk_plan(
+    plan: NestedPlan, truth: np.ndarray, eps: float = 0.0
+) -> tuple[AdaptiveRunResult, tuple[tuple[tuple[int, ...], int], ...]]:
+    """Execute a plan against a bool truth of length n with noiseless OR
+    pools; returns the result and the transcript, every tested pool with its
+    outcome in test order.
 
     Pools are tested depth first.  With ``counts_both_children`` both
     children of a positive pool are measured.  Otherwise the left child is
@@ -119,13 +123,12 @@ def walk_plan(plan: NestedPlan, truth: PopulationVector, eps: float = 0.0) -> Ad
     the truth is nonzero, which happens with probability at most the covered
     mass.  Pass ``eps=0`` to disable the shortcut.
     """
-    if truth.n != plan.n:
-        raise ValueError(f"truth length {truth.n} does not match plan universe {plan.n}")
+    truth = truth_array(plan.n, truth)
     bits = np.zeros(plan.n, dtype=bool)
     if eps > 0.0 and plan.mu_covered < eps:
-        return AdaptiveRunResult(recovered=PopulationVector(bits), tests_used=0, transcript=())
+        return AdaptiveRunResult(recovered=bits, tests_used=0), ()
     # counts[j] is the number of defectives among perm[:j].
-    counts = [0] + np.cumsum(truth.as_array()[plan.perm]).tolist()
+    counts = [0] + np.cumsum(truth[plan.perm]).tolist()
     perm, lo, hi, left, right = (getattr(plan, name).tolist() for name in ("perm", "lo", "hi", "left", "right"))
     transcript: list[tuple[tuple[int, ...], int]] = []
     defective = plan.auto_defective.tolist()
@@ -152,11 +155,7 @@ def walk_plan(plan: NestedPlan, truth: PopulationVector, eps: float = 0.0) -> Ad
         else:
             stack.append((b, False))
     bits[defective] = True
-    return AdaptiveRunResult(
-        recovered=PopulationVector(bits),
-        tests_used=len(transcript),
-        transcript=tuple(transcript),
-    )
+    return AdaptiveRunResult(recovered=bits, tests_used=len(transcript)), tuple(transcript)
 
 
 def fit_slope(points: Sequence[tuple[float, float]]) -> float:

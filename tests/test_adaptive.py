@@ -19,10 +19,10 @@ from priorgt.adaptive import (
     run_prepartitioned_adaptive,
 )
 from priorgt.partition import build_partition, combine_for_concentration
-from priorgt.priors import PopulationVector, PriorVector, generate_prior
+from priorgt.priors import PriorVector, generate_prior
 from priorgt.sim import draw_truth
 
-from helpers import me_first_stage, me_split, sf_build_tree, sf_first_stage
+from helpers import me_first_stage, me_split, sf_build_tree, sf_first_stage, walk_plan
 
 
 def pool(plan, k):
@@ -45,7 +45,7 @@ def leaf_depths(plan):
 
 def all_truths(n):
     for bits in itertools.product((0, 1), repeat=n):
-        yield PopulationVector(bits)
+        yield np.array(bits, dtype=bool)
 
 
 # ---------------------------------------------------------------- first stage
@@ -347,36 +347,39 @@ def test_plan_trees_are_laminar_with_singleton_leaves():
 def test_run_adaptive_all_negative_costs_one_test_per_root():
     p = PriorVector((0.3, 0.3, 0.3, 0.3, 0.3, 0.3))
     plan = build_plan(p, "max_entropy")
-    truth = PopulationVector((0,) * 6)
+    truth = np.array((0,) * 6, dtype=bool)
     result = run_adaptive(plan, truth)
     assert result.tests_used == len(plan.roots)
-    assert all(outcome == 0 for _, outcome in result.transcript)
-    assert result.recovered.bits == truth.bits
+    assert all(outcome == 0 for _, outcome in walk_plan(plan, truth)[1])
+    assert result.recovered.tolist() == truth.tolist()
 
 
 def test_run_adaptive_single_positive_item():
     p = PriorVector((0.4,))
     plan = build_plan(p, "max_entropy")
-    result = run_adaptive(plan, PopulationVector((1,)))
+    result = run_adaptive(plan, np.array((1,), dtype=bool))
     assert result.tests_used == 1
-    assert result.recovered.bits == (1,)
+    assert result.recovered.tolist() == [1]
 
 
 def test_run_adaptive_matches_hand_walked_transcript():
     """Reference walk for the (0.3 x 4) plan with truth (0,1,0,0):
     test {0,1} -> positive, test {0} -> negative, test {1} -> positive,
-    test {2,3} -> negative."""
+    test {2,3} -> negative.  The walk records the pools; the executor must
+    spend one test per pool and recover the same vector."""
     p = PriorVector((0.3, 0.3, 0.3, 0.3))
     plan = build_plan(p, "max_entropy")
-    result = run_adaptive(plan, PopulationVector((0, 1, 0, 0)))
-    assert result.tests_used == 4
-    assert result.transcript == (
+    truth = np.array((0, 1, 0, 0), dtype=bool)
+    walked, transcript = walk_plan(plan, truth)
+    assert transcript == (
         ((0, 1), 1),
         ((0,), 0),
         ((1,), 1),
         ((2, 3), 0),
     )
-    assert result.recovered.bits == (0, 1, 0, 0)
+    result = run_adaptive(plan, truth)
+    assert result.tests_used == walked.tests_used == 4
+    assert result.recovered.tolist() == walked.recovered.tolist() == [0, 1, 0, 0]
 
 
 @pytest.mark.parametrize("construction", ["max_entropy", "shannon_fano", "huffman"])
@@ -389,8 +392,8 @@ def test_run_adaptive_exact_for_every_truth(construction, counts_both):
         plan = build_plan(p, construction, counts_both_children=counts_both)
         for truth in all_truths(n):
             result = run_adaptive(plan, truth, eps=0.0)
-            assert result.recovered.bits == truth.bits
-            assert result.tests_used == len(result.transcript)
+            assert result.recovered.tolist() == truth.tolist()
+            assert result.tests_used == len(walk_plan(plan, truth)[1])
 
 
 def test_run_adaptive_batch_rejects_malformed_truths():
@@ -427,10 +430,11 @@ def test_transcript_is_laminar_consistent():
             stack.extend([plan.left[k], plan.right[k]])
     roots = {pool(plan, k) for k in plan.roots}
     for _ in range(50):
-        truth = PopulationVector(tuple(rng.integers(0, 2, size=10)))
-        result = run_adaptive(plan, truth)
+        truth = np.array(tuple(rng.integers(0, 2, size=10)), dtype=bool)
+        _, transcript = walk_plan(plan, truth)
+        assert run_adaptive(plan, truth).tests_used == len(transcript)
         positive_so_far = set()
-        for items, outcome in result.transcript:
+        for items, outcome in transcript:
             if items not in roots:
                 assert any(items in children.get(parent, ()) for parent in positive_so_far)
             if outcome:
@@ -440,9 +444,9 @@ def test_transcript_is_laminar_consistent():
 def test_shortcut_returns_zero_without_tests():
     p = PriorVector((0.001, 0.002))
     plan = build_plan(p, "max_entropy")
-    result = run_adaptive(plan, PopulationVector((1, 0)), eps=0.01)
+    result = run_adaptive(plan, np.array((1, 0), dtype=bool), eps=0.01)
     assert result.tests_used == 0
-    assert result.recovered.bits == (0, 0)
+    assert result.recovered.tolist() == [0, 0]
 
 
 def test_shortcut_error_rate_bounded_by_eps():
@@ -453,9 +457,9 @@ def test_shortcut_error_rate_bounded_by_eps():
     errors = 0
     trials = 2000
     for _ in range(trials):
-        truth = PopulationVector(tuple(rng.random(3) < np.array(p.probs)))
+        truth = np.array(tuple(rng.random(3) < np.array(p.probs)), dtype=bool)
         result = run_adaptive(plan, truth, eps=0.01)
-        errors += result.recovered.bits != truth.bits
+        errors += result.recovered.tolist() != truth.tolist()
     assert errors / trials <= 0.01
 
 
@@ -464,9 +468,9 @@ def test_auto_items_are_declared_without_tests():
     plan = build_plan(p, "max_entropy")
     assert plan.auto_defective.tolist() == [0]
     assert plan.auto_clear.tolist() == [2]
-    result = run_adaptive(plan, PopulationVector((1, 0, 0)))
+    result = run_adaptive(plan, np.array((1, 0, 0), dtype=bool))
     assert result.tests_used == 1  # only item 1's pool is tested
-    assert result.recovered.bits == (1, 0, 0)
+    assert result.recovered.tolist() == [1, 0, 0]
 
 
 # ------------------------------------------------------- pre-partitioned run
@@ -474,28 +478,29 @@ def test_auto_items_are_declared_without_tests():
 
 def test_prepartitioned_all_zero_set():
     p = PriorVector((1e-9, 1e-9, 1e-9))
-    result = run_prepartitioned_adaptive(p, 0.5, PopulationVector((0, 0, 0)))
+    result = run_prepartitioned_adaptive(p, 0.5, np.array((0, 0, 0), dtype=bool))
     assert result.tests_used == 0
-    assert result.recovered.bits == (0, 0, 0)
+    assert result.recovered.tolist() == [0, 0, 0]
 
 
 def test_prepartitioned_all_tail_tests_individually():
     p = PriorVector((0.6, 0.9, 0.7))
-    truth = PopulationVector((1, 0, 1))
+    truth = np.array((1, 0, 1), dtype=bool)
     result = run_prepartitioned_adaptive(p, 0.5, truth)
     assert result.tests_used == 3
-    assert result.recovered.bits == truth.bits
+    assert result.recovered.tolist() == truth.tolist()
 
 
 def test_prepartitioned_recovers_banded_population():
     p = generate_prior("uniform", 400, 6.0)
     rng = np.random.default_rng(47)
     for construction in ("max_entropy", "huffman"):
+        plan = build_prepartitioned_plan(p, 0.01, construction)
         for _ in range(20):
-            truth = PopulationVector(tuple(rng.random(400) < np.array(p.probs)))
+            truth = np.array(tuple(rng.random(400) < np.array(p.probs)), dtype=bool)
             result = run_prepartitioned_adaptive(p, 0.01, truth, construction=construction)
-            assert result.recovered.bits == truth.bits
-            assert result.tests_used == len(result.transcript)
+            assert result.recovered.tolist() == truth.tolist()
+            assert result.tests_used == len(walk_plan(plan, truth, eps=0.01)[1])
 
 
 def test_prepartitioned_plan_layout():
@@ -515,10 +520,12 @@ def test_prepartitioned_plan_layout():
     assert plan.auto_clear.tolist() == list(part.zero_items) and plan.auto_defective.tolist() == []
     assert plan.mu_covered == p.mu and not plan.counts_both_children
     for _ in range(20):
-        truth = PopulationVector(rng.random(40) < np.array(p.probs))
+        truth = np.array(rng.random(40) < np.array(p.probs), dtype=bool)
         direct = run_prepartitioned_adaptive(p, 0.05, truth, "huffman", counts_both_children=False)
-        assert direct == run_adaptive(plan, truth, eps=0.05)
-        assert direct.recovered.matches(truth)
+        planned = run_adaptive(plan, truth, eps=0.05)
+        assert direct.tests_used == planned.tests_used
+        assert np.array_equal(direct.recovered, planned.recovered)
+        assert np.array_equal(direct.recovered, truth)
 
 
 # sha256 of the sorted-key JSON of each construction's pre-partitioned plan
@@ -544,9 +551,9 @@ def test_prepartitioned_mixed_routes():
     # one zero item, a tail item, and a small band forced to individual tests
     probs = (1e-9, 0.7, 0.3, 0.25)
     p = PriorVector(probs)
-    truth = PopulationVector((0, 1, 0, 1))
+    truth = np.array((0, 1, 0, 1), dtype=bool)
     result = run_prepartitioned_adaptive(p, 0.5, truth)
-    assert result.recovered.bits == truth.bits
+    assert result.recovered.tolist() == truth.tolist()
 
 
 # ---------------------------------------------------------- serialization

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from priorgt.nonadaptive import (
     TestMatrix,
 )
 from priorgt.partition import build_partition
-from priorgt.priors import PopulationVector, PriorVector, generate_prior
+from priorgt.priors import PriorVector, generate_prior
 from priorgt.sim import draw_truth
 
 from helpers import drawn_ids
@@ -206,7 +207,7 @@ def test_chunked_block_draws_equal_one_block_of_uniforms():
 def test_measuring_holds_one_chunk_of_draws():
     # About 2M draws; the whole (t, g) block of ids alone would take 15 MiB.
     p = generate_prior("uniform", 1000, 8.0)
-    truth = PopulationVector(np.random.default_rng(3).random(1000) < p.as_array())
+    truth = np.random.default_rng(3).random(1000) < p.as_array()
     tracemalloc.start()
     try:
         t, _ = measure_design(sample_cca(p, 16000, 124, seed=3), truth)
@@ -254,10 +255,9 @@ def _settled_draws(design, truth):
     draws: whole chunks up to the first row after which every clear item of
     the block is cleared, and at most the block's t g draws.  A block with no
     defective is read in rows of one draw, CHUNK draws a chunk."""
-    bits = truth.as_array()
     expected = []
     for block, ids in zip(design.blocks, _stacked_draws(design), strict=True):
-        local = bits[block.items]
+        local = truth[block.items]
         rows = ids if local.any() else ids.reshape(-1, 1)
         negative = np.flatnonzero(~local[rows].any(axis=1))
         first = np.full(len(local), len(rows))
@@ -277,13 +277,12 @@ def test_measuring_stops_each_block_once_its_clear_items_are_cleared(monkeypatch
     # no defective and is read as one stream of draws.
     p = generate_prior("exponential", 400, 10.0)
     design = sample_block(p, eps=0.01, delta=1.0, seed=9)
-    bits = draw_truth(p, 4).as_array().copy()
+    truth = draw_truth(p, 4).copy()
     last = design.blocks[-1].items
-    bits[last[::4]] = True
-    truth = PopulationVector(bits)
+    truth[last[::4]] = True
     total = [b.t * b.g for b in design.blocks]
     assert [(b.t, b.g) for b in design.blocks] == [(20, 364), (714, 47), (336, 12)]
-    assert [bits[b.items].any() for b in design.blocks] == [False, True, True]
+    assert [truth[b.items].any() for b in design.blocks] == [False, True, True]
     expected_draws = _settled_draws(design, truth)
     _, expected = run_nonadaptive(design.to_matrix(), truth)
     drawn = _count_drawn(monkeypatch, design)
@@ -291,7 +290,7 @@ def test_measuring_stops_each_block_once_its_clear_items_are_cleared(monkeypatch
     assert drawn == expected_draws
     assert drawn[1] == CHUNK // 47 * 47 < total[1] and sum(drawn) < sum(total)
     assert t == design.t
-    assert recovered == expected
+    assert np.array_equal(recovered, expected)
 
 
 def test_measuring_draws_every_chunk_while_a_clear_item_cannot_be_drawn(monkeypatch):
@@ -299,7 +298,7 @@ def test_measuring_draws_every_chunk_while_a_clear_item_cannot_be_drawn(monkeypa
     # it clear its block is never done, and COMP declares it defective.
     p = PriorVector((1.0,) + (0.01,) * 999)
     design = sample_cca(p, 1000, optimal_g(p), seed=2)
-    truth = PopulationVector(np.zeros(1000, dtype=bool))
+    truth = np.zeros(1000, dtype=bool)
     total = [b.t * b.g for b in design.blocks]
     assert total[0] > 2 * CHUNK
     _, expected = run_nonadaptive(design.to_matrix(), truth)
@@ -307,8 +306,8 @@ def test_measuring_draws_every_chunk_while_a_clear_item_cannot_be_drawn(monkeypa
     t, recovered = measure_design(design, truth)
     assert drawn == total == _settled_draws(design, truth)
     assert t == 1000
-    assert recovered == expected
-    assert recovered.as_array()[0]
+    assert np.array_equal(recovered, expected)
+    assert recovered[0]
 
 
 def test_measuring_stops_a_block_with_no_defective_mid_row(monkeypatch):
@@ -321,9 +320,8 @@ def test_measuring_stops_a_block_with_no_defective_mid_row(monkeypatch):
     band0 = design.blocks[0]
     assert (band0.t, band0.g, len(band0.items)) == (1, 109105, 111)
     assert design.spans[0].label == "band0"
-    bits = np.zeros(1000, dtype=bool)
-    bits[design.blocks[2].items[::5]] = True
-    truth = PopulationVector(bits)
+    truth = np.zeros(1000, dtype=bool)
+    truth[design.blocks[2].items[::5]] = True
     expected_draws = _settled_draws(design, truth)
     _, expected = run_nonadaptive(design.to_matrix(), truth)
     drawn = _count_drawn(monkeypatch, design)
@@ -331,7 +329,7 @@ def test_measuring_stops_a_block_with_no_defective_mid_row(monkeypatch):
     assert 0 < drawn[0] <= CHUNK < band0.g
     assert drawn == expected_draws
     assert t == design.t
-    assert recovered == expected
+    assert np.array_equal(recovered, expected)
 
 
 def test_block_design_tests_a_one_item_ample_band():
@@ -344,28 +342,29 @@ def test_block_design_tests_a_one_item_ample_band():
     assert design.route.tolist() == [0]
     assert design.spans[-1] == BlockSpan(row_lo=0, row_hi=1, items=(0,), label="individual")
     for bits in ([False, False], [True, False]):
-        truth = PopulationVector(bits)
+        truth = np.array(bits, dtype=bool)
         t, recovered = measure_design(design, truth)
         assert t == 1
-        assert recovered == truth == run_nonadaptive(design.to_matrix(), truth)[1]
+        assert np.array_equal(recovered, truth)
+        assert np.array_equal(recovered, run_nonadaptive(design.to_matrix(), truth)[1])
 
 
 def test_decode_comp_forced_rule():
     m = TestMatrix.from_rows(3, (np.array([0, 1]), np.array([1, 2])))
     rec = decode_comp(m, (0, 1))
-    assert rec.bits == (0, 0, 1)
+    assert rec.dtype == np.bool_ and rec.tolist() == [0, 0, 1]
 
 
 def test_decode_comp_all_negative_clears_everything():
     m = TestMatrix.from_rows(4, (np.array([0, 1]), np.array([2, 3])))
-    assert decode_comp(m, (0, 0)).bits == (0, 0, 0, 0)
+    assert decode_comp(m, (0, 0)).tolist() == [0, 0, 0, 0]
 
 
 def test_decode_comp_zero_assigned_and_uncovered():
     # item 2 is never tested: stays declared defective; item 3 pre-cleared
     m = TestMatrix.from_rows(4, (np.array([0]), np.array([1])), zero_assigned=frozenset({3}))
     rec = decode_comp(m, (0, 1))
-    assert rec.bits == (0, 1, 1, 0)
+    assert rec.tolist() == [0, 1, 1, 0]
 
 
 def test_decode_comp_matches_bruteforce_forcing():
@@ -378,26 +377,27 @@ def test_decode_comp_matches_bruteforce_forcing():
             np.unique(rng.integers(0, n, size=int(rng.integers(1, 6)))) for _ in range(t)
         )
         m = TestMatrix.from_rows(n, rows)
-        truth = PopulationVector(tuple(rng.integers(0, 2, size=n)))
+        truth = np.array(tuple(rng.integers(0, 2, size=n)), dtype=bool)
         outcomes, rec = run_nonadaptive(m, truth)
         for i in range(n):
             forced_zero = any(
                 not outcomes[r] and i in set(int(x) for x in rows[r]) for r in range(t)
             )
-            assert rec.bits[i] == (0 if forced_zero else 1)
+            assert rec.tolist()[i] == (0 if forced_zero else 1)
 
 
 def test_run_nonadaptive_trivial_cases():
     p = generate_prior("uniform", 6, 1.0)
     m = build_cca_matrix(p, t=12, g=3, seed=1)
-    outcomes, rec = run_nonadaptive(m, PopulationVector((0,) * 6))
-    assert outcomes == (0,) * 12
-    assert rec.bits == (0,) * 6
+    outcomes, rec = run_nonadaptive(m, np.array((0,) * 6, dtype=bool))
+    assert outcomes.dtype == rec.dtype == np.bool_
+    assert outcomes.tolist() == [0] * 12
+    assert rec.tolist() == [0] * 6
 
     singles = TestMatrix.from_rows(4, tuple(np.array([i]) for i in range(4)))
-    truth = PopulationVector((1, 0, 0, 1))
+    truth = np.array((1, 0, 0, 1), dtype=bool)
     _, rec = run_nonadaptive(singles, truth)
-    assert rec.bits == truth.bits
+    assert rec.tolist() == truth.tolist()
 
 
 def test_comp_one_sidedness():
@@ -406,9 +406,9 @@ def test_comp_one_sidedness():
     p = generate_prior("uniform", 30, 2.0)
     for seed in range(20):
         m = build_cca_matrix(p, t=25, g=8, seed=seed)
-        truth = PopulationVector(tuple(rng.random(30) < np.array(p.probs)))
+        truth = np.array(tuple(rng.random(30) < np.array(p.probs)), dtype=bool)
         _, rec = run_nonadaptive(m, truth)
-        assert all(r >= t for r, t in zip(rec.bits, truth.bits))
+        assert all(r >= t for r, t in zip(rec.tolist(), truth.tolist()))
 
 
 def test_more_rows_never_hurt():
@@ -417,12 +417,12 @@ def test_more_rows_never_hurt():
     big = build_cca_matrix(p, t=60, g=6, seed=8)
     small = TestMatrix.from_rows(25, big.rows[:20])
     for _ in range(20):
-        truth = PopulationVector(tuple(rng.random(25) < np.array(p.probs)))
+        truth = np.array(tuple(rng.random(25) < np.array(p.probs)), dtype=bool)
         _, rec_small = run_nonadaptive(small, truth)
         _, rec_big = run_nonadaptive(big, truth)
         # extra rows only clear more items, and never a true defective
-        assert all(b <= s for s, b in zip(rec_small.bits, rec_big.bits))
-        assert all(b >= t for b, t in zip(rec_big.bits, truth.bits))
+        assert all(b <= s for s, b in zip(rec_small.tolist(), rec_big.tolist()))
+        assert all(b >= t for b, t in zip(rec_big.tolist(), truth.tolist()))
 
 
 # ---------------------------------------------------------------- block design
@@ -433,8 +433,8 @@ def test_block_matrix_all_zero_set():
     m = build_block_matrix(p, eps=0.5, delta=1.0, seed=0)
     assert m.t == 0
     assert m.zero_assigned == frozenset({0, 1, 2, 3})
-    _, rec = run_nonadaptive(m, PopulationVector((0, 0, 0, 0)))
-    assert rec.bits == (0, 0, 0, 0)
+    _, rec = run_nonadaptive(m, np.array((0, 0, 0, 0), dtype=bool))
+    assert rec.tolist() == [0, 0, 0, 0]
 
 
 def test_block_matrix_all_tail_singletons():
@@ -442,9 +442,9 @@ def test_block_matrix_all_tail_singletons():
     m = build_block_matrix(p, eps=0.5, delta=1.0, seed=0)
     assert m.t == 2
     assert all(len(row) == 1 for row in m.rows)
-    truth = PopulationVector((0, 1))
+    truth = np.array((0, 1), dtype=bool)
     _, rec = run_nonadaptive(m, truth)
-    assert rec.bits == truth.bits
+    assert rec.tolist() == truth.tolist()
 
 
 def test_block_matrix_direct_sum_structure():
@@ -479,7 +479,7 @@ def test_block_decoding_blockwise_equals_whole():
     rng = np.random.default_rng(37)
     p = PriorVector(tuple(rng.uniform(0.001, 0.4, size=120)))
     m = build_block_matrix(p, eps=0.05, delta=1.0, seed=2)
-    truth = PopulationVector(tuple(rng.random(120) < np.array(p.probs)))
+    truth = np.array(tuple(rng.random(120) < np.array(p.probs)), dtype=bool)
     outcomes, whole = run_nonadaptive(m, truth)
 
     merged = [0] * 120
@@ -488,7 +488,7 @@ def test_block_decoding_blockwise_equals_whole():
             i not in set(int(x) for x in m.rows[r]) or outcomes[r] for r in range(m.t)
         ):
             merged[i] = 1
-    assert whole.bits == tuple(merged)
+    assert whole.tolist() == merged
 
 
 # ---------------------------------------------------------------- serialization
@@ -542,7 +542,44 @@ def test_matrix_refuses_zero_assigned_ids_outside_the_items():
     with pytest.raises(ValueError, match="zero_assigned holds an item id outside 0..n-1"):
         matrix_from_json_dict({"n": 3, "rows": [[0]], "zero_assigned": [7]})
     m = TestMatrix(3, [0, 1], [0], zero_assigned={0, 2})
-    assert run_nonadaptive(m, PopulationVector((0, 1, 0)))[1].bits == (0, 1, 0)
+    assert run_nonadaptive(m, np.array((0, 1, 0), dtype=bool))[1].tolist() == [0, 1, 0]
+
+
+def test_block_spans_hold_read_only_arrays_and_compare_by_value():
+    # Two ample bands, then a tail of two items and an under-sized band of one,
+    # tested one item at a time.
+    p = PriorVector((0.7, 0.6, 0.3) + (0.1,) * 8 + (0.02,) * 8)
+    design = sample_block(p, eps=0.05, delta=1.0, seed=9)
+    *bands, individual = design.spans
+    assert [s.items.tolist() for s in bands] == [b.items.tolist() for b in design.blocks]
+    assert individual.label == "individual" and individual.items.tolist() == design.route.tolist()
+    assert all(s.items.dtype == np.int64 and not s.items.flags.writeable for s in design.spans)
+    span = BlockSpan(row_lo=0, row_hi=2, items=[3, 1], label="x")
+    same = BlockSpan(row_lo=0, row_hi=2, items=np.array([3, 1], dtype=np.uint8), label="x")
+    assert span == same and hash(span) == hash(same) and len({span, same}) == 1
+    for other in (replace(span, items=[1, 3]), replace(span, row_hi=3), replace(span, label="y"), "not a span"):
+        assert span != other
+    with pytest.raises(ValueError, match="block items must hold integers"):
+        BlockSpan(row_lo=0, row_hi=1, items=[0.5], label="x")
+
+
+def test_matrix_refuses_malformed_block_spans():
+    # This built a one-row matrix over 3 items whose block claimed rows 4..2
+    # and item 7 twice.
+    with pytest.raises(ValueError, match="block 'x'"):
+        matrix_from_json_dict(
+            {"n": 3, "rows": [[0]], "blocks": [{"row_lo": 4, "row_hi": 2, "items": [7, 7], "label": "x"}]}
+        )
+    good = BlockSpan(row_lo=0, row_hi=1, items=[0, 2], label="x")
+    assert TestMatrix(3, [0, 1], [0], block_spans=(good,)).block_spans == (good,)
+    for bad in (replace(good, row_lo=1, row_hi=0), replace(good, row_hi=2), replace(good, row_lo=-1),
+                replace(good, items=[0, 3]), replace(good, items=[-1])):
+        with pytest.raises(ValueError, match="block 'x'"):
+            TestMatrix(3, [0, 1], [0], block_spans=(bad,))
+    # The block design's own spans pass, also after a JSON round trip.
+    m = build_block_matrix(generate_prior("exponential", 400, 10.0), eps=0.01, delta=1.0, seed=9)
+    assert m.block_spans[-1].row_hi == m.t
+    assert matrix_from_json_dict(matrix_to_json_dict(m)) == m
 
 
 def test_matrix_refuses_index_values_that_are_not_integers():

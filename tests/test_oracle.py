@@ -224,7 +224,7 @@ def test_exhaustive_decode_error_probability_matches_monte_carlo():
     for k in range(trials):
         truth = draw_truth(p, int(rng.integers(0, 2**31)))
         _, rec = run_nonadaptive(m, truth)
-        fails += not rec.matches(truth)
+        fails += not np.array_equal(rec, truth)
     rate = fails / trials
     sigma = math.sqrt(max(check.error_probability * (1 - check.error_probability), 1e-12) / trials)
     assert abs(rate - check.error_probability) <= 4 * sigma + 1e-9

@@ -5,13 +5,15 @@ import re
 import numpy as np
 import pytest
 
+from priorgt.adaptive import build_plan, run_adaptive, run_adaptive_batch
+from priorgt.nonadaptive import build_cca_matrix, measure_design, run_nonadaptive, sample_cca
 from priorgt.priors import (
-    PopulationVector,
     PriorVector,
     binary_entropy,
     generate_prior,
     prior_from_json_dict,
     prior_to_json_dict,
+    truth_array,
 )
 
 
@@ -163,13 +165,45 @@ def test_prior_vector_holds_one_read_only_array_and_compares_by_value():
     assert p.restricted_mu([]) == 0.0 and p.restricted_mu((0, 2)) == 0.6
 
 
-def test_population_vector_coercion():
-    v = PopulationVector((True, 0, 1))
-    assert v.bits == (1, 0, 1)
-    assert v.as_array().dtype == bool
-    assert not v.as_array().flags.writeable
-    assert v.matches(PopulationVector(np.array([1, 0, 1])))
-    assert v == PopulationVector((1, 0, 1)) and v != PopulationVector((1, 0, 0))
+def test_truth_array_takes_bool_vectors_and_never_casts():
+    given = np.array([True, False, True])
+    assert truth_array(3, given) is given
+    assert truth_array(3, [True, False, True]).tolist() == [True, False, True]
+    assert truth_array(0, np.zeros(0, dtype=bool)).shape == (0,)
+    # A cast read 0.5 and 2 as defective.
+    for bad in ([0.5, 0, 1], np.array([1, 0, 1]), np.array([2.0, 0.0, 1.0]), [1, 0, 1], np.zeros(4, dtype=bool),
+                np.zeros((1, 3), dtype=bool), np.True_):
+        with pytest.raises(ValueError, match=r"a truth must be a bool array of shape \(3,\)"):
+            truth_array(3, bad)
+
+
+def _bad_truths(n):
+    """An int truth, a float truth, a truth one item too long, and a 2-D one."""
+    ints = np.zeros(n, dtype=np.int64)
+    floats = np.zeros(n)
+    floats[0] = 0.5
+    return [ints, floats, np.zeros(n + 1, dtype=bool), np.zeros((1, n), dtype=bool)]
+
+
+def test_executors_refuse_truths_that_are_not_bool_vectors():
+    p = PriorVector((0.2, 0.3, 0.4, 0.1))
+    plan = build_plan(p, "max_entropy")
+    design = sample_cca(p, 5, 2, seed=1)
+    matrix = build_cca_matrix(p, 5, 2, seed=1)
+    one_truth = [
+        lambda truth: run_adaptive(plan, truth),
+        lambda truth: measure_design(design, truth),
+        lambda truth: run_nonadaptive(matrix, truth),
+    ]
+    for run in one_truth:
+        run(np.zeros(4, dtype=bool))
+        for bad in _bad_truths(4):
+            with pytest.raises(ValueError, match="a truth must be a bool array"):
+                run(bad)
+    run_adaptive_batch(plan, np.zeros((2, 4), dtype=bool))
+    for bad in [truths[None].repeat(2, axis=0) for truths in _bad_truths(4)[:3]] + [np.zeros(4, dtype=bool)]:
+        with pytest.raises(ValueError, match="truths must be a"):
+            run_adaptive_batch(plan, bad)
 
 
 def test_prior_json_roundtrip_is_lossless():

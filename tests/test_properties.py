@@ -5,9 +5,9 @@ and exactly 1/2.  Every construction, built whole or pre-partitioned, must
 give a plan that passes the constructor's check, covers every item once,
 recovers every sampled truth exactly, and survives a JSON round trip.  Both
 executors must agree with the depth-first walk ``walk_plan`` from
-``tests/helpers.py`` on every truth vector, the one-truth executor down to
-the order of its transcript, also on plans over some of the items and on
-the pre-partitioned plans of the benchmark's n = 1e4 priors; and the
+``tests/helpers.py`` on every truth vector, in test count and recovered
+vector, also on plans over some of the items and on the pre-partitioned
+plans of the benchmark's n = 1e4 priors; and the
 closed-form E[T] must agree with full enumeration.
 
 The level-by-level builders must lay out exactly the plan of a per-node
@@ -80,7 +80,7 @@ from priorgt.nonadaptive import (
 )
 from priorgt.oracle import exact_expected_tests, exhaustive_decode_check
 from priorgt.partition import band_boundaries, build_partition, combine_for_concentration
-from priorgt.priors import PopulationVector, PriorVector, generate_prior
+from priorgt.priors import PriorVector, generate_prior
 from priorgt.sim import draw_truth, success_curve
 
 from helpers import (
@@ -133,10 +133,10 @@ def test_plans_recover_sampled_truths_exactly(spec, seeds):
         truth = draw_truth(spec[0], seed)
         result = run_adaptive(plan, truth, eps=0.0)
         # The zero set of a pre-partitioned plan is declared clear untested.
-        expected = truth.as_array().copy()
+        expected = truth.copy()
         expected[list(plan.auto_clear)] = False
-        assert np.array_equal(result.recovered.as_array(), expected)
-        assert result.tests_used == len(result.transcript)
+        assert np.array_equal(result.recovered, expected)
+        assert result.tests_used == len(walk_plan(plan, truth)[1])
 
 
 def every_truth(n):
@@ -144,15 +144,17 @@ def every_truth(n):
 
 
 def assert_executors_match_the_walk(plan, truths, eps=0.0):
-    """Both executors agree with ``walk_plan`` on every row of ``truths``,
-    the one-truth executor down to its transcript."""
+    """Both executors agree with ``walk_plan`` on every row of ``truths``:
+    the same test count, one per pool the walk tests, and the same
+    recovered vector."""
     tests, recovered = run_adaptive_batch(plan, truths, eps=eps)
     assert tests.dtype == np.int64 and recovered.shape == truths.shape
     for truth, used, bits in zip(truths, tests, recovered):
-        reference = walk_plan(plan, PopulationVector(truth), eps=eps)
-        assert run_adaptive(plan, PopulationVector(truth), eps=eps) == reference
-        assert reference.tests_used == used
-        assert np.array_equal(reference.recovered.as_array(), bits)
+        reference, transcript = walk_plan(plan, truth, eps=eps)
+        result = run_adaptive(plan, truth, eps=eps)
+        assert result.tests_used == reference.tests_used == len(transcript) == used
+        assert np.array_equal(result.recovered, reference.recovered)
+        assert np.array_equal(reference.recovered, bits)
 
 
 @PROPERTY_SETTINGS
@@ -182,7 +184,7 @@ def test_executors_match_the_walk_on_benchmark_scale_plans(construction, counts_
                             ("exponential", 48.0, 0.999)]:
         p = generate_prior(family, 10_000, mu, rho=rho)
         plan = build_prepartitioned_plan(p, 0.01, construction, counts_both_children)
-        truths = np.stack([draw_truth(p, seed).as_array() for seed in range(20)])
+        truths = np.stack([draw_truth(p, seed) for seed in range(20)])
         assert_executors_match_the_walk(plan, truths, eps=0.01)
 
 
@@ -524,8 +526,8 @@ def matrices(draw):
     zero = frozenset(draw(st.sets(st.integers(0, n - 1))))
     spans = None
     if draw(st.booleans()):
-        spans = (BlockSpan(row_lo=0, row_hi=len(rows), items=tuple(range(n)), label="band0"),)
-    truth = PopulationVector(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        spans = (BlockSpan(row_lo=0, row_hi=len(rows), items=np.arange(n), label="band0"),)
+    truth = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     m = TestMatrix(n=n, indptr=indptr, indices=indices, block_spans=spans, zero_assigned=zero)
     return m, rows, truth
 
@@ -535,15 +537,15 @@ def matrices(draw):
 def test_matrix_run_matches_per_row_reference(case):
     m, rows, truth = case
     outcomes, recovered = run_nonadaptive(m, truth)
-    bits = truth.as_array()
-    assert outcomes == tuple(int(bits[row].any()) for row in rows)
+    assert outcomes.dtype == recovered.dtype == np.bool_
+    assert outcomes.tolist() == [bool(truth[row].any()) for row in rows]
     cleared = set(m.zero_assigned)
     for row, y in zip(rows, outcomes):
         if not y:
             cleared.update(row)
-    assert recovered.bits == tuple(int(i not in cleared) for i in range(m.n))
+    assert recovered.tolist() == [i not in cleared for i in range(m.n)]
     # COMP is one-sided: it never misses a defective outside the pre-cleared set.
-    assert all(recovered.bits[i] for i in range(m.n) if bits[i] and i not in m.zero_assigned)
+    assert all(recovered[i] for i in range(m.n) if truth[i] and i not in m.zero_assigned)
 
 
 @PROPERTY_SETTINGS
@@ -591,13 +593,13 @@ def test_matrix_audit_matches_per_truth_loop(case, probs):
     checked[list(m.zero_assigned)] = False
     passed, err_terms = True, []
     for mask in range(1 << m.n):
-        truth = PopulationVector([(mask >> i) & 1 for i in range(m.n)])
+        truth = np.array([(mask >> i) & 1 for i in range(m.n)], dtype=bool)
         _, recovered = run_nonadaptive(m, truth)
-        if (truth.as_array() & ~recovered.as_array() & checked).any():
+        if (truth & ~recovered & checked).any():
             passed = False
             break
-        if not recovered.matches(truth):
-            err_terms.append(math.prod(q if bit else 1.0 - q for q, bit in zip(p.probs, truth.bits)))
+        if not np.array_equal(recovered, truth):
+            err_terms.append(math.prod(q if bit else 1.0 - q for q, bit in zip(p.probs, truth.tolist())))
     check = exhaustive_decode_check(m, p)
     assert check.passed == passed
     if passed:
@@ -665,7 +667,7 @@ def sampled_priors(draw):
     probs = draw(st.lists(entries, min_size=n - 2, max_size=n - 2))
     p = PriorVector((0.0, 0.7, *probs))
     truths = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=3))
-    return p, [PopulationVector(bits) for bits in truths] + [draw_truth(p, draw(st.integers(0, 2**32 - 1)))]
+    return p, [np.array(bits, dtype=bool) for bits in truths] + [draw_truth(p, draw(st.integers(0, 2**32 - 1)))]
 
 
 @PROPERTY_SETTINGS
@@ -690,7 +692,7 @@ def test_measured_draws_match_matrix_runs(case, t, seed, eps, delta):
             t_used, recovered = measure_design(design, truth)
             _, expected = run_nonadaptive(m, truth)
             assert t_used == m.t
-            assert recovered == expected
+            assert np.array_equal(recovered, expected)
 
 
 @st.composite
@@ -706,7 +708,7 @@ def banded_priors(draw):
     p = PriorVector(tuple(draw(st.permutations(probs))))
     zero = p.as_array() == 0.0
     bits = np.asarray(draw(st.lists(st.booleans(), min_size=p.n, max_size=p.n)))
-    truths = [np.zeros(p.n, dtype=bool), zero, bits, draw_truth(p, draw(st.integers(0, 2**32 - 1))).as_array()]
+    truths = [np.zeros(p.n, dtype=bool), zero, bits, draw_truth(p, draw(st.integers(0, 2**32 - 1)))]
     return p, truths
 
 
@@ -727,11 +729,10 @@ def test_early_stopped_measure_matches_full_matrix_runs(case, t, seed, delta):
             bits = truths[2].copy()
             bits[law.items] = True
             cases.append(bits)
-        for bits in cases:
-            truth = PopulationVector(bits)
+        for truth in cases:
             t_used, recovered = measure_design(design, truth)
             assert t_used == m.t
-            assert recovered == run_nonadaptive(m, truth)[1]
+            assert np.array_equal(recovered, run_nonadaptive(m, truth)[1])
 
 
 @pytest.mark.parametrize("family", ["uniform", "exponential"])
@@ -743,7 +744,7 @@ def test_measured_draws_match_matrix_runs_across_chunks(family):
     g = optimal_g(p)
     rng = np.random.default_rng(23)
     truths = [draw_truth(p, int(s)) for s in rng.integers(0, 2**32, size=6)]
-    truths.append(PopulationVector(rng.random(1000) < 0.002))
+    truths.append(rng.random(1000) < 0.002)
     for design, m in [
         (sample_cca(p, 1202, g, 8), build_cca_matrix(p, 1202, g, 8)),
         (sample_block(p, 0.01, 1.0, 8), build_block_matrix(p, 0.01, 1.0, 8)),
@@ -752,7 +753,7 @@ def test_measured_draws_match_matrix_runs_across_chunks(family):
         for truth in truths:
             t_used, recovered = measure_design(design, truth)
             assert t_used == m.t
-            assert recovered == run_nonadaptive(m, truth)[1]
+            assert np.array_equal(recovered, run_nonadaptive(m, truth)[1])
 
 
 def test_success_curve_matches_per_trial_matrix_loop():
@@ -767,7 +768,7 @@ def test_success_curve_matches_per_trial_matrix_loop():
             truth_seed, matrix_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
             truth = draw_truth(p, truth_seed)
             _, recovered = run_nonadaptive(build_cca_matrix(p, t, g, matrix_seed), truth)
-            successes += recovered.matches(truth)
+            successes += np.array_equal(recovered, truth)
         expected.append((t, successes / trials))
     assert 0.0 < expected[2][1] < 1.0  # the grid spans partial recovery
     assert success_curve(p, grid, trials, seed) == expected

@@ -26,21 +26,30 @@ from helpers import fit_slope, mann_kendall_increasing, walk_plan
 
 
 def test_draw_truth_degenerate():
-    assert draw_truth(PriorVector((0.0,) * 8), 1).bits == (0,) * 8
-    assert draw_truth(PriorVector((1.0,) * 8), 1).bits == (1,) * 8
+    assert draw_truth(PriorVector((0.0,) * 8), 1).tolist() == [0] * 8
+    assert draw_truth(PriorVector((1.0,) * 8), 1).tolist() == [1] * 8
+
+
+def test_draw_truth_is_a_read_only_bool_array():
+    # Every algorithm of a trial shares the truth, so none may write to it.
+    truth = draw_truth(generate_prior("uniform", 50, 5.0), 3)
+    assert isinstance(truth, np.ndarray) and truth.dtype == np.bool_ and truth.shape == (50,)
+    assert not truth.flags.writeable
+    with pytest.raises(ValueError):
+        truth[0] = True
 
 
 def test_draw_truth_frequency():
     p = PriorVector((0.3,))
-    hits = sum(draw_truth(p, seed).bits[0] for seed in range(10_000))
+    hits = sum(draw_truth(p, seed)[0] for seed in range(10_000))
     sigma = math.sqrt(0.3 * 0.7 / 10_000)
     assert abs(hits / 10_000 - 0.3) <= 3 * sigma
 
 
 def test_draw_truth_deterministic():
     p = generate_prior("linear", 100, 3.0)
-    assert draw_truth(p, 9).bits == draw_truth(p, 9).bits
-    assert draw_truth(p, 9).bits != draw_truth(p, 10).bits
+    assert draw_truth(p, 9).tolist() == draw_truth(p, 9).tolist()
+    assert draw_truth(p, 9).tolist() != draw_truth(p, 10).tolist()
 
 
 def test_run_campaign_single_cell():
@@ -114,14 +123,14 @@ def test_run_campaign_matches_per_trial_scalar_reference(monkeypatch, block_tria
             truth = draw_truth(p, truth_seed)
             for algorithm in c.algorithms:
                 if algorithm in plans:
-                    result = walk_plan(plans[algorithm], truth, eps=c.eps)
-                    tests, success = result.tests_used, result.recovered.matches(truth)
+                    result, _ = walk_plan(plans[algorithm], truth, eps=c.eps)
+                    tests, success = result.tests_used, np.array_equal(result.recovered, truth)
                 else:
                     if algorithm == "cca":
                         m = build_cca_matrix(p, num_tests_cca(p, c.delta), optimal_g(p), matrix_seed)
                     else:
                         m = build_block_matrix(p, c.eps, c.delta, matrix_seed)
-                    tests, success = m.t, run_nonadaptive(m, truth)[1].matches(truth)
+                    tests, success = m.t, np.array_equal(run_nonadaptive(m, truth)[1], truth)
                 trial_id = point_index * c.trials + trial_index
                 expected.append(
                     TrialReport(
