@@ -34,6 +34,25 @@ comparisons; by induction on range size they hold exactly when a depth-first
 walk from the roots visits nodes 0, 1, 2, ... with every pool split into two
 nonempty parts.
 
+Each level decides its cuts by filtered exact predicates (Shewchuk 1997):
+one ``searchsorted`` on the plan's item depths -log1p(-p) (max entropy) or
+weights (Shannon-Fano), summed over all of ``perm``, finds each range's
+candidate cut, and the sums restarting at each root decide it with numpy's
+``expm1`` and ``log1p``; the exact code sums each range from 0 and calls
+:mod:`math`.  For a range of m items whose root's sum reaches R at its
+end, and u = 2^-53, two of the root's sums differ by the exact sum between
+them to within m u R (each of the m steps rounds by at most u R), so the
+filter's prefixes lie within (2m + 1) u R of the exact code's.  Taking
+numpy's and math's functions each to lie within 8 ulps of exact, no
+compared quantity (target, its depth, misses, gaps) moves by more than
+(10m + 105) u R, plus a few 2^-1074 at subnormal values.  A decision stands only when every comparison clears the margin
+32 (m + 8) (u R + 2^-1074), at least twice that: the exact code's values
+then fall on the same sides, and as its prefix sums never decrease, the
+same two prefixes bracket the threshold and the same one is nearer.  Ties,
+near ties and vanishing totals go through the exact code, ``_me_exact``
+and ``_sf_exact``; m equal Shannon-Fano weights w tie, with a cut fixed by
+(m, w), so each pair is computed once.
+
 The Huffman merge runs in numpy rounds over every root at once, with no heap.
 In each round a root pairs off, in (weight, smallest item id) order, all of
 its subtrees lighter than the rounded sum s of its two lightest: 1st with
@@ -72,6 +91,9 @@ _INDEX_FIELDS = ("perm", "lo", "hi", "left", "right", "roots", "auto_defective",
 # A level's ranges share one padded block unless that wastes more than this
 # many cells beyond twice their length.
 _ONE_BLOCK_CELLS = 1 << 12
+# The cut filter's margin is _MARGIN (m + 8) (2^-53 R + 2^-1074), at least
+# twice its error bound (module docstring).
+_MARGIN = 32.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,33 +237,75 @@ def _map(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
     return np.array(list(map(fn, values.tolist())), dtype=np.float64)
 
 
-def _blocks(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> list:
-    """The ranges values[a:b] as rows padded with +inf, one block of rows
-    when padding costs little and otherwise one per ceil(log2) of length.
-    ``values`` ends with an extra +inf, which the pads read.  Returns
-    (row ids, rows) per block."""
+def _blocks(a: np.ndarray, b: np.ndarray) -> list:
+    """The positions of the ranges [a, b) as rows padded with -1, one block
+    of rows when padding costs little and otherwise one per ceil(log2) of
+    length.  Values indexed by them read their last entry, an extra +inf,
+    at the pads.  Returns (row ids, positions) per block."""
     m = b - a
     groups = [slice(None)]
-    if len(m) * int(m.max()) > 2 * int(m.sum()) + _ONE_BLOCK_CELLS:
+    if len(m) * int(m.max(initial=0)) > 2 * int(m.sum()) + _ONE_BLOCK_CELLS:
         width = np.frexp(m - 1)[1]
         order = np.argsort(width, kind="stable")
         groups = np.split(order, np.flatnonzero(np.diff(width[order])) + 1)
     blocks = []
     for rows in groups:
-        pos = a[rows, None] + np.arange(m[rows].max())
-        blocks.append((rows, values[np.where(pos < b[rows, None], pos, -1)]))
+        pos = a[rows, None] + np.arange(m[rows].max(initial=0))
+        blocks.append((rows, np.where(pos < b[rows, None], pos, -1)))
     return blocks
 
 
-def _me_cuts(xs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _root_sums(values: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The sums of ``values`` (finite, plus a +inf pad) from 0, and from each
+    position's root start in ``bounds`` through it and before it."""
+    starts, ends = bounds[:-1], bounds[1:]
+    whole = np.concatenate(([0.0], values[:-1].cumsum()))
+    through = np.empty(len(values) - 1)
+    for _, pos in _blocks(starts, ends):
+        inside = pos >= 0
+        through[pos[inside]] = values[pos].cumsum(axis=1)[inside]
+    before = np.concatenate(([0.0], through[:-1]))
+    before[starts] = 0.0
+    return whole, through, before
+
+
+def _me_cuts(xs: np.ndarray, sums: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The max-entropy split's left size for every range [a, b) of ``xs``,
-    the item depths -log1p(-p) in ``perm`` order plus a +inf pad.  Each
-    range's prefix sums start from 0 and run along its own row, as those of
-    the one-node reference ``me_split`` in ``tests/helpers.py`` do."""
+    the item depths in ``perm`` order plus a +inf pad, filtered with
+    ``sums`` from :func:`_root_sums` as the module docstring sets out: the
+    first prefix whose depth reaches the target's, or the one before it
+    when that misses the target by no more."""
+    m = b - a
+    if (m == 2).all():  # one cut each
+        return m // 2
+    whole, through, before = sums
+    base, reach = before[a], through[b - 1]
+    # The margin, R the root's sum at b.
+    total, e = reach - base, (m + 8) * (reach + 2.0**-1021) * (_MARGIN * 2.0**-53)
+    target = -0.5 * np.expm1(-total)
+    limit = -np.log1p(-target)
+    end = np.minimum(np.maximum(whole.searchsorted(whole[a] + limit) - a, 1), m)
+    # Depths of the prefixes of end - 1 (unused at end = 1) and end items.
+    i = a + end - 2
+    short, long = through[i] - base, through[i + 1] - base
+    gap = np.abs(np.expm1(-short) + target) - np.abs(np.expm1(-long) + target)
+    inner = (end > 1) & (end < m)
+    sure = (total > e) & ((end == 1) | (limit - short > e)) & ((end == m) | (long - limit > e))
+    sure &= ~inner | (np.abs(gap) > e)
+    cut = np.minimum(end, m - 1) - (inner & (gap <= 0.0))
+    rows = (~sure).nonzero()[0]
+    if len(rows):
+        cut[rows] = _me_exact(xs, a[rows], b[rows])
+    return cut
+
+
+def _me_exact(xs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`_me_cuts` unfiltered: each range's own row sums from 0 and
+    :mod:`math`'s functions, as the one-node reference ``me_split`` uses."""
     cut = np.empty(len(a), dtype=np.int64)
-    for rows, x in _blocks(xs, a, b):
-        depth = np.cumsum(x, axis=1)
-        m, i = b[rows] - a[rows], np.arange(len(x))
+    for rows, pos in _blocks(a, b):
+        depth = np.cumsum(xs[pos], axis=1)
+        m, i = b[rows] - a[rows], np.arange(len(pos))
         positive = -_map(math.expm1, -depth[i, m - 1])
         target = positive / 2.0
         # The nearest prefix ends at the count of prefix depths below the
@@ -255,17 +319,47 @@ def _me_cuts(xs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cut
 
 
-def _sf_cuts(weights: np.ndarray, listed: list[float], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sf_cuts(weights: np.ndarray, sums: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The Shannon-Fano cut, where the two sides' weights are most nearly
     equal, for every range [a, b) of ``weights``, the item probabilities in
-    ``perm`` order plus a +inf pad; ``listed`` holds the same as Python
-    floats for the exactly rounded totals.  The one-node reference is
-    ``_sf_cut`` in ``tests/helpers.py``."""
-    totals = np.array([math.fsum(listed[s:e]) for s, e in zip(a.tolist(), b.tolist())])
+    ``perm`` order, descending within each root, plus a +inf pad, filtered
+    as in :func:`_me_cuts`: the first prefix holding half the weight, or
+    the one before it when its gap is no larger.  As weights descend, two
+    gaps that clear the margin leave no earlier prefix with an equal gap."""
+    m = b - a
+    if (m == 2).all():  # one cut each
+        return m // 2
+    whole, through, before = sums
+    base, reach = before[a], through[b - 1]
+    # The margin, R the root's sum at b.
+    total, e = reach - base, (m + 8) * (reach + 2.0**-1021) * (_MARGIN * 2.0**-53)
+    half = total / 2.0
+    end = np.minimum(np.maximum(whole.searchsorted(whole[a] + half) - a, 1), m - 1)
+    # Half the gaps |2 prefix - total| at end - 1 and end items, below and
+    # above: halving is exact.
+    i = a + end - 2
+    under, over = half - (through[i] - base), (through[i + 1] - base) - half
+    sure = (over > e) & ((end == 1) | ((under > e) & (np.abs(under - over) > e)))
+    cut = end - ((end > 1) & (under <= over))
+    rows = (~sure).nonzero()[0]
+    if len(rows):
+        s, t = a[rows], b[rows]
+        # One exact cut per (m, w) of equal weights, one per other range.
+        w = weights[s]
+        same = np.unique(np.where(w == weights[t - 1], w.view(np.int64), -1 - rows), return_inverse=True)[1]
+        _, first, pair = np.unique(same * len(weights) + t - s, return_index=True, return_inverse=True)
+        cut[rows] = _sf_exact(weights, s[first], t[first])[pair]
+    return cut
+
+
+def _sf_exact(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`_sf_cuts` unfiltered: each range's ``math.fsum`` total and own
+    row sums from 0, as the one-node reference ``_sf_cut`` uses."""
+    totals = np.array([math.fsum(weights[s:e].tolist()) for s, e in zip(a.tolist(), b.tolist())])
     cut = np.empty(len(a), dtype=np.int64)
-    for rows, w in _blocks(weights, a, b):
-        gap = np.abs(2.0 * np.cumsum(w, axis=1) - totals[rows, None])
-        gap[np.arange(w.shape[1]) >= (b[rows] - a[rows] - 1)[:, None]] = np.inf
+    for rows, pos in _blocks(a, b):
+        gap = np.abs(2.0 * np.cumsum(weights[pos], axis=1) - totals[rows, None])
+        gap[np.arange(pos.shape[1]) >= (b[rows] - a[rows] - 1)[:, None]] = np.inf
         cut[rows] = np.argmin(gap, axis=1) + 1
     return cut
 
@@ -352,16 +446,19 @@ def _huffman(p: PriorVector, perm: np.ndarray, bounds: np.ndarray) -> tuple[np.n
 def _trees(p: PriorVector, construction: str, perm: np.ndarray, bounds: np.ndarray) -> dict:
     """One tree per root range of ``perm``, laid out level by level."""
     if construction == "max_entropy":
-        with np.errstate(divide="ignore"):  # p = 1 only at singleton roots
-            xs = np.append(-np.log1p(-p.as_array()[perm]), np.inf)
-        layout = _layout(bounds, lambda k, a, b: _me_cuts(xs, a, b))
+        # p = 1 items, only at singleton roots, split nothing: depth 0 keeps
+        # the sums finite.
+        q = p.as_array()[perm]
+        xs = np.append(-np.log1p(-np.where(q < 1.0, q, 0.0)), np.inf)
+        sums = _root_sums(xs, bounds)
+        layout = _layout(bounds, lambda k, a, b: _me_cuts(xs, sums, a, b))
     elif construction == "shannon_fano":
         # Each root's items by descending weight, ties by item id.
         root_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
         perm = perm[np.lexsort((perm, -p.as_array()[perm], root_of))]
         weights = np.append(p.as_array()[perm], np.inf)
-        listed = weights.tolist()
-        layout = _layout(bounds, lambda k, a, b: _sf_cuts(weights, listed, a, b))
+        sums = _root_sums(weights, bounds)
+        layout = _layout(bounds, lambda k, a, b: _sf_cuts(weights, sums, a, b))
     elif construction == "huffman":
         first, second, first_count, tops = _huffman(p, perm, bounds)
         subtree = np.empty(2 * len(perm) - len(tops), dtype=np.int64)

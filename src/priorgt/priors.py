@@ -83,6 +83,14 @@ def json_number(name: str, value) -> float:
         raise ValueError(f"{name} must fit in a float, got {value!r}") from None
 
 
+def json_list(name: str, value) -> list:
+    """``value`` if it is a JSON list: a string, an object or a number is
+    refused, not read as a sequence of its characters, keys or digits."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON list, got {value!r}")
+    return value
+
+
 def binary_entropy(p: float) -> float:
     """Entropy in bits of a Bernoulli(p) variable, with h(0) = h(1) = 0."""
     if p <= 0.0 or p >= 1.0:
@@ -197,12 +205,12 @@ def prior_to_json_dict(p: PriorVector) -> dict:
 
 def prior_from_json_dict(data: dict) -> PriorVector:
     """Parse either an explicit {"probs": [...]} vector or a generator spec
-    {"family": ..., "n": ..., "mu": ..., "rho"?: ...}.  Probabilities, mu
-    and rho must be JSON numbers: numeric strings and booleans raise
-    ValueError."""
+    {"family": ..., "n": ..., "mu": ..., "rho"?: ...}.  ``probs`` must be a
+    JSON list, and probabilities, mu and rho JSON numbers: anything else,
+    numeric strings and booleans included, raises ValueError."""
     try:
         if "probs" in data:
-            return PriorVector([json_number(f"probs[{i}]", x) for i, x in enumerate(data["probs"])])
+            return PriorVector([json_number(f"probs[{i}]", x) for i, x in enumerate(json_list("probs", data["probs"]))])
         if "family" in data:
             rho = json_number("rho", data.get("rho", DEFAULT_EXPONENTIAL_DECAY))
             mu = json_number("mu", data["mu"])

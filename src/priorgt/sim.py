@@ -38,7 +38,7 @@ import numpy as np
 
 from . import adaptive, nonadaptive
 from .partition import measure_factor
-from .priors import INT64_MAX, PriorVector, generate_prior, json_number, whole_number
+from .priors import INT64_MAX, PriorVector, generate_prior, json_list, json_number, whole_number
 
 ALGORITHMS = (
     "adaptive_me",
@@ -258,15 +258,16 @@ def success_curve(p: PriorVector, t_grid: Sequence[int], trials: int, seed: int)
 
 
 def campaign_from_json_dict(data: dict) -> Campaign:
-    """Parse a campaign object.  Sweep points, eps, delta and rho must be
-    JSON numbers: numeric strings and booleans raise ValueError."""
+    """Parse a campaign object.  ``sweep`` and ``algorithms`` must be JSON
+    lists, and sweep points, eps, delta and rho JSON numbers: anything else,
+    numeric strings and booleans included, raises ValueError."""
     try:
         return Campaign(
             family=data["family"],
             n=data["n"],
-            sweep=tuple(json_number("sweep point", x) for x in data["sweep"]),
+            sweep=tuple(json_number("sweep point", x) for x in json_list("sweep", data["sweep"])),
             trials=data["trials"],
-            algorithms=tuple(data["algorithms"]),
+            algorithms=tuple(json_list("algorithms", data["algorithms"])),
             base_seed=data.get("base_seed", 0),
             eps=json_number("eps", data.get("eps", 0.01)),
             delta=json_number("delta", data.get("delta", 1.0)),

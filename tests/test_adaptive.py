@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from priorgt.adaptive import (
+    _INDEX_FIELDS,
     NestedPlan,
     build_plan,
     build_prepartitioned_plan,
@@ -545,6 +546,35 @@ def test_prepartitioned_plan_json_is_pinned(construction):
     assert (part.num_combined, len(part.bands), len(part.zero_items)) == (3, 2, 36)
     text = json.dumps(plan_to_json_dict(build_prepartitioned_plan(p, 0.01, construction)), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PREPARTITIONED_PLANS[construction]
+
+
+# sha256 of the eight index arrays' bytes, in field order, of the
+# max_entropy and shannon_fano plans at n = 1e5, mu = 100, built whole and
+# pre-partitioned at eps 0.01, on the stage table's exponential prior
+# (rho = 0.99999) and on the uniform prior, whose one band makes both its
+# plans the same.  Computed with the per-range exact cuts, before the
+# filtered level builders, so the filter is held to them at scale.
+PINNED_LARGE_PLANS = {
+    ("exponential", "max_entropy"): (
+        "65e5acdceca3740902f91b722c183816353f01cef811992836b7836a23b2afa2",
+        "03b39b3d9504619f0de105ee2c442bed473252daef9288289f11aa7b3a9d8f1f",
+    ),
+    ("exponential", "shannon_fano"): (
+        "b43815002022fa88402e40e3a6f530ff7a1183564f43ed8427ace197ac29363f",
+        "bbbcd03cdd28a780b6799d39c31981ed6597cc17db81d11e07ca5c3364eebcc7",
+    ),
+    ("uniform", "max_entropy"): ("1ec6f542ec7904472953a7fe322f8bf8b251ee72a7fd9bad4faafc5abfe8682e",) * 2,
+    ("uniform", "shannon_fano"): ("da68a05d91f6d7b07e7aa3dc62bd6fb95d0dc3020408e8345f038204d6bc668c",) * 2,
+}
+
+
+@pytest.mark.parametrize("family, construction", sorted(PINNED_LARGE_PLANS))
+def test_large_plan_index_arrays_are_pinned(family, construction):
+    p = generate_prior(family, 100_000, 100.0, rho=0.99999)
+    plans = (build_plan(p, construction), build_prepartitioned_plan(p, 0.01, construction))
+    arrays = [b"".join(getattr(plan, f).tobytes() for f in _INDEX_FIELDS) for plan in plans]
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in arrays)
+    assert digests == PINNED_LARGE_PLANS[family, construction]
 
 
 def test_prepartitioned_mixed_routes():

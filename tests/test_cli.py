@@ -198,6 +198,31 @@ def test_malformed_campaign_and_prior_json_exit_2(tmp_path, capsys, command, pay
 
 
 @pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("simulate", {**ADAPTIVE_CAMPAIGN, "algorithms": {"adaptive_me": 1}}, "algorithms"),
+        ("simulate", {**ADAPTIVE_CAMPAIGN, "algorithms": "adaptive_me"}, "algorithms"),
+        ("simulate", {**SMALL_CAMPAIGN, "sweep": "24"}, "sweep"),
+        ("simulate", {**SMALL_CAMPAIGN, "sweep": {"1.0": 1}}, "sweep"),
+        ("bounds", {"probs": "0.1"}, "probs"),
+        ("bounds", {"probs": {"0": 0.1}}, "probs"),
+    ],
+    ids=["algorithms-object", "algorithms-string", "sweep-string", "sweep-object", "probs-string", "probs-object"],
+)
+def test_json_containers_that_are_not_lists_exit_2_naming_the_field(tmp_path, capsys, command, payload, field):
+    # A string or an object is not read as a sequence of characters or keys.
+    spec, out = tmp_path / "spec.json", tmp_path / "out.csv"
+    spec.write_text(json.dumps(payload))
+    if command == "simulate":
+        argv = ["simulate", "--campaign", str(spec), "--out", str(out)]
+    else:
+        argv = ["bounds", "--prior", str(spec)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} must be a JSON list, got ")
+    assert list(tmp_path.iterdir()) == [spec]
+
+
+@pytest.mark.parametrize(
     "algorithm, eps", [("block", 0.0), ("prepartitioned_me", 0.0), ("block", 20.0), ("prepartitioned_huffman", 25.0)]
 )
 def test_campaign_eps_that_cannot_partition_exits_2_naming_eps(tmp_path, capsys, algorithm, eps):

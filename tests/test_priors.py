@@ -239,3 +239,10 @@ def test_prior_json_generator_spec():
 def test_prior_json_numbers_must_be_json_numbers(spec, field):
     with pytest.raises(ValueError, match=rf"^{re.escape(field)} must "):
         prior_from_json_dict(spec)
+
+
+@pytest.mark.parametrize("probs", ["0.1", {"0": 0.1}, 0.1])
+def test_prior_json_probs_must_be_a_json_list(probs):
+    # A string would otherwise be read as its characters, an object as its keys.
+    with pytest.raises(ValueError, match=r"^probs must be a JSON list, got "):
+        prior_from_json_dict({"probs": probs})

@@ -20,6 +20,12 @@ singleton roots.  The vectorized constructor check must reject a corrupted
 plan exactly when the depth-first walk it replaced, also kept here, rejects
 it.
 
+The filtered max-entropy and Shannon-Fano cuts must give the plans of their
+exact fallback alone, with the margin patched to infinity, and the per-node
+reference's on adversarial priors: p down to the least subnormal, p = 1
+route items before wide bands, equal weights and pools of two and three.
+At n = 1e5 fewer than 1% of ranges may fall back.
+
 Band combining must give the partition of the per-band loop it replaced,
 ``combine_reference`` in ``tests/helpers.py``, on priors that fill chosen
 bands with chosen counts, so that merged, skipped, void and absent ample
@@ -51,6 +57,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from priorgt import adaptive
 from priorgt.adaptive import (
     CONSTRUCTIONS,
     NestedPlan,
@@ -295,6 +302,105 @@ def test_equal_probabilities_split_like_the_reference(q):
     for q, n, cuts in ((1e-300, 5, [2, 1, 2, 1]), (1e-17, 11, [6, 3, 1, 1, 1, 1, 3, 1, 1, 1])):
         plan = build_plan(PriorVector((q,) * n), "max_entropy")
         assert [plan.hi[plan.left[k]] - plan.lo[k] for k in range(len(plan.lo)) if plan.left[k] >= 0] == cuts
+
+
+@pytest.fixture
+def cut_rows(monkeypatch):
+    """Counts the ranges the level builders split, those of them with three
+    or more items, and the rows their exact fallbacks compute, by wrapping
+    the four cut functions."""
+    counts = dict.fromkeys(("ranges", "wide", "exact"), 0)
+
+    def wrap(name, fast):
+        real = getattr(adaptive, name)
+
+        def wrapped(values, *args):
+            a, b = args[-2:]
+            if fast:
+                counts["ranges"] += len(a)
+                counts["wide"] += int((b - a > 2).sum())
+            else:
+                counts["exact"] += len(a)
+            return real(values, *args)
+
+        monkeypatch.setattr(adaptive, name, wrapped)
+
+    for name in ("_me_cuts", "_sf_cuts"):
+        wrap(name, True)
+    for name in ("_me_exact", "_sf_exact"):
+        wrap(name, False)
+    return counts
+
+
+def test_every_range_through_the_fallback_gives_the_filtered_plans(monkeypatch, cut_rows):
+    """With an infinite margin no cut is certified: every range of three or
+    more items goes through the exact fallback, once per distinct range
+    (Shannon-Fano ranges of equal weights share one), pairs have one cut,
+    and the plans stay the same."""
+    rng = np.random.default_rng(9)
+    extremes = rng.choice([5e-324, 1e-300, 1e-17, 0.25, 0.5, 1.0], size=600)
+    priors = [
+        (generate_prior("exponential", 3000, 24.0, rho=0.999), True),
+        (generate_prior("linear", 1000, 10.0), True),
+        (generate_prior("uniform", 2000, 40.0), False),
+        (PriorVector(np.where(rng.random(1500) < 0.2, np.resize(extremes, 1500), rng.uniform(0, 0.05, 1500))), False),
+    ]
+    kinds = [(c, eps) for c in ("max_entropy", "shannon_fano") for eps in (None, 0.01)]
+    specs = [(p, c, eps, distinct) for p, distinct in priors for c, eps in kinds]
+    filtered = [make_plan(p, c, True, eps) for p, c, eps, _ in specs]
+    monkeypatch.setattr(adaptive, "_MARGIN", np.inf)
+    for (p, c, eps, distinct), plan in zip(specs, filtered):
+        cut_rows.update(ranges=0, wide=0, exact=0)
+        assert make_plan(p, c, True, eps) == plan, (p.n, c, eps)
+        assert cut_rows["exact"] <= cut_rows["ranges"]
+        assert cut_rows["wide"] <= cut_rows["exact"] if distinct or c == "max_entropy" else cut_rows["exact"] > 0
+
+
+@pytest.mark.parametrize("construction", ["max_entropy", "shannon_fano"])
+def test_few_ranges_fall_back_on_a_large_uniform_prior(cut_rows, construction):
+    """The filter certifies nearly every cut, so the fast path runs: at
+    n = 1e5 fewer than 1% of ranges are computed exactly."""
+    build_plan(generate_prior("uniform", 100_000, 100.0), construction)
+    assert cut_rows["ranges"] == 100_000 - 145 and cut_rows["exact"] < cut_rows["ranges"] / 100
+
+
+def route_prior():
+    """Three p = 1 items among 2,000 at 0.01: pre-partitioned, they are
+    singleton roots just before the band's wide roots."""
+    probs = np.full(2000, 0.01)
+    probs[[3, 500, 1999]] = 1.0
+    return PriorVector(probs)
+
+
+def adversarial_priors():
+    """Probabilities down to the least subnormal, p = 1 route items among
+    wide bands, equal weights, and pools of two and three items."""
+    rng = np.random.default_rng(13)
+    tiny = [np.full(n, q) for q in (5e-324, 1e-300, 1e-17) for n in (2, 3, 8, 41)]
+    mixed = rng.choice([5e-324, 1e-300, 1e-17, 0.01, 0.2], size=400)
+    small = [(0.3, 0.3), (0.3, 0.3, 0.3), (1e-300, 0.4), (0.2, 1e-17, 0.2), (0.45, 0.45, 0.1)]
+    return [PriorVector(q) for q in (*tiny, mixed, np.full(999, 0.004), np.full(64, 0.1), *small)] + [route_prior()]
+
+
+@pytest.mark.parametrize("p", adversarial_priors(), ids=lambda p: f"n{p.n}-p{p.probs[0]:.0e}")
+def test_filtered_cuts_match_the_reference_on_adversarial_priors(p, cut_rows):
+    for construction in ("max_entropy", "shannon_fano"):
+        for eps in (None, 0.01):
+            spec = (p, construction, True, eps)
+            assert make_plan(*spec) == reference_plan(*spec), (construction, eps)
+
+
+def test_p_one_route_items_do_not_cross_the_prefix_sums(cut_rows):
+    """The sums over all of ``perm`` count the p = 1 route items' infinite
+    depths as 0, so the band after them still locates and certifies its
+    cuts; only the ties of its equal weights fall back."""
+    p = route_prior()
+    for construction in ("max_entropy", "shannon_fano"):
+        cut_rows.update(ranges=0, wide=0, exact=0)
+        plan = build_prepartitioned_plan(p, 0.01, construction)
+        assert plan.perm[:3].tolist() == [3, 500, 1999]
+        assert cut_rows["exact"] < cut_rows["ranges"] / 100
+        assert construction == "shannon_fano" or not cut_rows["exact"]
 
 
 def assert_huffman_merges_like_the_heap(p, pools):
