@@ -45,13 +45,15 @@ them to within m u R (each of the m steps rounds by at most u R), so the
 filter's prefixes lie within (2m + 1) u R of the exact code's.  Taking
 numpy's and math's functions each to lie within 8 ulps of exact, no
 compared quantity (target, its depth, misses, gaps) moves by more than
-(10m + 105) u R, plus a few 2^-1074 at subnormal values.  A decision stands only when every comparison clears the margin
-32 (m + 8) (u R + 2^-1074), at least twice that: the exact code's values
-then fall on the same sides, and as its prefix sums never decrease, the
-same two prefixes bracket the threshold and the same one is nearer.  Ties,
-near ties and vanishing totals go through the exact code, ``_me_exact``
-and ``_sf_exact``; m equal Shannon-Fano weights w tie, with a cut fixed by
-(m, w), so each pair is computed once.
+(10m + 105) u R, plus a few 2^-1074 at subnormal values.  A decision
+stands only when every comparison clears the margin 32 (m + 8) (u R +
+2^-1074), at least twice that: the exact code's values then fall on the
+same sides, and as its prefix sums never decrease, the same two prefixes
+bracket the threshold and the same one is nearer.  Ties, near ties and
+vanishing totals go to the exact code, ``_me_exact`` and ``_sf_exact``,
+which cut one range at a time by the one-node rules themselves; m equal
+Shannon-Fano weights w tie, with a cut fixed by (m, w), so each pair is
+computed once.
 
 The Huffman merge runs in numpy rounds over every root at once, with no heap.
 In each round a root pairs off, in (weight, smallest item id) order, all of
@@ -88,7 +90,7 @@ from .priors import PriorVector, index_array, json_number, truth_array, whole_nu
 CONSTRUCTIONS = ("max_entropy", "shannon_fano", "huffman")
 PLAN_FORMAT = 2
 _INDEX_FIELDS = ("perm", "lo", "hi", "left", "right", "roots", "auto_defective", "auto_clear")
-# A level's ranges share one padded block unless that wastes more than this
+# The root ranges share one padded block unless that wastes more than this
 # many cells beyond twice their length.
 _ONE_BLOCK_CELLS = 1 << 12
 # The cut filter's margin is _MARGIN (m + 8) (2^-53 R + 2^-1074), at least
@@ -197,7 +199,7 @@ class AdaptiveRunResult:
 def _depths(p: PriorVector, items: Sequence[int]) -> np.ndarray:
     """Prefix sums of -log(1 - p_i) over ``items``, from 0: items[a:b] holds a
     defective with probability -expm1(depth[a] - depth[b]), even at tiny p_i."""
-    return np.concatenate(([0.0], np.cumsum(-np.log1p(-p.as_array()[np.asarray(items, dtype=np.int64)]))))
+    return np.concatenate(([0.0], np.cumsum(-np.log1p(-p.probs[np.asarray(items, dtype=np.int64)]))))
 
 
 def _nearest_prefix(depth: np.ndarray, start: int, stop: int, target: float) -> int:
@@ -211,48 +213,33 @@ def _nearest_prefix(depth: np.ndarray, start: int, stop: int, target: float) -> 
     return hi - 1 if hi - 1 > start and miss[0] <= miss[1] else hi
 
 
-def _me_first_cut(depth: np.ndarray, start: int, stop: int) -> int:
-    return _nearest_prefix(depth, start, stop, 0.5)
-
-
-def _sf_first_cut(depth: np.ndarray, start: int, stop: int) -> int:
-    # The product stays at or above 1/2 while the depth grows by at most ln 2.
-    return max(start + 1, int(depth.searchsorted(depth[start] + math.log(2.0), "right")) - 1)
-
-
 def _first_stage(p: PriorVector, items: np.ndarray, construction: str) -> list[int]:
     """The bounds 0 = s_0 < s_1 < ... of the consecutive first-stage pools
     that ``items``, each with 0 < p < 1, are cut into, in order."""
     depth = _depths(p, items)
-    cut = _me_first_cut if construction == "max_entropy" else _sf_first_cut
     bounds = [0]
-    while bounds[-1] < len(items):
-        bounds.append(cut(depth, bounds[-1], len(items)))
+    while (start := bounds[-1]) < len(items):
+        if construction == "max_entropy":
+            bounds.append(_nearest_prefix(depth, start, len(items), 0.5))
+        else:
+            # The product stays at or above 1/2 while the depth grows by at most ln 2.
+            bounds.append(max(start + 1, int(depth.searchsorted(depth[start] + math.log(2.0), "right")) - 1))
     return bounds
 
 
-def _map(fn: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    """``fn`` from :mod:`math` on every entry, so the result rounds exactly
-    as the one-node references do (numpy's vector kernels may differ)."""
-    return np.array(list(map(fn, values.tolist())), dtype=np.float64)
-
-
-def _blocks(a: np.ndarray, b: np.ndarray) -> list:
+def _blocks(a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
     """The positions of the ranges [a, b) as rows padded with -1, one block
     of rows when padding costs little and otherwise one per ceil(log2) of
     length.  Values indexed by them read their last entry, an extra +inf,
-    at the pads.  Returns (row ids, positions) per block."""
+    at the pads."""
     m = b - a
     groups = [slice(None)]
     if len(m) * int(m.max(initial=0)) > 2 * int(m.sum()) + _ONE_BLOCK_CELLS:
         width = np.frexp(m - 1)[1]
         order = np.argsort(width, kind="stable")
         groups = np.split(order, np.flatnonzero(np.diff(width[order])) + 1)
-    blocks = []
-    for rows in groups:
-        pos = a[rows, None] + np.arange(m[rows].max(initial=0))
-        blocks.append((rows, np.where(pos < b[rows, None], pos, -1)))
-    return blocks
+    pads = [a[rows, None] + np.arange(m[rows].max(initial=0)) for rows in groups]
+    return [np.where(pos < b[rows, None], pos, -1) for rows, pos in zip(groups, pads)]
 
 
 def _root_sums(values: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -261,7 +248,7 @@ def _root_sums(values: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, ...]
     starts, ends = bounds[:-1], bounds[1:]
     whole = np.concatenate(([0.0], values[:-1].cumsum()))
     through = np.empty(len(values) - 1)
-    for _, pos in _blocks(starts, ends):
+    for pos in _blocks(starts, ends):
         inside = pos >= 0
         through[pos[inside]] = values[pos].cumsum(axis=1)[inside]
     before = np.concatenate(([0.0], through[:-1]))
@@ -300,22 +287,14 @@ def _me_cuts(xs: np.ndarray, sums: tuple, a: np.ndarray, b: np.ndarray) -> np.nd
 
 
 def _me_exact(xs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`_me_cuts` unfiltered: each range's own row sums from 0 and
-    :mod:`math`'s functions, as the one-node reference ``me_split`` uses."""
+    """:func:`_me_cuts` unfiltered, one range at a time as the one-node
+    reference ``me_split`` cuts it: the range's own sums from 0 and
+    :func:`_nearest_prefix`, or m // 2 when it holds no positive mass."""
     cut = np.empty(len(a), dtype=np.int64)
-    for rows, pos in _blocks(a, b):
-        depth = np.cumsum(xs[pos], axis=1)
-        m, i = b[rows] - a[rows], np.arange(len(pos))
-        positive = -_map(math.expm1, -depth[i, m - 1])
-        target = positive / 2.0
-        # The nearest prefix ends at the count of prefix depths below the
-        # target's, at least 1 and at most m - 1, or one item earlier when
-        # that misses the target by no more: ties go to the shorter prefix.
-        end = 1 + (depth < -_map(math.log1p, -target)[:, None]).sum(axis=1)
-        near = -_map(math.expm1, -np.concatenate((depth[i, end - 2], depth[i, end - 1])))
-        miss = np.abs(near.reshape(2, -1) - target)
-        shorter = (miss[0] <= miss[1]) & (end >= 2) & (end < m)
-        cut[rows] = np.where(positive <= 0.0, m // 2, np.minimum(end, m - 1) - shorter)
+    for j, (s, e) in enumerate(zip(a.tolist(), b.tolist())):
+        depth = np.concatenate(([0.0], np.cumsum(xs[s:e])))
+        positive = -math.expm1(-depth[-1])
+        cut[j] = (e - s) // 2 if positive <= 0.0 else _nearest_prefix(depth, 0, e - s - 1, positive / 2.0)
     return cut
 
 
@@ -353,14 +332,13 @@ def _sf_cuts(weights: np.ndarray, sums: tuple, a: np.ndarray, b: np.ndarray) -> 
 
 
 def _sf_exact(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`_sf_cuts` unfiltered: each range's ``math.fsum`` total and own
-    row sums from 0, as the one-node reference ``_sf_cut`` uses."""
-    totals = np.array([math.fsum(weights[s:e].tolist()) for s, e in zip(a.tolist(), b.tolist())])
+    """:func:`_sf_cuts` unfiltered, one range at a time as the one-node
+    reference ``_sf_cut`` cuts it: the prefix of all but the last item whose
+    doubled sum from 0 lies nearest the range's ``math.fsum`` total."""
     cut = np.empty(len(a), dtype=np.int64)
-    for rows, pos in _blocks(a, b):
-        gap = np.abs(2.0 * np.cumsum(weights[pos], axis=1) - totals[rows, None])
-        gap[np.arange(pos.shape[1]) >= (b[rows] - a[rows] - 1)[:, None]] = np.inf
-        cut[rows] = np.argmin(gap, axis=1) + 1
+    for j, (s, e) in enumerate(zip(a.tolist(), b.tolist())):
+        gap = np.abs(2.0 * np.cumsum(weights[s : e - 1]) - math.fsum(weights[s:e].tolist()))
+        cut[j] = int(np.argmin(gap)) + 1
     return cut
 
 
@@ -411,7 +389,7 @@ def _huffman(p: PriorVector, perm: np.ndarray, bounds: np.ndarray) -> tuple[np.n
     total = 2 * size - len(width)
     first, second, first_count = np.full((3, total), -1, dtype=np.int64)
     weight, least, count = np.empty(total), np.empty(total, dtype=np.int64), np.ones(total, dtype=np.int64)
-    weight[:size], least[:size] = p.as_array()[perm], perm
+    weight[:size], least[:size] = p.probs[perm], perm
     # A singleton root is its leaf; the others enter the rounds.
     tops = bounds[:-1].copy()
     root = np.repeat(np.arange(len(width)), width)
@@ -448,15 +426,15 @@ def _trees(p: PriorVector, construction: str, perm: np.ndarray, bounds: np.ndarr
     if construction == "max_entropy":
         # p = 1 items, only at singleton roots, split nothing: depth 0 keeps
         # the sums finite.
-        q = p.as_array()[perm]
+        q = p.probs[perm]
         xs = np.append(-np.log1p(-np.where(q < 1.0, q, 0.0)), np.inf)
         sums = _root_sums(xs, bounds)
         layout = _layout(bounds, lambda k, a, b: _me_cuts(xs, sums, a, b))
     elif construction == "shannon_fano":
         # Each root's items by descending weight, ties by item id.
         root_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-        perm = perm[np.lexsort((perm, -p.as_array()[perm], root_of))]
-        weights = np.append(p.as_array()[perm], np.inf)
+        perm = perm[np.lexsort((perm, -p.probs[perm], root_of))]
+        weights = np.append(p.probs[perm], np.inf)
         sums = _root_sums(weights, bounds)
         layout = _layout(bounds, lambda k, a, b: _sf_cuts(weights, sums, a, b))
     elif construction == "huffman":
@@ -485,7 +463,7 @@ def build_plan(p: PriorVector, construction: str, counts_both_children: bool = T
 
     Certain and impossible items never enter the trees.
     """
-    probs, ids = p.as_array(), np.arange(p.n)
+    probs, ids = p.probs, np.arange(p.n)
     rest = ids[(probs > 0.0) & (probs < 1.0)]
     bounds = _first_stage(p, rest, construction)
     return NestedPlan(
@@ -625,7 +603,7 @@ def expected_tests(plan: NestedPlan, p: PriorVector) -> float:
     if not len(plan.lo):
         return 0.0
     with np.errstate(divide="ignore"):  # p = 1 gives depth +inf
-        depths = np.append(-np.log1p(-p.as_array()[plan.perm]), 0.0)
+        depths = np.append(-np.log1p(-p.probs[plan.perm]), 0.0)
     positive = -np.expm1(-np.add.reduceat(depths, np.stack((plan.lo, plan.hi), axis=1).ravel())[::2])
     first, second = _tested_children(plan, positive)
     return len(plan.roots) + math.fsum(first.tolist()) + math.fsum(second.tolist())

@@ -21,12 +21,12 @@ Each draw costs O(1) on average, and since u K and b/K are exact for a
 power of two, the ids equal those of a binary search over the same CDF.
 
 A :class:`SampledDesign` is a design's law and its seed: per block the
-items, the clipped CDF with its guide table and the row and draw counts,
-plus the individually tested items and the zero set.  Its ids are drawn on
-demand by one generator, max(1, CHUNK // g) rows at a time, so a temporary
-holds at most ``CHUNK`` draws, or one row where a row is wider.  PCG64
-spends one 64-bit output per double, so the chunks hold exactly the ids of
-one (t, g) draw.  The same law serves any seed.
+items, the clipped CDF with its guide table, the row and draw counts and the
+band label, plus the individually tested items and the zero set.  Its ids
+are drawn on demand by one generator, max(1, CHUNK // g) rows at a time, so
+a temporary holds at most ``CHUNK`` draws, or one row where a row is wider.
+PCG64 spends one 64-bit output per double, so the chunks hold exactly the
+ids of one (t, g) draw.  The same law serves any seed.
 
 A matrix is stored in compressed sparse row form, so every row is measured
 from one prefix count of the truth and every negative row is cleared in one
@@ -35,17 +35,10 @@ for the same reason :func:`measure_design` measures the drawn chunks
 directly, without sorting or deduplicating them, for Monte Carlo runs.
 
 :func:`measure_design` also stops drawing a block once every clear item in
-it is cleared, and skips the block's unread uniforms with
-``PCG64.advance``.  A negative row holds only clear items and blocks are
-disjoint, so the rows it leaves unread could not change the decode, and
-advancing equals drawing, so later blocks get the same ids.  A block with
-no defective in the truth is read as its row-major stream of draws, in
-rows of one draw, since every row of it is negative: it stops within a
-chunk of the draw that covers its last item, mid-row if need be.  With
-``CHUNK`` = 2^13, any block overshoots the draw where it is settled by less
-than 8,192 draws, or one row where a row is wider.
-:meth:`SampledDesign.draws` and :meth:`SampledDesign.to_matrix` stay
-complete: they are the reference that measuring is tested against.
+it is cleared and skips the rest with ``PCG64.advance``; its docstring shows
+why that is exact.  :meth:`SampledDesign.draws` and
+:meth:`SampledDesign.to_matrix` stay complete: they are the reference that
+measuring is tested against.
 """
 
 from __future__ import annotations
@@ -59,7 +52,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .partition import build_partition
-from .priors import PriorVector, index_array, truth_array, whole_number
+from .priors import PriorVector, index_array, json_list, truth_array, whole_number
 
 # Draws per chunk.  A design's ids are drawn and consumed max(1, CHUNK // g)
 # rows at a time, so temporaries stay cache-sized however many rows it has,
@@ -70,7 +63,7 @@ CHUNK = 1 << 13
 
 def sampling_distribution(p: PriorVector) -> np.ndarray:
     """Row-sampling distribution (1 - p_i) / (n - mu); sums to one."""
-    return _distribution(p.as_array(), p.n - p.mu)
+    return _distribution(p.probs, p.n - p.mu)
 
 
 def _distribution(probs: np.ndarray, mass: float) -> np.ndarray:
@@ -90,7 +83,7 @@ def _optimal_g_from(weights: np.ndarray, probs: np.ndarray) -> int:
 def optimal_g(p: PriorVector) -> int:
     """Per-row draw count -1/ln(sum p_hat_i (1 - p_i)), rounded to the
     nearest integer with a floor of one."""
-    return _optimal_g_from(sampling_distribution(p), p.as_array())
+    return _optimal_g_from(sampling_distribution(p), p.probs)
 
 
 def num_tests_cca(p: PriorVector, delta: float) -> int:
@@ -226,22 +219,24 @@ def _sampling_cdf(weights: np.ndarray) -> np.ndarray:
 class BlockLaw:
     """``t`` rows of ``g`` draws each, positions in the int64 array
     ``items`` drawn from the clipped sampling CDF ``cdf`` through its guide
-    table ``guide``."""
+    table ``guide``.  ``label`` names a block design's band, such as
+    ``"band0"``, and is None in the whole-vector design."""
 
     items: np.ndarray
     cdf: np.ndarray
     guide: np.ndarray
     t: int
     g: int
+    label: str | None = None
 
 
-def _block_law(items: np.ndarray, weights: np.ndarray, t: int, g: int) -> BlockLaw:
+def _block_law(items: np.ndarray, weights: np.ndarray, t: int, g: int, label: str | None = None) -> BlockLaw:
     """The law of t rows of g draws from ``weights`` over ``items``.  Its
     guide table has K buckets, K the smallest power of two at least 2n, and
     ``guide[b]`` is the binary search's answer for u = b/K."""
     cdf = _sampling_cdf(weights)
     k = 1 << (2 * len(cdf) - 1).bit_length()
-    return BlockLaw(items, cdf, np.searchsorted(cdf, np.arange(k) / k, side="right"), t, g)
+    return BlockLaw(items, cdf, np.searchsorted(cdf, np.arange(k) / k, side="right"), t, g, label)
 
 
 def _block_chunks(block: BlockLaw, rng) -> Iterator[np.ndarray]:
@@ -291,7 +286,9 @@ class SampledDesign:
     Every ``route`` item then gets one singleton row, and ``zero`` items get
     no row and are cleared by the decoder directly.  The same law serves
     every seed: ``dataclasses.replace(design, seed=s)`` is the design drawn
-    with seed s.
+    with seed s.  When every block is labelled, as in the block design, the
+    matrix's spans are each block's rows, then the route's, labelled
+    ``"individual"``; the whole-vector design's unlabelled block gives none.
     """
 
     n: int
@@ -299,7 +296,6 @@ class SampledDesign:
     blocks: tuple[BlockLaw, ...]
     route: np.ndarray
     zero: np.ndarray
-    spans: tuple[BlockSpan, ...] | None = None
 
     @property
     def t(self) -> int:
@@ -324,11 +320,20 @@ class SampledDesign:
             indices.append(self.blocks[index].items[local])
         sizes.append(np.ones(len(self.route), dtype=np.int64))
         indices.append(self.route)
+        spans = None
+        if all(block.label is not None for block in self.blocks):
+            spans, t = [], 0
+            for block in self.blocks:
+                spans.append(BlockSpan(row_lo=t, row_hi=t + block.t, items=block.items, label=block.label))
+                t += block.t
+            if len(self.route):
+                spans.append(BlockSpan(row_lo=t, row_hi=self.t, items=self.route, label="individual"))
+            spans = tuple(spans)
         return TestMatrix(
             n=self.n,
             indptr=np.cumsum(np.concatenate(sizes)),
             indices=np.concatenate(indices),
-            block_spans=self.spans,
+            block_spans=spans,
             zero_assigned=frozenset(self.zero.tolist()),
         )
 
@@ -357,10 +362,7 @@ def sample_block(p: PriorVector, eps: float, delta: float, seed: int) -> Sampled
     _check_delta(delta)
     part = build_partition(p, eps)
     blocks = []
-    spans: list[BlockSpan] = []
     routed = [part.individual_route()]
-    t = 0
-
     for k, band in enumerate(part.ample_bands()):
         n_s = band.size
         mu_s = p.restricted_mu(band.items)
@@ -368,23 +370,10 @@ def sample_block(p: PriorVector, eps: float, delta: float, seed: int) -> Sampled
         if t_s == 0:
             routed.append(band.items)
             continue
-        probs = p.as_array()[band.items]
+        probs = p.probs[band.items]
         weights = _distribution(probs, n_s - mu_s)
-        blocks.append(_block_law(band.items, weights, t_s, _optimal_g_from(weights, probs)))
-        spans.append(BlockSpan(row_lo=t, row_hi=t + t_s, items=band.items, label=f"band{k}"))
-        t += t_s
-
-    route = np.concatenate(routed)
-    if len(route):
-        spans.append(BlockSpan(row_lo=t, row_hi=t + len(route), items=route, label="individual"))
-    return SampledDesign(
-        n=p.n,
-        seed=seed,
-        blocks=tuple(blocks),
-        route=route,
-        zero=part.zero_items,
-        spans=tuple(spans),
-    )
+        blocks.append(_block_law(band.items, weights, t_s, _optimal_g_from(weights, probs), f"band{k}"))
+    return SampledDesign(n=p.n, seed=seed, blocks=tuple(blocks), route=np.concatenate(routed), zero=part.zero_items)
 
 
 def build_cca_matrix(p: PriorVector, t: int, g: int, seed: int) -> TestMatrix:
@@ -475,26 +464,31 @@ def matrix_to_json_dict(m: TestMatrix) -> dict:
 
 
 def matrix_from_json_dict(data: dict) -> TestMatrix:
-    """Parse a matrix written by :func:`matrix_to_json_dict`.  ``n``, row ids,
-    block bounds and items and ``zero_assigned`` must be whole numbers."""
+    """Parse a matrix written by :func:`matrix_to_json_dict`.  ``rows``, each
+    row, ``blocks``, each block's items and ``zero_assigned`` must be JSON
+    lists, and ``n``, row ids, block bounds and items and ``zero_assigned``
+    whole numbers; anything else raises ValueError."""
 
     def ids(name: str, values) -> list[int]:
-        return [whole_number(name, i, least=0) for i in values]
+        return [whole_number(name, i, least=0) for i in json_list(name, values)]
 
-    spans = None
-    if "blocks" in data:
-        spans = tuple(
-            BlockSpan(
-                row_lo=whole_number("row_lo", b["row_lo"], least=0),
-                row_hi=whole_number("row_hi", b["row_hi"], least=0),
-                items=ids("block item", b["items"]),
-                label=str(b["label"]),
+    try:
+        spans = None
+        if "blocks" in data:
+            spans = tuple(
+                BlockSpan(
+                    row_lo=whole_number("row_lo", b["row_lo"], least=0),
+                    row_hi=whole_number("row_hi", b["row_hi"], least=0),
+                    items=ids("block item", b["items"]),
+                    label=str(b["label"]),
+                )
+                for b in json_list("blocks", data["blocks"])
             )
-            for b in data["blocks"]
+        return TestMatrix.from_rows(
+            n=whole_number("n", data["n"]),
+            rows=[ids("row id", row) for row in json_list("rows", data["rows"])],
+            block_spans=spans,
+            zero_assigned=frozenset(ids("zero_assigned id", data.get("zero_assigned", []))),
         )
-    return TestMatrix.from_rows(
-        n=whole_number("n", data["n"]),
-        rows=[ids("row id", row) for row in data["rows"]],
-        block_spans=spans,
-        zero_assigned=frozenset(ids("zero_assigned id", data.get("zero_assigned", []))),
-    )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed matrix JSON: {exc!r}") from exc

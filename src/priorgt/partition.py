@@ -115,7 +115,7 @@ def build_partition(p: PriorVector, eps: float) -> Partition:
     n = p.n
     gamma = measure_factor(n, eps)
     lo_cut = eps / (2.0 * n)
-    probs = p.as_array()
+    probs = p.probs
     order = np.argsort(probs, kind="stable")
     order.flags.writeable = False
     ranked = probs[order]

@@ -146,10 +146,6 @@ class PriorVector:
     def max_prob(self) -> float:
         return float(self.probs.max())
 
-    def as_array(self) -> np.ndarray:
-        """The probabilities, ``probs`` itself."""
-        return self.probs
-
     def restricted_mu(self, items) -> float:
         """Sum of p_i over ``items``, exactly rounded."""
         return math.fsum(self.probs[np.asarray(items, dtype=np.int64)].tolist())

@@ -128,7 +128,7 @@ class Campaign:
 def draw_truth(p: PriorVector, seed: int) -> np.ndarray:
     """Independent Bernoulli(p_i) draws, deterministic given the seed, as a
     read-only bool array: every algorithm of a trial shares it."""
-    truth = np.random.default_rng(seed).random(p.n) < p.as_array()
+    truth = np.random.default_rng(seed).random(p.n) < p.probs
     truth.flags.writeable = False
     return truth
 

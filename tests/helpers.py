@@ -32,7 +32,7 @@ def _groups(p: PriorVector, items: Sequence[int] | None, construction: str) -> l
     """The certain defectives (p = 1) among ``items``, all items when None,
     as singletons, then the first-stage pools of the items with 0 < p < 1."""
     items = np.arange(p.n) if items is None else np.asarray(items, dtype=np.int64)
-    q = p.as_array()[items]
+    q = p.probs[items]
     rest = items[(q > 0.0) & (q < 1.0)]
     bounds = _first_stage(p, rest, construction)
     return [(i,) for i in items[q >= 1.0].tolist()] + [tuple(rest[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
@@ -82,7 +82,7 @@ def sf_first_stage(p: PriorVector, items: Sequence[int] | None = None) -> list[t
 def _sf_cut(pool: Sequence[int], p: PriorVector) -> int:
     """Left size of the split where the two sides' weights are most nearly
     equal; ties go to the shorter prefix."""
-    weights = p.as_array()[np.asarray(pool, dtype=np.int64)]
+    weights = p.probs[np.asarray(pool, dtype=np.int64)]
     return int(np.argmin(np.abs(2.0 * np.cumsum(weights[:-1]) - math.fsum(weights)))) + 1
 
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from priorgt import adaptive
 from priorgt.adaptive import (
     _INDEX_FIELDS,
     NestedPlan,
@@ -539,8 +540,18 @@ PINNED_PREPARTITIONED_PLANS = {
 }
 
 
-@pytest.mark.parametrize("construction", sorted(PINNED_PREPARTITIONED_PLANS))
-def test_prepartitioned_plan_json_is_pinned(construction):
+@pytest.mark.parametrize(
+    "construction, margin",
+    [
+        pytest.param(c, margin, id=c + suffix)
+        for c in sorted(PINNED_PREPARTITIONED_PLANS)
+        for margin, suffix in ((adaptive._MARGIN, ""), (np.inf, "-exact"))
+    ],
+)
+def test_prepartitioned_plan_json_is_pinned(monkeypatch, construction, margin):
+    # With an infinite margin no cut is certified, so the exact fallback
+    # alone must give the pinned plans.
+    monkeypatch.setattr(adaptive, "_MARGIN", margin)
     p = generate_prior("exponential", 1000, 8.0)
     part = combine_for_concentration(build_partition(p, 0.01), p)
     assert (part.num_combined, len(part.bands), len(part.zero_items)) == (3, 2, 36)

@@ -207,7 +207,7 @@ def test_chunked_block_draws_equal_one_block_of_uniforms():
 def test_measuring_holds_one_chunk_of_draws():
     # About 2M draws; the whole (t, g) block of ids alone would take 15 MiB.
     p = generate_prior("uniform", 1000, 8.0)
-    truth = np.random.default_rng(3).random(1000) < p.as_array()
+    truth = np.random.default_rng(3).random(1000) < p.probs
     tracemalloc.start()
     try:
         t, _ = measure_design(sample_cca(p, 16000, 124, seed=3), truth)
@@ -319,7 +319,7 @@ def test_measuring_stops_a_block_with_no_defective_mid_row(monkeypatch):
     design = sample_block(p, eps=0.01, delta=1.0, seed=9)
     band0 = design.blocks[0]
     assert (band0.t, band0.g, len(band0.items)) == (1, 109105, 111)
-    assert design.spans[0].label == "band0"
+    assert band0.label == "band0"
     truth = np.zeros(1000, dtype=bool)
     truth[design.blocks[2].items[::5]] = True
     expected_draws = _settled_draws(design, truth)
@@ -340,7 +340,7 @@ def test_block_design_tests_a_one_item_ample_band():
     assert part.gamma == 1 and [b.items for b in part.ample_bands()] == [(0,)] and part.zero_items == (1,)
     design = sample_block(p, eps=1.0, delta=1.0, seed=0)
     assert design.route.tolist() == [0]
-    assert design.spans[-1] == BlockSpan(row_lo=0, row_hi=1, items=(0,), label="individual")
+    assert design.to_matrix().block_spans == (BlockSpan(row_lo=0, row_hi=1, items=(0,), label="individual"),)
     for bits in ([False, False], [True, False]):
         truth = np.array(bits, dtype=bool)
         t, recovered = measure_design(design, truth)
@@ -510,6 +510,20 @@ def test_matrix_json_roundtrip():
         assert json.dumps(matrix_to_json_dict(back)) == text
 
 
+def test_cca_matrix_has_no_block_spans():
+    # The whole-vector design is one unlabelled block: its matrix has no
+    # spans, and its JSON no "blocks" key, also after a round trip.
+    p = generate_prior("uniform", 50, 2.0)
+    design = sample_cca(p, 30, optimal_g(p), seed=4)
+    assert [b.label for b in design.blocks] == [None]
+    m = design.to_matrix()
+    assert m.block_spans is None and m == build_cca_matrix(p, 30, optimal_g(p), seed=4)
+    data = matrix_to_json_dict(m)
+    assert "blocks" not in data
+    back = matrix_from_json_dict(json.loads(json.dumps(data)))
+    assert back.block_spans is None and back == m
+
+
 def test_matrix_equality_is_by_value():
     a = TestMatrix.from_rows(2, [[0]])
     assert a == TestMatrix.from_rows(2, [[0]])
@@ -550,10 +564,13 @@ def test_block_spans_hold_read_only_arrays_and_compare_by_value():
     # tested one item at a time.
     p = PriorVector((0.7, 0.6, 0.3) + (0.1,) * 8 + (0.02,) * 8)
     design = sample_block(p, eps=0.05, delta=1.0, seed=9)
-    *bands, individual = design.spans
+    spans = design.to_matrix().block_spans
+    *bands, individual = spans
     assert [s.items.tolist() for s in bands] == [b.items.tolist() for b in design.blocks]
+    assert [s.label for s in bands] == [b.label for b in design.blocks] == ["band0", "band1"]
+    assert [(s.row_lo, s.row_hi) for s in spans] == [(0, 8), (8, 45), (45, 48)] and design.t == 48
     assert individual.label == "individual" and individual.items.tolist() == design.route.tolist()
-    assert all(s.items.dtype == np.int64 and not s.items.flags.writeable for s in design.spans)
+    assert all(s.items.dtype == np.int64 and not s.items.flags.writeable for s in spans)
     span = BlockSpan(row_lo=0, row_hi=2, items=[3, 1], label="x")
     same = BlockSpan(row_lo=0, row_hi=2, items=np.array([3, 1], dtype=np.uint8), label="x")
     assert span == same and hash(span) == hash(same) and len({span, same}) == 1
@@ -616,6 +633,26 @@ def test_matrix_json_refuses_values_that_are_not_whole_numbers():
     ]
     for data in bad:
         with pytest.raises(ValueError, match="whole number"):
+            matrix_from_json_dict(data)
+
+
+def test_matrix_json_refuses_missing_keys_and_values_that_are_not_lists():
+    # These raised KeyError 'rows', then TypeError on iterating 5 and on
+    # indexing the string's characters as blocks.
+    base = {"n": 3, "rows": [[0, 1], [1]]}
+    bad = [
+        {"n": 3},
+        {**base, "rows": 5},
+        {**base, "blocks": "ab"},
+        {**base, "rows": [[0], 1]},
+        {**base, "zero_assigned": 2},
+        {**base, "blocks": [{"row_lo": 0, "row_hi": 2, "items": 0, "label": "b"}]},
+        {**base, "blocks": [{"row_lo": 0, "row_hi": 2, "label": "b"}]},
+        {**base, "blocks": [[0, 2]]},
+        ["n", "rows"],
+    ]
+    for data in bad:
+        with pytest.raises(ValueError, match="malformed matrix JSON|must be a JSON list"):
             matrix_from_json_dict(data)
 
 

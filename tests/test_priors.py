@@ -157,7 +157,7 @@ def test_prior_vector_holds_one_read_only_array_and_compares_by_value():
     given = np.array([0.1, -0.0, 0.5])
     p = PriorVector(given)
     given[0] = 0.9
-    assert p.probs.tolist() == [0.1, 0.0, 0.5] and p.as_array() is p.probs
+    assert p.probs.tolist() == [0.1, 0.0, 0.5]
     assert p.probs.dtype == np.float64 and not p.probs.flags.writeable
     q = PriorVector([0.1, 0.0, 0.5])
     assert p == q and hash(p) == hash(q) and len({p, q}) == 1

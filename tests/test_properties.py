@@ -791,7 +791,7 @@ def test_measured_draws_match_matrix_runs(case, t, seed, eps, delta):
         (sample_cca(p, t, g, seed), build_cca_matrix(p, t, g, seed)),
         (sample_block(p, eps, delta, seed), build_block_matrix(p, eps, delta, seed)),
     ]
-    assert len(designs[1][0].zero) and designs[1][0].spans[-1].label == "individual"
+    assert len(designs[1][0].zero) and designs[1][1].block_spans[-1].label == "individual"
     for design, m in designs:
         assert design.to_matrix() == m
         for truth in truths:
@@ -812,7 +812,7 @@ def banded_priors(draw):
     probs = [draw(st.floats(lo, hi, exclude_max=True)) for (lo, hi), size in zip(ranges, sizes) for _ in range(size)]
     probs += [0.0] * draw(st.integers(1, 3)) + [1.0] * draw(st.integers(1, 2))
     p = PriorVector(tuple(draw(st.permutations(probs))))
-    zero = p.as_array() == 0.0
+    zero = p.probs == 0.0
     bits = np.asarray(draw(st.lists(st.booleans(), min_size=p.n, max_size=p.n)))
     truths = [np.zeros(p.n, dtype=bool), zero, bits, draw_truth(p, draw(st.integers(0, 2**32 - 1)))]
     return p, truths
