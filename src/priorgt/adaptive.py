@@ -15,12 +15,13 @@ item permutation ``perm``.  The top-down splits keep each pool's order and
 cut it at a prefix; the bottom-up merge lays its leaves out after merging.
 So a plan is stored flat: node k, numbered in preorder, tests
 ``perm[lo[k]:hi[k]]``.  Each index field is held once, as a read-only int64
-array, and plans compare and hash by the arrays' values.  A pre-partitioned
-run is one such plan too, whose individually tested items are singleton
-roots.  Execution answers each pool from prefix counts of the truth in
-``perm`` order and descends only through positive pools, so a noiseless run
-recovers the true population vector exactly.  Plans serialize to one flat
-JSON object marked ``"format": 2``.
+array, and plans compare and hash by value (``priors.ValueEq``).  A
+pre-partitioned run is one such plan too, whose individually tested items
+are singleton roots.  Execution answers every pool through
+``priors.pool_outcomes``, from prefix counts of the truth in ``perm`` order,
+the rule test matrices use, and descends only through positive pools, so a
+noiseless run recovers the true population vector exactly.  Plans serialize
+to one flat JSON object marked ``"format": 2``.
 
 Preorder numbers are closed-form.  A tree over m items has 2m - 1 nodes, so
 the root over ``perm[s:e]`` that follows j earlier roots is node 2s - j, the
@@ -85,7 +86,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .partition import build_partition, combine_for_concentration
-from .priors import PriorVector, index_array, json_number, truth_array, whole_number
+from .priors import PriorVector, ValueEq, columns, index_array, json_number, pool_outcomes, truth_array, whole_number
 
 CONSTRUCTIONS = ("max_entropy", "shannon_fano", "huffman")
 PLAN_FORMAT = 2
@@ -99,7 +100,7 @@ _MARGIN = 32.0
 
 
 @dataclass(frozen=True, eq=False)
-class NestedPlan:
+class NestedPlan(ValueEq):
     """A laminar family of pools stored as ranges over one item permutation.
 
     Nodes are numbered in preorder.  Node k tests ``perm[lo[k]:hi[k]]``;
@@ -132,16 +133,6 @@ class NestedPlan:
         if self.construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {self.construction!r}; expected one of {CONSTRUCTIONS}")
         self._check(*(getattr(self, name) for name in _INDEX_FIELDS))
-
-    def _key(self) -> tuple:
-        arrays = (getattr(self, name).tobytes() for name in _INDEX_FIELDS)
-        return (self.n, self.construction, self.counts_both_children, self.mu_covered, *arrays)
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if isinstance(other, NestedPlan) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def _check(self, perm, lo, hi, left, right, roots, auto_defective, auto_clear) -> None:
         ids = np.concatenate((perm, auto_defective, auto_clear))
@@ -507,24 +498,6 @@ def build_prepartitioned_plan(
     )
 
 
-def _columns(a: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``a[..., index]``: numpy takes an index after an Ellipsis several
-    times slower, on one truth, than the same index alone."""
-    return a[index] if a.ndim == 1 else a[:, index]
-
-
-def _positive(plan: NestedPlan, truths: np.ndarray) -> np.ndarray:
-    """Whether each pool holds a defective, for one bool truth of length n or
-    for every row of a (T, n) matrix: the truth's prefix counts in ``perm``
-    order differ across the pool's range."""
-    perm = plan.perm
-    # The smallest unsigned type that holds len(perm) keeps the counts small;
-    # summing the truths' bytes as uint8 spares the cumsum a cast at n < 256.
-    counts = np.zeros(truths.shape[:-1] + (len(perm) + 1,), dtype=np.min_scalar_type(len(perm)))
-    np.cumsum(_columns(truths, perm).view(np.uint8), axis=-1, dtype=counts.dtype, out=counts[..., 1:])
-    return _columns(counts, plan.hi) > _columns(counts, plan.lo)
-
-
 def _tested_children(plan: NestedPlan, positive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether each internal node's left and right child is tested, given
     whether each pool is positive (or how likely, given how likely each pool
@@ -532,8 +505,8 @@ def _tested_children(plan: NestedPlan, positive: np.ndarray) -> tuple[np.ndarray
     right child with ``counts_both_children``, the same array; otherwise only
     when the left child is positive, as a negative one leaves it positive."""
     inner, left = plan.internal
-    tested_left = _columns(positive, inner)
-    return tested_left, tested_left if plan.counts_both_children else _columns(positive, left)
+    tested_left = columns(positive, inner)
+    return tested_left, tested_left if plan.counts_both_children else columns(positive, left)
 
 
 def _recovered(plan: NestedPlan, truths: np.ndarray) -> np.ndarray:
@@ -553,7 +526,7 @@ def _run(plan: NestedPlan, truths: np.ndarray, eps: float) -> tuple[np.ndarray, 
     a (T, n) matrix, over the last axis."""
     if eps > 0.0 and plan.mu_covered < eps:
         return np.zeros(truths.shape[:-1], dtype=np.int64), np.zeros(truths.shape, dtype=bool)
-    tested_left, tested_right = _tested_children(plan, _positive(plan, truths))
+    tested_left, tested_right = _tested_children(plan, pool_outcomes(truths, plan.perm, plan.lo, plan.hi))
     left_tests = tested_left.sum(axis=-1, dtype=np.int64)
     right_tests = left_tests if tested_right is tested_left else tested_right.sum(axis=-1, dtype=np.int64)
     return len(plan.roots) + left_tests + right_tests, _recovered(plan, truths)

@@ -7,6 +7,11 @@ values; reports clamp to [0, 1] and keep the raw value in the notes.
 
 Logarithm conventions: entropies are in bits (log base 2); the sampled-design
 budget uses the natural log of n.
+
+:func:`check_delta` is the one slack rule: delta must be positive and finite,
+and no T3, T4 or T5 budget may overflow.  :func:`sampled_budget` is T4's
+4e (1+delta) mu ln n; rounded up, it is the row count of the sampled design
+and of each block design band.
 """
 
 from __future__ import annotations
@@ -38,6 +43,29 @@ class BoundReport:
             raise ValueError("error_bound must be clamped to [0, 1]")
 
 
+def check_delta(delta: float) -> float:
+    """``delta`` if it is a usable slack, positive and finite; NaN and inf
+    are refused."""
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
+    return delta
+
+
+def _budget(tag: str, scale: float, delta: float, *factors: float) -> float:
+    """scale (1+delta) times the factors, left to right; refused when delta
+    is not a usable slack or the product overflows."""
+    budget = math.prod(factors, start=scale * (1.0 + check_delta(delta)))
+    if not math.isfinite(budget):
+        raise ValueError(f"{tag} test budget overflows at delta={delta!r}")
+    return budget
+
+
+def sampled_budget(mu: float, n: int, delta: float) -> float:
+    """T4's budget 4e (1+delta) mu ln n for n items of mass mu; it is 0 rows
+    exactly when mu = 0 or n = 1, since ln 1 = 0."""
+    return _budget("T4", 4.0 * math.e, delta, mu, math.log(n))
+
+
 def _clamp_error(raw: float) -> tuple[float, str]:
     if raw > 1.0:
         return 1.0, f"error bound clamped from raw {raw:.6g} (vacuous)"
@@ -63,10 +91,8 @@ def adaptive_concentration(p: PriorVector, eps: float, delta: float) -> BoundRep
     """High-probability ceiling 4 (1+delta) (gamma+3) H(X) for the
     pre-partitioned nested plan; needs slack delta >= 2e-1 and a non-skewed
     prior."""
-    if not delta > 0.0:  # also refuses NaN
-        raise ValueError("delta must be positive")
     gamma = measure_factor(p.n, eps)
-    test_bound = 4.0 * (1.0 + delta) * (gamma + 3) * p.entropy_bits
+    test_bound = _budget("T3", 4.0, delta, gamma + 3, p.entropy_bits)
     if p.mu <= 0.0:
         raw = 1.0 + eps / 2.0
     else:
@@ -89,9 +115,7 @@ def adaptive_concentration(p: PriorVector, eps: float, delta: float) -> BoundRep
 def cca_upper(p: PriorVector, delta: float) -> BoundReport:
     """Sampled-design budget 4e (1+delta) mu ln n with error n**-delta; needs
     every prior probability below 1/2."""
-    if not delta > 0.0:  # also refuses NaN
-        raise ValueError("delta must be positive")
-    test_bound = 0.0 if p.n == 1 else 4.0 * math.e * (1.0 + delta) * p.mu * math.log(p.n)
+    test_bound = sampled_budget(p.mu, p.n, delta)
     raw = float(p.n) ** (-delta)
     error, clamp_note = _clamp_error(raw)
     notes = []
@@ -108,10 +132,8 @@ def block_upper(p: PriorVector, eps: float, delta: float) -> BoundReport:
     """Block-design budget (12e+2) (1+delta) H(X) with error
     2 gamma**(1-delta) + eps/2; needs probabilities below 1/2 and a
     non-skewed prior.  The error term is informative only for delta > 1."""
-    if not delta > 0.0:  # also refuses NaN
-        raise ValueError("delta must be positive")
     gamma = measure_factor(p.n, eps)
-    test_bound = (12.0 * math.e + 2.0) * (1.0 + delta) * p.entropy_bits
+    test_bound = _budget("T5", 12.0 * math.e + 2.0, delta, p.entropy_bits)
     raw = 2.0 * float(gamma) ** (-delta + 1.0) + eps / 2.0
     error, clamp_note = _clamp_error(raw)
     notes = []

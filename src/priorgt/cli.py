@@ -73,10 +73,8 @@ def cmd_plan(args) -> int:
         payload = adaptive.plan_to_json_dict(plan)
     elif args.algorithm == "cca":
         t = nonadaptive.num_tests_cca(p, args.delta)
-        if t < 1:
-            raise ValueError("the sampled design needs at least one row; raise delta or mu")
-        g = nonadaptive.optimal_g(p)
-        m = nonadaptive.build_cca_matrix(p, t, g, args.seed)
+        # optimal_g is undefined at mu = 0, where sample_cca refuses t = 0.
+        m = nonadaptive.build_cca_matrix(p, t, nonadaptive.optimal_g(p) if t else 1, args.seed)
         payload = nonadaptive.matrix_to_json_dict(m)
     else:
         m = nonadaptive.build_block_matrix(p, args.eps, args.delta, args.seed)

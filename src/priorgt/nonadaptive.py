@@ -28,8 +28,11 @@ a temporary holds at most ``CHUNK`` draws, or one row where a row is wider.
 PCG64 spends one 64-bit output per double, so the chunks hold exactly the
 ids of one (t, g) draw.  The same law serves any seed.
 
-A matrix is stored in compressed sparse row form, so every row is measured
-from one prefix count of the truth and every negative row is cleared in one
+Row counts are T4's budget ``bounds.sampled_budget`` rounded up; its slack
+is checked by ``bounds.check_delta``.  A matrix is stored in compressed
+sparse row form and compares by value (``priors.ValueEq``).  Every row is
+measured by ``priors.pool_outcomes``, from one prefix count of the truth as
+an adaptive plan's pools are, and every negative row is cleared in one
 scatter.  Repeated draws change neither, so sampled rows keep each id once;
 for the same reason :func:`measure_design` measures the drawn chunks
 directly, without sorting or deduplicating them, for Monte Carlo runs.
@@ -51,8 +54,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .bounds import check_delta, sampled_budget
 from .partition import build_partition
-from .priors import PriorVector, index_array, json_list, truth_array, whole_number
+from .priors import PriorVector, ValueEq, index_array, json_list, pool_outcomes, truth_array, whole_number
 
 # Draws per chunk.  A design's ids are drawn and consumed max(1, CHUNK // g)
 # rows at a time, so temporaries stay cache-sized however many rows it has,
@@ -88,37 +92,22 @@ def optimal_g(p: PriorVector) -> int:
 
 def num_tests_cca(p: PriorVector, delta: float) -> int:
     """Row budget ceil(4e (1+delta) mu ln n) for full-vector recovery with
-    failure probability about n**-delta.
+    failure probability about n**-delta; 0 when mu = 0 or n = 1.
 
     The guarantee needs every p_i below 1/2; a warning is emitted otherwise
     and the count is still returned.
     """
-    _check_delta(delta)
+    t = math.ceil(sampled_budget(p.mu, p.n, delta))
     if p.max_prob >= 0.5:
         warnings.warn(
             "recovery guarantee void: some prior probability is at least 1/2",
             stacklevel=2,
         )
-    if p.mu == 0.0 or p.n == 1:
-        return 0
-    return _row_budget(p.mu, p.n, delta)
-
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta!r}")
-
-
-def _row_budget(mu: float, n: int, delta: float) -> int:
-    """ceil(4e (1+delta) mu ln n), refused when the product overflows."""
-    budget = 4.0 * math.e * (1.0 + delta) * mu * math.log(n)
-    if not math.isfinite(budget):
-        raise ValueError(f"row budget 4e(1+delta) mu ln n overflows at delta={delta!r}")
-    return math.ceil(budget)
+    return t
 
 
 @dataclass(frozen=True, eq=False)
-class BlockSpan:
+class BlockSpan(ValueEq):
     """Row range [row_lo, row_hi) whose supports stay inside ``items``, held
     as a read-only int64 array.  Spans compare and hash by value."""
 
@@ -130,18 +119,9 @@ class BlockSpan:
     def __post_init__(self):
         object.__setattr__(self, "items", index_array("block items", self.items))
 
-    def _key(self) -> tuple:
-        return (self.row_lo, self.row_hi, self.items.tobytes(), self.label)
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if isinstance(other, BlockSpan) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
 
 @dataclass(frozen=True, eq=False)
-class TestMatrix:
+class TestMatrix(ValueEq):
     """A boolean test matrix in compressed sparse row form.
 
     Row r tests ``indices[indptr[r]:indptr[r+1]]``, in build order: ascending
@@ -154,6 +134,7 @@ class TestMatrix:
     """
 
     __test__ = False  # not a pytest class, despite the name
+    __hash__ = None
 
     n: int
     indptr: np.ndarray
@@ -178,17 +159,6 @@ class TestMatrix:
                 raise ValueError(f"block {span.label!r} rows [{span.row_lo}, {span.row_hi}) are not a range in 0..{self.t}")
             if len(span.items) and (span.items.min() < 0 or span.items.max() >= self.n):
                 raise ValueError(f"block {span.label!r} holds an item id outside 0..n-1")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TestMatrix):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-            and self.block_spans == other.block_spans
-            and self.zero_assigned == other.zero_assigned
-        )
 
     @classmethod
     def from_rows(cls, n: int, rows: Sequence[Sequence[int]], **fields) -> "TestMatrix":
@@ -342,7 +312,8 @@ def sample_cca(p: PriorVector, t: int, g: int, seed: int) -> SampledDesign:
     """t rows of g ids each from the whole-vector sampling distribution.
     Deterministic given the seed."""
     if t < 1:
-        raise ValueError("t must be at least 1")
+        raise ValueError(f"the sampled design needs at least 1 row, got t={t}; its budget "
+                         "4e(1+delta) mu ln n is 0 exactly when mu = 0 or n = 1, whatever delta")
     if g < 1:
         raise ValueError("g must be at least 1")
     law = _block_law(np.arange(p.n, dtype=np.int64), sampling_distribution(p), t, g)
@@ -359,14 +330,14 @@ def sample_block(p: PriorVector, eps: float, delta: float, seed: int) -> Sampled
     does an ample band whose budget is zero rows, such as a one-item band
     (ln 1 = 0) when gamma is 1; zero-set items get no row.
     """
-    _check_delta(delta)
+    check_delta(delta)
     part = build_partition(p, eps)
     blocks = []
     routed = [part.individual_route()]
     for k, band in enumerate(part.ample_bands()):
         n_s = band.size
         mu_s = p.restricted_mu(band.items)
-        t_s = _row_budget(mu_s, n_s, delta)
+        t_s = math.ceil(sampled_budget(mu_s, n_s, delta))
         if t_s == 0:
             routed.append(band.items)
             continue
@@ -448,9 +419,7 @@ def decode_comp(m: TestMatrix, outcomes: Sequence[int]) -> np.ndarray:
 def run_nonadaptive(m: TestMatrix, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measure every row against a bool truth of length n (noiseless OR) and
     decode: ``(outcomes, recovered)``, both bool arrays."""
-    # counts[j] is the number of defectives among indices[:j].
-    counts = np.concatenate(([0], np.cumsum(truth_array(m.n, truth)[m.indices])))
-    positive = counts[m.indptr[1:]] > counts[m.indptr[:-1]]
+    positive = pool_outcomes(truth_array(m.n, truth), m.indices, m.indptr[:-1], m.indptr[1:])
     return positive, decode_comp(m, positive)
 
 

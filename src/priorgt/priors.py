@@ -7,13 +7,18 @@ of defectives and total binary entropy), the check that a population's
 states, a truth, are a bool array of the right length, and deterministic
 generators for the three experimental families: uniform, linear, and
 exponential.
+
+Two shared rules live here too.  :func:`pool_outcomes` answers pools
+``index[lo:hi]`` from one prefix count of the truths: plans pass ``perm`` and
+node ranges, test matrices their CSR arrays.  :class:`ValueEq` gives priors,
+plans, block spans and test matrices compare-and-hash by value.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -72,6 +77,40 @@ def truth_array(n: int, value) -> np.ndarray:
     return arr
 
 
+def columns(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``a[..., index]``: numpy takes an index after an Ellipsis several
+    times slower, on one truth, than the same index alone."""
+    return a[index] if a.ndim == 1 else a[:, index]
+
+
+def pool_outcomes(truths: np.ndarray, index: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each pool ``index[lo[k]:hi[k]]`` holds a defective, for one
+    bool truth of length n or for every row of a (T, n) matrix: the truth's
+    prefix counts in ``index`` order differ across the pool's range."""
+    # The smallest unsigned type that holds len(index) keeps the counts small;
+    # summing the truths' bytes as uint8 spares the cumsum a cast at n < 256.
+    counts = np.zeros(truths.shape[:-1] + (len(index) + 1,), dtype=np.min_scalar_type(len(index)))
+    np.cumsum(columns(truths, index).view(np.uint8), axis=-1, dtype=counts.dtype, out=counts[..., 1:])
+    return columns(counts, hi) > columns(counts, lo)
+
+
+class ValueEq:
+    """Compare and hash a frozen dataclass by value: objects of the same
+    class are equal when their fields are, array fields compared by their
+    bytes.  Objects of other classes are never equal to it.  A class with an
+    unhashable field sets ``__hash__ = None``."""
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
 def json_number(name: str, value) -> float:
     """``value`` as a float: a JSON number, that is an int or a float, not a
     bool or a numeric string."""
@@ -99,7 +138,7 @@ def binary_entropy(p: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class PriorVector:
+class PriorVector(ValueEq):
     """Per-item defect probabilities, indexed by item ids 0..n-1.
 
     ``probs`` is one read-only float64 array, copied from what is given
@@ -121,12 +160,6 @@ class PriorVector:
         arr += 0.0  # -0.0 becomes 0.0, so equal values have equal bytes
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
-
-    def __eq__(self, other) -> bool:
-        return self.probs.tobytes() == other.probs.tobytes() if isinstance(other, PriorVector) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.probs.tobytes())
 
     @property
     def n(self) -> int:

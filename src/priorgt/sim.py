@@ -37,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import adaptive, nonadaptive
+from .bounds import check_delta
 from .partition import measure_factor
 from .priors import INT64_MAX, PriorVector, generate_prior, json_list, json_number, whole_number
 
@@ -108,8 +109,7 @@ class Campaign:
             object.__setattr__(self, name, whole_number(name, getattr(self, name), least, most))
         if not (math.isfinite(self.eps) and self.eps >= 0.0):
             raise ValueError(f"eps must be finite and at least 0, got {self.eps!r}")
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
+        check_delta(self.delta)
         if not self.sweep:
             raise ValueError("sweep must contain at least one point")
         for a in self.algorithms:

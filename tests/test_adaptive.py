@@ -650,3 +650,11 @@ def test_readme_plan_json_example_matches_build_plan():
     start = text.index('```json\n{"format": 2') + len("```json\n")
     example = json.loads(text[start : text.index("```", start)])
     assert example == plan_to_json_dict(build_plan(PriorVector((0.3,) * 4), "max_entropy"))
+
+
+def test_readme_library_quick_start_runs_as_written():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("```python\n", text.index("## Library quick start")) + len("```python\n")
+    exec(compile(text[start : text.index("```", start)], "README.md", "exec"), {})

@@ -86,7 +86,9 @@ def test_plan_malformed_prior_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--eps", "0"], ["--eps", "nan"], ["--delta", "0"]])
+@pytest.mark.parametrize(
+    "flags", [["--eps", "0"], ["--eps", "nan"], ["--delta", "0"], ["--delta", "inf"], ["--delta", "1e308"]]
+)
 def test_plan_with_bad_bound_arguments_writes_nothing(tmp_path, uniform_prior_file, capsys, flags):
     """The bound table is checked before the plan file is written."""
     out = tmp_path / "plan.json"
@@ -247,6 +249,41 @@ def test_adaptive_only_campaign_runs_at_eps_zero(tmp_path):
 def test_nan_eps_and_delta_exit_2_naming_the_flag(uniform_prior_file, capsys, flag):
     assert main(["bounds", "--prior", uniform_prior_file, flag, "nan"]) == 2
     assert f"error: {flag[2:]} must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "delta, message", [("inf", "delta must be positive and finite, got inf"), ("1e308", "T3 test budget overflows")]
+)
+def test_bounds_delta_not_finite_or_overflowing_exits_2(uniform_prior_file, capsys, tmp_path, delta, message):
+    # Both printed inf for T3, T4 and T5, with T4 marked applicable.
+    out = tmp_path / "bounds.txt"
+    assert main(["bounds", "--prior", uniform_prior_file, "--delta", delta, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("plan", {"probs": [0, 0, 0]}),
+        ("plan", {"probs": [0.3]}),
+        ("simulate", {**SMALL_CAMPAIGN, "n": 1, "sweep": [0.3]}),
+    ],
+    ids=["plan-zero-mu", "plan-one-item", "campaign-one-item"],
+)
+def test_a_sampled_design_of_zero_rows_exits_2_naming_the_cause(tmp_path, capsys, command, payload):
+    # The plan said "raise delta or mu", and the campaign "t must be at least 1",
+    # though no delta helps and a campaign has no t.
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    spec.write_text(json.dumps(payload))
+    if command == "plan":
+        argv = ["plan", "--prior", str(spec), "--algorithm", "cca", "--delta", "1e6", "--out", str(out)]
+    else:
+        argv = ["simulate", "--campaign", str(spec), "--out", str(out)]
+    assert main(argv) == 2
+    assert "is 0 exactly when mu = 0 or n = 1, whatever delta" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [spec]
 
 
 def test_bounds_text_pe_zero_t1_equals_entropy(uniform_prior_file, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from priorgt import nonadaptive
+from priorgt.adaptive import build_plan
 from priorgt.nonadaptive import (
     BlockSpan,
     CHUNK,
@@ -536,6 +537,18 @@ def test_matrix_equality_is_by_value():
     block = build_block_matrix(p, eps=0.01, delta=1.0, seed=9)
     assert block == build_block_matrix(p, eps=0.01, delta=1.0, seed=9)
     assert block != build_block_matrix(p, eps=0.01, delta=1.0, seed=10)
+
+
+def test_value_equality_is_unhashable_for_matrices_and_false_across_classes():
+    m = TestMatrix.from_rows(2, [[0]])
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(m)
+    p = PriorVector((0.3, 0.3))
+    plan = build_plan(p, "max_entropy")
+    span = BlockSpan(row_lo=0, row_hi=1, items=[0], label="band0")
+    for a, b in ((plan, p), (span, m), (p, span), (m, plan)):
+        assert (a == b) is False and (b == a) is False
+        assert a != b and b != a
 
 
 def test_matrix_rejects_out_of_range_ids():

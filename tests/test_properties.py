@@ -195,6 +195,17 @@ def test_executors_match_the_walk_on_benchmark_scale_plans(construction, counts_
         assert_executors_match_the_walk(plan, truths, eps=0.01)
 
 
+@pytest.mark.parametrize("n", [65_535, 65_536])
+def test_executors_match_the_walk_at_the_uint16_count_boundary(n):
+    # Pools are answered from prefix counts in the smallest unsigned type that
+    # holds len(perm): uint16 up to 65,535 items, uint32 from 65,536.  An
+    # all-defective truth takes the last count to len(perm).
+    p = generate_prior("uniform", n, 8.0)
+    plan = build_plan(p, "huffman")
+    assert len(plan.perm) == n
+    assert_executors_match_the_walk(plan, np.stack([np.ones(n, dtype=bool), draw_truth(p, 1)]))
+
+
 @PROPERTY_SETTINGS
 @given(plan_specs)
 def test_plans_survive_json_roundtrip(spec):
@@ -636,6 +647,25 @@ def matrices(draw):
     truth = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     m = TestMatrix(n=n, indptr=indptr, indices=indices, block_spans=spans, zero_assigned=zero)
     return m, rows, truth
+
+
+@pytest.mark.parametrize("size", [255, 256, 65_535, 65_536])
+def test_matrix_runs_match_the_per_row_reference_at_count_dtype_boundaries(size):
+    # Rows are answered from prefix counts over all ``size`` ids in the
+    # smallest unsigned type that holds ``size``: uint8 up to 255 ids, uint16
+    # up to 65,535, uint32 beyond.  An all-defective truth takes the last
+    # count to ``size``.
+    rng = np.random.default_rng(size)
+    n = 300
+    ids = rng.integers(0, n, size=size)
+    rows = np.split(ids, np.sort(rng.integers(0, size + 1, size=20)))
+    m = TestMatrix.from_rows(n, rows)
+    assert len(m.indices) == size
+    last = np.zeros(n, dtype=bool)
+    last[ids[-1]] = True
+    for truth in (np.ones(n, dtype=bool), last, rng.random(n) < 0.002, np.zeros(n, dtype=bool)):
+        outcomes, _ = run_nonadaptive(m, truth)
+        assert outcomes.tolist() == [bool(truth[row].any()) for row in rows]
 
 
 @PROPERTY_SETTINGS
