@@ -26,7 +26,6 @@ from .adaptive import (
     build_prepartitioned_plan,
     expected_tests,
     run_adaptive,
-    run_adaptive_batch,
     run_prepartitioned_adaptive,
 )
 from .nonadaptive import (

@@ -65,12 +65,12 @@ next.  When s absorbs the lightest weight, the root merges just its first
 two.  The heap reference ``huffman_merge`` lives in
 ``tests/test_properties.py``.
 
-Truths and recovered vectors are bool arrays.  :func:`run_adaptive` runs
-one truth of length n and :func:`run_adaptive_batch` every row of a (T, n)
-matrix, through one body over the last axis: it tests the pools that
-:func:`_tested_children` selects and returns test counts and recovered
-vectors.  A depth-first walk that records each tested pool in order,
-``walk_plan`` in ``tests/helpers.py``, is the reference both are tested
+Truths and recovered vectors are bool arrays.  :func:`run_adaptive` is the
+one executor: it runs one truth of length n, or every row of a (T, n) block
+of truths, over the last axis, tests the pools that
+:func:`_tested_children` selects and returns the recovered vectors with one
+test count per truth.  A depth-first walk that records each tested pool in
+order, ``walk_plan`` in ``tests/helpers.py``, is the reference it is tested
 against.
 :func:`expected_tests` gives a plan's exact expected test count in closed
 form.
@@ -183,8 +183,16 @@ class NestedPlan(ValueEq):
 
 @dataclass(frozen=True, eq=False)
 class AdaptiveRunResult:
+    """The recovered vectors and one int64 test count per truth: shapes (n,)
+    and () for one truth, (T, n) and (T,) for a block of T."""
+
     recovered: np.ndarray
-    tests_used: int
+    tests: np.ndarray
+
+    @property
+    def tests_used(self) -> int:
+        """The tests of every truth together, so one truth's count."""
+        return int(self.tests.sum())
 
 
 def _depths(p: PriorVector, items: Sequence[int]) -> np.ndarray:
@@ -521,19 +529,20 @@ def _recovered(plan: NestedPlan, truths: np.ndarray) -> np.ndarray:
     return recovered
 
 
-def _run(plan: NestedPlan, truths: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The test counts and recovered vectors of one truth or of every row of
-    a (T, n) matrix, over the last axis."""
+def _run(plan: NestedPlan, truths: np.ndarray, eps: float) -> AdaptiveRunResult:
+    """The recovered vectors and test counts of one truth or of every row of
+    a (T, n) block, over the last axis."""
     if eps > 0.0 and plan.mu_covered < eps:
-        return np.zeros(truths.shape[:-1], dtype=np.int64), np.zeros(truths.shape, dtype=bool)
+        return AdaptiveRunResult(np.zeros(truths.shape, dtype=bool), np.zeros(truths.shape[:-1], dtype=np.int64))
     tested_left, tested_right = _tested_children(plan, pool_outcomes(truths, plan.perm, plan.lo, plan.hi))
     left_tests = tested_left.sum(axis=-1, dtype=np.int64)
     right_tests = left_tests if tested_right is tested_left else tested_right.sum(axis=-1, dtype=np.int64)
-    return len(plan.roots) + left_tests + right_tests, _recovered(plan, truths)
+    return AdaptiveRunResult(_recovered(plan, truths), len(plan.roots) + left_tests + right_tests)
 
 
 def run_adaptive(plan: NestedPlan, truth: np.ndarray, eps: float = 0.0) -> AdaptiveRunResult:
-    """Execute a plan against a bool truth of length n with noiseless OR pools.
+    """Execute a plan with noiseless OR pools against a bool truth of length
+    n, or against each row of a (T, n) block of truths in one numpy pass.
 
     Every root is tested, then the children of each positive pool.  With
     ``counts_both_children`` both children are measured.  Otherwise the left
@@ -545,20 +554,7 @@ def run_adaptive(plan: NestedPlan, truth: np.ndarray, eps: float = 0.0) -> Adapt
     the truth is nonzero, which happens with probability at most the covered
     mass.  Pass ``eps=0`` to disable the shortcut.
     """
-    tests, recovered = _run(plan, truth_array(plan.n, truth), eps)
-    return AdaptiveRunResult(recovered, int(tests))
-
-
-def run_adaptive_batch(
-    plan: NestedPlan, truths: np.ndarray, eps: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`run_adaptive` on every row of a (T, n) bool truth matrix in one
-    numpy pass; returns the test counts (int64, length T) and the recovered
-    vectors (bool, T x n)."""
-    truths = np.asarray(truths)
-    if truths.dtype != np.bool_ or truths.ndim != 2 or truths.shape[1] != plan.n:
-        raise ValueError(f"truths must be a (T, {plan.n}) bool array; got {truths.dtype} {truths.shape}")
-    return _run(plan, truths, eps)
+    return _run(plan, truth_array(plan.n, truth, block=True), eps)
 
 
 def expected_tests(plan: NestedPlan, p: PriorVector) -> float:

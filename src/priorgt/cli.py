@@ -71,14 +71,12 @@ def cmd_plan(args) -> int:
         construction = "max_entropy" if args.algorithm == "me" else args.algorithm
         plan = adaptive.build_plan(p, construction)
         payload = adaptive.plan_to_json_dict(plan)
-    elif args.algorithm == "cca":
-        t = nonadaptive.num_tests_cca(p, args.delta)
-        # optimal_g is undefined at mu = 0, where sample_cca refuses t = 0.
-        m = nonadaptive.build_cca_matrix(p, t, nonadaptive.optimal_g(p) if t else 1, args.seed)
-        payload = nonadaptive.matrix_to_json_dict(m)
     else:
-        m = nonadaptive.build_block_matrix(p, args.eps, args.delta, args.seed)
-        payload = nonadaptive.matrix_to_json_dict(m)
+        if args.algorithm == "cca":
+            design = nonadaptive.cca_design(p, args.delta, args.seed)
+        else:
+            design = nonadaptive.sample_block(p, args.eps, args.delta, args.seed)
+        payload = nonadaptive.matrix_to_json_dict(design.to_matrix())
     # The bound table can still fail on its arguments; nothing is written then.
     table = _bounds_table(bounds.all_reports(p, args.eps, args.delta, args.pe), "text")
     _atomic_write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -321,6 +321,14 @@ def sample_cca(p: PriorVector, t: int, g: int, seed: int) -> SampledDesign:
     return SampledDesign(n=p.n, seed=seed, blocks=(law,), route=none, zero=none)
 
 
+def cca_design(p: PriorVector, delta: float, seed: int) -> SampledDesign:
+    """The sampled design at its T4 budget: :func:`num_tests_cca` rows of
+    :func:`optimal_g` draws each.  At mu = 0, where optimal_g is undefined,
+    the budget is 0 rows and :func:`sample_cca` refuses it."""
+    t = num_tests_cca(p, delta)
+    return sample_cca(p, t, optimal_g(p) if t else 1, seed)
+
+
 def sample_block(p: PriorVector, eps: float, delta: float, seed: int) -> SampledDesign:
     """Per-band draws over a pre-partition, the block design.
 
@@ -406,10 +414,14 @@ def measure_design(design: SampledDesign, truth: np.ndarray) -> tuple[int, np.nd
 def decode_comp(m: TestMatrix, outcomes: Sequence[int]) -> np.ndarray:
     """Clear every item seen in a negative row (plus the pre-cleared set);
     declare everything else defective.  Returns the estimate as a bool
-    array."""
-    if len(outcomes) != m.t:
-        raise ValueError(f"got {len(outcomes)} outcomes for {m.t} rows")
-    negative = ~np.asarray(outcomes, dtype=bool)
+    array.  ``outcomes`` holds one bool or integer 0 or 1 per row; anything
+    else, such as 2 or 0.5, is refused, not cast."""
+    positive = np.asarray(outcomes)
+    if positive.dtype.kind in "iu" and ((positive == 0) | (positive == 1)).all() or not positive.size:
+        positive = positive.astype(bool)
+    if positive.dtype != np.bool_ or positive.shape != (m.t,):
+        raise ValueError(f"outcomes must be {m.t} bools or 0/1 integers, got {positive.dtype} {positive.shape}")
+    negative = ~positive
     cleared = np.zeros(m.n, dtype=bool)
     cleared[m.indices[np.repeat(negative, np.diff(m.indptr))]] = True
     cleared[list(m.zero_assigned)] = True

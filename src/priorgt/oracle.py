@@ -6,8 +6,8 @@ sum for the collection stopping time.  Size guards keep each check cheap
 enough for CI.  The test suite trusts these verifiers over the production
 algorithms wherever both can answer.
 
-The plan oracles share one run of the batch executor over the matrix of all
-2**n truth vectors; the tests hold it to a depth-first walk of the plan.
+The plan oracles share one run of the adaptive executor over the block of
+all 2**n truth vectors; the tests hold it to a depth-first walk of the plan.
 The matrix audit measures and decodes the same truths in a few matrix
 products, against :func:`run_nonadaptive` as the reference.
 """
@@ -23,10 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-# run_adaptive is no longer called here, but stays importable under this
-# module's name: the benchmark tracer wraps ``oracle.run_adaptive``.
-from .adaptive import NestedPlan, run_adaptive, run_adaptive_batch  # noqa: F401
-# Likewise run_nonadaptive: the tracer wraps ``oracle.run_nonadaptive``.
+from .adaptive import AdaptiveRunResult, NestedPlan, run_adaptive
+# run_nonadaptive is not called here, but stays importable under this
+# module's name: the benchmark tracer wraps ``oracle.run_nonadaptive``.
 from .nonadaptive import TestMatrix, run_nonadaptive  # noqa: F401
 from .priors import PriorVector
 
@@ -116,27 +115,26 @@ def _truth_matrix(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _plan_pass(plan: NestedPlan) -> tuple[np.ndarray, np.ndarray]:
+def _plan_pass(plan: NestedPlan) -> AdaptiveRunResult:
     """The test count and recovered vector of ``plan`` on every truth in
     :func:`_truth_matrix` order, shortcut off, as read-only arrays.  Both
     plan oracles read this one pass.  A plan's index fields are read-only
     int64 arrays, and plans hash and compare by their values, so the last
     plan's pass also serves an equal plan built again."""
-    tests, recovered = run_adaptive_batch(plan, _truth_matrix(plan.n), eps=0.0)
-    tests.flags.writeable = recovered.flags.writeable = False
-    return tests, recovered
+    result = run_adaptive(plan, _truth_matrix(plan.n), eps=0.0)
+    result.tests.flags.writeable = result.recovered.flags.writeable = False
+    return result
 
 
 def exact_expected_tests(plan: NestedPlan, p: PriorVector) -> ExactExpectation:
     """Exact expected test count of a plan: run the executor on every truth
-    vector, in one batch, and weight by the prior."""
+    vector, in one block, and weight by the prior."""
     n = p.n
     if plan.n != n:
         raise ValueError("plan and prior disagree on the universe size")
     if n > MAX_PLAN_ITEMS:
         raise ValueError(f"exhaustive enumeration capped at {MAX_PLAN_ITEMS} items")
-    tests, _ = _plan_pass(plan)
-    total = math.fsum((_truth_weights(p) * tests).tolist())
+    total = math.fsum((_truth_weights(p) * _plan_pass(plan).tests).tolist())
     return ExactExpectation(value=total, terms=1 << n)
 
 
@@ -182,8 +180,7 @@ def exhaustive_decode_check(target: NestedPlan | TestMatrix, p: PriorVector) -> 
             raise ValueError("plan and prior disagree on the universe size")
         if n > MAX_PLAN_ITEMS:
             raise ValueError(f"plan enumeration capped at {MAX_PLAN_ITEMS} items")
-        _, recovered = _plan_pass(target)
-        return DecodeCheck(passed=np.array_equal(recovered, _truth_matrix(n)))
+        return DecodeCheck(passed=np.array_equal(_plan_pass(target).recovered, _truth_matrix(n)))
 
     if isinstance(target, TestMatrix):
         if target.n != n:

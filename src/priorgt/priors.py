@@ -29,11 +29,11 @@ INT64_MAX = (1 << 63) - 1
 
 
 def whole_number(name: str, value, least: int = 1, most: float = INT64_MAX) -> int:
-    """``value`` as an int in [least, most]: an int or a float with no
-    fractional part, not a bool or a string.  Sizes default to what an int64
-    holds, since they size numpy arrays and loops."""
+    """``value`` as an int in [least, most]: an int (numpy's too) or a float
+    with no fractional part, not a bool or a string.  Sizes default to what
+    an int64 holds, since they size numpy arrays and loops."""
     given = value
-    if isinstance(value, float) and value.is_integer():
+    if isinstance(value, float) and value.is_integer() or isinstance(value, np.integer):
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int) or not least <= value <= most:
         raise ValueError(f"{name} must be a whole number in [{least}, {most}], got {given!r}")
@@ -67,20 +67,25 @@ def index_array(name: str, value) -> np.ndarray:
     return arr
 
 
-def truth_array(n: int, value) -> np.ndarray:
+def truth_array(n: int, value, block: bool = False) -> np.ndarray:
     """``value`` as a 1-D bool array of length n, the states of n items
-    (True = defective).  Any other dtype or shape is refused, not cast, so
-    an int or a float such as 0.5 is never read as defective."""
+    (True = defective), or with ``block`` also as a (T, n) bool array of T
+    truths.  Any other dtype or shape is refused, not cast, so an int or a
+    float such as 0.5 is never read as defective."""
     arr = np.asarray(value)
-    if arr.dtype != np.bool_ or arr.shape != (n,):
-        raise ValueError(f"a truth must be a bool array of shape ({n},), got {arr.dtype} {arr.shape}")
+    if arr.dtype != np.bool_ or arr.shape[-1:] != (n,) or arr.ndim != 1 and not (block and arr.ndim == 2):
+        shape = f"({n},) or (T, {n})" if block else f"({n},)"
+        raise ValueError(f"a truth must be a bool array of shape {shape}, got {arr.dtype} {arr.shape}")
     return arr
 
 
 def columns(a: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``a[..., index]``: numpy takes an index after an Ellipsis several
-    times slower, on one truth, than the same index alone."""
-    return a[index] if a.ndim == 1 else a[:, index]
+    """``a[..., index]`` for a 1-D or 2-D array: numpy takes an index after a
+    slice several times slower than the same index alone, so one truth, or a
+    block of one, is indexed as a vector."""
+    if a.ndim == 1:
+        return a[index]
+    return a[0][index][None] if len(a) == 1 else a[:, index]
 
 
 def pool_outcomes(truths: np.ndarray, index: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -6,12 +6,11 @@ from (base_seed, point_index, trial_index) through numpy's SeedSequence, so
 results are reproducible regardless of execution order, and the truth vector
 is shared by every algorithm within a trial.
 
-Every plan is built once per sweep point.  The whole-vector adaptive plans
-are run by the batch executor over the stacked truths of a block of trials.
-A block holds at most ``TRUTH_BLOCK_CELLS`` truth bits, or one trial when n
-is larger, so memory does not grow with the trial count.  Pre-partitioned
-plans are run one trial at a time by ``adaptive.run_adaptive``, through
-which the benchmark tracer counts their tests.
+Every plan, whole-vector or pre-partitioned, is built once per sweep point
+and run by ``adaptive.run_adaptive`` on the stacked truths of a block of
+trials, one call per plan and block.  A block holds at most
+``TRUTH_BLOCK_CELLS`` truth bits, or one trial when n is larger, so memory
+does not grow with the trial count.
 
 The sampled and block designs' laws (the partition, sampling CDFs, guide
 tables and row counts) are likewise built once per sweep point, or once
@@ -133,21 +132,6 @@ def draw_truth(p: PriorVector, seed: int) -> np.ndarray:
     return truth
 
 
-def _run_per_trial(
-    algorithm: str,
-    truth: np.ndarray,
-    seed: int,
-    campaign: Campaign,
-    per_trial: dict,
-) -> tuple[int, bool]:
-    law = per_trial[algorithm]
-    if isinstance(law, nonadaptive.SampledDesign):
-        t, rec = nonadaptive.measure_design(replace(law, seed=seed), truth)
-        return t, np.array_equal(rec, truth)
-    result = adaptive.run_adaptive(law, truth, eps=campaign.eps)
-    return result.tests_used, np.array_equal(result.recovered, truth)
-
-
 def run_campaign(campaign: Campaign) -> list[TrialReport]:
     """Execute every (sweep point, trial, algorithm) cell deterministically.
 
@@ -161,22 +145,18 @@ def run_campaign(campaign: Campaign) -> list[TrialReport]:
     for point_index, target_mu in enumerate(campaign.sweep):
         p = generate_prior(campaign.family, campaign.n, target_mu, rho=campaign.rho)
         h_bits = p.entropy_bits
-        # Pre-partitioned plans run per trial, as the benchmark tracer counts
-        # their tests through run_adaptive; at their large n a block holds
-        # one trial anyway.
         # Sampled designs are kept as laws: seed 0 is a placeholder that each
         # trial replaces with its matrix seed.
-        batched, per_trial = {}, {}
+        plans, laws = {}, {}
         for a in campaign.algorithms:
             if a.startswith("adaptive_"):
-                batched[a] = adaptive.build_plan(p, _CONSTRUCTION[a])
+                plans[a] = adaptive.build_plan(p, _CONSTRUCTION[a])
             elif a.startswith("prepartitioned_"):
-                per_trial[a] = adaptive.build_prepartitioned_plan(p, campaign.eps, _CONSTRUCTION[a])
+                plans[a] = adaptive.build_prepartitioned_plan(p, campaign.eps, _CONSTRUCTION[a])
             elif a == "cca":
-                t = nonadaptive.num_tests_cca(p, campaign.delta)
-                per_trial[a] = nonadaptive.sample_cca(p, t, nonadaptive.optimal_g(p), seed=0)
+                laws[a] = nonadaptive.cca_design(p, campaign.delta, seed=0)
             else:
-                per_trial[a] = nonadaptive.sample_block(p, campaign.eps, campaign.delta, seed=0)
+                laws[a] = nonadaptive.sample_block(p, campaign.eps, campaign.delta, seed=0)
         for first in range(0, campaign.trials, block):
             seeds, truths = [], []
             for trial_index in range(first, min(first + block, campaign.trials)):
@@ -185,16 +165,17 @@ def run_campaign(campaign: Campaign) -> list[TrialReport]:
                 seeds.append((truth_seed, matrix_seed))
                 truths.append(draw_truth(p, truth_seed))
             bits = np.stack(truths)
-            batches = {}
-            for algorithm, plan in batched.items():
-                tests, recovered = adaptive.run_adaptive_batch(plan, bits, eps=campaign.eps)
-                batches[algorithm] = list(zip(tests.tolist(), (recovered == bits).all(axis=1).tolist()))
+            runs = {}
+            for algorithm, plan in plans.items():
+                result = adaptive.run_adaptive(plan, bits, eps=campaign.eps)
+                runs[algorithm] = list(zip(result.tests.tolist(), (result.recovered == bits).all(axis=1).tolist()))
             for k, (truth, (truth_seed, matrix_seed)) in enumerate(zip(truths, seeds)):
                 for algorithm in campaign.algorithms:
-                    if algorithm in batches:
-                        tests, success = batches[algorithm][k]
+                    if algorithm in runs:
+                        tests, success = runs[algorithm][k]
                     else:
-                        tests, success = _run_per_trial(algorithm, truth, matrix_seed, campaign, per_trial)
+                        tests, recovered = nonadaptive.measure_design(replace(laws[algorithm], seed=matrix_seed), truth)
+                        success = np.array_equal(recovered, truth)
                     reports.append(
                         TrialReport(
                             point_index=point_index,
@@ -241,11 +222,14 @@ def success_curve(p: PriorVector, t_grid: Sequence[int], trials: int, seed: int)
     """Exact-recovery frequency of the sampled design at each row budget,
     with ``optimal_g(p)`` draws per row: one draw per trial from the law
     built for that budget.  Only the sampled design has a free row budget;
-    adaptive plans and the block design fix their own test counts."""
+    adaptive plans and the block design fix their own test counts.  The
+    trial count and each budget must be whole numbers of at least 1."""
+    trials = whole_number("trials", trials)
+    t_grid = [whole_number(f"t_grid[{ti}]", t) for ti, t in enumerate(t_grid)]
     g = nonadaptive.optimal_g(p)
     out = []
     for ti, t in enumerate(t_grid):
-        law = nonadaptive.sample_cca(p, int(t), g, seed=0)
+        law = nonadaptive.sample_cca(p, t, g, seed=0)
         successes = 0
         for trial_index in range(trials):
             ss = np.random.SeedSequence([seed, ti, trial_index])
@@ -253,7 +237,7 @@ def success_curve(p: PriorVector, t_grid: Sequence[int], trials: int, seed: int)
             truth = draw_truth(p, truth_seed)
             _, rec = nonadaptive.measure_design(replace(law, seed=matrix_seed), truth)
             successes += np.array_equal(rec, truth)
-        out.append((int(t), successes / trials))
+        out.append((t, successes / trials))
     return out
 
 

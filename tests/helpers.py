@@ -126,7 +126,7 @@ def walk_plan(
     truth = truth_array(plan.n, truth)
     bits = np.zeros(plan.n, dtype=bool)
     if eps > 0.0 and plan.mu_covered < eps:
-        return AdaptiveRunResult(recovered=bits, tests_used=0), ()
+        return AdaptiveRunResult(recovered=bits, tests=np.int64(0)), ()
     # counts[j] is the number of defectives among perm[:j].
     counts = [0] + np.cumsum(truth[plan.perm]).tolist()
     perm, lo, hi, left, right = (getattr(plan, name).tolist() for name in ("perm", "lo", "hi", "left", "right"))
@@ -155,7 +155,7 @@ def walk_plan(
         else:
             stack.append((b, False))
     bits[defective] = True
-    return AdaptiveRunResult(recovered=bits, tests_used=len(transcript)), tuple(transcript)
+    return AdaptiveRunResult(recovered=bits, tests=np.int64(len(transcript))), tuple(transcript)
 
 
 def fit_slope(points: Sequence[tuple[float, float]]) -> float:

@@ -17,7 +17,6 @@ from priorgt.adaptive import (
     plan_from_json_dict,
     plan_to_json_dict,
     run_adaptive,
-    run_adaptive_batch,
     run_prepartitioned_adaptive,
 )
 from priorgt.partition import build_partition, combine_for_concentration
@@ -398,13 +397,14 @@ def test_run_adaptive_exact_for_every_truth(construction, counts_both):
             assert result.tests_used == len(walk_plan(plan, truth)[1])
 
 
-def test_run_adaptive_batch_rejects_malformed_truths():
+def test_run_adaptive_rejects_malformed_truth_blocks():
     plan = build_plan(PriorVector((0.2, 0.3, 0.4)), "max_entropy")
-    good = np.zeros((2, 3), dtype=bool)
-    assert run_adaptive_batch(plan, good)[0].tolist() == [len(plan.roots)] * 2
-    for bad in (np.zeros((2, 4), dtype=bool), np.zeros(3, dtype=bool), np.zeros((2, 3), dtype=int)):
-        with pytest.raises(ValueError):
-            run_adaptive_batch(plan, bad)
+    result = run_adaptive(plan, np.zeros((2, 3), dtype=bool))
+    assert result.tests.tolist() == [len(plan.roots)] * 2 and result.tests_used == 2 * len(plan.roots)
+    assert run_adaptive(plan, np.zeros((0, 3), dtype=bool)).tests.shape == (0,)
+    for bad in (np.zeros((2, 4), dtype=bool), np.zeros((2, 3), dtype=int), np.zeros((1, 2, 3), dtype=bool)):
+        with pytest.raises(ValueError, match=r"shape \(3,\) or \(T, 3\)"):
+            run_adaptive(plan, bad)
 
 
 def test_inference_mode_never_uses_more_tests():

@@ -356,6 +356,24 @@ def test_decode_comp_forced_rule():
     assert rec.dtype == np.bool_ and rec.tolist() == [0, 0, 1]
 
 
+def test_decode_comp_takes_bools_or_zeros_and_ones_only():
+    m = TestMatrix.from_rows(3, (np.array([0, 1]), np.array([1, 2])))
+    for outcomes in ((0, 1), [False, True], np.array([0, 1], dtype=np.uint8), [False, 1]):
+        assert decode_comp(m, outcomes).tolist() == [0, 0, 1]
+    assert decode_comp(TestMatrix.from_rows(2, []), []).tolist() == [1, 1]
+    for bad in ([2, 0], [0.5, 0], [1.0, 0.0], ["1", "0"], [0, 1, 0], [[0, 1]], 1):
+        with pytest.raises(ValueError, match="outcomes must be 2 bools or 0/1 integers"):
+            decode_comp(m, bad)
+
+
+def test_cca_design_is_the_sampled_design_at_its_budget():
+    p = generate_prior("exponential", 200, 6.0)
+    t = num_tests_cca(p, 1.0)
+    assert nonadaptive.cca_design(p, 1.0, seed=3).to_matrix() == build_cca_matrix(p, t, optimal_g(p), seed=3)
+    with pytest.raises(ValueError, match="exactly when mu = 0 or n = 1"):
+        nonadaptive.cca_design(PriorVector((0.0, 0.0, 0.0)), 1.0, seed=3)
+
+
 def test_decode_comp_all_negative_clears_everything():
     m = TestMatrix.from_rows(4, (np.array([0, 1]), np.array([2, 3])))
     assert decode_comp(m, (0, 0)).tolist() == [0, 0, 0, 0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from priorgt import oracle
-from priorgt.adaptive import NestedPlan, build_plan, run_adaptive_batch
+from priorgt.adaptive import NestedPlan, build_plan, run_adaptive
 from priorgt.nonadaptive import TestMatrix, build_cca_matrix, run_nonadaptive
 from priorgt.oracle import (
     check_lemma1,
@@ -181,25 +181,25 @@ def test_exhaustive_decode_check_plans():
 
 
 def test_plan_oracles_share_one_executor_pass(monkeypatch):
-    """E[T] and the decode audit of one plan read one batch run over all
-    truths, and give what separate runs give."""
+    """E[T] and the decode audit of one plan read one executor run over the
+    block of all truths, and give what separate runs give."""
     p = PriorVector(tuple(np.random.default_rng(19).uniform(0.05, 0.45, size=9)))
     plan = build_plan(p, "huffman")
     truths = (np.arange(1 << 9)[:, None] >> np.arange(9)) & 1 == 1
-    tests, recovered = run_adaptive_batch(plan, truths, eps=0.0)
+    result = run_adaptive(plan, truths, eps=0.0)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[0])
-        return run_adaptive_batch(*args, **kwargs)
+        return run_adaptive(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "run_adaptive_batch", counted)
+    monkeypatch.setattr(oracle, "run_adaptive", counted)
     oracle._plan_pass.cache_clear()
     exact = exact_expected_tests(plan, p)
     assert exhaustive_decode_check(build_plan(p, "huffman"), p).passed  # an equal plan, rebuilt
     assert calls == [plan]
-    assert exact.value == math.fsum((oracle._truth_weights(p) * tests).tolist())
-    assert np.array_equal(recovered, truths)
+    assert exact.value == math.fsum((oracle._truth_weights(p) * result.tests).tolist())
+    assert np.array_equal(result.recovered, truths)
     with pytest.raises(ValueError):
         exhaustive_decode_check(plan, PriorVector((0.1,) * 8))
 

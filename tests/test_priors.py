@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from priorgt.adaptive import build_plan, run_adaptive, run_adaptive_batch
+from priorgt.adaptive import build_plan, run_adaptive
 from priorgt.nonadaptive import build_cca_matrix, measure_design, run_nonadaptive, sample_cca
 from priorgt.priors import (
     PriorVector,
@@ -191,7 +191,6 @@ def test_executors_refuse_truths_that_are_not_bool_vectors():
     design = sample_cca(p, 5, 2, seed=1)
     matrix = build_cca_matrix(p, 5, 2, seed=1)
     one_truth = [
-        lambda truth: run_adaptive(plan, truth),
         lambda truth: measure_design(design, truth),
         lambda truth: run_nonadaptive(matrix, truth),
     ]
@@ -200,10 +199,14 @@ def test_executors_refuse_truths_that_are_not_bool_vectors():
         for bad in _bad_truths(4):
             with pytest.raises(ValueError, match="a truth must be a bool array"):
                 run(bad)
-    run_adaptive_batch(plan, np.zeros((2, 4), dtype=bool))
-    for bad in [truths[None].repeat(2, axis=0) for truths in _bad_truths(4)[:3]] + [np.zeros(4, dtype=bool)]:
-        with pytest.raises(ValueError, match="truths must be a"):
-            run_adaptive_batch(plan, bad)
+    # The adaptive executor also takes a (T, n) block, so its 2-D bad truth
+    # has three axes.
+    for good in (np.zeros(4, dtype=bool), np.zeros((1, 4), dtype=bool), np.zeros((2, 4), dtype=bool)):
+        run_adaptive(plan, good)
+    for bad in _bad_truths(4)[:3] + [np.zeros((1, 1, 4), dtype=bool)]:
+        for truths in (bad, bad[None].repeat(2, axis=0)):
+            with pytest.raises(ValueError, match="a truth must be a bool array"):
+                run_adaptive(plan, truths)
 
 
 def test_prior_json_roundtrip_is_lossless():

@@ -68,7 +68,6 @@ from priorgt.adaptive import (
     plan_from_json_dict,
     plan_to_json_dict,
     run_adaptive,
-    run_adaptive_batch,
 )
 from priorgt.nonadaptive import (
     BlockSpan,
@@ -151,17 +150,23 @@ def every_truth(n):
 
 
 def assert_executors_match_the_walk(plan, truths, eps=0.0):
-    """Both executors agree with ``walk_plan`` on every row of ``truths``:
+    """``run_adaptive`` agrees with ``walk_plan`` on every row of a (T, n)
+    block ``truths``, run as the block, alone and as a block of one row:
     the same test count, one per pool the walk tests, and the same
     recovered vector."""
-    tests, recovered = run_adaptive_batch(plan, truths, eps=eps)
-    assert tests.dtype == np.int64 and recovered.shape == truths.shape
-    for truth, used, bits in zip(truths, tests, recovered):
-        reference, transcript = walk_plan(plan, truth, eps=eps)
-        result = run_adaptive(plan, truth, eps=eps)
-        assert result.tests_used == reference.tests_used == len(transcript) == used
-        assert np.array_equal(result.recovered, reference.recovered)
-        assert np.array_equal(reference.recovered, bits)
+    walks = [walk_plan(plan, truth, eps=eps) for truth in truths]
+    tests = [len(transcript) for _, transcript in walks]
+    assert [reference.tests_used for reference, _ in walks] == tests
+    block = run_adaptive(plan, truths, eps=eps)
+    ones = [run_adaptive(plan, truth, eps=eps) for truth in truths]
+    rows = [run_adaptive(plan, truths[k : k + 1], eps=eps) for k in range(len(truths))]
+    assert block.tests.dtype == np.int64 and block.tests.tolist() == tests
+    assert [one.tests_used for one in ones] == [row.tests_used for row in rows] == tests
+    assert all(row.tests.shape == (1,) for row in rows)
+    recovered = np.stack([reference.recovered for reference, _ in walks])
+    assert np.array_equal(block.recovered, recovered) and block.recovered.shape == truths.shape
+    assert np.array_equal(np.stack([one.recovered for one in ones]), recovered)
+    assert np.array_equal(np.concatenate([row.recovered for row in rows]), recovered)
 
 
 @PROPERTY_SETTINGS

@@ -178,6 +178,14 @@ def test_success_curve_small_grid():
     assert curve == success_curve(p, [2, 40, 160], trials=40, seed=5)
 
 
+def test_success_curve_refuses_counts_that_are_not_whole_numbers():
+    p = generate_prior("uniform", 30, 2.0)
+    assert success_curve(p, [np.int64(10), 20.0], trials=3, seed=1) == success_curve(p, [10, 20], trials=3, seed=1)
+    for grid, trials in (([10], 0), ([10], 2.5), ([10], True), ([10.7], 3), ([0], 3), (["10"], 3)):
+        with pytest.raises(ValueError, match="whole number"):
+            success_curve(p, grid, trials=trials, seed=1)
+
+
 def test_mann_kendall_detects_increase():
     result = mann_kendall_increasing([0.1, 0.25, 0.32, 0.5, 0.61, 0.7, 0.88, 0.9, 0.95, 1.0])
     assert result.p_value < 0.001
