@@ -17,11 +17,12 @@ So a plan is stored flat: node k, numbered in preorder, tests
 ``perm[lo[k]:hi[k]]``.  Each index field is held once, as a read-only int64
 array, and plans compare and hash by value (``priors.ValueEq``).  A
 pre-partitioned run is one such plan too, whose individually tested items
-are singleton roots.  Execution answers every pool through
-``priors.pool_outcomes``, from prefix counts of the truth in ``perm`` order,
-the rule test matrices use, and descends only through positive pools, so a
-noiseless run recovers the true population vector exactly.  Plans serialize
-to one flat JSON object marked ``"format": 2``.
+are singleton roots.  Execution answers, from prefix counts of the truths
+in ``perm`` order (``priors.prefix_counts``, the rule test matrices use),
+only the pools whose outcome decides whether a child is tested, and
+descends only through positive pools, so a noiseless run recovers the true
+population vector exactly.  Plans serialize to one flat JSON object marked
+``"format": 2``.
 
 Preorder numbers are closed-form.  A tree over m items has 2m - 1 nodes, so
 the root over ``perm[s:e]`` that follows j earlier roots is node 2s - j, the
@@ -67,11 +68,15 @@ two.  The heap reference ``huffman_merge`` lives in
 
 Truths and recovered vectors are bool arrays.  :func:`run_adaptive` is the
 one executor: it runs one truth of length n, or every row of a (T, n) block
-of truths, over the last axis, tests the pools that
-:func:`_tested_children` selects and returns the recovered vectors with one
-test count per truth.  A depth-first walk that records each tested pool in
-order, ``walk_plan`` in ``tests/helpers.py``, is the reference it is tested
-against.
+of truths, over the last axis, and returns the recovered vectors with one
+test count per truth.  A child is tested when a pool that
+:func:`_tested_children` names is positive: its parent's, or in inference
+mode, for a right child, its left sibling's.  So the executor answers only
+internal nodes' pools, and in inference mode their left children's, and
+counts each truth's positive ones lane by lane, several truths to a 64-bit
+word (``priors.positive_pools``).  A depth-first walk that records each
+tested pool in order, ``walk_plan`` in ``tests/helpers.py``, is the
+reference it is tested against.
 :func:`expected_tests` gives a plan's exact expected test count in closed
 form.
 """
@@ -86,7 +91,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .partition import build_partition, combine_for_concentration
-from .priors import PriorVector, ValueEq, columns, index_array, json_number, pool_outcomes, truth_array, whole_number
+from .priors import PriorVector, ValueEq, index_array, json_number, positive_pools, prefix_counts, truth_array, whole_number
 
 CONSTRUCTIONS = ("max_entropy", "shannon_fano", "huffman")
 PLAN_FORMAT = 2
@@ -170,10 +175,11 @@ class NestedPlan(ValueEq):
             raise ValueError("every node and every perm position must belong to a root's tree")
 
     @cached_property
-    def internal(self) -> tuple[np.ndarray, np.ndarray]:
-        """The internal nodes, ascending, with their left children."""
+    def internal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each internal node's range [lo, hi) of ``perm``, in node order,
+        and the end of its left child's range [lo, mid), as (lo, mid, hi)."""
         inner = np.flatnonzero(self.left >= 0)
-        return inner, self.left[inner]
+        return self.lo[inner], self.hi[self.left[inner]], self.hi[inner]
 
     @cached_property
     def untested_items(self) -> np.ndarray:
@@ -506,15 +512,16 @@ def build_prepartitioned_plan(
     )
 
 
-def _tested_children(plan: NestedPlan, positive: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each internal node's left and right child is tested, given
-    whether each pool is positive (or how likely, given how likely each pool
-    is positive).  A positive pool's left child is tested, and so is its
-    right child with ``counts_both_children``, the same array; otherwise only
-    when the left child is positive, as a negative one leaves it positive."""
-    inner, left = plan.internal
-    tested_left = columns(positive, inner)
-    return tested_left, tested_left if plan.counts_both_children else columns(positive, left)
+def _tested_children(plan: NestedPlan) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The pools, as ranges (lo, hi) of ``perm`` in internal node order,
+    whose being positive gets each internal node's left and its right child
+    tested.  A positive pool's left child is tested, and so is its right
+    child with ``counts_both_children``, the same pools, returned as the same
+    tuple; otherwise the right child is tested when the left child is
+    positive, as a negative one leaves it positive."""
+    lo, mid, hi = plan.internal
+    parents = (lo, hi)
+    return parents, parents if plan.counts_both_children else (lo, mid)
 
 
 def _recovered(plan: NestedPlan, truths: np.ndarray) -> np.ndarray:
@@ -531,18 +538,26 @@ def _recovered(plan: NestedPlan, truths: np.ndarray) -> np.ndarray:
 
 def _run(plan: NestedPlan, truths: np.ndarray, eps: float) -> AdaptiveRunResult:
     """The recovered vectors and test counts of one truth or of every row of
-    a (T, n) block, over the last axis."""
+    a (T, n) block, over the last axis.  Only the pools that
+    :func:`_tested_children` reads are answered, from the block's
+    :func:`priors.prefix_counts`."""
     if eps > 0.0 and plan.mu_covered < eps:
         return AdaptiveRunResult(np.zeros(truths.shape, dtype=bool), np.zeros(truths.shape[:-1], dtype=np.int64))
-    tested_left, tested_right = _tested_children(plan, pool_outcomes(truths, plan.perm, plan.lo, plan.hi))
-    left_tests = tested_left.sum(axis=-1, dtype=np.int64)
-    right_tests = left_tests if tested_right is tested_left else tested_right.sum(axis=-1, dtype=np.int64)
-    return AdaptiveRunResult(_recovered(plan, truths), len(plan.roots) + left_tests + right_tests)
+    block = truths.reshape(-1, plan.n)
+    counts = prefix_counts(block, plan.perm)
+    first, second = _tested_children(plan)
+    left_tests = positive_pools(counts, *first)[: len(block)]
+    right_tests = left_tests if second is first else positive_pools(counts, *second)[: len(block)]
+    # [()] gives one truth's count as a scalar and a block's as its array.
+    tests = (len(plan.roots) + left_tests + right_tests).reshape(truths.shape[:-1])[()]
+    return AdaptiveRunResult(_recovered(plan, truths), tests)
 
 
 def run_adaptive(plan: NestedPlan, truth: np.ndarray, eps: float = 0.0) -> AdaptiveRunResult:
     """Execute a plan with noiseless OR pools against a bool truth of length
-    n, or against each row of a (T, n) block of truths in one numpy pass.
+    n, or against each row of a (T, n) block of truths in one numpy pass,
+    which counts the block several truths to a 64-bit word and answers only
+    the pools whose outcome decides whether a child is tested.
 
     Every root is tested, then the children of each positive pool.  With
     ``counts_both_children`` both children are measured.  Otherwise the left
@@ -573,9 +588,14 @@ def expected_tests(plan: NestedPlan, p: PriorVector) -> float:
         return 0.0
     with np.errstate(divide="ignore"):  # p = 1 gives depth +inf
         depths = np.append(-np.log1p(-p.probs[plan.perm]), 0.0)
-    positive = -np.expm1(-np.add.reduceat(depths, np.stack((plan.lo, plan.hi), axis=1).ravel())[::2])
-    first, second = _tested_children(plan, positive)
-    return len(plan.roots) + math.fsum(first.tolist()) + math.fsum(second.tolist())
+
+    def positive(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        return -np.expm1(-np.add.reduceat(depths, np.stack((lo, hi), axis=1).ravel())[::2])
+
+    first, second = _tested_children(plan)
+    left = positive(*first)
+    right = left if second is first else positive(*second)
+    return len(plan.roots) + math.fsum(left.tolist()) + math.fsum(right.tolist())
 
 
 def run_prepartitioned_adaptive(

@@ -31,11 +31,12 @@ ids of one (t, g) draw.  The same law serves any seed.
 Row counts are T4's budget ``bounds.sampled_budget`` rounded up; its slack
 is checked by ``bounds.check_delta``.  A matrix is stored in compressed
 sparse row form and compares by value (``priors.ValueEq``).  Every row is
-measured by ``priors.pool_outcomes``, from one prefix count of the truth as
-an adaptive plan's pools are, and every negative row is cleared in one
-scatter.  Repeated draws change neither, so sampled rows keep each id once;
-for the same reason :func:`measure_design` measures the drawn chunks
-directly, without sorting or deduplicating them, for Monte Carlo runs.
+measured by ``priors.pool_outcomes``, from the truth's prefix counts over
+``indices``, the count that answers an adaptive plan's pools over ``perm``,
+and every negative row is cleared in one scatter.  Repeated draws change
+neither, so sampled rows keep each id once; for the same reason
+:func:`measure_design` measures the drawn chunks directly, without sorting
+or deduplicating them, for Monte Carlo runs.
 
 :func:`measure_design` also stops drawing a block once every clear item in
 it is cleared and skips the rest with ``PCG64.advance``; its docstring shows

@@ -8,10 +8,11 @@ states, a truth, are a bool array of the right length, and deterministic
 generators for the three experimental families: uniform, linear, and
 exponential.
 
-Two shared rules live here too.  :func:`pool_outcomes` answers pools
-``index[lo:hi]`` from one prefix count of the truths: plans pass ``perm`` and
-node ranges, test matrices their CSR arrays.  :class:`ValueEq` gives priors,
-plans, block spans and test matrices compare-and-hash by value.
+Two shared rules live here too.  Pools ``index[lo:hi]`` are answered from
+one prefix count of the truths in ``index`` order, :func:`prefix_counts`,
+several truths to a 64-bit word: plans pass ``perm`` and node ranges, test
+matrices their CSR arrays.  :class:`ValueEq` gives priors, plans, block
+spans and test matrices compare-and-hash by value.
 """
 
 from __future__ import annotations
@@ -79,24 +80,72 @@ def truth_array(n: int, value, block: bool = False) -> np.ndarray:
     return arr
 
 
-def columns(a: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``a[..., index]`` for a 1-D or 2-D array: numpy takes an index after a
-    slice several times slower than the same index alone, so one truth, or a
-    block of one, is indexed as a vector."""
-    if a.ndim == 1:
-        return a[index]
-    return a[0][index][None] if len(a) == 1 else a[:, index]
+_UNSIGNED = {size: np.dtype(f"u{size}") for size in (1, 2, 4, 8)}
 
 
-def pool_outcomes(truths: np.ndarray, index: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def prefix_counts(truths: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The defectives among ``index[:j]`` for every j and every row of a
+    (T, n) bool block, item-major: row j of the result, len(index) + 1
+    rows in all, holds the T counts, each a lane of the smallest unsigned
+    type that holds len(index).
+
+    Lanes are packed into unsigned words, truth t in lane t % L of word
+    t // L, the fewest lanes that hold the block, a power of two, to at most
+    64 bits: so one truth has one lane to a word, its own type.  Numbers
+    that no lane can exceed add lane by lane in their words, with no carry
+    from one lane into the next.  No count exceeds len(index), so one
+    running sum of words counts L truths at once."""
+    rows, n = truths.shape
+    lane = np.min_scalar_type(len(index))
+    word = _UNSIGNED[min(8, lane.itemsize << (rows - 1).bit_length())] if rows else lane
+    per = word.itemsize // lane.itemsize
+    width = -(-rows // per)
+    counts = np.zeros((len(index) + 1, width), dtype=word)
+    if rows == 1:
+        # One lane to a word: the truth's bytes widen as they are summed,
+        # which spares a pass over the counts.
+        np.cumsum(truths[0].view(np.uint8)[index], dtype=word, out=counts[1:, 0])
+        return counts
+    lanes = np.zeros((n, width * per), dtype=lane)
+    # numpy copies a transpose one short inner row at a time, so a block
+    # of one word is laid out truth by truth.
+    if width == 1:
+        for t, truth in enumerate(truths):
+            lanes[:, t] = truth
+    else:
+        lanes[:, :rows] = truths.T
+    # take gathers rows several times faster than an index does, and with
+    # mode="clip" (every index is valid) straight into counts, as cumsum
+    # then sums in place.
+    lanes.view(word).take(index, axis=0, out=counts[1:], mode="clip")
+    np.cumsum(counts[1:], axis=0, out=counts[1:])
+    return counts
+
+
+def positive_pools(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """How many of the pools ``index[lo[k]:hi[k]]``, at most len(index) of
+    them, hold a defective, for each lane of ``counts`` from
+    :func:`prefix_counts`, as int64: a pool holds one when its range's
+    counts differ.  A count never falls, so each word's difference is its
+    lanes' differences, and the 0-or-1 lanes add up per truth in one sum
+    of words."""
+    lane = np.min_scalar_type(len(counts) - 1)
+    gap = counts.take(hi, axis=0)
+    base = counts.take(lo, axis=0)
+    if gap.dtype == lane:  # one truth: one lane to a word
+        return np.count_nonzero(gap != base, axis=0)
+    gap -= base
+    lanes = gap.view(lane)
+    np.not_equal(lanes, 0, out=lanes, casting="unsafe")
+    return (np.ones(len(gap), dtype=gap.dtype) @ gap).view(lane).astype(np.int64)
+
+
+def pool_outcomes(truth: np.ndarray, index: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Whether each pool ``index[lo[k]:hi[k]]`` holds a defective, for one
-    bool truth of length n or for every row of a (T, n) matrix: the truth's
-    prefix counts in ``index`` order differ across the pool's range."""
-    # The smallest unsigned type that holds len(index) keeps the counts small;
-    # summing the truths' bytes as uint8 spares the cumsum a cast at n < 256.
-    counts = np.zeros(truths.shape[:-1] + (len(index) + 1,), dtype=np.min_scalar_type(len(index)))
-    np.cumsum(columns(truths, index).view(np.uint8), axis=-1, dtype=counts.dtype, out=counts[..., 1:])
-    return columns(counts, hi) > columns(counts, lo)
+    bool truth of length n: its :func:`prefix_counts`, one lane to a word,
+    differ across the pool's range."""
+    counts = prefix_counts(truth[None], index)[:, 0]
+    return counts[hi] > counts[lo]
 
 
 class ValueEq:

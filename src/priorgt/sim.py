@@ -8,9 +8,10 @@ is shared by every algorithm within a trial.
 
 Every plan, whole-vector or pre-partitioned, is built once per sweep point
 and run by ``adaptive.run_adaptive`` on the stacked truths of a block of
-trials, one call per plan and block.  A block holds at most
-``TRUTH_BLOCK_CELLS`` truth bits, or one trial when n is larger, so memory
-does not grow with the trial count.
+trials, one call per plan and block.  The executor counts a block several
+truths to a 64-bit word, so a wider block costs it less per truth.  A block
+holds at most ``TRUTH_BLOCK_CELLS`` truth bits, 32 trials at n = 1000, or
+one trial when n is larger, so memory does not grow with the trial count.
 
 The sampled and block designs' laws (the partition, sampling CDFs, guide
 tables and row counts) are likewise built once per sweep point, or once
@@ -60,9 +61,10 @@ _CONSTRUCTION = {
     "prepartitioned_huffman": "huffman",
 }
 
-# Upper bound on trials x n in one block of stacked truths.  Larger blocks
-# ran no faster at n = 1000 and raised peak memory.
-TRUTH_BLOCK_CELLS = 1 << 14
+# Upper bound on trials x n in one block of stacked truths.  At n = 1000,
+# blocks of 2^16 cells ran no faster than 2^15 and raised a campaign's peak
+# RSS by 0.3-0.4 MiB, beyond its run-to-run noise.
+TRUTH_BLOCK_CELLS = 1 << 15
 
 TRIALS_CSV_HEADER = ["trial_id", "seed", "algorithm", "n", "mu", "entropy", "tests", "success"]
 SUMMARY_CSV_HEADER = [

@@ -200,15 +200,28 @@ def test_executors_match_the_walk_on_benchmark_scale_plans(construction, counts_
         assert_executors_match_the_walk(plan, truths, eps=0.01)
 
 
-@pytest.mark.parametrize("n", [65_535, 65_536])
+@pytest.mark.parametrize("n", [255, 256, 65_535, 65_536])
 def test_executors_match_the_walk_at_the_uint16_count_boundary(n):
-    # Pools are answered from prefix counts in the smallest unsigned type that
-    # holds len(perm): uint16 up to 65,535 items, uint32 from 65,536.  An
-    # all-defective truth takes the last count to len(perm).
+    # Pools are answered from prefix counts in lanes of the smallest unsigned
+    # type that holds len(perm), uint8 up to 255 items, uint16 up to 65,535
+    # and uint32 from 65,536, packed per = 8, 4 or 2 to a 64-bit word.  An
+    # all-defective truth takes the last count to len(perm).  Blocks of 2,
+    # per - 1, per, per + 1 and 2 per + 1 truths end in one, in a word's last
+    # lane or the first of a new word; a (0, n) block has no truth.
     p = generate_prior("uniform", n, 8.0)
     plan = build_plan(p, "huffman")
     assert len(plan.perm) == n
-    assert_executors_match_the_walk(plan, np.stack([np.ones(n, dtype=bool), draw_truth(p, 1)]))
+    per = 8 // np.min_scalar_type(n).itemsize
+    truths = np.stack([draw_truth(p, seed) for seed in range(2 * per)] + [np.ones(n, dtype=bool)])
+    assert_executors_match_the_walk(plan, truths)
+    whole = run_adaptive(plan, truths)
+    for height in (2, per - 1, per, per + 1):
+        rows = np.r_[: height - 1, -1]
+        block = run_adaptive(plan, truths[rows])
+        assert block.tests.tolist() == whole.tests[rows].tolist()
+        assert np.array_equal(block.recovered, whole.recovered[rows])
+    empty = run_adaptive(plan, np.zeros((0, n), dtype=bool))
+    assert empty.tests.shape == (0,) and empty.recovered.shape == (0, n)
 
 
 @PROPERTY_SETTINGS
