@@ -13,28 +13,29 @@ Plans are laminar: children partition their parent, leaves are singletons.
 With the leaves laid out depth first, every pool is a contiguous run of one
 item permutation ``perm``.  The top-down splits keep each pool's order and
 cut it at a prefix; the bottom-up merge lays its leaves out after merging.
-So a plan is stored flat: node k, numbered in preorder, tests
-``perm[lo[k]:hi[k]]``.  Each index field is held once, as a read-only int64
-array, and plans compare and hash by value (``priors.ValueEq``).  A
-pre-partitioned run is one such plan too, whose individually tested items
-are singleton roots.  Execution answers, from prefix counts of the truths
-in ``perm`` order (``priors.prefix_counts``, the rule test matrices use),
-only the pools whose outcome decides whether a child is tested, and
-descends only through positive pools, so a noiseless run recovers the true
-population vector exactly.  Plans serialize to one flat JSON object marked
-``"format": 2``.
+So a plan stores ``perm``, ``lo`` and ``hi`` as read-only int64 arrays:
+node k, numbered in preorder, tests ``perm[lo[k]:hi[k]]``.  Plans compare
+and hash by value (``priors.ValueEq``).  A pre-partitioned run is one such
+plan too, whose individually tested items are singleton roots.  Execution
+answers, from prefix counts of the truths in ``perm`` order
+(``priors.prefix_counts``, the rule test matrices use), only the pools whose
+outcome decides whether a child is tested, and descends only through
+positive pools, so a noiseless run recovers the true population vector
+exactly.  Plans serialize to one flat JSON object marked ``"format": 2``.
 
 Preorder numbers are closed-form.  A tree over m items has 2m - 1 nodes, so
 the root over ``perm[s:e]`` that follows j earlier roots is node 2s - j, the
-left child of node k is k + 1 and its right child is k + 2 |left range|.
+left child of an internal node k (hi - lo > 1) is k + 1, its right child is
+k + 2 |left range|, and the roots are the nodes that are no node's child.
 Plans are therefore built level by level over int64 arrays: the frontier is
 every range still to split, of every root at once, and one numpy pass per
 level returns all their left sizes.  The one-node references for those
 passes, ``me_split`` and ``_sf_cut``, live in ``tests/helpers.py``.  The
-constructor checks the same preorder relations with a dozen array
-comparisons; by induction on range size they hold exactly when a depth-first
-walk from the roots visits nodes 0, 1, 2, ... with every pool split into two
-nonempty parts.
+constructor checks that pools are nonempty and each internal node's children
+partition it, so by induction node k's tree is the 2 |range| - 1 nodes from
+k on; as children follow parents, the roots' trees tile the nodes, and it
+checks that their ranges tile ``perm``.  A depth-first parse of the nodes in
+order accepts exactly these plans.
 
 Each level decides its cuts by filtered exact predicates (Shewchuk 1997):
 one ``searchsorted`` on the plan's item depths -log1p(-p) (max entropy) or
@@ -91,11 +92,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .partition import build_partition, combine_for_concentration
-from .priors import PriorVector, ValueEq, index_array, json_number, positive_pools, prefix_counts, truth_array, whole_number
+from .priors import PriorVector, ValueEq, index_array, positive_pools, prefix_counts, truth_array
 
 CONSTRUCTIONS = ("max_entropy", "shannon_fano", "huffman")
 PLAN_FORMAT = 2
+_STORED_FIELDS = ("perm", "lo", "hi", "auto_defective", "auto_clear")
+# Plan JSON's index keys in order, the derived left, right and roots among them.
 _INDEX_FIELDS = ("perm", "lo", "hi", "left", "right", "roots", "auto_defective", "auto_clear")
+_PARTITION = "children must partition their parent into nonempty pools"
 # The root ranges share one padded block unless that wastes more than this
 # many cells beyond twice their length.
 _ONE_BLOCK_CELLS = 1 << 12
@@ -104,19 +108,39 @@ _ONE_BLOCK_CELLS = 1 << 12
 _MARGIN = 32.0
 
 
+def _links(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The internal nodes k (hi - lo > 1) in order, their right children
+    k + 2 (hi[k+1] - lo[k+1]), their left ones being k + 1, and the roots,
+    the nodes that are no node's child.  Raises ValueError at an empty pool
+    or a child beyond the last node."""
+    size, width = len(lo), hi - lo
+    if size and width.min() < 1:
+        raise ValueError("every pool must hold at least one item")
+    inner = np.flatnonzero(width > 1)
+    if len(inner) and inner[-1] + 1 >= size:
+        raise ValueError(_PARTITION)
+    right = inner + 2 * width[inner + 1]
+    if right.max(initial=-1) >= size:
+        raise ValueError(_PARTITION)
+    root = np.ones(size, dtype=bool)
+    root[inner + 1] = root[right] = False
+    return inner, right, np.flatnonzero(root)
+
+
 @dataclass(frozen=True, eq=False)
 class NestedPlan(ValueEq):
     """A laminar family of pools stored as ranges over one item permutation.
 
-    Nodes are numbered in preorder.  Node k tests ``perm[lo[k]:hi[k]]``;
-    ``left[k]`` and ``right[k]`` are its children, -1 at a leaf.  ``roots``
-    lists the first-stage pools in test order, and their ranges tile ``perm``.
-    ``auto_defective`` and ``auto_clear`` hold items declared without testing;
-    the trees cover everything else.  ``mu_covered`` is the prior mass over
-    all covered items, used by the small-mass shortcut at execution time.
-    The eight index fields take any integer sequences and hold them as 1-D,
-    read-only int64 arrays; float or bool values are refused, not truncated.
-    Plans compare and hash by value.
+    Node k, in preorder, tests ``perm[lo[k]:hi[k]]``.  ``left``, ``right``
+    (-1 at a leaf) and ``roots``, the first-stage pools in test order, whose
+    ranges tile ``perm``, are derived from ``lo`` and ``hi`` by the closed
+    forms of the module docstring when first read.  ``auto_defective`` and
+    ``auto_clear`` hold items declared without testing; the trees cover
+    everything else.  ``mu_covered`` is the prior mass over all covered
+    items, used by the small-mass shortcut at execution time.  The five
+    index fields take any integer sequences and hold them as 1-D, read-only
+    int64 arrays; float or bool values are refused, not truncated.  Plans
+    compare and hash by value.
     """
 
     n: int
@@ -124,62 +148,53 @@ class NestedPlan(ValueEq):
     perm: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    roots: np.ndarray
     auto_defective: np.ndarray = ()
     auto_clear: np.ndarray = ()
     counts_both_children: bool = True
     mu_covered: float = 0.0
 
     def __post_init__(self):
-        for name in _INDEX_FIELDS:
+        for name in _STORED_FIELDS:
             object.__setattr__(self, name, index_array(f"plan field {name}", getattr(self, name)))
         if self.construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {self.construction!r}; expected one of {CONSTRUCTIONS}")
-        self._check(*(getattr(self, name) for name in _INDEX_FIELDS))
-
-    def _check(self, perm, lo, hi, left, right, roots, auto_defective, auto_clear) -> None:
-        ids = np.concatenate((perm, auto_defective, auto_clear))
+        perm, lo, hi = self.perm, self.lo, self.hi
+        ids = np.concatenate((perm, self.auto_defective, self.auto_clear))
         if len(ids) and (ids.min() < 0 or int(ids.max()) >= self.n or np.bincount(ids).max() > 1):
             raise ValueError("plan item ids must be distinct and lie in 0..n-1")
-        size = len(lo)
-        if not len(hi) == len(left) == len(right) == size:
-            raise ValueError("lo, hi, left and right need one entry per node")
-        preorder = "nodes must be numbered in preorder, each reached once"
-        if len(roots) and (roots.min() < 0 or roots.max() >= size):
-            raise ValueError(preorder)
-        internal = (left >= 0) | (right >= 0)
-        inner = internal.nonzero()[0]
-        a, b = left[inner], right[inner]
-        children = np.concatenate((a, b))
-        if len(inner) and (children.min() < 0 or children.max() >= size):
-            raise ValueError("plan nodes need either two children or none")
-        p_lo, p_hi, a_lo, a_hi, b_lo, b_hi = lo[inner], hi[inner], lo[a], hi[a], lo[b], hi[b]
-        if not ((a_lo == p_lo) & (a_lo < a_hi) & (a_hi == b_lo) & (b_lo < b_hi) & (b_hi == p_hi)).all():
-            raise ValueError("children must partition their parent into nonempty pools")
-        width = hi - lo
-        bad = (~internal & (width != 1)).nonzero()[0]
-        if len(bad):
-            k = bad[0]
-            raise ValueError(f"leaf pools must be singletons, got {tuple(perm[lo[k]:hi[k]].tolist())}")
-        # A tree over m items has 2m - 1 nodes: the closed-form preorder numbers.
-        nodes = 2 * width[roots] - 1
-        ends = np.cumsum(nodes)
-        if (a != inner + 1).any() or (b != inner + 2 * (a_hi - a_lo)).any() or (roots != ends - nodes).any():
-            raise ValueError(preorder)
-        if len(roots) and (lo[roots[0]] != 0 or (lo[roots[1:]] != hi[roots[:-1]]).any()):
+        if len(hi) != len(lo):
+            raise ValueError("lo and hi need one entry per node")
+        inner, b, roots = _links(lo, hi)
+        a = inner + 1
+        if not ((lo[a] == lo[inner]) & (hi[a] == lo[b]) & (hi[b] == hi[inner])).all():
+            raise ValueError(_PARTITION)
+        bounds = np.concatenate(([0], hi[roots]))
+        if (lo[roots] != bounds[:-1]).any() or bounds[-1] != len(perm):
             raise ValueError("root pools must tile perm in order")
-        covered = (ends[-1], hi[roots[-1]]) if len(roots) else (0, 0)
-        if covered != (size, len(perm)):
-            raise ValueError("every node and every perm position must belong to a root's tree")
+
+    @cached_property
+    def _derived(self) -> tuple[np.ndarray, ...]:
+        inner, right, roots = _links(self.lo, self.hi)
+        children = np.full((2, len(self.lo)), -1, dtype=np.int64)
+        children[:, inner] = inner + 1, right
+        children.flags.writeable = roots.flags.writeable = False
+        return (*children, roots)
+
+    left = property(lambda self: self._derived[0], doc="Each node's left child, -1 at a leaf.")
+    right = property(lambda self: self._derived[1], doc="Each node's right child, -1 at a leaf.")
+    roots = property(lambda self: self._derived[2], doc="The first-stage pools' nodes, in test order.")
+
+    @property
+    def root_count(self) -> int:
+        """The roots' number: a tree over m items has 2m - 1 nodes."""
+        return 2 * len(self.perm) - len(self.lo)
 
     @cached_property
     def internal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each internal node's range [lo, hi) of ``perm``, in node order,
         and the end of its left child's range [lo, mid), as (lo, mid, hi)."""
-        inner = np.flatnonzero(self.left >= 0)
-        return self.lo[inner], self.hi[self.left[inner]], self.hi[inner]
+        inner = np.flatnonzero(self.hi - self.lo > 1)
+        return self.lo[inner], self.hi[inner + 1], self.hi[inner]
 
     @cached_property
     def untested_items(self) -> np.ndarray:
@@ -347,9 +362,9 @@ def _sf_exact(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cut
 
 
-def _layout(bounds: np.ndarray, split: Callable) -> tuple[np.ndarray, ...]:
-    """Preorder ``lo``, ``hi``, ``left``, ``right`` and ``roots`` of trees
-    over the consecutive ranges bounds[j]:bounds[j + 1], each nonempty.
+def _layout(bounds: np.ndarray, split: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Preorder ``lo`` and ``hi`` of trees over the consecutive ranges
+    bounds[j]:bounds[j + 1], each nonempty.
 
     ``split(k, a, b)`` gets the nodes k of the frontier with their ranges
     [a, b) and returns their left sizes, each in 1..b - a - 1.
@@ -358,18 +373,16 @@ def _layout(bounds: np.ndarray, split: Callable) -> tuple[np.ndarray, ...]:
     roots = 2 * starts - np.arange(len(starts))
     size = 2 * int(bounds[-1]) - len(starts)
     lo, hi = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    left, right = np.full(size, -1, dtype=np.int64), np.full(size, -1, dtype=np.int64)
     lo[roots], hi[roots] = starts, ends
     wide = ends - starts > 1
     k, a, b = roots[wide], starts[wide], ends[wide]
     while len(k):
         cut = split(k, a, b)
-        left[k], right[k] = k + 1, k + 2 * cut
-        k, a, b = np.concatenate((left[k], right[k])), np.concatenate((a, a + cut)), np.concatenate((a + cut, b))
+        k, a, b = np.concatenate((k + 1, k + 2 * cut)), np.concatenate((a, a + cut)), np.concatenate((a + cut, b))
         lo[k], hi[k] = a, b
         wide = b - a > 1
         k, a, b = k[wide], a[wide], b[wide]
-    return lo, hi, left, right, roots
+    return lo, hi
 
 
 def _huffman(p: PriorVector, perm: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -434,14 +447,14 @@ def _trees(p: PriorVector, construction: str, perm: np.ndarray, bounds: np.ndarr
         q = p.probs[perm]
         xs = np.append(-np.log1p(-np.where(q < 1.0, q, 0.0)), np.inf)
         sums = _root_sums(xs, bounds)
-        layout = _layout(bounds, lambda k, a, b: _me_cuts(xs, sums, a, b))
+        lo, hi = _layout(bounds, lambda k, a, b: _me_cuts(xs, sums, a, b))
     elif construction == "shannon_fano":
         # Each root's items by descending weight, ties by item id.
         root_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
         perm = perm[np.lexsort((perm, -p.probs[perm], root_of))]
         weights = np.append(p.probs[perm], np.inf)
         sums = _root_sums(weights, bounds)
-        layout = _layout(bounds, lambda k, a, b: _sf_cuts(weights, sums, a, b))
+        lo, hi = _layout(bounds, lambda k, a, b: _sf_cuts(weights, sums, a, b))
     elif construction == "huffman":
         first, second, first_count, tops = _huffman(p, perm, bounds)
         subtree = np.empty(2 * len(perm) - len(tops), dtype=np.int64)
@@ -453,14 +466,13 @@ def _trees(p: PriorVector, construction: str, perm: np.ndarray, bounds: np.ndarr
             return cut
 
         subtree[2 * bounds[:-1] - np.arange(len(tops))] = tops
-        layout = _layout(bounds, split)
-        lo, left = layout[0], layout[2]
-        leaves = left < 0
+        lo, hi = _layout(bounds, split)
+        leaves = hi - lo == 1
         perm, leaf_item = np.empty_like(perm), perm
         perm[lo[leaves]] = leaf_item[subtree[leaves]]
     else:
         raise ValueError(f"unknown construction {construction!r}; expected one of {CONSTRUCTIONS}")
-    return dict(zip(("lo", "hi", "left", "right", "roots"), layout), perm=perm)
+    return dict(perm=perm, lo=lo, hi=hi)
 
 
 def build_plan(p: PriorVector, construction: str, counts_both_children: bool = True) -> NestedPlan:
@@ -549,7 +561,7 @@ def _run(plan: NestedPlan, truths: np.ndarray, eps: float) -> AdaptiveRunResult:
     left_tests = positive_pools(counts, *first)[: len(block)]
     right_tests = left_tests if second is first else positive_pools(counts, *second)[: len(block)]
     # [()] gives one truth's count as a scalar and a block's as its array.
-    tests = (len(plan.roots) + left_tests + right_tests).reshape(truths.shape[:-1])[()]
+    tests = (plan.root_count + left_tests + right_tests).reshape(truths.shape[:-1])[()]
     return AdaptiveRunResult(_recovered(plan, truths), tests)
 
 
@@ -595,7 +607,7 @@ def expected_tests(plan: NestedPlan, p: PriorVector) -> float:
     first, second = _tested_children(plan)
     left = positive(*first)
     right = left if second is first else positive(*second)
-    return len(plan.roots) + math.fsum(left.tolist()) + math.fsum(right.tolist())
+    return plan.root_count + math.fsum(left.tolist()) + math.fsum(right.tolist())
 
 
 def run_prepartitioned_adaptive(
@@ -621,28 +633,3 @@ def plan_to_json_dict(plan: NestedPlan) -> dict:
     }
     out.update((name, getattr(plan, name).tolist()) for name in _INDEX_FIELDS)
     return out
-
-
-def plan_from_json_dict(data: dict) -> NestedPlan:
-    """Parse the flat form; anything else, including the nested form that
-    predates format 2, raises ValueError.  Index fields must be lists of JSON
-    integers, as :class:`NestedPlan` checks, ``counts_both_children`` a JSON
-    boolean and ``mu_covered`` a finite JSON number at least 0."""
-    if not isinstance(data, dict) or data.get("format") != PLAN_FORMAT:
-        raise ValueError(f"plan JSON must be an object with \"format\": {PLAN_FORMAT}")
-    try:
-        fields = {name: data[name] for name in _INDEX_FIELDS}
-        if not isinstance(data["counts_both_children"], bool):
-            raise ValueError("plan JSON counts_both_children must be true or false")
-        mu_covered = json_number("plan JSON mu_covered", data["mu_covered"])
-        if not (math.isfinite(mu_covered) and mu_covered >= 0.0):
-            raise ValueError(f"plan JSON mu_covered must be finite and at least 0, got {mu_covered!r}")
-        return NestedPlan(
-            n=whole_number("n", data["n"]),
-            construction=str(data["construction"]),
-            counts_both_children=data["counts_both_children"],
-            mu_covered=mu_covered,
-            **fields,
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed plan JSON: {exc!r}") from exc

@@ -57,7 +57,7 @@ import numpy as np
 
 from .bounds import check_delta, sampled_budget
 from .partition import build_partition
-from .priors import PriorVector, ValueEq, index_array, json_list, pool_outcomes, truth_array, whole_number
+from .priors import PriorVector, ValueEq, index_array, pool_outcomes, truth_array
 
 # Draws per chunk.  A design's ids are drawn and consumed max(1, CHUNK // g)
 # rows at a time, so temporaries stay cache-sized however many rows it has,
@@ -160,12 +160,6 @@ class TestMatrix(ValueEq):
                 raise ValueError(f"block {span.label!r} rows [{span.row_lo}, {span.row_hi}) are not a range in 0..{self.t}")
             if len(span.items) and (span.items.min() < 0 or span.items.max() >= self.n):
                 raise ValueError(f"block {span.label!r} holds an item id outside 0..n-1")
-
-    @classmethod
-    def from_rows(cls, n: int, rows: Sequence[Sequence[int]], **fields) -> "TestMatrix":
-        """Build a matrix from one sequence of item ids per row."""
-        arrays = [np.zeros(0, dtype=np.int64)] + [index_array("row", row) for row in rows]
-        return cls(n, np.cumsum([len(a) for a in arrays]), np.concatenate(arrays), **fields)
 
     @property
     def t(self) -> int:
@@ -443,34 +437,3 @@ def matrix_to_json_dict(m: TestMatrix) -> dict:
     if m.zero_assigned:
         out["zero_assigned"] = sorted(m.zero_assigned)
     return out
-
-
-def matrix_from_json_dict(data: dict) -> TestMatrix:
-    """Parse a matrix written by :func:`matrix_to_json_dict`.  ``rows``, each
-    row, ``blocks``, each block's items and ``zero_assigned`` must be JSON
-    lists, and ``n``, row ids, block bounds and items and ``zero_assigned``
-    whole numbers; anything else raises ValueError."""
-
-    def ids(name: str, values) -> list[int]:
-        return [whole_number(name, i, least=0) for i in json_list(name, values)]
-
-    try:
-        spans = None
-        if "blocks" in data:
-            spans = tuple(
-                BlockSpan(
-                    row_lo=whole_number("row_lo", b["row_lo"], least=0),
-                    row_hi=whole_number("row_hi", b["row_hi"], least=0),
-                    items=ids("block item", b["items"]),
-                    label=str(b["label"]),
-                )
-                for b in json_list("blocks", data["blocks"])
-            )
-        return TestMatrix.from_rows(
-            n=whole_number("n", data["n"]),
-            rows=[ids("row id", row) for row in json_list("rows", data["rows"])],
-            block_spans=spans,
-            zero_assigned=frozenset(ids("zero_assigned id", data.get("zero_assigned", []))),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc!r}") from exc

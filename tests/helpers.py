@@ -11,7 +11,8 @@ statistics (least squares slope, one-sided Mann-Kendall) serve the
 acceptance and harness tests, and ``drawn_ids`` stacks the sampler's chunks
 for the tests that compare them with a binary search.  ``combine_reference`` is the per-band combining loop that
 ``combine_for_concentration`` is tested against, and ``partition_fields``
-compares partitions by value.
+compares partitions by value.  ``matrix_from_rows`` builds a test matrix
+from row lists.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from priorgt.adaptive import AdaptiveRunResult, NestedPlan, _depths, _first_stage, _nearest_prefix, _trees
-from priorgt.nonadaptive import _block_chunks, _block_law
+from priorgt.nonadaptive import TestMatrix, _block_chunks, _block_law
 from priorgt.partition import Band, Partition
-from priorgt.priors import PriorVector, truth_array
+from priorgt.priors import PriorVector, index_array, truth_array
 
 
 def _groups(p: PriorVector, items: Sequence[int] | None, construction: str) -> list[tuple[int, ...]]:
@@ -205,6 +206,12 @@ def drawn_ids(rng, weights: np.ndarray, t: int, g: int) -> np.ndarray:
     chunks stacked in row order."""
     law = _block_law(np.arange(len(weights), dtype=np.int64), weights, t, g)
     return np.concatenate(list(_block_chunks(law, rng)))
+
+
+def matrix_from_rows(n: int, rows: Sequence[Sequence[int]], **fields) -> TestMatrix:
+    """A matrix over n items with one sequence of item ids per row."""
+    arrays = [np.zeros(0, dtype=np.int64)] + [index_array("row", row) for row in rows]
+    return TestMatrix(n, np.cumsum([len(a) for a in arrays]), np.concatenate(arrays), **fields)
 
 
 def partition_fields(part: Partition) -> tuple:

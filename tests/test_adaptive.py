@@ -14,7 +14,6 @@ from priorgt.adaptive import (
     NestedPlan,
     build_plan,
     build_prepartitioned_plan,
-    plan_from_json_dict,
     plan_to_json_dict,
     run_adaptive,
     run_prepartitioned_adaptive,
@@ -215,44 +214,47 @@ def test_zero_weight_items_sink_to_deepest_leaves():
         assert min(depths[1], depths[3]) >= max(depths[0], depths[2])
 
 
-def flat(n, perm, lo, hi, left, right, roots=(0,), **fields):
-    return NestedPlan(n, "max_entropy", perm, lo, hi, left, right, roots, **fields)
+def flat(n, perm, lo, hi, **fields):
+    return NestedPlan(n, "max_entropy", perm, lo, hi, **fields)
 
 
 def test_nested_plan_validation():
     # a well-formed plan: root {0, 1} split into two leaves
-    flat(2, (0, 1), (0, 0, 1), (2, 1, 2), (1, -1, -1), (2, -1, -1))
-    with pytest.raises(ValueError, match="singletons"):
-        flat(2, (0, 1), (0,), (2,), (-1,), (-1,))  # non-singleton leaf
+    plan = flat(2, (0, 1), (0, 0, 1), (2, 1, 2))
+    assert (plan.left.tolist(), plan.right.tolist(), plan.roots.tolist()) == ([1, -1, -1], [2, -1, -1], [0])
+    with pytest.raises(ValueError, match="one entry per node"):
+        flat(2, (0, 1), (0, 0, 1), (2, 1))
+    with pytest.raises(ValueError, match="at least one item"):
+        flat(2, (0, 1), (0, 0, 1), (2, 1, 1))  # empty pool
+    with pytest.raises(ValueError, match="partition their parent"):
+        flat(2, (0, 1), (0,), (2,))  # a pair with no node after it
+    with pytest.raises(ValueError, match="partition their parent"):
+        # a left child as wide as its parent {0, 1, 2} puts the right child at node 6, past node 3
+        flat(3, (0, 1, 2), (0, 0, 0, 1), (3, 3, 1, 2))
     with pytest.raises(ValueError, match="partition their parent"):
         # children {0} and {2} do not split the parent {0, 1}
-        flat(3, (0, 1, 2), (0, 0, 2), (2, 1, 3), (1, -1, -1), (2, -1, -1))
+        flat(3, (0, 1, 2), (0, 0, 2), (2, 1, 3))
     with pytest.raises(ValueError, match="partition their parent"):
-        flat(2, (0, 1), (0, 0, 2), (2, 2, 2), (1, -1, -1), (2, -1, -1))  # empty right child
-    with pytest.raises(ValueError, match="two children or none"):
-        flat(2, (0, 1), (0, 0, 1), (2, 1, 2), (1, -1, -1), (-1, -1, -1))
+        flat(2, (0, 1), (0, 1, 0), (2, 2, 1))  # right child first
     with pytest.raises(ValueError, match="distinct"):
-        flat(2, (0, 0), (0, 0, 1), (2, 1, 2), (1, -1, -1), (2, -1, -1))  # repeated id
+        flat(2, (0, 0), (0, 0, 1), (2, 1, 2))  # repeated id
     with pytest.raises(ValueError, match="distinct"):
-        flat(2, (0, 2), (0, 0, 1), (2, 1, 2), (1, -1, -1), (2, -1, -1))  # id out of range
+        flat(2, (0, 2), (0, 0, 1), (2, 1, 2))  # id out of range
     with pytest.raises(ValueError, match="distinct"):
-        flat(2, (0,), (0,), (1,), (-1,), (-1,), auto_clear=(0,))  # tested and auto-cleared
-    with pytest.raises(ValueError, match="preorder"):
-        flat(2, (0, 1), (0, 1, 0), (2, 2, 1), (2, -1, -1), (1, -1, -1))  # right child first
+        flat(2, (0,), (0,), (1,), auto_clear=(0,))  # tested and auto-cleared
     with pytest.raises(ValueError, match="tile perm"):
-        flat(2, (0, 1), (1, 0), (2, 1), (-1, -1), (-1, -1), roots=(0, 1))
-    with pytest.raises(ValueError, match="belong to a root"):
-        flat(2, (0, 1), (0,), (1,), (-1,), (-1,))  # item 1 in no tree
+        flat(2, (0, 1), (1, 0), (2, 1))  # two roots out of order
+    with pytest.raises(ValueError, match="tile perm"):
+        flat(2, (0, 1), (0, 0, 1, 1), (2, 1, 2, 2))  # a second root over item 1
+    with pytest.raises(ValueError, match="tile perm"):
+        flat(2, (0, 1), (0,), (1,))  # item 1 in no tree
     with pytest.raises(ValueError, match="construction"):
-        NestedPlan(1, "binary", (0,), (0,), (1,), (-1,), (-1,), (0,))
+        NestedPlan(1, "binary", (0,), (0,), (1,))
 
 
 # The plan of test_nested_plan_validation's first case, over n = 4 items
 # with item 2 declared defective and item 3 clear.
-SMALL_PLAN = dict(
-    perm=(0, 1), lo=(0, 0, 1), hi=(2, 1, 2), left=(1, -1, -1), right=(2, -1, -1), roots=(0,),
-    auto_defective=(2,), auto_clear=(3,),
-)
+SMALL_PLAN = dict(perm=(0, 1), lo=(0, 0, 1), hi=(2, 1, 2), auto_defective=(2,), auto_clear=(3,))
 
 
 @pytest.mark.parametrize("name", list(SMALL_PLAN))
@@ -269,7 +271,7 @@ def test_nested_plan_rejects_index_fields_that_are_not_one_dimensional(name):
 def test_nested_plan_refuses_index_values_that_are_not_integers():
     # The float perm (0.9, 1.2) was truncated to [0, 1].
     with pytest.raises(ValueError, match="plan field perm must hold integers"):
-        NestedPlan(2, "max_entropy", (0.9, 1.2), (0, 0, 1), (2, 1, 2), (1, -1, -1), (2, -1, -1), (0,))
+        NestedPlan(2, "max_entropy", (0.9, 1.2), (0, 0, 1), (2, 1, 2))
     for name in SMALL_PLAN:
         ints = SMALL_PLAN[name]
         for values in (np.asarray(ints, dtype=float), (True,) * len(ints), (*ints, True), [*ints, 1.0]):
@@ -279,7 +281,7 @@ def test_nested_plan_refuses_index_values_that_are_not_integers():
         with pytest.raises(ValueError, match="plan field auto_clear holds an index beyond int64"):
             NestedPlan(4, "max_entropy", **{**SMALL_PLAN, "auto_clear": huge})
     # The empty defaults stay valid.
-    plan = NestedPlan(2, "max_entropy", (0, 1), (0, 0, 1), (2, 1, 2), (1, -1, -1), (2, -1, -1), (0,))
+    plan = NestedPlan(2, "max_entropy", (0, 1), (0, 0, 1), (2, 1, 2))
     assert plan.auto_defective.dtype == plan.auto_clear.dtype == np.int64
     assert len(plan.auto_defective) == len(plan.auto_clear) == 0
 
@@ -290,11 +292,12 @@ def test_nested_plan_index_fields_are_read_only_int64_arrays():
     plans = [
         build_plan(PriorVector((1.0, 0.3, 0.2, 0.0)), "huffman"),
         build_prepartitioned_plan(p, 0.05, "shannon_fano"),
-        plan_from_json_dict(plan_to_json_dict(build_plan(p, "max_entropy"))),
+        build_plan(p, "max_entropy"),
         NestedPlan(4, "max_entropy", **{**SMALL_PLAN, "perm": source}),
     ]
     for plan in plans:
-        for name in SMALL_PLAN:
+        # The derived left, right and roots too.
+        for name in _INDEX_FIELDS:
             value = getattr(plan, name)
             assert type(value) is np.ndarray and value.dtype == np.int64 and value.ndim == 1, name
             assert not value.flags.writeable, name
@@ -601,46 +604,16 @@ def test_prepartitioned_mixed_routes():
 
 
 def test_plan_json_roundtrip():
+    # Each index field read back from the JSON text equals the plan's own
+    # array, the derived left, right and roots included.
     p = generate_prior("exponential", 60, 2.0)
-    plan = build_plan(p, "huffman")
-    data = plan_to_json_dict(plan)
-    back = plan_from_json_dict(data)
-    assert back == plan
-
-
-def test_plan_json_rejects_malformed_and_nested_forms():
-    p = PriorVector((0.3, 0.3, 0.3, 0.3))
-    data = plan_to_json_dict(build_plan(p, "max_entropy"))
-    assert data["format"] == 2
-    nested = {k: v for k, v in data.items() if k not in ("format", "perm", "lo", "hi", "left", "right", "roots")}
-    nested["root_groups"] = [
-        {"items": [0, 1], "left": {"items": [0], "left": None, "right": None},
-         "right": {"items": [1], "left": None, "right": None}},
-    ]
-    bad = [
-        nested,
-        [data],
-        {**data, "format": 1},
-        {k: v for k, v in data.items() if k != "hi"},
-        {**data, "lo": 3},
-        {**data, "perm": [0, 1, 2, 2]},
-        {**data, "right": [-1] * len(data["right"])},
-        {**data, "construction": "binary"},
-        {**data, "counts_both_children": "false"},
-        {**data, "n": 4.9},
-        {**data, "perm": [0.9, 1, 2, 3]},
-        {**data, "roots": [False, 3]},
-        {**data, "mu_covered": "1e9"},
-        {**data, "mu_covered": True},
-        {**data, "mu_covered": None},
-        {**data, "mu_covered": float("nan")},
-        {**data, "mu_covered": float("inf")},
-        {**data, "mu_covered": -0.5},
-        {**data, "mu_covered": 10**400},
-    ]
-    for d in bad:
-        with pytest.raises(ValueError):
-            plan_from_json_dict(d)
+    for plan in (build_plan(p, "huffman"), build_prepartitioned_plan(p, 0.05, "max_entropy", False)):
+        data = json.loads(json.dumps(plan_to_json_dict(plan)))
+        assert list(data) == ["format", "n", "construction", "counts_both_children", "mu_covered", *_INDEX_FIELDS]
+        assert data["format"] == 2 and data["n"] == plan.n and data["construction"] == plan.construction
+        assert data["counts_both_children"] is plan.counts_both_children and data["mu_covered"] == plan.mu_covered
+        for name in _INDEX_FIELDS:
+            assert data[name] == getattr(plan, name).tolist(), name
 
 
 def test_readme_plan_json_example_matches_build_plan():

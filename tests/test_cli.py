@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from priorgt.cli import main
-from priorgt.adaptive import plan_from_json_dict
+from priorgt.adaptive import NestedPlan
 from priorgt.priors import generate_prior, prior_to_json_dict
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -25,7 +25,12 @@ def test_plan_adaptive_writes_laminar_tree(tmp_path, uniform_prior_file, capsys)
     out = tmp_path / "plan.json"
     rc = main(["plan", "--prior", uniform_prior_file, "--algorithm", "me", "--out", str(out)])
     assert rc == 0
-    plan = plan_from_json_dict(json.loads(out.read_text()))
+    data = json.loads(out.read_text())
+    # The constructor checks the written perm, lo and hi, and derives the
+    # written children and roots from them.
+    plan = NestedPlan(data["n"], data["construction"], data["perm"], data["lo"], data["hi"])
+    derived = (plan.left, plan.right, plan.roots)
+    assert [a.tolist() for a in derived] == [data["left"], data["right"], data["roots"]]
     covered = set()
     stack = list(plan.roots)
     while stack:

@@ -7,7 +7,7 @@ import pytest
 
 from priorgt import oracle
 from priorgt.adaptive import NestedPlan, build_plan, run_adaptive
-from priorgt.nonadaptive import TestMatrix, build_cca_matrix, run_nonadaptive
+from priorgt.nonadaptive import build_cca_matrix, run_nonadaptive
 from priorgt.oracle import (
     check_lemma1,
     check_lemma2,
@@ -18,6 +18,8 @@ from priorgt.oracle import (
 )
 from priorgt.priors import PriorVector
 from priorgt.sim import draw_truth
+
+from helpers import matrix_from_rows
 
 
 def simulate_collection_mean(p_hat, runs, seed):
@@ -120,9 +122,6 @@ def test_exact_expected_tests_hand_enumeration():
         perm=(0, 1),
         lo=(0, 0, 1),
         hi=(2, 1, 2),
-        left=(1, -1, -1),
-        right=(2, -1, -1),
-        roots=(0,),
         mu_covered=1.0,
     )
     p = PriorVector((0.5, 0.5))
@@ -206,7 +205,7 @@ def test_plan_oracles_share_one_executor_pass(monkeypatch):
 
 def test_exhaustive_decode_check_singleton_matrix_is_exact():
     p = PriorVector((0.2,) * 5)
-    m = TestMatrix.from_rows(5, [[i] for i in range(5)])
+    m = matrix_from_rows(5, [[i] for i in range(5)])
     check = exhaustive_decode_check(m, p)
     assert check.passed
     assert check.error_probability == pytest.approx(0.0, abs=1e-15)
@@ -232,7 +231,7 @@ def test_exhaustive_decode_error_probability_matches_monte_carlo():
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_exhaustive_decode_check_rejects_a_matrix_over_another_universe(n):
-    m = TestMatrix.from_rows(n, [[0, 1], [2, 3]])
+    m = matrix_from_rows(n, [[0, 1], [2, 3]])
     with pytest.raises(ValueError, match="matrix and prior disagree on the universe size"):
         exhaustive_decode_check(m, PriorVector((0.2,) * 5))
 

@@ -3,7 +3,8 @@
 Priors have at most 10 items and may hold the extreme values 0, 1, 1e-300
 and exactly 1/2.  Every construction, built whole or pre-partitioned, must
 give a plan that passes the constructor's check, covers every item once,
-recovers every sampled truth exactly, and survives a JSON round trip.  Both
+recovers every sampled truth exactly, and writes JSON whose index fields
+are its arrays, the children and roots it derives included.  Both
 executors must agree with the depth-first walk ``walk_plan`` from
 ``tests/helpers.py`` on every truth vector, in test count and recovered
 vector, also on plans over some of the items and on the pre-partitioned
@@ -17,8 +18,9 @@ time.  Deterministic cases hold the Huffman merge rounds to the heap
 reference on halving weights (one pair per round), on sums that absorb the
 lightest weight, on weight ties and on pre-partitioned plans with many
 singleton roots.  The vectorized constructor check must reject a corrupted
-plan exactly when the depth-first walk it replaced, also kept here, rejects
-it.
+or renumbered plan, and every plan of up to three nodes, exactly when a
+recursive-descent parse of ``lo`` and ``hi``, kept here, rejects it, and
+derive the children and roots that the parse finds.
 
 The filtered max-entropy and Shannon-Fano cuts must give the plans of their
 exact fallback alone, with the margin patched to infinity, and the per-node
@@ -33,8 +35,9 @@ bands all occur.
 
 Matrices have at most 12 items and may hold empty rows, repeated ids and a
 pre-cleared set.  Measuring and decoding must agree with a per-row reference,
-COMP must never miss a defective outside the pre-cleared set, the JSON round
-trip must be lossless, and the constructor must reject malformed arrays.
+COMP must never miss a defective outside the pre-cleared set, the written
+JSON must hold the matrix's rows, blocks and pre-cleared set, and the
+constructor must reject malformed arrays.
 The exhaustive matrix audit must agree with a per-truth loop over
 :func:`run_nonadaptive`.
 
@@ -48,6 +51,7 @@ curve those of a per-trial matrix loop.
 """
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -61,11 +65,11 @@ from priorgt import adaptive
 from priorgt.adaptive import (
     CONSTRUCTIONS,
     NestedPlan,
+    _INDEX_FIELDS,
     _trees,
     build_plan,
     build_prepartitioned_plan,
     expected_tests,
-    plan_from_json_dict,
     plan_to_json_dict,
     run_adaptive,
 )
@@ -76,7 +80,6 @@ from priorgt.nonadaptive import (
     _sampling_cdf,
     build_block_matrix,
     build_cca_matrix,
-    matrix_from_json_dict,
     matrix_to_json_dict,
     measure_design,
     optimal_g,
@@ -93,6 +96,7 @@ from helpers import (
     _sf_cut,
     combine_reference,
     drawn_ids,
+    matrix_from_rows,
     me_first_stage,
     me_split,
     partition_fields,
@@ -227,8 +231,16 @@ def test_executors_match_the_walk_at_the_uint16_count_boundary(n):
 @PROPERTY_SETTINGS
 @given(plan_specs)
 def test_plans_survive_json_roundtrip(spec):
+    """The JSON text's index fields are the plan's arrays, and its children
+    and roots those the reference parse finds; its stored fields give the
+    plan back."""
     plan = make_plan(*spec)
-    assert plan_from_json_dict(json.loads(json.dumps(plan_to_json_dict(plan)))) == plan
+    data = json.loads(json.dumps(plan_to_json_dict(plan)))
+    assert all(data[name] == getattr(plan, name).tolist() for name in _INDEX_FIELDS)
+    stored = {name: data[name] for name in FIELDS}
+    assert [data["left"], data["right"], data["roots"]] == list(walk_check(plan.n, **stored))
+    flags = dict(counts_both_children=data["counts_both_children"], mu_covered=data["mu_covered"])
+    assert NestedPlan(data["n"], data["construction"], **stored, **flags) == plan
 
 
 def huffman_merge(items, p):
@@ -246,25 +258,19 @@ def huffman_merge(items, p):
 
 def reference_plan(p, construction, counts_both_children, eps):
     """The plan of ``make_plan``, laid out one node at a time in preorder."""
-    perm, lo, hi, left, right, roots = [], [], [], [], [], []
+    perm, lo, hi = [], [], []
 
     def add_tree(pool, split):
         start = len(perm)
         perm.extend(pool)
-        roots.append(len(lo))
-        stack = [(start, len(perm), -1)]
+        stack = [(start, len(perm))]
         while stack:
-            a, b, parent = stack.pop()
-            k = len(lo)
-            if parent >= 0:
-                right[parent] = k
+            a, b = stack.pop()
             lo.append(a)
             hi.append(b)
-            left.append(k + 1 if b - a > 1 else -1)
-            right.append(-1)
             if b - a > 1:
                 mid = a + split(perm[a:b])
-                stack += [(mid, b, k), (a, mid, -1)]
+                stack += [(mid, b), (a, mid)]
 
     def add_pools(items):
         first_stage = me_first_stage if construction == "max_entropy" else sf_first_stage
@@ -288,9 +294,7 @@ def reference_plan(p, construction, counts_both_children, eps):
         for band in part.ample_bands():
             add_pools(band.items)
         auto_defective, auto_clear = [], part.zero_items
-    return NestedPlan(
-        p.n, construction, perm, lo, hi, left, right, roots, auto_defective, auto_clear, counts_both_children, p.mu
-    )
+    return NestedPlan(p.n, construction, perm, lo, hi, auto_defective, auto_clear, counts_both_children, p.mu)
 
 
 @PROPERTY_SETTINGS
@@ -438,14 +442,15 @@ def assert_huffman_merges_like_the_heap(p, pools):
     perm = np.array([i for pool in pools for i in pool], dtype=np.int64)
     bounds = np.cumsum([0] + [len(pool) for pool in pools])
     trees = _trees(p, "huffman", perm, bounds)
-    lo, hi, left = trees["lo"], trees["hi"], trees["left"]
+    lo, hi = trees["lo"], trees["hi"]
     leaves, cuts = [], []
     for pool in pools:
         pool_leaves, pool_cuts = huffman_merge(pool, p)
         leaves += pool_leaves
         cuts += pool_cuts
     assert trees["perm"].tolist() == leaves
-    assert [int(hi[left[k]] - lo[k]) for k in range(len(lo)) if left[k] >= 0] == cuts
+    # An internal node's left child is the next node.
+    assert [int(hi[k + 1] - lo[k]) for k in range(len(lo)) if hi[k] - lo[k] > 1] == cuts
 
 
 def test_huffman_rounds_merge_halving_weights_one_pair_at_a_time():
@@ -534,65 +539,72 @@ def test_combining_matches_the_per_band_reference(case):
     assert all(b.items.dtype == np.int64 and not b.items.flags.writeable for b in combined.bands)
 
 
-def walk_check(n, perm, lo, hi, left, right, roots, auto_defective, auto_clear):
-    """The constructor's check as a depth-first walk from the roots."""
+def walk_check(n, perm, lo, hi, auto_defective, auto_clear):
+    """The constructor's check as a recursive-descent parse of the nodes in
+    order, from ``lo`` and ``hi`` alone: each root's range starts where the
+    last one ended, a node's left child is the next node and starts where
+    it does, and its right child follows the left child's tree and ends
+    where it does.  Returns each node's left and right child (-1 at a leaf)
+    and the roots, as the parse meets them."""
     ids = perm + auto_defective + auto_clear
     if len(set(ids)) != len(ids) or any(not 0 <= i < n for i in ids):
         raise ValueError("ids")
-    size = len(lo)
-    if not len(hi) == len(left) == len(right) == size:
+    if len(hi) != len(lo):
         raise ValueError("lengths")
-    visited = cursor = 0
-    for root in roots:
-        stack = [root]
-        while stack:
-            k = stack.pop()
-            if k != visited or k >= size:
-                raise ValueError("preorder")
-            visited += 1
-            a, b = left[k], right[k]
-            if a < 0 and b < 0:
-                if hi[k] - lo[k] != 1:
-                    raise ValueError("singleton")
-                continue
-            if not (0 <= a < size and 0 <= b < size):
-                raise ValueError("children")
-            if not lo[a] == lo[k] < hi[a] == lo[b] < hi[b] == hi[k]:
+    left, right, roots = [-1] * len(lo), [-1] * len(lo), []
+    k = 0
+
+    def parse(a):
+        """Consume the tree of the next node, which must start at a and hold
+        an item, and return where it ends."""
+        nonlocal k
+        node = k
+        if node == len(lo) or lo[node] != a or hi[node] <= a:
+            raise ValueError("node")
+        k += 1
+        if hi[node] - a > 1:
+            left[node] = k
+            mid = parse(a)
+            right[node] = k
+            if parse(mid) != hi[node]:
                 raise ValueError("partition")
-            stack += (b, a)
-        if lo[root] != cursor:
-            raise ValueError("tile")
-        cursor = hi[root]
-    if visited != size or cursor != len(perm):
+        return hi[node]
+
+    cursor = 0
+    while k < len(lo):
+        roots.append(k)
+        cursor = parse(cursor)
+    if cursor != len(perm):
         raise ValueError("cover")
+    return left, right, roots
 
 
-FIELDS = ("perm", "lo", "hi", "left", "right", "roots", "auto_defective", "auto_clear")
+FIELDS = ("perm", "lo", "hi", "auto_defective", "auto_clear")
 
 
-def assert_same_verdict(plan, n, fields):
-    """The constructor accepts ``fields`` exactly when the walk does."""
+def assert_same_verdict(n, fields):
+    """The constructor accepts ``fields`` exactly when the walk does, and
+    then derives the walk's children and roots."""
     try:
-        walk_check(n, **fields)
-        walk_accepts = True
+        links = walk_check(n, **fields)
     except ValueError:
-        walk_accepts = False
+        links = None
     try:
-        NestedPlan(n, plan.construction, counts_both_children=plan.counts_both_children, **fields)
-        accepts = True
+        plan = NestedPlan(n, "max_entropy", **fields)
     except ValueError:
-        accepts = False
-    assert accepts == walk_accepts, (n, fields)
+        plan = None
+    assert (plan is None) == (links is None), (n, fields)
+    if plan is not None:
+        assert [plan.left.tolist(), plan.right.tolist(), plan.roots.tolist()] == list(links), (n, fields)
+    return plan is not None
 
 
 def renumbered(plan, i, j):
-    """The plan's fields with nodes i and j trading numbers, every reference
-    to them included: the same tree, numbered out of preorder unless i = j."""
+    """The plan's fields with nodes i and j trading ranges: the same pools,
+    numbered out of preorder unless i = j or the ranges are equal."""
     fields = {name: list(getattr(plan, name)) for name in FIELDS}
-    for values in (fields["lo"], fields["hi"], fields["left"], fields["right"]):
+    for values in (fields["lo"], fields["hi"]):
         values[i], values[j] = values[j], values[i]
-    for key in ("left", "right", "roots"):
-        fields[key] = [{i: j, j: i}.get(v, v) for v in fields[key]]
     return fields
 
 
@@ -622,13 +634,13 @@ def test_plan_check_rejects_corruptions_like_the_walk(spec, data):
             else:
                 j = data.draw(st.integers(0, len(values) - 1))
                 values[k], values[j] = values[j], values[k]
-    assert_same_verdict(plan, n, fields)
+    assert_same_verdict(n, fields)
 
 
 def test_plan_check_rejects_renumberings_like_the_walk():
-    """Every pair of nodes over equally many items traded: the local
-    partition and leaf checks still pass, so only the closed-form preorder
-    relations can tell."""
+    """Every pair of nodes over equally many items traded: every node keeps
+    its width, so only the ranges of a node's neighbours in preorder can
+    tell."""
     rng = np.random.default_rng(17)
     for _ in range(12):
         p = PriorVector(tuple(rng.uniform(0.02, 0.45, size=int(rng.integers(2, 9))).tolist()))
@@ -639,7 +651,21 @@ def test_plan_check_rejects_renumberings_like_the_walk():
                 for i in range(len(width)):
                     for j in range(i, len(width)):
                         if width[i] == width[j]:
-                            assert_same_verdict(plan, plan.n, renumbered(plan, i, j))
+                            assert_same_verdict(plan.n, renumbered(plan, i, j))
+
+
+def test_plan_check_matches_the_walk_on_every_small_plan():
+    """Every ``lo`` and ``hi`` of up to three nodes with entries in 0..3,
+    over ``perm`` = range(m) for m in 0..3.  Five of them are plans: none,
+    one, two or three singleton roots, and one pair split into two leaves."""
+    accepted = 0
+    for m in range(4):
+        for size in range(4):
+            for lo in itertools.product(range(4), repeat=size):
+                for hi in itertools.product(range(4), repeat=size):
+                    fields = dict(perm=list(range(m)), lo=list(lo), hi=list(hi), auto_defective=[], auto_clear=[])
+                    accepted += assert_same_verdict(3, fields)
+    assert accepted == 5
 
 
 @PROPERTY_SETTINGS
@@ -677,7 +703,7 @@ def test_matrix_runs_match_the_per_row_reference_at_count_dtype_boundaries(size)
     n = 300
     ids = rng.integers(0, n, size=size)
     rows = np.split(ids, np.sort(rng.integers(0, size + 1, size=20)))
-    m = TestMatrix.from_rows(n, rows)
+    m = matrix_from_rows(n, rows)
     assert len(m.indices) == size
     last = np.zeros(n, dtype=bool)
     last[ids[-1]] = True
@@ -705,13 +731,17 @@ def test_matrix_run_matches_per_row_reference(case):
 @PROPERTY_SETTINGS
 @given(matrices())
 def test_matrix_survives_json_roundtrip(case):
-    m = case[0]
-    back = matrix_from_json_dict(json.loads(json.dumps(matrix_to_json_dict(m))))
-    assert back.n == m.n
-    assert np.array_equal(back.indptr, m.indptr)
-    assert np.array_equal(back.indices, m.indices)
-    assert back.block_spans == m.block_spans
-    assert back.zero_assigned == m.zero_assigned
+    """The JSON text holds the drawn rows, the block spans and the
+    pre-cleared set, and a "blocks" key exactly when the matrix has spans."""
+    m, rows = case[:2]
+    data = json.loads(json.dumps(matrix_to_json_dict(m)))
+    assert data["n"] == m.n and data["rows"] == rows
+    assert ("blocks" in data) == (m.block_spans is not None)
+    spans = m.block_spans or ()
+    assert data.get("blocks", []) == [
+        {"row_lo": s.row_lo, "row_hi": s.row_hi, "items": s.items.tolist(), "label": s.label} for s in spans
+    ]
+    assert data.get("zero_assigned", []) == sorted(m.zero_assigned)
 
 
 @PROPERTY_SETTINGS
