@@ -76,7 +76,7 @@ def cmd_plan(args) -> int:
             design = nonadaptive.cca_design(p, args.delta, args.seed)
         else:
             design = nonadaptive.sample_block(p, args.eps, args.delta, args.seed)
-        payload = nonadaptive.matrix_to_json_dict(design.to_matrix())
+        payload = nonadaptive.design_to_json_dict(design)
     # The bound table can still fail on its arguments; nothing is written then.
     table = _bounds_table(bounds.all_reports(p, args.eps, args.delta, args.pe), "text")
     _atomic_write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -31,12 +31,13 @@ ids of one (t, g) draw.  The same law serves any seed.
 Row counts are T4's budget ``bounds.sampled_budget`` rounded up; its slack
 is checked by ``bounds.check_delta``.  A matrix is stored in compressed
 sparse row form and compares by value (``priors.ValueEq``).  Every row is
-measured by ``priors.pool_outcomes``, from the truth's prefix counts over
-``indices``, the count that answers an adaptive plan's pools over ``perm``,
-and every negative row is cleared in one scatter.  Repeated draws change
-neither, so sampled rows keep each id once; for the same reason
-:func:`measure_design` measures the drawn chunks directly, without sorting
-or deduplicating them, for Monte Carlo runs.
+measured from the truth's ``priors.prefix_counts`` over ``indices``, the
+count that answers an adaptive plan's pools over ``perm``: a row is
+positive when the counts at its ends differ.  Every negative row is
+cleared in one scatter.  Repeated draws change neither, so sampled rows
+keep each id once; for the same reason :func:`measure_design` measures the
+drawn chunks directly, without sorting or deduplicating them, for Monte
+Carlo runs.
 
 :func:`measure_design` also stops drawing a block once every clear item in
 it is cleared and skips the rest with ``PCG64.advance``; its docstring shows
@@ -57,7 +58,7 @@ import numpy as np
 
 from .bounds import check_delta, sampled_budget
 from .partition import build_partition
-from .priors import PriorVector, ValueEq, index_array, pool_outcomes, truth_array
+from .priors import INT64_MAX, PriorVector, ValueEq, index_array, prefix_counts, truth_array, whole_number
 
 # Draws per chunk.  A design's ids are drawn and consumed max(1, CHUNK // g)
 # rows at a time, so temporaries stay cache-sized however many rows it has,
@@ -108,20 +109,6 @@ def num_tests_cca(p: PriorVector, delta: float) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class BlockSpan(ValueEq):
-    """Row range [row_lo, row_hi) whose supports stay inside ``items``, held
-    as a read-only int64 array.  Spans compare and hash by value."""
-
-    row_lo: int
-    row_hi: int
-    items: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "items", index_array("block items", self.items))
-
-
-@dataclass(frozen=True, eq=False)
 class TestMatrix(ValueEq):
     """A boolean test matrix in compressed sparse row form.
 
@@ -130,8 +117,8 @@ class TestMatrix(ValueEq):
     read-only int64, and their values must be integers: floats and bools
     are refused, not truncated.  ``zero_assigned`` lists items the decoder
     clears directly without any covering row; its ids must be integers in
-    0..n-1 as well.  Each block span must cover rows within 0..t and items
-    within 0..n-1.  Matrices compare by value and are unhashable.
+    0..n-1 as well.  A design's block layout is read from the design, not
+    stored here.  Matrices compare by value and are unhashable.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -140,7 +127,6 @@ class TestMatrix(ValueEq):
     n: int
     indptr: np.ndarray
     indices: np.ndarray
-    block_spans: tuple[BlockSpan, ...] | None = None
     zero_assigned: frozenset[int] = frozenset()
 
     def __post_init__(self):
@@ -155,11 +141,6 @@ class TestMatrix(ValueEq):
         zero = index_array("zero_assigned", list(self.zero_assigned))
         if len(zero) and (zero.min() < 0 or zero.max() >= self.n):
             raise ValueError("zero_assigned holds an item id outside 0..n-1")
-        for span in self.block_spans or ():
-            if not 0 <= span.row_lo <= span.row_hi <= self.t:
-                raise ValueError(f"block {span.label!r} rows [{span.row_lo}, {span.row_hi}) are not a range in 0..{self.t}")
-            if len(span.items) and (span.items.min() < 0 or span.items.max() >= self.n):
-                raise ValueError(f"block {span.label!r} holds an item id outside 0..n-1")
 
     @property
     def t(self) -> int:
@@ -185,7 +166,8 @@ class BlockLaw:
     """``t`` rows of ``g`` draws each, positions in the int64 array
     ``items`` drawn from the clipped sampling CDF ``cdf`` through its guide
     table ``guide``.  ``label`` names a block design's band, such as
-    ``"band0"``, and is None in the whole-vector design."""
+    ``"band0"``, and is None in the whole-vector design; matrix JSON lists
+    a design's blocks only when every one is labelled."""
 
     items: np.ndarray
     cdf: np.ndarray
@@ -251,9 +233,9 @@ class SampledDesign:
     Every ``route`` item then gets one singleton row, and ``zero`` items get
     no row and are cleared by the decoder directly.  The same law serves
     every seed: ``dataclasses.replace(design, seed=s)`` is the design drawn
-    with seed s.  When every block is labelled, as in the block design, the
-    matrix's spans are each block's rows, then the route's, labelled
-    ``"individual"``; the whole-vector design's unlabelled block gives none.
+    with seed s.  Block k's rows follow the rows of blocks 0..k-1, and the
+    route's rows follow every block's.  Every block of the block design is
+    labelled with its band; the whole-vector design's one block is not.
     """
 
     n: int
@@ -285,27 +267,18 @@ class SampledDesign:
             indices.append(self.blocks[index].items[local])
         sizes.append(np.ones(len(self.route), dtype=np.int64))
         indices.append(self.route)
-        spans = None
-        if all(block.label is not None for block in self.blocks):
-            spans, t = [], 0
-            for block in self.blocks:
-                spans.append(BlockSpan(row_lo=t, row_hi=t + block.t, items=block.items, label=block.label))
-                t += block.t
-            if len(self.route):
-                spans.append(BlockSpan(row_lo=t, row_hi=self.t, items=self.route, label="individual"))
-            spans = tuple(spans)
         return TestMatrix(
             n=self.n,
             indptr=np.cumsum(np.concatenate(sizes)),
             indices=np.concatenate(indices),
-            block_spans=spans,
             zero_assigned=frozenset(self.zero.tolist()),
         )
 
 
 def sample_cca(p: PriorVector, t: int, g: int, seed: int) -> SampledDesign:
-    """t rows of g ids each from the whole-vector sampling distribution.
-    Deterministic given the seed."""
+    """t rows of g ids each from the whole-vector sampling distribution, t
+    and g whole numbers (3.0 reads as 3).  Deterministic given the seed."""
+    t, g = whole_number("t", t, -INT64_MAX), whole_number("g", g, -INT64_MAX)
     if t < 1:
         raise ValueError(f"the sampled design needs at least 1 row, got t={t}; its budget "
                          "4e(1+delta) mu ln n is 0 exactly when mu = 0 or n = 1, whatever delta")
@@ -426,14 +399,28 @@ def decode_comp(m: TestMatrix, outcomes: Sequence[int]) -> np.ndarray:
 def run_nonadaptive(m: TestMatrix, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measure every row against a bool truth of length n (noiseless OR) and
     decode: ``(outcomes, recovered)``, both bool arrays."""
-    positive = pool_outcomes(truth_array(m.n, truth), m.indices, m.indptr[:-1], m.indptr[1:])
+    counts = prefix_counts(truth_array(m.n, truth)[None], m.indices)[:, 0]
+    positive = counts[m.indptr[1:]] > counts[m.indptr[:-1]]
     return positive, decode_comp(m, positive)
 
 
-def matrix_to_json_dict(m: TestMatrix) -> dict:
+def design_to_json_dict(design: SampledDesign) -> dict:
+    """The design's matrix as JSON: ``n``, its ``rows``, and
+    ``zero_assigned`` when the zero set is not empty.  When every block is
+    labelled, as in the block design, ``blocks`` lists each block's rows
+    [row_lo, row_hi), items and label: a block's row_lo is the sum of the
+    row counts before it, and its row_hi adds its own.  The route's rows
+    come last, labelled ``"individual"``, when it has items."""
+    m = design.to_matrix()
     out: dict = {"n": m.n, "rows": [row.tolist() for row in m.rows]}
-    if m.block_spans is not None:
-        out["blocks"] = [{**vars(s), "items": s.items.tolist()} for s in m.block_spans]
+    if all(block.label is not None for block in design.blocks):
+        layout = [(block.t, block.items, block.label) for block in design.blocks]
+        if len(design.route):
+            layout.append((len(design.route), design.route, "individual"))
+        out["blocks"], row_lo = [], 0
+        for t, items, label in layout:
+            out["blocks"].append({"row_lo": row_lo, "row_hi": row_lo + t, "items": items.tolist(), "label": label})
+            row_lo += t
     if m.zero_assigned:
         out["zero_assigned"] = sorted(m.zero_assigned)
     return out

@@ -10,9 +10,10 @@ exponential.
 
 Two shared rules live here too.  Pools ``index[lo:hi]`` are answered from
 one prefix count of the truths in ``index`` order, :func:`prefix_counts`,
-several truths to a 64-bit word: plans pass ``perm`` and node ranges, test
-matrices their CSR arrays.  :class:`ValueEq` gives priors, plans, block
-spans and test matrices compare-and-hash by value.
+several truths to a 64-bit word: plans pass ``perm`` and sum their node
+ranges' answers with :func:`positive_pools`, and test matrices pass
+``indices`` and compare the counts at their rows' ends.  :class:`ValueEq`
+gives priors, plans and test matrices compare-and-hash by value.
 """
 
 from __future__ import annotations
@@ -138,14 +139,6 @@ def positive_pools(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nda
     lanes = gap.view(lane)
     np.not_equal(lanes, 0, out=lanes, casting="unsafe")
     return (np.ones(len(gap), dtype=gap.dtype) @ gap).view(lane).astype(np.int64)
-
-
-def pool_outcomes(truth: np.ndarray, index: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Whether each pool ``index[lo[k]:hi[k]]`` holds a defective, for one
-    bool truth of length n: its :func:`prefix_counts`, one lane to a word,
-    differ across the pool's range."""
-    counts = prefix_counts(truth[None], index)[:, 0]
-    return counts[hi] > counts[lo]
 
 
 class ValueEq:
@@ -278,12 +271,6 @@ def generate_prior(
             "reduce target_mu or flatten the family"
         )
     return PriorVector(probs)
-
-
-def prior_to_json_dict(p: PriorVector) -> dict:
-    """Serializable form; float repr is shortest-roundtrip, so probabilities
-    survive a write/read cycle bit-for-bit."""
-    return {"probs": p.probs.tolist()}
 
 
 def prior_from_json_dict(data: dict) -> PriorVector:

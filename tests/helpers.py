@@ -12,7 +12,8 @@ acceptance and harness tests, and ``drawn_ids`` stacks the sampler's chunks
 for the tests that compare them with a binary search.  ``combine_reference`` is the per-band combining loop that
 ``combine_for_concentration`` is tested against, and ``partition_fields``
 compares partitions by value.  ``matrix_from_rows`` builds a test matrix
-from row lists.
+from row lists, ``design_spans`` lists a sampled design's row ranges, and
+``prior_to_json_dict`` writes a prior as JSON.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from priorgt.adaptive import AdaptiveRunResult, NestedPlan, _depths, _first_stage, _nearest_prefix, _trees
-from priorgt.nonadaptive import TestMatrix, _block_chunks, _block_law
+from priorgt.nonadaptive import SampledDesign, TestMatrix, _block_chunks, _block_law
 from priorgt.partition import Band, Partition
 from priorgt.priors import PriorVector, index_array, truth_array
 
@@ -212,6 +213,23 @@ def matrix_from_rows(n: int, rows: Sequence[Sequence[int]], **fields) -> TestMat
     """A matrix over n items with one sequence of item ids per row."""
     arrays = [np.zeros(0, dtype=np.int64)] + [index_array("row", row) for row in rows]
     return TestMatrix(n, np.cumsum([len(a) for a in arrays]), np.concatenate(arrays), **fields)
+
+
+def design_spans(design: SampledDesign) -> list[tuple[int, int, np.ndarray, str | None]]:
+    """(row_lo, row_hi, items, label) for each block of a design, in row
+    order from row 0, then for its route, labelled "individual", when the
+    route has items."""
+    ends = np.cumsum([0] + [block.t for block in design.blocks]).tolist()
+    spans = [(lo, hi, block.items, block.label) for lo, hi, block in zip(ends, ends[1:], design.blocks)]
+    if len(design.route):
+        spans.append((ends[-1], design.t, design.route, "individual"))
+    return spans
+
+
+def prior_to_json_dict(p: PriorVector) -> dict:
+    """Serializable form; float repr is shortest-roundtrip, so probabilities
+    survive a write/read cycle bit-for-bit."""
+    return {"probs": p.probs.tolist()}
 
 
 def partition_fields(part: Partition) -> tuple:

@@ -22,7 +22,14 @@ from priorgt.bounds import (
     lower_bound,
 )
 from priorgt.cli import main as cli_main
-from priorgt.nonadaptive import build_block_matrix, build_cca_matrix, num_tests_cca, optimal_g, run_nonadaptive
+from priorgt.nonadaptive import (
+    build_block_matrix,
+    build_cca_matrix,
+    num_tests_cca,
+    optimal_g,
+    run_nonadaptive,
+    sample_block,
+)
 from priorgt.oracle import (
     check_lemma2,
     exact_expected_tests,
@@ -39,7 +46,7 @@ from priorgt.sim import (
     summarize,
 )
 
-from helpers import fit_slope, mann_kendall_increasing
+from helpers import design_spans, fit_slope, mann_kendall_increasing
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -289,32 +296,35 @@ def test_criterion_09_block_design_structure_and_budget():
         eps = 0.01
         if is_skewed(p, eps):
             continue
-        m = build_block_matrix(p, eps, 2.0, seed=checked)
+        design = sample_block(p, eps, 2.0, seed=checked)
+        m = design.to_matrix()
+        assert m == build_block_matrix(p, eps, 2.0, seed=checked)
 
         budget = (12.0 * math.e + 2.0) * 3.0 * p.entropy_bits
         assert m.t <= budget, (family, n, target, m.t, budget)
 
-        assert m.block_spans is not None
-        span_items = [set(s.items) for s in m.block_spans]
+        spans = design_spans(design)
+        assert all(label is not None for *_, label in spans) and spans[-1][1] == m.t
+        span_items = [set(items.tolist()) for _, _, items, _ in spans]
         for a in range(len(span_items)):
             for b in range(a + 1, len(span_items)):
                 assert not (span_items[a] & span_items[b])
         for r, row in enumerate(m.rows):
-            owners = [s for s in m.block_spans if s.row_lo <= r < s.row_hi]
+            owners = [items for lo, hi, items, _ in spans if lo <= r < hi]
             assert len(owners) == 1
-            assert set(int(i) for i in row) <= set(owners[0].items)
+            assert set(int(i) for i in row) <= set(owners[0].tolist())
 
         truth = draw_truth(p, 3_000 + checked)
         outcomes, whole = run_nonadaptive(m, truth)
         blockwise = np.zeros(n, dtype=bool)
-        for span in m.block_spans:
-            rows = m.rows[span.row_lo : span.row_hi]
-            outc = outcomes[span.row_lo : span.row_hi]
+        for row_lo, row_hi, items, _ in spans:
+            rows = m.rows[row_lo:row_hi]
+            outc = outcomes[row_lo:row_hi]
             cleared = set()
             negatives = [row for row, y in zip(rows, outc) if not y]
             if negatives:
                 cleared = set(int(i) for i in np.unique(np.concatenate(negatives)))
-            for i in span.items:
+            for i in items:
                 blockwise[i] = i not in cleared
         for i in m.zero_assigned:
             blockwise[i] = False

@@ -9,7 +9,9 @@ import pytest
 
 from priorgt.cli import main
 from priorgt.adaptive import NestedPlan
-from priorgt.priors import generate_prior, prior_to_json_dict
+from priorgt.priors import generate_prior
+
+from helpers import prior_to_json_dict
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

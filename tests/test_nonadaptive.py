@@ -9,13 +9,12 @@ import pytest
 from priorgt import nonadaptive
 from priorgt.adaptive import build_plan
 from priorgt.nonadaptive import (
-    BlockSpan,
     CHUNK,
     _sampling_cdf,
     build_block_matrix,
     build_cca_matrix,
     decode_comp,
-    matrix_to_json_dict,
+    design_to_json_dict,
     measure_design,
     num_tests_cca,
     optimal_g,
@@ -29,7 +28,7 @@ from priorgt.partition import build_partition
 from priorgt.priors import PriorVector, generate_prior
 from priorgt.sim import draw_truth
 
-from helpers import drawn_ids, matrix_from_rows
+from helpers import design_spans, drawn_ids, matrix_from_rows
 
 
 def test_sampling_distribution_uniform_when_equal():
@@ -340,7 +339,7 @@ def test_block_design_tests_a_one_item_ample_band():
     assert part.gamma == 1 and [b.items for b in part.ample_bands()] == [(0,)] and part.zero_items == (1,)
     design = sample_block(p, eps=1.0, delta=1.0, seed=0)
     assert design.route.tolist() == [0]
-    assert design.to_matrix().block_spans == (BlockSpan(row_lo=0, row_hi=1, items=(0,), label="individual"),)
+    assert [(lo, hi, items.tolist(), label) for lo, hi, items, label in design_spans(design)] == [(0, 1, [0], "individual")]
     for bits in ([False, False], [True, False]):
         truth = np.array(bits, dtype=bool)
         t, recovered = measure_design(design, truth)
@@ -363,6 +362,39 @@ def test_decode_comp_takes_bools_or_zeros_and_ones_only():
     for bad in ([2, 0], [0.5, 0], [1.0, 0.0], ["1", "0"], [0, 1, 0], [[0, 1]], 1):
         with pytest.raises(ValueError, match="outcomes must be 2 bools or 0/1 integers"):
             decode_comp(m, bad)
+
+
+ZERO_BUDGET = "needs at least 1 row, got t=0; .* exactly when mu = 0 or n = 1"
+
+
+@pytest.mark.parametrize(
+    "t, g, error",
+    [
+        pytest.param(3.0, 3, None, id="t-3.0"),
+        pytest.param(3, 3.0, None, id="g-3.0"),
+        pytest.param(True, 3, "t must be a whole number", id="t-bool"),
+        pytest.param(2.5, 3, "t must be a whole number", id="t-2.5"),
+        pytest.param(3, True, "g must be a whole number", id="g-bool"),
+        pytest.param(3, 2.5, "g must be a whole number", id="g-2.5"),
+        pytest.param(3, "3", "g must be a whole number", id="g-str"),
+        pytest.param(0, 3, ZERO_BUDGET, id="t-0"),
+        pytest.param(0.0, 3, ZERO_BUDGET, id="t-0.0"),
+        pytest.param(-1, 3, "got t=-1", id="t-neg"),
+        pytest.param(3, 0, "g must be at least 1", id="g-0"),
+    ],
+)
+def test_sample_cca_reads_whole_sizes_only(t, g, error):
+    # A bool t built a one-row design, and 2.5 failed inside range or numpy
+    # with a TypeError; 3.0 reads as 3, as in success_curve.  Sizes below
+    # one keep their own messages.
+    p = generate_prior("uniform", 20, 2.0)
+    if error is None:
+        design = sample_cca(p, t, g, seed=1)
+        assert (type(design.blocks[0].t), type(design.blocks[0].g)) == (int, int)
+        assert design.to_matrix() == sample_cca(p, 3, 3, seed=1).to_matrix()
+    else:
+        with pytest.raises(ValueError, match=error):
+            sample_cca(p, t, g, seed=1)
 
 
 def test_cca_design_is_the_sampled_design_at_its_budget():
@@ -470,27 +502,30 @@ def test_block_matrix_direct_sum_structure():
     for seed in range(10):
         n = int(rng.integers(50, 300))
         p = PriorVector(tuple(rng.uniform(0.001, 0.4, size=n)))
-        m = build_block_matrix(p, eps=0.05, delta=1.0, seed=seed)
-        assert m.block_spans is not None
-        claimed = [set(s.items) for s in m.block_spans]
+        design = sample_block(p, eps=0.05, delta=1.0, seed=seed)
+        m = design.to_matrix()
+        assert m == build_block_matrix(p, eps=0.05, delta=1.0, seed=seed)
+        spans = design_spans(design)
+        claimed = [set(items.tolist()) for _, _, items, _ in spans]
         for a in range(len(claimed)):
             for b in range(a + 1, len(claimed)):
                 assert not (claimed[a] & claimed[b])
+        assert spans[-1][1] == m.t
         for r, row in enumerate(m.rows):
-            owners = [s for s in m.block_spans if s.row_lo <= r < s.row_hi]
+            owners = [items for lo, hi, items, _ in spans if lo <= r < hi]
             assert len(owners) == 1
-            assert set(int(i) for i in row) <= set(owners[0].items)
+            assert set(row.tolist()) <= set(owners[0].tolist())
 
 
 def test_block_matrix_row_budget_per_band():
     p = generate_prior("uniform", 1000, 8.0)
-    m = build_block_matrix(p, eps=0.01, delta=2.0, seed=4)
+    design = sample_block(p, eps=0.01, delta=2.0, seed=4)
     part = build_partition(p, 0.01)
     band = part.ample_bands()[0]
     expected = math.ceil(4 * math.e * 3.0 * 8.0 * math.log(band.size))
-    group_rows = [s for s in m.block_spans if s.label.startswith("band")]
-    assert len(group_rows) == 1
-    assert group_rows[0].row_hi - group_rows[0].row_lo == expected
+    group_rows = [(lo, hi) for lo, hi, _, label in design_spans(design) if label.startswith("band")]
+    assert group_rows == [(0, expected)]
+    assert [block["row_hi"] - block["row_lo"] for block in design_to_json_dict(design)["blocks"]] == [expected]
 
 
 def test_block_decoding_blockwise_equals_whole():
@@ -515,28 +550,32 @@ def test_block_decoding_blockwise_equals_whole():
 def test_matrix_json_roundtrip():
     # Exponential block rows list their ids in band order, not id order; the
     # written rows keep that order.  Each field read back from the JSON text
-    # equals the matrix's own.
+    # equals the matrix's own, and the blocks the design's layout.
     for p, eps in ((generate_prior("uniform", 40, 2.0), 0.1), (generate_prior("exponential", 200, 4.0), 0.01)):
-        m = build_block_matrix(p, eps=eps, delta=1.0, seed=9)
-        data = json.loads(json.dumps(matrix_to_json_dict(m)))
+        design = sample_block(p, eps=eps, delta=1.0, seed=9)
+        m = design.to_matrix()
+        assert m == build_block_matrix(p, eps=eps, delta=1.0, seed=9)
+        data = json.loads(json.dumps(design_to_json_dict(design)))
         assert data["n"] == m.n
         assert data["rows"] == [row.tolist() for row in m.rows]
         assert np.concatenate(data["rows"]).tolist() == m.indices.tolist()
         assert data["blocks"] == [
-            {"row_lo": s.row_lo, "row_hi": s.row_hi, "items": s.items.tolist(), "label": s.label} for s in m.block_spans
+            {"row_lo": lo, "row_hi": hi, "items": items.tolist(), "label": label}
+            for lo, hi, items, label in design_spans(design)
         ]
         assert data.get("zero_assigned", []) == sorted(m.zero_assigned)
 
 
 def test_cca_matrix_has_no_block_spans():
-    # The whole-vector design is one unlabelled block: its matrix has no
-    # spans, and its JSON no "blocks" key.
+    # The whole-vector design is one unlabelled block spanning every row:
+    # its JSON has no "blocks" key.
     p = generate_prior("uniform", 50, 2.0)
     design = sample_cca(p, 30, optimal_g(p), seed=4)
-    assert [b.label for b in design.blocks] == [None]
+    assert [label for _, _, _, label in design_spans(design)] == [None]
+    assert design_spans(design)[0][:2] == (0, 30)
     m = design.to_matrix()
-    assert m.block_spans is None and m == build_cca_matrix(p, 30, optimal_g(p), seed=4)
-    data = matrix_to_json_dict(m)
+    assert m == build_cca_matrix(p, 30, optimal_g(p), seed=4)
+    data = design_to_json_dict(design)
     assert sorted(data) == ["n", "rows"]
     assert data["rows"] == [row.tolist() for row in m.rows]
 
@@ -561,8 +600,7 @@ def test_value_equality_is_unhashable_for_matrices_and_false_across_classes():
         hash(m)
     p = PriorVector((0.3, 0.3))
     plan = build_plan(p, "max_entropy")
-    span = BlockSpan(row_lo=0, row_hi=1, items=[0], label="band0")
-    for a, b in ((plan, p), (span, m), (p, span), (m, plan)):
+    for a, b in ((plan, p), (p, m), (m, plan)):
         assert (a == b) is False and (b == a) is False
         assert a != b and b != a
 
@@ -587,40 +625,25 @@ def test_matrix_refuses_zero_assigned_ids_outside_the_items():
 
 def test_block_spans_hold_read_only_arrays_and_compare_by_value():
     # Two ample bands, then a tail of two items and an under-sized band of one,
-    # tested one item at a time.
+    # tested one item at a time.  The layout is read from the design: each
+    # band's read-only int64 items, and rows from the running row counts.
     p = PriorVector((0.7, 0.6, 0.3) + (0.1,) * 8 + (0.02,) * 8)
     design = sample_block(p, eps=0.05, delta=1.0, seed=9)
-    spans = design.to_matrix().block_spans
+    spans = design_spans(design)
     *bands, individual = spans
-    assert [s.items.tolist() for s in bands] == [b.items.tolist() for b in design.blocks]
-    assert [s.label for s in bands] == [b.label for b in design.blocks] == ["band0", "band1"]
-    assert [(s.row_lo, s.row_hi) for s in spans] == [(0, 8), (8, 45), (45, 48)] and design.t == 48
-    assert individual.label == "individual" and individual.items.tolist() == design.route.tolist()
-    assert all(s.items.dtype == np.int64 and not s.items.flags.writeable for s in spans)
-    span = BlockSpan(row_lo=0, row_hi=2, items=[3, 1], label="x")
-    same = BlockSpan(row_lo=0, row_hi=2, items=np.array([3, 1], dtype=np.uint8), label="x")
-    assert span == same and hash(span) == hash(same) and len({span, same}) == 1
-    for other in (replace(span, items=[1, 3]), replace(span, row_hi=3), replace(span, label="y"), "not a span"):
-        assert span != other
-    with pytest.raises(ValueError, match="block items must hold integers"):
-        BlockSpan(row_lo=0, row_hi=1, items=[0.5], label="x")
-
-
-def test_matrix_refuses_malformed_block_spans():
-    # This built a one-row matrix over 3 items whose block claimed rows 4..2
-    # and item 7 twice.
-    with pytest.raises(ValueError, match="block 'x'"):
-        TestMatrix(3, [0, 1], [0], block_spans=(BlockSpan(row_lo=4, row_hi=2, items=[7, 7], label="x"),))
-    good = BlockSpan(row_lo=0, row_hi=1, items=[0, 2], label="x")
-    assert TestMatrix(3, [0, 1], [0], block_spans=(good,)).block_spans == (good,)
-    for bad in (replace(good, row_lo=1, row_hi=0), replace(good, row_hi=2), replace(good, row_lo=-1),
-                replace(good, items=[0, 3]), replace(good, items=[-1])):
-        with pytest.raises(ValueError, match="block 'x'"):
-            TestMatrix(3, [0, 1], [0], block_spans=(bad,))
-    # The block design's own spans pass, also when the check runs again.
-    m = build_block_matrix(generate_prior("exponential", 400, 10.0), eps=0.01, delta=1.0, seed=9)
-    assert m.block_spans[-1].row_hi == m.t
-    assert replace(m) == m
+    assert [items.tolist() for _, _, items, _ in bands] == [b.items.tolist() for b in design.blocks]
+    assert [label for *_, label in bands] == [b.label for b in design.blocks] == ["band0", "band1"]
+    assert [(lo, hi) for lo, hi, _, _ in spans] == [(0, 8), (8, 45), (45, 48)] and design.t == 48
+    assert individual[3] == "individual" and individual[2].tolist() == design.route.tolist()
+    assert all(b.items.dtype == np.int64 and not b.items.flags.writeable for b in design.blocks)
+    data = json.loads(json.dumps(design_to_json_dict(design)))
+    assert [(b["row_lo"], b["row_hi"], b["label"]) for b in data["blocks"]] == [
+        (0, 8, "band0"), (8, 45, "band1"), (45, 48, "individual")
+    ]
+    assert [b["items"] for b in data["blocks"]] == [items.tolist() for _, _, items, _ in spans]
+    # Designs drawn from one law compare by value through their matrices.
+    again = sample_block(p, eps=0.05, delta=1.0, seed=9)
+    assert again.to_matrix() == design.to_matrix() and design_to_json_dict(again) == design_to_json_dict(design)
 
 
 def test_matrix_refuses_index_values_that_are_not_integers():

@@ -12,9 +12,10 @@ from priorgt.priors import (
     binary_entropy,
     generate_prior,
     prior_from_json_dict,
-    prior_to_json_dict,
     truth_array,
 )
+
+from helpers import prior_to_json_dict
 
 
 def plain_entropy_sum(probs):

@@ -74,13 +74,12 @@ from priorgt.adaptive import (
     run_adaptive,
 )
 from priorgt.nonadaptive import (
-    BlockSpan,
     CHUNK,
     TestMatrix,
     _sampling_cdf,
     build_block_matrix,
     build_cca_matrix,
-    matrix_to_json_dict,
+    design_to_json_dict,
     measure_design,
     optimal_g,
     run_nonadaptive,
@@ -95,6 +94,7 @@ from priorgt.sim import draw_truth, success_curve
 from helpers import (
     _sf_cut,
     combine_reference,
+    design_spans,
     drawn_ids,
     matrix_from_rows,
     me_first_stage,
@@ -685,11 +685,8 @@ def matrices(draw):
     indptr = np.cumsum([0] + [len(row) for row in rows])
     indices = np.asarray([i for row in rows for i in row], dtype=np.int64)
     zero = frozenset(draw(st.sets(st.integers(0, n - 1))))
-    spans = None
-    if draw(st.booleans()):
-        spans = (BlockSpan(row_lo=0, row_hi=len(rows), items=np.arange(n), label="band0"),)
     truth = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
-    m = TestMatrix(n=n, indptr=indptr, indices=indices, block_spans=spans, zero_assigned=zero)
+    m = TestMatrix(n=n, indptr=indptr, indices=indices, zero_assigned=zero)
     return m, rows, truth
 
 
@@ -726,22 +723,6 @@ def test_matrix_run_matches_per_row_reference(case):
     assert recovered.tolist() == [i not in cleared for i in range(m.n)]
     # COMP is one-sided: it never misses a defective outside the pre-cleared set.
     assert all(recovered[i] for i in range(m.n) if truth[i] and i not in m.zero_assigned)
-
-
-@PROPERTY_SETTINGS
-@given(matrices())
-def test_matrix_survives_json_roundtrip(case):
-    """The JSON text holds the drawn rows, the block spans and the
-    pre-cleared set, and a "blocks" key exactly when the matrix has spans."""
-    m, rows = case[:2]
-    data = json.loads(json.dumps(matrix_to_json_dict(m)))
-    assert data["n"] == m.n and data["rows"] == rows
-    assert ("blocks" in data) == (m.block_spans is not None)
-    spans = m.block_spans or ()
-    assert data.get("blocks", []) == [
-        {"row_lo": s.row_lo, "row_hi": s.row_hi, "items": s.items.tolist(), "label": s.label} for s in spans
-    ]
-    assert data.get("zero_assigned", []) == sorted(m.zero_assigned)
 
 
 @PROPERTY_SETTINGS
@@ -869,7 +850,7 @@ def test_measured_draws_match_matrix_runs(case, t, seed, eps, delta):
         (sample_cca(p, t, g, seed), build_cca_matrix(p, t, g, seed)),
         (sample_block(p, eps, delta, seed), build_block_matrix(p, eps, delta, seed)),
     ]
-    assert len(designs[1][0].zero) and designs[1][1].block_spans[-1].label == "individual"
+    assert len(designs[1][0].zero) and design_spans(designs[1][0])[-1][3] == "individual"
     for design, m in designs:
         assert design.to_matrix() == m
         for truth in truths:
@@ -878,6 +859,37 @@ def test_measured_draws_match_matrix_runs(case, t, seed, eps, delta):
             assert t_used == m.t
             assert np.array_equal(recovered, expected)
 
+
+
+@st.composite
+def sampled_designs(draw):
+    """A block design or a whole-vector design of 1..40 rows over a prior
+    from :func:`sampled_priors`."""
+    p = draw(sampled_priors())[0]
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return sample_block(p, draw(st.sampled_from([0.01, 0.3])), draw(st.sampled_from([0.5, 1.0])), seed)
+    return sample_cca(p, draw(st.integers(1, 40)), optimal_g(p), seed)
+
+
+@PROPERTY_SETTINGS
+@given(sampled_designs())
+def test_matrix_survives_json_roundtrip(design):
+    """The JSON text holds the drawn rows, each block's row range, items and
+    label, and the pre-cleared set, and a "blocks" key exactly when every
+    block is labelled, as in the block design.  Each written row lies inside
+    its block's items."""
+    m = design.to_matrix()
+    data = json.loads(json.dumps(design_to_json_dict(design)))
+    assert data["n"] == m.n and data["rows"] == [row.tolist() for row in m.rows]
+    spans = design_spans(design)
+    assert spans[-1][1] == m.t if spans else m.t == 0
+    written = [{"row_lo": lo, "row_hi": hi, "items": items.tolist(), "label": label} for lo, hi, items, label in spans]
+    labelled = all(block.label is not None for block in design.blocks)
+    assert data.get("blocks") == (written if labelled else None)
+    for lo, hi, items, _ in spans:
+        assert all(set(row) <= set(items.tolist()) for row in data["rows"][lo:hi])
+    assert data.get("zero_assigned", []) == sorted(design.zero.tolist()) == sorted(m.zero_assigned)
 
 @st.composite
 def banded_priors(draw):
