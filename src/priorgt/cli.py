@@ -11,6 +11,7 @@ failed, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -37,31 +38,19 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+_TEXT_HEADER = "{:8} {:>14} {:>12} {:>10}  {}"
+_TEXT_ROW = "{:8} {:14.4f} {:12.6g} {!s:>10}  {}"
+
+
 def _bounds_table(reports: list[bounds.BoundReport], fmt: str) -> str:
+    """The reports as JSON objects, ``sim.csv_text`` or text, one column per BoundReport field in order."""
     if fmt == "json":
-        payload = [
-            {
-                "theorem": r.theorem,
-                "test_bound": r.test_bound,
-                "error_bound": r.error_bound,
-                "applicable": r.applicable,
-                "notes": r.notes,
-            }
-            for r in reports
-        ]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps([dataclasses.asdict(r) for r in reports], indent=2, sort_keys=True) + "\n"
+    header = [field.name for field in dataclasses.fields(bounds.BoundReport)]
+    rows = [dataclasses.astuple(r) for r in reports]
     if fmt == "csv":
-        lines = ["theorem,test_bound,error_bound,applicable,notes"]
-        for r in reports:
-            notes = r.notes.replace(",", ";")
-            lines.append(f"{r.theorem},{r.test_bound!r},{r.error_bound!r},{int(r.applicable)},{notes}")
-        return "\n".join(lines) + "\n"
-    lines = [f"{'theorem':8} {'test_bound':>14} {'error_bound':>12} {'applicable':>10}  notes"]
-    for r in reports:
-        lines.append(
-            f"{r.theorem:8} {r.test_bound:14.4f} {r.error_bound:12.6g} "
-            f"{str(r.applicable):>10}  {r.notes}"
-        )
+        return sim.csv_text(header, rows)
+    lines = [_TEXT_HEADER.format(*header)] + [_TEXT_ROW.format(*row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

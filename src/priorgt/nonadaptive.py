@@ -24,9 +24,10 @@ A :class:`SampledDesign` is a design's law and its seed: per block the
 items, the clipped CDF with its guide table, the row and draw counts and the
 band label, plus the individually tested items and the zero set.  Its ids
 are drawn on demand by one generator, max(1, CHUNK // g) rows at a time, so
-a temporary holds at most ``CHUNK`` draws, or one row where a row is wider.
-PCG64 spends one 64-bit output per double, so the chunks hold exactly the
-ids of one (t, g) draw.  The same law serves any seed.
+a temporary holds at most ``CHUNK`` draws; a wider row is drawn ``CHUNK``
+at a time and comes as its distinct ids.  PCG64 spends one 64-bit output
+per double, so the chunks hold exactly the ids of one (t, g) draw, up to a
+wide row's order and repeats.  The same law serves any seed.
 
 Row counts are T4's budget ``bounds.sampled_budget`` rounded up; its slack
 is checked by ``bounds.check_delta``.  A matrix is stored in compressed
@@ -63,7 +64,7 @@ from .priors import INT64_MAX, PriorVector, ValueEq, index_array, prefix_counts,
 # Draws per chunk.  A design's ids are drawn and consumed max(1, CHUNK // g)
 # rows at a time, so temporaries stay cache-sized however many rows it has,
 # and measuring overshoots the draw where a block is settled by less than a
-# chunk, or one row where a row is wider.
+# chunk, or one row where a row is wider; such a row is drawn CHUNK at a time.
 CHUNK = 1 << 13
 
 
@@ -186,34 +187,47 @@ def _block_law(items: np.ndarray, weights: np.ndarray, t: int, g: int, label: st
     return BlockLaw(items, cdf, np.searchsorted(cdf, np.arange(k) / k, side="right"), t, g, label)
 
 
-def _block_chunks(block: BlockLaw, rng) -> Iterator[np.ndarray]:
-    """One block's ids, drawn with replacement, as (r, g) int64 arrays of
-    positions in the block's ``items`` in row order, r = max(1, CHUNK // g)
-    rows or the block's rest.  Each chunk's uniforms are drawn when it is
-    pulled.
-
-    Uniform u maps to ``searchsorted(cdf, u, "right")``, the inverse CDF,
+def _inverse_cdf(block: BlockLaw, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(block.cdf, u, "right")`` for an array of uniforms,
     through the guide table (Chen & Asau 1974; Devroye 1986, III.2.4): a
     draw starts at ``guide[floor(u K)]`` and steps forward while
     ``cdf[id] <= u``, at most n/K <= 1/2 steps on average.  Because K is a
     power of two, u K and b/K are exact, so the start never passes the
-    answer and the steps stop exactly on it: the ids equal a binary
+    answer and the steps stop exactly on it."""
+    cdf, guide = block.cdf, block.guide
+    ids = guide[(u * len(guide)).astype(np.intp)]
+    flat_ids, flat_u = ids.reshape(-1), u.reshape(-1)
+    todo = np.flatnonzero(cdf[flat_ids] <= flat_u)
+    while len(todo):
+        flat_ids[todo] += 1
+        todo = todo[cdf[flat_ids[todo]] <= flat_u[todo]]
+    return ids
+
+
+def _block_chunks(block: BlockLaw, rng) -> Iterator[np.ndarray]:
+    """One block's ids, drawn with replacement, as (r, g) int64 arrays of
+    positions in the block's ``items`` in row order, r = max(1, CHUNK // g)
+    rows or the block's rest.  Each chunk's uniforms are drawn when it is
+    pulled, and map to ids by :func:`_inverse_cdf`: the ids equal a binary
     search's, from the same uniforms in the same order.  PCG64 spends one
     64-bit output per double, so successive (r, g) chunks of uniforms are
     exactly one (t, g) block's.
+
+    A row wider than ``CHUNK`` is drawn ``CHUNK`` uniforms at a time into a
+    mask over the block's items and comes as a (1, k) array of its k
+    distinct ids, ascending: measuring and the matrix ignore the order and
+    repeats of a row's ids, and no temporary holds more than ``CHUNK``
+    draws.
     """
-    cdf, guide = block.cdf, block.guide
-    k = len(guide)
     rows = max(1, CHUNK // block.g)
     for lo in range(0, block.t, rows):
-        u = rng.random((min(rows, block.t - lo), block.g))
-        ids = guide[(u * k).astype(np.intp)]
-        flat_ids, flat_u = ids.reshape(-1), u.reshape(-1)
-        todo = np.flatnonzero(cdf[flat_ids] <= flat_u)
-        while len(todo):
-            flat_ids[todo] += 1
-            todo = todo[cdf[flat_ids[todo]] <= flat_u[todo]]
-        yield ids
+        if block.g <= CHUNK:
+            yield _inverse_cdf(block, rng.random((min(rows, block.t - lo), block.g)))
+            continue
+        mask = np.zeros(len(block.items), dtype=bool)
+        for drawn in range(0, block.g, CHUNK):
+            mask[_inverse_cdf(block, rng.random(min(CHUNK, block.g - drawn)))] = True
+        yield np.flatnonzero(mask)[None]
 
 
 def _csr_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,7 +355,8 @@ def measure_design(design: SampledDesign, truth: np.ndarray) -> tuple[int, np.nd
     A row is positive when any of its draws is defective; every draw of a
     negative row and the zero set are cleared.  Repeated draws change
     neither, so rows are never sorted or deduplicated, and no more than one
-    chunk of draws is held at a time.
+    chunk of draws is held at a time; a row wider than a chunk comes as its
+    distinct ids and counts as its g draws.
 
     Each block is measured only until every clear item in it is cleared;
     its later rows are never drawn.  This is exact: a negative row holds
@@ -370,7 +385,7 @@ def measure_design(design: SampledDesign, truth: np.ndarray) -> tuple[int, np.nd
         chunks = _block_chunks(law, rng)
         # Test before pulling: a chunk's uniforms are spent once it is drawn.
         while not done.all() and (ids := next(chunks, None)) is not None:
-            drawn += ids.size
+            drawn += len(ids) * law.g
             done[ids[~local[ids].any(axis=1)]] = True
         rng.bit_generator.advance(block.t * block.g - drawn)
         cleared[block.items] = done & ~local

@@ -65,8 +65,9 @@ def exact_stopping_time(p_hat: Sequence[float]) -> float:
     inclusion-exclusion sum over nonempty subsets.
 
     Subset sums are built by doubling and the alternating series is summed
-    exactly with fsum, so only the per-term divisions round.  Zero entries
-    are rejected: an item that is never drawn has infinite collection time.
+    exactly with fsum, so only the per-term divisions round.  Every weight
+    must be above zero, so zero, negative and NaN entries are rejected: an
+    item that is never drawn has infinite collection time.
     """
     weights = [float(w) for w in p_hat]
     n = len(weights)
@@ -74,7 +75,7 @@ def exact_stopping_time(p_hat: Sequence[float]) -> float:
         raise ValueError("need at least one item")
     if n > MAX_STOPPING_TIME_ITEMS:
         raise ValueError(f"subset enumeration capped at {MAX_STOPPING_TIME_ITEMS} items")
-    if any(w <= 0.0 for w in weights):
+    if not all(w > 0.0 for w in weights):
         raise ValueError("zero-probability entries make the stopping time infinite")
     if abs(math.fsum(weights) - 1.0) > 1e-9:
         raise ValueError("sampling probabilities must sum to 1")

@@ -244,12 +244,13 @@ def generate_prior(
     exponential:  p_i proportional to rho**i, scaled to sum target_mu.
 
     Generation is fully deterministic given (family, n, target_mu, rho).
-    Parameters that would force any entry to 1/2 or above are rejected.
+    ``n`` is a whole number of at least 1 (3.0 reads as 3; a bool, 2.5 or
+    a string is refused).  Parameters that would force any entry to 1/2 or
+    above are rejected.
     """
     if family not in PRIOR_FAMILIES:
         raise ValueError(f"unknown prior family {family!r}; expected one of {PRIOR_FAMILIES}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = whole_number("n", n)
     if not (0.0 < target_mu < n / 2):
         raise ValueError(f"target_mu must lie in (0, n/2); got {target_mu} with n={n}")
 
@@ -284,7 +285,7 @@ def prior_from_json_dict(data: dict) -> PriorVector:
         if "family" in data:
             rho = json_number("rho", data.get("rho", DEFAULT_EXPONENTIAL_DECAY))
             mu = json_number("mu", data["mu"])
-            return generate_prior(data["family"], whole_number("n", data["n"]), mu, rho=rho)
+            return generate_prior(data["family"], data["n"], mu, rho=rho)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed prior JSON: {exc!r}") from exc
     raise ValueError("prior spec needs either a 'probs' list or a 'family' generator block")

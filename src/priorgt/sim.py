@@ -2,9 +2,10 @@
 
 A campaign fixes a prior family, a sweep of target expected-defective counts,
 a trial count, and a list of algorithms.  Per-trial randomness is derived
-from (base_seed, point_index, trial_index) through numpy's SeedSequence, so
-results are reproducible regardless of execution order, and the truth vector
-is shared by every algorithm within a trial.
+from (base_seed, point_index, trial_index) through numpy's SeedSequence,
+by :func:`trial_seeds`, so results are reproducible regardless of execution
+order, and the truth vector is shared by every algorithm within a trial.
+CSV cells follow :func:`csv_cell`, except in the trial CSV's hot f-string.
 
 Every plan, whole-vector or pre-partitioned, is built once per sweep point
 and run by ``adaptive.run_adaptive`` on the stacked truths of a block of
@@ -134,6 +135,13 @@ def draw_truth(p: PriorVector, seed: int) -> np.ndarray:
     return truth
 
 
+def trial_seeds(base_seed: int, point_index: int, trial_index: int) -> tuple[int, int]:
+    """A trial's (truth seed, matrix seed): the two 64-bit words of the
+    SeedSequence of (base_seed, point_index, trial_index)."""
+    words = np.random.SeedSequence([base_seed, point_index, trial_index]).generate_state(2, dtype=np.uint64)
+    return int(words[0]), int(words[1])
+
+
 def run_campaign(campaign: Campaign) -> list[TrialReport]:
     """Execute every (sweep point, trial, algorithm) cell deterministically.
 
@@ -162,10 +170,8 @@ def run_campaign(campaign: Campaign) -> list[TrialReport]:
         for first in range(0, campaign.trials, block):
             seeds, truths = [], []
             for trial_index in range(first, min(first + block, campaign.trials)):
-                ss = np.random.SeedSequence([campaign.base_seed, point_index, trial_index])
-                truth_seed, matrix_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
-                seeds.append((truth_seed, matrix_seed))
-                truths.append(draw_truth(p, truth_seed))
+                seeds.append(trial_seeds(campaign.base_seed, point_index, trial_index))
+                truths.append(draw_truth(p, seeds[-1][0]))
             bits = np.stack(truths)
             runs = {}
             for algorithm, plan in plans.items():
@@ -234,8 +240,7 @@ def success_curve(p: PriorVector, t_grid: Sequence[int], trials: int, seed: int)
         law = nonadaptive.sample_cca(p, t, g, seed=0)
         successes = 0
         for trial_index in range(trials):
-            ss = np.random.SeedSequence([seed, ti, trial_index])
-            truth_seed, matrix_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
+            truth_seed, matrix_seed = trial_seeds(seed, ti, trial_index)
             truth = draw_truth(p, truth_seed)
             _, rec = nonadaptive.measure_design(replace(law, seed=matrix_seed), truth)
             successes += np.array_equal(rec, truth)
@@ -277,22 +282,20 @@ def trials_csv_text(reports: Sequence[TrialReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def csv_cell(value) -> str:
+    """One CSV cell: a bool as 0/1, a float by ``repr``, anything else as
+    text with ``,`` turned into ``;``."""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(value)
+    return str(value).replace(",", ";")
+
+
+def csv_text(header: Sequence[str], rows) -> str:
+    """The header line, then one line of :func:`csv_cell` cells per row."""
+    return "".join(",".join(map(csv_cell, row)) + "\n" for row in [header, *rows])
+
+
 def summary_csv_text(rows: Sequence[dict]) -> str:
-    lines = [",".join(SUMMARY_CSV_HEADER)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row["point_index"]),
-                    row["algorithm"],
-                    str(row["n"]),
-                    repr(row["mu"]),
-                    repr(row["entropy"]),
-                    str(row["trials"]),
-                    repr(row["mean_tests"]),
-                    repr(row["std_tests"]),
-                    repr(row["success_rate"]),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(SUMMARY_CSV_HEADER, ([row[key] for key in SUMMARY_CSV_HEADER] for row in rows))

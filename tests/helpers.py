@@ -204,7 +204,8 @@ def mann_kendall_increasing(values: Sequence[float]) -> TrendResult:
 
 def drawn_ids(rng, weights: np.ndarray, t: int, g: int) -> np.ndarray:
     """The (t, g) ids the sampler draws from ``weights`` with ``rng``, its
-    chunks stacked in row order."""
+    chunks stacked in row order; g is at most ``CHUNK``, since a wider row
+    comes as its distinct ids."""
     law = _block_law(np.arange(len(weights), dtype=np.int64), weights, t, g)
     return np.concatenate(list(_block_chunks(law, rng)))
 

@@ -416,6 +416,57 @@ def test_plan_block_json_is_pinned(tmp_path, capsys):
     assert digest == "ddd5cb3db95d1897aca94dca157cc68279a5c2515513763091c9f988faa56146"
 
 
+# sha256 of ``priorgt bounds`` in text, csv and json, per (prior, delta).
+# ``priorgt plan`` prints the text table, so its stdout has the text digest.
+# The 1e-300 prior fails two T3 preconditions and clamps T3's and T5's
+# errors; the p = 0.6 prior makes T4 and T5 inapplicable.
+PINNED_BOUND_TABLES = {
+    "exponential-delta1": (
+        {"family": "exponential", "n": 1000, "mu": 8.0},
+        "1.0",
+        "f2a48c855d2213fe4c0c6b8f8af6315617ab92a57951262f913df31e0361c5d2",
+        "844d85edcf53c561144e6bc4077d39bcc925a0c64e643f1d3085737f36cd4138",
+        "f714c17054e7c01c23440ffa842b96d69489b3a9cd0eda9cb717e6159060db14",
+    ),
+    "exponential-delta5": (
+        {"family": "exponential", "n": 1000, "mu": 8.0},
+        "5.0",
+        "8cc88c3d2a7aaeadf75c63cf8213dd01c096a691583dc628aaa80f8cc49b1592",
+        "0727598df2cfd6bc643994fe1845c6b6d13c65baa12bafe95b7b8b21eecb63f9",
+        "38ba55d3249048a1b24e5d253c574c533123bb2563b93d3c9eb75bd5db548edd",
+    ),
+    "tiny-probs": (
+        {"probs": [1e-300, 1e-300, 1e-300]},
+        "0.5",
+        "489c7e88fc5dc0f87e20a12b138fdd05ab0c2bcddd1b0f09e1feb54011ab4842",
+        "bdfbc4098b6185e942fb546ec13d5a85f50ca1befc1437f4ec34d2ee56c4440c",
+        "d392cde25373d1a3516a76e217974c250b0c9fc8d944f4dc1f73d1cf8783e0b5",
+    ),
+    "one-p-above-half": (
+        {"probs": [0.6, 0.2, 0.1, 0.05, 0.05]},
+        "1.0",
+        "87a707cff1e083f2177480c4a73e66b2ebd22721aa126276fd46f39fd35766e8",
+        "81183aaea24a945d3d298368fc4e5c53de36382f354f7eb53e51ad871084e64e",
+        "36bb03ae1a38cd2ea516a37ed4ec0c700524e6d9ce68c060aba6fdef8df2b4d6",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_BOUND_TABLES))
+def test_bound_tables_are_pinned(tmp_path, capsys, case):
+    spec, delta, *expected = PINNED_BOUND_TABLES[case]
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps(spec))
+    digests = []
+    for fmt in ("text", "csv", "json"):
+        assert main(["bounds", "--prior", str(prior), "--delta", delta, "--format", fmt]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == expected
+    plan = ["plan", "--prior", str(prior), "--delta", delta, "--algorithm", "me", "--out", str(tmp_path / "plan.json")]
+    assert main(plan) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected[0]
+
+
 def test_oracle_subcommand_green(capsys):
     rc = main(["oracle", "--seed", "5"])
     out = capsys.readouterr().out

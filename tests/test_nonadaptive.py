@@ -160,11 +160,22 @@ def _one_block_reference(design, seed):
     return [np.searchsorted(b.cdf, rng.random((b.t, b.g)), side="right") for b in design.blocks]
 
 
-def _stacked_draws(design):
-    stacked = [[] for _ in design.blocks]
+def _block_draws(design):
+    """Per block of ``design``, the chunks its draws come in."""
+    chunks = [[] for _ in design.blocks]
     for index, ids in design.draws():
-        stacked[index].append(ids)
-    return [np.concatenate(chunks) for chunks in stacked]
+        chunks[index].append(ids)
+    return chunks
+
+
+def _assert_chunks_equal_reference(block, chunks, reference):
+    """Rows no wider than CHUNK hold the reference's raw ids, chunk by chunk;
+    a wider row comes as its distinct ids."""
+    if block.g <= CHUNK:
+        assert np.array_equal(np.concatenate(chunks), reference)
+    else:
+        assert len(chunks) == len(reference)
+        assert all(np.array_equal(ids, np.unique(row)[None]) for ids, row in zip(chunks, reference))
 
 
 @pytest.mark.parametrize(
@@ -179,28 +190,67 @@ def _stacked_draws(design):
 def test_chunked_draws_equal_one_block_of_uniforms(t, g):
     p = generate_prior("uniform", 1000, 8.0)
     design = sample_cca(p, t, g, seed=5)
-    shapes = [ids.shape for _, ids in design.draws()]
+    [chunks] = _block_draws(design)
     rows = max(1, CHUNK // g)
-    assert len(shapes) == -(-t // rows) > 2
-    assert shapes == [(min(rows, t - lo), g) for lo in range(0, t, rows)]
-    assert all(r * g <= max(CHUNK, g) for r, _ in shapes)
-    assert sum(r * g for r, _ in shapes) == t * g
-    [ids] = _stacked_draws(design)
+    assert len(chunks) == -(-t // rows) > 2
+    if g <= CHUNK:
+        assert [ids.shape for ids in chunks] == [(min(rows, t - lo), g) for lo in range(0, t, rows)]
+        assert all(ids.size <= CHUNK for ids in chunks)
     [reference] = _one_block_reference(design, 5)
-    assert np.array_equal(ids, reference)
-    rows = [np.unique(row) for row in ids]
-    assert all(np.array_equal(a, b) for a, b in zip(design.to_matrix().rows, rows))
+    _assert_chunks_equal_reference(design.blocks[0], chunks, reference)
+    rows = [np.unique(row) for row in reference]
+    assert all(np.array_equal(a, b) for a, b in zip(design.to_matrix().rows, rows, strict=True))
 
 
 def test_chunked_block_draws_equal_one_block_of_uniforms():
-    # One band of this design is a single row of 109,105 draws, a chunk of
-    # its own wider than CHUNK; the other bands follow on the same generator.
+    # One band of this design is a single row of 109,105 draws, wider than
+    # CHUNK; the other bands follow on the same generator.
     p = generate_prior("exponential", 1000, 8.0)
     design = sample_block(p, eps=0.01, delta=1.0, seed=9)
     assert any(b.t == 1 and b.g > CHUNK for b in design.blocks)
     expected = _one_block_reference(design, 9)
-    for ids, reference in zip(_stacked_draws(design), expected, strict=True):
-        assert np.array_equal(ids, reference)
+    for block, chunks, reference in zip(design.blocks, _block_draws(design), expected, strict=True):
+        _assert_chunks_equal_reference(block, chunks, reference)
+
+
+class _SpyGenerator:
+    """A generator that records how many doubles each ``random`` call asks
+    for."""
+
+    def __init__(self, rng, asked):
+        self.rng, self.asked, self.bit_generator = rng, asked, rng.bit_generator
+
+    def random(self, size):
+        self.asked.append(int(np.prod(size)))
+        return self.rng.random(size)
+
+
+def test_wide_rows_draw_at_most_a_chunk_of_uniforms_at_a_time(monkeypatch):
+    # Three whole-vector rows of 5 CHUNK + 7 draws, and the block design
+    # whose band0 is one row of 109,105 draws, with a defective in every
+    # block so measuring reads each wide row whole.
+    p = generate_prior("exponential", 1000, 8.0)
+    designs = [sample_cca(p, 3, 5 * CHUNK + 7, seed=2), sample_block(p, eps=0.01, delta=1.0, seed=9)]
+    truth = draw_truth(p, 4).copy()
+    for block in designs[1].blocks:
+        truth[block.items[0]] = True
+    expected = []
+    for design in designs:
+        rows = []
+        for block, ids in zip(design.blocks, _one_block_reference(design, design.seed)):
+            rows += [block.items[np.unique(row)] for row in ids]
+        rows += [[i] for i in design.route.tolist()]
+        expected.append(matrix_from_rows(design.n, rows, zero_assigned=frozenset(design.zero.tolist())))
+    assert any(b.g > CHUNK and truth[b.items].any() for d in designs for b in d.blocks)
+    asked = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _SpyGenerator(real(seed), asked))
+    for design, matrix in zip(designs, expected):
+        assert design.to_matrix() == matrix
+        t, recovered = measure_design(design, truth)
+        assert t == matrix.t
+        assert np.array_equal(recovered, run_nonadaptive(matrix, truth)[1])
+    assert asked and max(asked) <= CHUNK
 
 
 def test_measuring_holds_one_chunk_of_draws():
@@ -242,7 +292,7 @@ def _count_drawn(monkeypatch, design):
     def counted(block, rng):
         index = next(k for k, b in enumerate(design.blocks) if b.items is block.items)
         for ids in real(block, rng):
-            drawn[index] += ids.size
+            drawn[index] += len(ids) * block.g
             yield ids
 
     monkeypatch.setattr(nonadaptive, "_block_chunks", counted)
@@ -250,12 +300,13 @@ def _count_drawn(monkeypatch, design):
 
 
 def _settled_draws(design, truth):
-    """Per block, the draws measuring should read, replayed from the full
-    draws: whole chunks up to the first row after which every clear item of
-    the block is cleared, and at most the block's t g draws.  A block with no
-    defective is read in rows of one draw, CHUNK draws a chunk."""
+    """Per block, the draws measuring should read, replayed from the
+    reference ids of one (t, g) block of uniforms: whole chunks up to the
+    first row after which every clear item of the block is cleared, and at
+    most the block's t g draws.  A block with no defective is read in rows
+    of one draw, CHUNK draws a chunk."""
     expected = []
-    for block, ids in zip(design.blocks, _stacked_draws(design), strict=True):
+    for block, ids in zip(design.blocks, _one_block_reference(design, design.seed), strict=True):
         local = truth[block.items]
         rows = ids if local.any() else ids.reshape(-1, 1)
         negative = np.flatnonzero(~local[rows].any(axis=1))

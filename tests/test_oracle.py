@@ -93,6 +93,9 @@ def test_stopping_time_guards():
         exact_stopping_time([0.4, 0.4])  # does not sum to one
     with pytest.raises(ValueError):
         exact_stopping_time([1.0 / 21] * 21)
+    for weights in ([math.nan, 0.5], [0.5, math.nan, 0.5], [-0.5, 1.5]):
+        with pytest.raises(ValueError, match="zero-probability entries"):
+            exact_stopping_time(weights)
 
 
 def test_stopping_time_matches_monte_carlo():

@@ -139,6 +139,15 @@ def test_generate_prior_rejects_bad_parameters():
         generate_prior("uniform", 0, 0.1)
 
 
+def test_generate_prior_reads_n_as_a_whole_number():
+    for n in (2.5, True, False, "3", None, 0, 0.0):
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            generate_prior("uniform", n, 0.4)
+    p = generate_prior("uniform", 3.0, 1.0)
+    assert p == generate_prior("uniform", 3, 1.0)
+    assert p.n == 3 and type(p.n) is int
+
+
 def test_uniform_entropy_closed_form():
     for n, target in ((100, 5.0), (1000, 8.0), (1000, 32.0)):
         p = generate_prior("uniform", n, target)
