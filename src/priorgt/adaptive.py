@@ -92,7 +92,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .partition import build_partition, combine_for_concentration
-from .priors import PriorVector, ValueEq, index_array, positive_pools, prefix_counts, truth_array
+from .priors import PriorVector, ValueEq, index_array, positive_pools, prefix_counts, truth_array, whole_number
 
 CONSTRUCTIONS = ("max_entropy", "shannon_fano", "huffman")
 PLAN_FORMAT = 2
@@ -137,10 +137,11 @@ class NestedPlan(ValueEq):
     forms of the module docstring when first read.  ``auto_defective`` and
     ``auto_clear`` hold items declared without testing; the trees cover
     everything else.  ``mu_covered`` is the prior mass over all covered
-    items, used by the small-mass shortcut at execution time.  The five
-    index fields take any integer sequences and hold them as 1-D, read-only
-    int64 arrays; float or bool values are refused, not truncated.  Plans
-    compare and hash by value.
+    items, used by the small-mass shortcut at execution time.  ``n`` is a
+    whole number of at least 1 (3.0 reads as 3).  The five index fields take
+    any integer sequences and hold them as 1-D, read-only int64 arrays;
+    float or bool values are refused, not truncated.  Plans compare and hash
+    by value.
     """
 
     n: int
@@ -154,6 +155,7 @@ class NestedPlan(ValueEq):
     mu_covered: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", whole_number("n", self.n))
         for name in _STORED_FIELDS:
             object.__setattr__(self, name, index_array(f"plan field {name}", getattr(self, name)))
         if self.construction not in CONSTRUCTIONS:

@@ -2,10 +2,11 @@
 
 Subcommands: ``plan`` (write a test plan or matrix), ``simulate`` (run a
 campaign to CSV), ``bounds`` (print the five bound reports), and ``oracle``
-(run the brute-force checks).  Every subcommand is deterministic given its
-flags; output files are written to a temporary name and renamed into place so
-interrupted runs never leave torn files.  Exit codes: 0 success, 1 a check
-failed, 2 usage or validation error.
+(run the brute-force checks).  ``plan`` builds through ``sim.BUILDERS``, as
+campaigns do.  Every subcommand is deterministic given its flags; output
+files are written to a temporary name and renamed into place so interrupted
+runs never leave torn files.  Exit codes: 0 success, 1 a check failed, 2
+usage or validation error.
 """
 
 from __future__ import annotations
@@ -54,18 +55,18 @@ def _bounds_table(reports: list[bounds.BoundReport], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Each ``plan --algorithm`` choice and the ``sim.BUILDERS`` entry it builds.
+PLAN_ALGORITHMS = {"me": "adaptive_me", "shannon_fano": "adaptive_sf", "huffman": "adaptive_huffman",
+                   "cca": "cca", "block": "block"}
+
+
 def cmd_plan(args) -> int:
     p = load_prior(args.prior)
-    if args.algorithm in ("me", "shannon_fano", "huffman"):
-        construction = "max_entropy" if args.algorithm == "me" else args.algorithm
-        plan = adaptive.build_plan(p, construction)
-        payload = adaptive.plan_to_json_dict(plan)
+    built = sim.BUILDERS[PLAN_ALGORITHMS[args.algorithm]](p, args.eps, args.delta)
+    if isinstance(built, adaptive.NestedPlan):
+        payload = adaptive.plan_to_json_dict(built)
     else:
-        if args.algorithm == "cca":
-            design = nonadaptive.cca_design(p, args.delta, args.seed)
-        else:
-            design = nonadaptive.sample_block(p, args.eps, args.delta, args.seed)
-        payload = nonadaptive.design_to_json_dict(design)
+        payload = nonadaptive.design_to_json_dict(dataclasses.replace(built, seed=args.seed))
     # The bound table can still fail on its arguments; nothing is written then.
     table = _bounds_table(bounds.all_reports(p, args.eps, args.delta, args.pe), "text")
     _atomic_write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -74,14 +75,16 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    campaign = sim.load_campaign(args.campaign)
-    reports = sim.run_campaign(campaign)
-    summary = sim.summarize(reports)
-    _atomic_write(args.out, sim.trials_csv_text(reports))
     summary_path = args.summary_out
     if summary_path is None:
         root, ext = os.path.splitext(args.out)
         summary_path = f"{root}.summary{ext or '.csv'}"
+    if os.path.realpath(summary_path) == os.path.realpath(args.out):
+        raise ValueError(f"--out and --summary-out name the same file, {args.out!r}")
+    campaign = sim.load_campaign(args.campaign)
+    reports = sim.run_campaign(campaign)
+    summary = sim.summarize(reports)
+    _atomic_write(args.out, sim.trials_csv_text(reports))
     _atomic_write(summary_path, sim.summary_csv_text(summary))
     sys.stdout.write(f"wrote {len(reports)} trial rows to {args.out}\n")
     sys.stdout.write(f"wrote {len(summary)} summary rows to {summary_path}\n")
@@ -119,11 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="write a test plan or test matrix as JSON")
     plan.add_argument("--prior", required=True, help="path to a prior spec JSON")
-    plan.add_argument(
-        "--algorithm",
-        required=True,
-        choices=["me", "shannon_fano", "huffman", "cca", "block"],
-    )
+    plan.add_argument("--algorithm", required=True, choices=list(PLAN_ALGORITHMS))
     plan.add_argument("--eps", type=float, default=0.01)
     plan.add_argument("--delta", type=float, default=1.0)
     plan.add_argument("--pe", type=float, default=0.0)

@@ -116,7 +116,8 @@ class TestMatrix(ValueEq):
     Row r tests ``indices[indptr[r]:indptr[r+1]]``, in build order: ascending
     for sampled rows, band order in the block design.  Both arrays are
     read-only int64, and their values must be integers: floats and bools
-    are refused, not truncated.  ``zero_assigned`` lists items the decoder
+    are refused, not truncated; ``n`` is a whole number of at least 1, as
+    3.0 reads as 3.  ``zero_assigned`` lists items the decoder
     clears directly without any covering row; its ids must be integers in
     0..n-1 as well.  A design's block layout is read from the design, not
     stored here.  Matrices compare by value and are unhashable.
@@ -131,6 +132,7 @@ class TestMatrix(ValueEq):
     zero_assigned: frozenset[int] = frozenset()
 
     def __post_init__(self):
+        object.__setattr__(self, "n", whole_number("n", self.n))
         for name in ("indptr", "indices"):
             object.__setattr__(self, name, index_array(name, getattr(self, name)))
         object.__setattr__(self, "zero_assigned", frozenset(self.zero_assigned))

@@ -1,10 +1,12 @@
 """Monte Carlo harness: seeded campaigns, per-trial reports, CSV output.
 
 A campaign fixes a prior family, a sweep of target expected-defective counts,
-a trial count, and a list of algorithms.  Per-trial randomness is derived
-from (base_seed, point_index, trial_index) through numpy's SeedSequence,
-by :func:`trial_seeds`, so results are reproducible regardless of execution
-order, and the truth vector is shared by every algorithm within a trial.
+a trial count, and a list of algorithms, each a name in ``BUILDERS``, the
+one table of what each algorithm builds; ``priorgt plan`` builds through it
+too.  Per-trial randomness is derived from (base_seed, point_index,
+trial_index) through numpy's SeedSequence, by :func:`trial_seeds`, so
+results are reproducible regardless of execution order, and the truth
+vector is shared by every algorithm within a trial.
 CSV cells follow :func:`csv_cell`, except in the trial CSV's hot f-string.
 
 Every plan, whole-vector or pre-partitioned, is built once per sweep point
@@ -37,30 +39,25 @@ from typing import Sequence
 
 import numpy as np
 
-from . import adaptive, nonadaptive
+from . import adaptive, nonadaptive, priors
 from .bounds import check_delta
 from .partition import measure_factor
 from .priors import INT64_MAX, PriorVector, generate_prior, json_list, json_number, whole_number
 
-ALGORITHMS = (
-    "adaptive_me",
-    "adaptive_sf",
-    "adaptive_huffman",
-    "prepartitioned_me",
-    "prepartitioned_sf",
-    "prepartitioned_huffman",
-    "cca",
-    "block",
-)
-
-_CONSTRUCTION = {
-    "adaptive_me": "max_entropy",
-    "adaptive_sf": "shannon_fano",
-    "adaptive_huffman": "huffman",
-    "prepartitioned_me": "max_entropy",
-    "prepartitioned_sf": "shannon_fano",
-    "prepartitioned_huffman": "huffman",
+# Each algorithm's builder of (p, eps, delta): a NestedPlan, or a SampledDesign
+# whose placeholder seed 0 each trial replaces.  Builders look functions up on
+# their module when called, so a patched module attribute is the one that runs.
+BUILDERS = {
+    "adaptive_me": lambda p, eps, delta: adaptive.build_plan(p, "max_entropy"),
+    "adaptive_sf": lambda p, eps, delta: adaptive.build_plan(p, "shannon_fano"),
+    "adaptive_huffman": lambda p, eps, delta: adaptive.build_plan(p, "huffman"),
+    "prepartitioned_me": lambda p, eps, delta: adaptive.build_prepartitioned_plan(p, eps, "max_entropy"),
+    "prepartitioned_sf": lambda p, eps, delta: adaptive.build_prepartitioned_plan(p, eps, "shannon_fano"),
+    "prepartitioned_huffman": lambda p, eps, delta: adaptive.build_prepartitioned_plan(p, eps, "huffman"),
+    "cca": lambda p, eps, delta: nonadaptive.cca_design(p, delta, seed=0),
+    "block": lambda p, eps, delta: nonadaptive.sample_block(p, eps, delta, seed=0),
 }
+ALGORITHMS = tuple(BUILDERS)
 
 # Upper bound on trials x n in one block of stacked truths.  At n = 1000,
 # blocks of 2^16 cells ran no faster than 2^15 and raised a campaign's peak
@@ -104,7 +101,7 @@ class Campaign:
     base_seed: int = 0
     eps: float = 0.01
     delta: float = 1.0
-    rho: float = 0.99
+    rho: float = priors.DEFAULT_EXPONENTIAL_DECAY
 
     def __post_init__(self):
         for name, least, most in (("n", 1, INT64_MAX), ("trials", 1, INT64_MAX), ("base_seed", 0, math.inf)):
@@ -155,18 +152,8 @@ def run_campaign(campaign: Campaign) -> list[TrialReport]:
     for point_index, target_mu in enumerate(campaign.sweep):
         p = generate_prior(campaign.family, campaign.n, target_mu, rho=campaign.rho)
         h_bits = p.entropy_bits
-        # Sampled designs are kept as laws: seed 0 is a placeholder that each
-        # trial replaces with its matrix seed.
-        plans, laws = {}, {}
-        for a in campaign.algorithms:
-            if a.startswith("adaptive_"):
-                plans[a] = adaptive.build_plan(p, _CONSTRUCTION[a])
-            elif a.startswith("prepartitioned_"):
-                plans[a] = adaptive.build_prepartitioned_plan(p, campaign.eps, _CONSTRUCTION[a])
-            elif a == "cca":
-                laws[a] = nonadaptive.cca_design(p, campaign.delta, seed=0)
-            else:
-                laws[a] = nonadaptive.sample_block(p, campaign.eps, campaign.delta, seed=0)
+        built = {a: BUILDERS[a](p, campaign.eps, campaign.delta) for a in campaign.algorithms}
+        plans = {a: plan for a, plan in built.items() if isinstance(plan, adaptive.NestedPlan)}
         for first in range(0, campaign.trials, block):
             seeds, truths = [], []
             for trial_index in range(first, min(first + block, campaign.trials)):
@@ -182,7 +169,7 @@ def run_campaign(campaign: Campaign) -> list[TrialReport]:
                     if algorithm in runs:
                         tests, success = runs[algorithm][k]
                     else:
-                        tests, recovered = nonadaptive.measure_design(replace(laws[algorithm], seed=matrix_seed), truth)
+                        tests, recovered = nonadaptive.measure_design(replace(built[algorithm], seed=matrix_seed), truth)
                         success = np.array_equal(recovered, truth)
                     reports.append(
                         TrialReport(
@@ -251,7 +238,8 @@ def success_curve(p: PriorVector, t_grid: Sequence[int], trials: int, seed: int)
 def campaign_from_json_dict(data: dict) -> Campaign:
     """Parse a campaign object.  ``sweep`` and ``algorithms`` must be JSON
     lists, and sweep points, eps, delta and rho JSON numbers: anything else,
-    numeric strings and booleans included, raises ValueError."""
+    numeric strings and booleans included, raises ValueError.  A key left
+    out takes its ``Campaign`` default."""
     try:
         return Campaign(
             family=data["family"],
@@ -259,10 +247,8 @@ def campaign_from_json_dict(data: dict) -> Campaign:
             sweep=tuple(json_number("sweep point", x) for x in json_list("sweep", data["sweep"])),
             trials=data["trials"],
             algorithms=tuple(json_list("algorithms", data["algorithms"])),
-            base_seed=data.get("base_seed", 0),
-            eps=json_number("eps", data.get("eps", 0.01)),
-            delta=json_number("delta", data.get("delta", 1.0)),
-            rho=json_number("rho", data.get("rho", 0.99)),
+            **({"base_seed": data["base_seed"]} if "base_seed" in data else {}),
+            **{key: json_number(key, data[key]) for key in ("eps", "delta", "rho") if key in data},
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed campaign JSON: {exc!r}") from exc

@@ -286,6 +286,17 @@ def test_nested_plan_refuses_index_values_that_are_not_integers():
     assert len(plan.auto_defective) == len(plan.auto_clear) == 0
 
 
+def test_nested_plan_reads_n_as_a_whole_number():
+    # A plan built with n=2.0 failed in run_adaptive with a TypeError.
+    plan = NestedPlan(2.0, "max_entropy", (0, 1), (0, 0, 1), (2, 1, 2))
+    assert type(plan.n) is int and plan.n == 2
+    assert run_adaptive(plan, np.array([True, False])).tests == 3
+    assert json.dumps(plan_to_json_dict(plan)["n"]) == "2"
+    for n in (2.5, True, -1, 0, "3", None):
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            NestedPlan(n, "max_entropy", (0, 1), (0, 0, 1), (2, 1, 2))
+
+
 def test_nested_plan_index_fields_are_read_only_int64_arrays():
     p = generate_prior("exponential", 60, 4.0)
     source = np.array([0, 1], dtype=np.int32)

@@ -10,6 +10,7 @@ import pytest
 from priorgt.cli import main
 from priorgt.adaptive import NestedPlan
 from priorgt.priors import generate_prior
+from priorgt.sim import ALGORITHMS
 
 from helpers import prior_to_json_dict
 
@@ -334,6 +335,19 @@ def test_simulate_quick_campaign(tmp_path, capsys):
     assert len(summary.read_text().strip().splitlines()) == 1 + 4
 
 
+@pytest.mark.parametrize("summary", ["trials.csv", "sub/../trials.csv", "link.csv"])
+def test_simulate_refuses_a_summary_path_that_is_the_trial_csv(tmp_path, capsys, summary):
+    """Both outputs in one file left only the summary there."""
+    campaign = os.path.join(REPO_ROOT, "campaigns", "quick.json")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to(tmp_path / "trials.csv")
+    out = tmp_path / "trials.csv"
+    assert main(["simulate", "--campaign", campaign, "--out", str(out), "--summary-out", str(tmp_path / summary)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out and --summary-out name the same file") and captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_outputs_are_byte_identical_across_reruns(tmp_path, uniform_prior_file):
     campaign = os.path.join(REPO_ROOT, "campaigns", "quick.json")
     paths = {}
@@ -372,6 +386,11 @@ PINNED_CSV_DIGESTS = {
         "0247c5ffb1eb8208181e8be29a57a59d70fe062f4d3df9476b03dc12a2098319",
         "ee8a207aaead9c8f156624a087aeb02d0100f16be2f52e45713809dbfb7163f1",
     ),
+    # Every algorithm, in ``sim.ALGORITHMS`` order, on the same priors.
+    "all": (
+        "ada2ffa75309290382b4e0c36c6134105bf4b007e15bbf58760a455ce5262c8f",
+        "eca0503e1f723f9e44b8a6dae054e3019f33682e5ff1eb3db23eaf7cc2b47178",
+    ),
 }
 SAMPLED_CAMPAIGN = {
     "family": "exponential",
@@ -389,6 +408,7 @@ PINNED_CAMPAIGNS = {
         **SAMPLED_CAMPAIGN,
         "algorithms": ["prepartitioned_me", "prepartitioned_sf", "prepartitioned_huffman"],
     },
+    "all": {**SAMPLED_CAMPAIGN, "algorithms": list(ALGORITHMS)},
 }
 
 
@@ -414,6 +434,24 @@ def test_plan_block_json_is_pinned(tmp_path, capsys):
     assert main(["plan", "--prior", str(prior), "--algorithm", "block", "--seed", "4", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "ddd5cb3db95d1897aca94dca157cc68279a5c2515513763091c9f988faa56146"
+
+
+# sha256 of ``priorgt plan`` JSON for the other four algorithms, on the prior
+# and seed of the block design's pin.
+PINNED_PLAN_JSON = {
+    "me": "f5bddbf54392cbf921411a9911ae7acca533064101fbe4244d02b365262c15e5",
+    "shannon_fano": "e346e1dcd7d076bdfbdf98242643ed7cbd4573e43fca5158d88613354a089668",
+    "huffman": "653de25a004e9aa6baed39f1c3c5330b23e765e27865979b420e0a6e1368c340",
+    "cca": "fbdc369cf7aaf2add9a9417f5c3848acc7b8fcdd97677df182650312d187a395",
+}
+
+
+@pytest.mark.parametrize("algorithm", list(PINNED_PLAN_JSON))
+def test_plan_json_is_pinned(tmp_path, capsys, algorithm):
+    prior, out = tmp_path / "prior.json", tmp_path / "plan.json"
+    prior.write_text(json.dumps({"family": "exponential", "n": 400, "mu": 10.0}))
+    assert main(["plan", "--prior", str(prior), "--algorithm", algorithm, "--seed", "4", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_PLAN_JSON[algorithm]
 
 
 # sha256 of ``priorgt bounds`` in text, csv and json, per (prior, delta).

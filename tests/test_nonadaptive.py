@@ -713,6 +713,15 @@ def test_matrix_refuses_index_values_that_are_not_integers():
     assert TestMatrix(3, [0], ()).t == 0
 
 
+def test_matrix_reads_n_as_a_whole_number():
+    m = TestMatrix(3.0, [0, 1, 2, 3], [0, 1, 2])
+    assert type(m.n) is int and m == TestMatrix(3, [0, 1, 2, 3], [0, 1, 2])
+    assert run_nonadaptive(m, np.array([False, False, True]))[1].tolist() == [False, False, True]
+    for n in (2.5, True, -1, 0, "3", None):
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            TestMatrix(n, [0, 2], [0, 2])
+
+
 def test_sampling_distribution_degenerate():
     with pytest.raises(ValueError):
         sampling_distribution(PriorVector((1.0, 1.0)))

@@ -7,7 +7,7 @@ from priorgt.adaptive import build_plan, build_prepartitioned_plan
 from priorgt.bounds import adaptive_expected_upper
 from priorgt.nonadaptive import build_block_matrix, build_cca_matrix, num_tests_cca, optimal_g, run_nonadaptive
 from priorgt import nonadaptive, sim
-from priorgt.priors import PriorVector, generate_prior
+from priorgt.priors import DEFAULT_EXPONENTIAL_DECAY, PriorVector, generate_prior
 from priorgt.sim import (
     ALGORITHMS,
     TRUTH_BLOCK_CELLS,
@@ -276,6 +276,13 @@ def test_campaign_json_parsing():
         campaign_from_json_dict(
             {"family": "uniform", "n": 5, "sweep": [1.0], "trials": 1, "algorithms": ["nope"]}
         )
+
+
+def test_campaign_json_defaults_are_the_campaign_defaults():
+    required = {"family": "exponential", "n": 50, "sweep": [2.0], "trials": 3, "algorithms": ["cca"]}
+    c = campaign_from_json_dict(required)
+    assert c == Campaign(family="exponential", n=50, sweep=(2.0,), trials=3, algorithms=("cca",))
+    assert (c.base_seed, c.eps, c.delta, c.rho) == (0, 0.01, 1.0, DEFAULT_EXPONENTIAL_DECAY)
 
 
 def test_campaign_validation():
