@@ -59,7 +59,7 @@ from .oracle import (
 )
 from .sim import (
     Campaign,
-    TrialReport,
+    PointTrials,
     draw_truth,
     run_campaign,
     success_curve,

@@ -23,13 +23,20 @@ from .priors import load_prior
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Rename a temporary file over the file ``path`` resolves to, so a
+    symlink keeps its target, and an existing file keeps its mode bits."""
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", text=True)
     try:
-        # mkstemp creates mode 0600; give the file the mode open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
+        # mkstemp creates mode 0600; keep the old file's mode, or give a new
+        # file the mode open() would.
+        try:
+            mode = os.stat(path).st_mode & 0o7777
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -82,11 +89,11 @@ def cmd_simulate(args) -> int:
     if os.path.realpath(summary_path) == os.path.realpath(args.out):
         raise ValueError(f"--out and --summary-out name the same file, {args.out!r}")
     campaign = sim.load_campaign(args.campaign)
-    reports = sim.run_campaign(campaign)
-    summary = sim.summarize(reports)
-    _atomic_write(args.out, sim.trials_csv_text(reports))
+    points = sim.run_campaign(campaign)
+    summary = sim.summarize(points)
+    _atomic_write(args.out, sim.trials_csv_text(points))
     _atomic_write(summary_path, sim.summary_csv_text(summary))
-    sys.stdout.write(f"wrote {len(reports)} trial rows to {args.out}\n")
+    sys.stdout.write(f"wrote {sum(row['trials'] for row in summary)} trial rows to {args.out}\n")
     sys.stdout.write(f"wrote {len(summary)} summary rows to {summary_path}\n")
     return 0
 

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: seeded campaigns, per-trial reports, CSV output.
+"""Monte Carlo harness: seeded campaigns, per-point trial columns, CSV output.
 
 A campaign fixes a prior family, a sweep of target expected-defective counts,
 a trial count, and a list of algorithms, each a name in ``BUILDERS``, the
@@ -6,9 +6,12 @@ one table of what each algorithm builds; ``priorgt plan`` builds through it
 too.  Per-trial randomness is derived from (base_seed, point_index,
 trial_index) through numpy's SeedSequence, by :func:`trial_seeds`, so
 results are reproducible regardless of execution order, and the truth
-vector is shared by every algorithm within a trial.
+vector is shared by every algorithm within a trial.  A sweep point's
+results are one :class:`PointTrials`, its trials' seeds and, per algorithm,
+their tests and success as columns; both CSVs are written from these.
 CSV cells follow :func:`csv_cell`, except in the trial CSV's hot f-string.
 
+One trial loop, :func:`_run_trials`, serves campaigns and success curves.
 Every plan, whole-vector or pre-partitioned, is built once per sweep point
 and run by ``adaptive.run_adaptive`` on the stacked truths of a block of
 trials, one call per plan and block.  The executor counts a block several
@@ -79,16 +82,16 @@ SUMMARY_CSV_HEADER = [
 
 
 @dataclass(frozen=True)
-class TrialReport:
-    point_index: int
-    trial_id: int
-    seed: int
-    algorithm: str
+class PointTrials:
+    """One sweep point's trials as columns: each trial's truth seed, and for
+    each algorithm, in campaign order, each trial's tests and exact recovery."""
+
     n: int
     mu: float
     entropy: float
-    tests: int
-    success: bool
+    seeds: list[int]
+    tests: dict[str, list[int]]
+    success: dict[str, list[bool]]
 
 
 @dataclass(frozen=True)
@@ -139,77 +142,57 @@ def trial_seeds(base_seed: int, point_index: int, trial_index: int) -> tuple[int
     return int(words[0]), int(words[1])
 
 
-def run_campaign(campaign: Campaign) -> list[TrialReport]:
-    """Execute every (sweep point, trial, algorithm) cell deterministically.
+def _run_trials(p: PriorVector, built: dict, seeds: Sequence[tuple[int, int]], eps: float):
+    """Each algorithm's tests and success columns, one entry per trial's
+    (truth seed, matrix seed).  Each truth is drawn once and shared by every
+    algorithm; ``built`` plans run on blocks of stacked truths, and each
+    ``built`` design is measured with its trial's matrix seed."""
+    tests = {a: [] for a in built}
+    success = {a: [] for a in built}
+    block = max(1, TRUTH_BLOCK_CELLS // p.n)
+    for first in range(0, len(seeds), block):
+        chunk = seeds[first : first + block]
+        truths = [draw_truth(p, truth_seed) for truth_seed, _ in chunk]
+        bits = np.stack(truths)
+        for algorithm, obj in built.items():
+            if isinstance(obj, adaptive.NestedPlan):
+                result = adaptive.run_adaptive(obj, bits, eps=eps)
+                tests[algorithm] += result.tests.tolist()
+                success[algorithm] += (result.recovered == bits).all(axis=1).tolist()
+            else:
+                for truth, (_, matrix_seed) in zip(truths, chunk):
+                    used, recovered = nonadaptive.measure_design(replace(obj, seed=matrix_seed), truth)
+                    tests[algorithm].append(used)
+                    success[algorithm].append(np.array_equal(recovered, truth))
+    return tests, success
 
-    The truth vector is drawn once per (point, trial) and shared across the
-    algorithms; design-sampling randomness uses a second stream derived from
-    the same trial seed.  Reports come in (point, trial, algorithm) order.
-    """
-    reports: list[TrialReport] = []
-    trial_id = 0
-    block = max(1, TRUTH_BLOCK_CELLS // campaign.n)
+
+def run_campaign(campaign: Campaign) -> list[PointTrials]:
+    """Execute every (sweep point, trial, algorithm) cell deterministically:
+    one ``PointTrials`` per sweep point, in sweep order.  The truth vector is
+    drawn once per (point, trial) and shared across the algorithms;
+    design-sampling randomness uses the trial's second seed."""
+    points = []
     for point_index, target_mu in enumerate(campaign.sweep):
         p = generate_prior(campaign.family, campaign.n, target_mu, rho=campaign.rho)
-        h_bits = p.entropy_bits
         built = {a: BUILDERS[a](p, campaign.eps, campaign.delta) for a in campaign.algorithms}
-        plans = {a: plan for a, plan in built.items() if isinstance(plan, adaptive.NestedPlan)}
-        for first in range(0, campaign.trials, block):
-            seeds, truths = [], []
-            for trial_index in range(first, min(first + block, campaign.trials)):
-                seeds.append(trial_seeds(campaign.base_seed, point_index, trial_index))
-                truths.append(draw_truth(p, seeds[-1][0]))
-            bits = np.stack(truths)
-            runs = {}
-            for algorithm, plan in plans.items():
-                result = adaptive.run_adaptive(plan, bits, eps=campaign.eps)
-                runs[algorithm] = list(zip(result.tests.tolist(), (result.recovered == bits).all(axis=1).tolist()))
-            for k, (truth, (truth_seed, matrix_seed)) in enumerate(zip(truths, seeds)):
-                for algorithm in campaign.algorithms:
-                    if algorithm in runs:
-                        tests, success = runs[algorithm][k]
-                    else:
-                        tests, recovered = nonadaptive.measure_design(replace(built[algorithm], seed=matrix_seed), truth)
-                        success = np.array_equal(recovered, truth)
-                    reports.append(
-                        TrialReport(
-                            point_index=point_index,
-                            trial_id=trial_id,
-                            seed=truth_seed,
-                            algorithm=algorithm,
-                            n=campaign.n,
-                            mu=p.mu,
-                            entropy=h_bits,
-                            tests=tests,
-                            success=success,
-                        )
-                    )
-                trial_id += 1
-    return reports
+        seeds = [trial_seeds(campaign.base_seed, point_index, k) for k in range(campaign.trials)]
+        tests, success = _run_trials(p, built, seeds, campaign.eps)
+        points.append(PointTrials(campaign.n, p.mu, p.entropy_bits, [s for s, _ in seeds], tests, success))
+    return points
 
 
-def summarize(reports: Sequence[TrialReport]) -> list[dict]:
-    """Per (sweep point, algorithm) aggregates in first-appearance order.
+def summarize(points: Sequence[PointTrials]) -> list[dict]:
+    """Per (sweep point, algorithm) aggregates, in campaign order.
     Repeated sweep values stay separate points."""
-    groups: dict[tuple[int, str], list[TrialReport]] = {}
-    for r in reports:
-        groups.setdefault((r.point_index, r.algorithm), []).append(r)
     out = []
-    for (point_index, algorithm), rows in groups.items():
-        tests = np.asarray([r.tests for r in rows], dtype=float)
-        out.append(
-            {
-                "point_index": point_index,
-                "algorithm": algorithm,
-                "n": rows[0].n,
-                "mu": rows[0].mu,
-                "entropy": rows[0].entropy,
-                "trials": len(rows),
-                "mean_tests": float(tests.mean()),
-                "std_tests": float(tests.std(ddof=1)) if len(rows) > 1 else 0.0,
-                "success_rate": sum(r.success for r in rows) / len(rows),
-            }
-        )
+    for point_index, point in enumerate(points):
+        for algorithm, column in point.tests.items():
+            tests, trials = np.asarray(column, dtype=float), len(column)
+            std = float(tests.std(ddof=1)) if trials > 1 else 0.0
+            row = (point_index, algorithm, point.n, point.mu, point.entropy, trials, float(tests.mean()), std,
+                   sum(point.success[algorithm]) / trials)
+            out.append(dict(zip(SUMMARY_CSV_HEADER, row)))
     return out
 
 
@@ -224,14 +207,9 @@ def success_curve(p: PriorVector, t_grid: Sequence[int], trials: int, seed: int)
     g = nonadaptive.optimal_g(p)
     out = []
     for ti, t in enumerate(t_grid):
-        law = nonadaptive.sample_cca(p, t, g, seed=0)
-        successes = 0
-        for trial_index in range(trials):
-            truth_seed, matrix_seed = trial_seeds(seed, ti, trial_index)
-            truth = draw_truth(p, truth_seed)
-            _, rec = nonadaptive.measure_design(replace(law, seed=matrix_seed), truth)
-            successes += np.array_equal(rec, truth)
-        out.append((t, successes / trials))
+        seeds = [trial_seeds(seed, ti, k) for k in range(trials)]
+        _, success = _run_trials(p, {"cca": nonadaptive.sample_cca(p, t, g, seed=0)}, seeds, eps=0.0)
+        out.append((t, sum(success["cca"]) / trials))
     return out
 
 
@@ -259,12 +237,18 @@ def load_campaign(path: str) -> Campaign:
         return campaign_from_json_dict(json.load(fh))
 
 
-def trials_csv_text(reports: Sequence[TrialReport]) -> str:
+def trials_csv_text(points: Sequence[PointTrials]) -> str:
+    """One row per (point, trial, algorithm) cell, in that order; trial ids
+    count the trials of every point in turn."""
     lines = [",".join(TRIALS_CSV_HEADER)]
-    for r in reports:
-        lines.append(
-            f"{r.trial_id},{r.seed},{r.algorithm},{r.n},{r.mu!r},{r.entropy!r},{r.tests},{int(r.success)}"
-        )
+    trial_id = 0
+    for point in points:
+        shared = f"{point.n},{point.mu!r},{point.entropy!r}"
+        columns = [(algorithm, tests, point.success[algorithm]) for algorithm, tests in point.tests.items()]
+        for k, seed in enumerate(point.seeds):
+            for algorithm, tests, success in columns:
+                lines.append(f"{trial_id},{seed},{algorithm},{shared},{tests[k]},{int(success[k])}")
+            trial_id += 1
     return "\n".join(lines) + "\n"
 
 

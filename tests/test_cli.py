@@ -10,7 +10,7 @@ import pytest
 from priorgt.cli import main
 from priorgt.adaptive import NestedPlan
 from priorgt.priors import generate_prior
-from priorgt.sim import ALGORITHMS
+from priorgt.sim import ALGORITHMS, TRUTH_BLOCK_CELLS
 
 from helpers import prior_to_json_dict
 
@@ -335,6 +335,55 @@ def test_simulate_quick_campaign(tmp_path, capsys):
     assert len(summary.read_text().strip().splitlines()) == 1 + 4
 
 
+def test_simulate_reports_its_trial_and_summary_row_counts(tmp_path, capsys):
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(json.dumps({**SMALL_CAMPAIGN, "sweep": [1.0, 2.0], "trials": 3,
+                                    "algorithms": ["adaptive_me", "cca"]}))
+    out, summary = tmp_path / "trials.csv", tmp_path / "trials.summary.csv"
+    assert main(["simulate", "--campaign", str(campaign), "--out", str(out)]) == 0
+    # 2 points x 3 trials x 2 algorithms, and one summary row per point and algorithm.
+    assert capsys.readouterr().out == (
+        f"wrote 12 trial rows to {out}\n"
+        f"wrote 4 summary rows to {summary}\n"
+    )
+    assert len(out.read_text().splitlines()) == 1 + 12
+    assert len(summary.read_text().splitlines()) == 1 + 4
+
+
+def test_bounds_out_through_a_symlink_writes_its_target(tmp_path, uniform_prior_file, capsys):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert main(["bounds", "--prior", uniform_prior_file, "--format", "csv", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text().startswith("theorem,")
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "prior.json", "target.csv"]
+
+
+def test_simulate_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(json.dumps(SMALL_CAMPAIGN))
+    (tmp_path / "real").mkdir()
+    target, link = tmp_path / "real" / "trials.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert main(["simulate", "--campaign", str(campaign), "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text().startswith("trial_id,seed,algorithm,")
+    # The summary path is derived from --out as given, beside the link.
+    assert (tmp_path / "link.summary.csv").read_text().startswith("point_index,")
+    assert sorted(os.listdir(tmp_path / "real")) == ["trials.csv"]
+
+
+def test_an_existing_output_keeps_its_mode(tmp_path, uniform_prior_file, capsys):
+    out = tmp_path / "bounds.csv"
+    out.write_text("old\n")
+    out.chmod(0o600)
+    assert main(["bounds", "--prior", uniform_prior_file, "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text().startswith("theorem,")
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
+
 @pytest.mark.parametrize("summary", ["trials.csv", "sub/../trials.csv", "link.csv"])
 def test_simulate_refuses_a_summary_path_that_is_the_trial_csv(tmp_path, capsys, summary):
     """Both outputs in one file left only the summary there."""
@@ -391,6 +440,13 @@ PINNED_CSV_DIGESTS = {
         "ada2ffa75309290382b4e0c36c6134105bf4b007e15bbf58760a455ce5262c8f",
         "eca0503e1f723f9e44b8a6dae054e3019f33682e5ff1eb3db23eaf7cc2b47178",
     ),
+    # Every algorithm at n = 5000, where a block of stacked truths holds
+    # TRUTH_BLOCK_CELLS // 5000 = 6 trials, so each point's 8 trials run in
+    # blocks of 6 and 2.
+    "multiblock": (
+        "a6696529f8509d4ad506ab8eb602c6c2f97dbf1c2bb49125e72c94514b5ed127",
+        "75081eae2352778e95793449332edb288f1246420bf1cb260ad93a4d90bbc941",
+    ),
 }
 SAMPLED_CAMPAIGN = {
     "family": "exponential",
@@ -409,10 +465,13 @@ PINNED_CAMPAIGNS = {
         "algorithms": ["prepartitioned_me", "prepartitioned_sf", "prepartitioned_huffman"],
     },
     "all": {**SAMPLED_CAMPAIGN, "algorithms": list(ALGORITHMS)},
+    "multiblock": {**SAMPLED_CAMPAIGN, "n": 5000, "trials": 8, "algorithms": list(ALGORITHMS)},
 }
 
 
 def test_simulate_csv_bytes_are_pinned(tmp_path):
+    multiblock = PINNED_CAMPAIGNS["multiblock"]
+    assert TRUTH_BLOCK_CELLS // multiblock["n"] < multiblock["trials"]
     campaigns = {"quick": os.path.join(REPO_ROOT, "campaigns", "quick.json")}
     for name, spec in PINNED_CAMPAIGNS.items():
         campaigns[name] = str(tmp_path / f"{name}.json")

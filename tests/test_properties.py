@@ -61,7 +61,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from priorgt import adaptive
+from priorgt import adaptive, sim
 from priorgt.adaptive import (
     CONSTRUCTIONS,
     NestedPlan,
@@ -952,7 +952,7 @@ def test_measured_draws_match_matrix_runs_across_chunks(family):
             assert np.array_equal(recovered, run_nonadaptive(m, truth)[1])
 
 
-def test_success_curve_matches_per_trial_matrix_loop():
+def test_success_curve_matches_per_trial_matrix_loop(monkeypatch):
     p = generate_prior("exponential", 80, 3.0)
     grid, trials, seed = [1, 10, 40, 160], 12, 77
     g = optimal_g(p)
@@ -967,4 +967,7 @@ def test_success_curve_matches_per_trial_matrix_loop():
             successes += np.array_equal(recovered, truth)
         expected.append((t, successes / trials))
     assert 0.0 < expected[2][1] < 1.0  # the grid spans partial recovery
+    assert success_curve(p, grid, trials, seed) == expected
+    # Blocks of 5 truths split each budget's 12 trials into 5, 5 and 2.
+    monkeypatch.setattr(sim, "TRUTH_BLOCK_CELLS", 5 * p.n)
     assert success_curve(p, grid, trials, seed) == expected

@@ -12,7 +12,7 @@ from priorgt.sim import (
     ALGORITHMS,
     TRUTH_BLOCK_CELLS,
     Campaign,
-    TrialReport,
+    PointTrials,
     campaign_from_json_dict,
     draw_truth,
     run_campaign,
@@ -54,12 +54,10 @@ def test_draw_truth_deterministic():
 
 def test_run_campaign_single_cell():
     c = Campaign(family="uniform", n=20, sweep=(1.0,), trials=1, algorithms=("adaptive_me",))
-    reports = run_campaign(c)
-    assert len(reports) == 1
-    r = reports[0]
-    assert r.algorithm == "adaptive_me"
-    assert r.n == 20 and r.trial_id == 0
-    assert r.tests >= 1
+    (point,) = run_campaign(c)
+    assert point.n == 20 and len(point.seeds) == 1
+    assert list(point.tests) == list(point.success) == ["adaptive_me"]
+    assert len(point.tests["adaptive_me"]) == 1 and point.tests["adaptive_me"][0] >= 1
 
 
 def test_run_campaign_deterministic():
@@ -74,21 +72,26 @@ def test_run_campaign_deterministic():
     assert run_campaign(c) == run_campaign(c)
 
 
-def test_run_campaign_truth_shared_across_algorithms():
+def test_run_campaign_truth_shared_across_algorithms(monkeypatch):
     c = Campaign(
         family="uniform",
         n=25,
         sweep=(2.0,),
         trials=4,
-        algorithms=("adaptive_me", "adaptive_huffman"),
+        algorithms=("adaptive_me", "adaptive_huffman", "cca"),
         base_seed=3,
     )
-    reports = run_campaign(c)
-    by_trial = {}
-    for r in reports:
-        by_trial.setdefault(r.trial_id, []).append(r.seed)
-    for seeds in by_trial.values():
-        assert len(set(seeds)) == 1
+    drawn = []
+
+    def recorded(p, seed):
+        drawn.append(seed)
+        return draw_truth(p, seed)
+
+    monkeypatch.setattr(sim, "draw_truth", recorded)
+    (point,) = run_campaign(c)
+    # One draw per trial, from the trial's truth seed, for all three algorithms.
+    assert drawn == point.seeds and len(set(drawn)) == 4
+    assert all(len(column) == 4 for column in [*point.tests.values(), *point.success.values()])
 
 
 @pytest.mark.parametrize("block_trials", [3, TRUTH_BLOCK_CELLS // 200], ids=["blocks-of-3", "default-blocks"])
@@ -109,6 +112,7 @@ def test_run_campaign_matches_per_trial_scalar_reference(monkeypatch, block_tria
     construction = {"me": "max_entropy", "sf": "shannon_fano", "huffman": "huffman"}
     expected = []
     for point_index, target_mu in enumerate(c.sweep):
+        seeds, tests, success = [], {a: [] for a in c.algorithms}, {a: [] for a in c.algorithms}
         p = generate_prior(c.family, c.n, target_mu, rho=c.rho)
         plans = {}
         for algorithm in c.algorithms[:6]:
@@ -121,34 +125,33 @@ def test_run_campaign_matches_per_trial_scalar_reference(monkeypatch, block_tria
             ss = np.random.SeedSequence([c.base_seed, point_index, trial_index])
             truth_seed, matrix_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
             truth = draw_truth(p, truth_seed)
+            seeds.append(truth_seed)
             for algorithm in c.algorithms:
                 if algorithm in plans:
                     result, _ = walk_plan(plans[algorithm], truth, eps=c.eps)
-                    tests, success = result.tests_used, np.array_equal(result.recovered, truth)
+                    cell = result.tests_used, np.array_equal(result.recovered, truth)
                 else:
                     if algorithm == "cca":
                         m = build_cca_matrix(p, num_tests_cca(p, c.delta), optimal_g(p), matrix_seed)
                     else:
                         m = build_block_matrix(p, c.eps, c.delta, matrix_seed)
-                    tests, success = m.t, np.array_equal(run_nonadaptive(m, truth)[1], truth)
-                trial_id = point_index * c.trials + trial_index
-                expected.append(
-                    TrialReport(
-                        point_index, trial_id, truth_seed, algorithm, c.n, p.mu, p.entropy_bits, tests, success
-                    )
-                )
+                    cell = m.t, np.array_equal(run_nonadaptive(m, truth)[1], truth)
+                tests[algorithm].append(cell[0])
+                success[algorithm].append(cell[1])
+        expected.append(PointTrials(c.n, p.mu, p.entropy_bits, seeds, tests, success))
     assert run_campaign(c) == expected
-    assert not all(r.success for r in expected if r.algorithm.startswith("adaptive"))
+    # c.algorithms[:3] are the whole-vector adaptive plans, which the shortcut can fail.
+    assert not all(ok for point in expected for a in c.algorithms[:3] for ok in point.success[a])
 
 
 def test_adaptive_campaign_stays_under_expected_bound():
     c = Campaign(family="uniform", n=200, sweep=(4.0,), trials=100, algorithms=("adaptive_me",))
-    reports = run_campaign(c)
+    (point,) = run_campaign(c)
     p = generate_prior("uniform", 200, 4.0)
-    tests = np.array([r.tests for r in reports], dtype=float)
+    tests = np.array(point.tests["adaptive_me"], dtype=float)
     se = tests.std(ddof=1) / math.sqrt(len(tests))
     assert tests.mean() <= adaptive_expected_upper(p) + 3 * se
-    assert all(r.success for r in reports)  # noiseless adaptive runs are exact
+    assert all(point.success["adaptive_me"])  # noiseless adaptive runs are exact
 
 
 def test_fit_slope_exact_line():
@@ -208,12 +211,17 @@ def test_summarize_groups_by_point_and_algorithm():
         algorithms=("adaptive_me", "cca"),
         base_seed=1,
     )
-    rows = summarize(run_campaign(c))
+    points = run_campaign(c)
+    rows = summarize(points)
     assert len(rows) == 4
     assert {r["algorithm"] for r in rows} == {"adaptive_me", "cca"}
     for row in rows:
-        assert row["trials"] == 3
-        assert 0.0 <= row["success_rate"] <= 1.0
+        tests = points[row["point_index"]].tests[row["algorithm"]]
+        success = points[row["point_index"]].success[row["algorithm"]]
+        assert row["trials"] == len(tests) == 3
+        assert row["mean_tests"] == pytest.approx(sum(tests) / 3)
+        assert row["std_tests"] == pytest.approx(float(np.std(tests, ddof=1)))
+        assert row["success_rate"] == sum(success) / 3
 
 
 def test_summarize_labels_sweep_points_and_keeps_repeats_apart():
@@ -225,8 +233,8 @@ def test_summarize_labels_sweep_points_and_keeps_repeats_apart():
         algorithms=("adaptive_me", "cca"),
         base_seed=1,
     )
-    reports = run_campaign(c)
-    rows = summarize(reports)
+    points = run_campaign(c)
+    rows = summarize(points)
     assert [(r["point_index"], r["algorithm"]) for r in rows] == [
         (0, "adaptive_me"),
         (0, "cca"),
@@ -238,23 +246,21 @@ def test_summarize_labels_sweep_points_and_keeps_repeats_apart():
     assert [r["mu"] for r in rows] == [2.0, 2.0, 2.0, 2.0, 4.0, 4.0]
     assert all(r["trials"] == 3 for r in rows)
     # the repeated point draws its own truths
-    assert {r.seed for r in reports if r.point_index == 0}.isdisjoint(
-        {r.seed for r in reports if r.point_index == 1}
-    )
+    assert set(points[0].seeds).isdisjoint(points[1].seeds)
     assert summary_csv_text(rows).splitlines()[5].startswith("2,adaptive_me,20,4.0,")
 
 
 def test_csv_text_shapes():
     c = Campaign(family="uniform", n=15, sweep=(1.0,), trials=2, algorithms=("cca",))
-    reports = run_campaign(c)
-    trials_text = trials_csv_text(reports)
+    points = run_campaign(c)
+    trials_text = trials_csv_text(points)
     lines = trials_text.strip().splitlines()
     assert lines[0] == "trial_id,seed,algorithm,n,mu,entropy,tests,success"
     assert len(lines) == 3
-    summary_text = summary_csv_text(summarize(reports))
+    summary_text = summary_csv_text(summarize(points))
     assert summary_text.splitlines()[0].startswith("point_index,algorithm,")
     # identical inputs give identical bytes
-    assert trials_text == trials_csv_text(reports)
+    assert trials_text == trials_csv_text(points)
 
 
 def test_campaign_json_parsing():
@@ -303,9 +309,9 @@ def test_prepartitioned_and_block_algorithms_run():
         eps=0.05,
         delta=1.0,
     )
-    reports = run_campaign(c)
-    assert len(reports) == 6
-    assert all(r.tests > 0 for r in reports)
+    (point,) = run_campaign(c)
+    assert list(point.tests) == ["prepartitioned_me", "block"]
+    assert all(len(column) == 3 and min(column) > 0 for column in point.tests.values())
 
 
 def test_sampled_design_laws_are_built_once_per_point(monkeypatch):
@@ -333,7 +339,7 @@ def test_sampled_design_laws_are_built_once_per_point(monkeypatch):
 
     for name in calls:
         count(name)
-    assert len(run_campaign(c)) == 30
+    assert [len(column) for point in run_campaign(c) for column in point.tests.values()] == [5] * 6
     # One partition per point, and one law per point for cca and per band
     # for block, not one per trial.
     assert calls == {"build_partition": 3, "_block_law": 3 + bands}
