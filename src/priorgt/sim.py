@@ -4,20 +4,27 @@ A campaign fixes a prior family, a sweep of target expected-defective counts,
 a trial count, and a list of algorithms, each a name in ``BUILDERS``, the
 one table of what each algorithm builds; ``priorgt plan`` builds through it
 too.  Per-trial randomness is derived from (base_seed, point_index,
-trial_index) through numpy's SeedSequence, by :func:`trial_seeds`, so
-results are reproducible regardless of execution order, and the truth
-vector is shared by every algorithm within a trial.  A sweep point's
+trial_index) through numpy's SeedSequence, so results are reproducible
+regardless of execution order, and the truth vector is shared by every
+algorithm within a trial.  A trial's truth is ``default_rng(truth
+seed).random(n) < p``.  Both are computed without building a SeedSequence:
+:func:`trial_seeds` hashes a sweep point's (base_seed, point_index,
+trial_index) words in one numpy pass, :func:`draw_truth` hashes a block's
+truth seeds into each generator's four PCG64 words in another, and numpy
+seeds each ``PCG64`` from its words.  The results are numpy's bit for bit,
+and a test pins them against numpy's own seeding.  A sweep point's
 results are one :class:`PointTrials`, its trials' seeds and, per algorithm,
 their tests and success as columns; both CSVs are written from these.
 CSV cells follow :func:`csv_cell`, except in the trial CSV's hot f-string.
 
 One trial loop, :func:`_run_trials`, serves campaigns and success curves.
 Every plan, whole-vector or pre-partitioned, is built once per sweep point
-and run by ``adaptive.run_adaptive`` on the stacked truths of a block of
-trials, one call per plan and block.  The executor counts a block several
-truths to a 64-bit word, so a wider block costs it less per truth.  A block
-holds at most ``TRUTH_BLOCK_CELLS`` truth bits, 32 trials at n = 1000, or
-one trial when n is larger, so memory does not grow with the trial count.
+and run by ``adaptive.run_adaptive`` on a block of trials' truths, drawn by
+one :func:`draw_truth` call, one run per plan and block.  The executor
+counts a block several truths to a 64-bit word, so a wider block costs it
+less per truth.  A block holds at most ``TRUTH_BLOCK_CELLS`` truth bits, 32
+trials at n = 1000, or one trial when n is larger, so memory does not grow
+with the trial count.
 
 The sampled and block designs' laws (the partition, sampling CDFs, guide
 tables and row counts) are likewise built once per sweep point, or once
@@ -35,6 +42,7 @@ full, and running one gives the same tests and recovery on the same seed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -127,40 +135,157 @@ class Campaign:
                 raise ValueError(f"eps={self.eps!r} cannot partition n={self.n} for {partitioned}: {exc}") from None
 
 
-def draw_truth(p: PriorVector, seed: int) -> np.ndarray:
+def _word_count(x: int) -> int:
+    """How many 32-bit words numpy's SeedSequence reads from a whole number:
+    its little-endian digits base 2**32, at least one."""
+    return (max(x.bit_length(), 1) + 31) // 32
+
+
+def _entropy_words(head: Sequence[int], values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The entropy words of the sequence ``[*head, v]`` for each ``v`` of
+    ``values``: a (W, T) uint32 array with column t zero past its own word
+    count, and those counts."""
+    prefix = [x >> s & 0xFFFFFFFF for x in head for s in range(0, 32 * _word_count(x), 32)]
+    tail = [[v >> s & 0xFFFFFFFF for v in values] for s in range(0, 32 * _word_count(max(values, default=0)), 32)]
+    widths = [len(prefix) + _word_count(v) for v in values]
+    return np.array([*([w] * len(values) for w in prefix), *tail], dtype=np.uint32), np.array(widths)
+
+
+def _products(first: int, factor: int, count: int) -> list[int]:
+    """first * factor**i mod 2**32 for i = 0..count."""
+    out = [first]
+    for _ in range(count):
+        out.append(out[-1] * factor & 0xFFFFFFFF)
+    return out
+
+
+def _calls(words: list[int], calls) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (XOR, multiplier) uint32 columns of the hash calls
+    ``calls``: call i XORs with ``words[i]`` and multiplies by
+    ``words[i + 1]``."""
+    columns = tuple(np.array([words[k + j] for k in calls], dtype=np.uint32)[:, None] for j in (0, 1))
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+@functools.cache
+def _hash_steps(width: int, n_words: int):
+    """numpy's SeedSequence constants for :func:`_seed_state`, one pair of
+    columns per array operation.  Mixing in runs hashmix calls 0, 1, 2, ...
+    on constants ``a``: calls 0-3 fill the pool, calls 4-15 mix each pool
+    word into the other three in turn, and entropy word i >= 4 takes calls
+    4i to 4i + 3, one into each pool word.  In a mixing round the source's
+    own row takes a placeholder call, and keeps its value.  State word i is
+    pool word i mod 4 hashed with call i on constants ``b``."""
+    a = _products(0x43B0D7E5, 0x931E8875, 4 * max(width, 4))
+    b = _products(0x8B51F9DD, 0x58F38DED, n_words)
+    fill = _calls(a, range(4))
+    rounds = [_calls(a, [4 + 3 * src + min(d - (d > src), 2) for d in range(4)]) for src in range(4)]
+    extra = [_calls(a, range(4 * i, 4 * i + 4)) for i in range(4, width)]
+    return fill, rounds, extra, _calls(b, range(n_words))
+
+
+def _seed_state(entropy: np.ndarray, widths: np.ndarray, n_words: int) -> np.ndarray:
+    """numpy's ``SeedSequence(words).generate_state(n_words)`` for the words
+    of every column of ``entropy``, as (n_words, T) uint32: each column's
+    first ``widths[t]`` entries are its words, and the rest are zero.
+
+    The sequence's pool of four words is one (4, T) array, and each hashmix
+    step updates all of it at once: the fill (a missing word hashes as 0),
+    the four rounds that mix one pool word into the other three, and each
+    entropy word past the fourth, which only columns that hold it take."""
+    width, trials = entropy.shape
+    fill, rounds, extra, out = _hash_steps(width, n_words)
+    left, right, shift = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+    def hashmix(value, xor, factor):
+        value = (value ^ xor) * factor
+        return value ^ value >> shift
+
+    def mix(x, y):
+        value = left * x - right * y
+        return value ^ value >> shift
+
+    pool = np.zeros((4, trials), dtype=np.uint32)
+    pool[: min(width, 4)] = entropy[:4]
+    pool = hashmix(pool, *fill)
+    for src, calls in enumerate(rounds):
+        mixed = mix(pool, hashmix(pool[src], *calls))
+        mixed[src] = pool[src]
+        pool = mixed
+    for i, calls in enumerate(extra, 4):
+        pool = np.where(i < widths, mix(pool, hashmix(entropy[i], *calls)), pool)
+    return hashmix(np.tile(pool, (-(-n_words // 4), 1))[:n_words], *out)
+
+
+def _uint64(words: np.ndarray) -> np.ndarray:
+    """Rows of uint32 words paired little-endian into rows of uint64."""
+    return words[0::2] | words[1::2].astype(np.uint64) << 32
+
+
+@functools.cache
+def _state_words() -> type:
+    """A seed sequence class whose state words are already computed:
+    ``PCG64`` asks it for its four uint64 words and seeds itself from them.
+    It is defined on first use, since importing ``numpy.random`` costs
+    about 10 ms and 6 MB, which commands that draw nothing need not pay."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
+def draw_truth(p: PriorVector, seed: int | Sequence[int]) -> np.ndarray:
     """Independent Bernoulli(p_i) draws, deterministic given the seed, as a
-    read-only bool array: every algorithm of a trial shares it."""
-    truth = np.random.default_rng(seed).random(p.n) < p.probs
-    truth.flags.writeable = False
-    return truth
+    read-only bool array that every algorithm of a trial shares: for one
+    seed, the (n,) truth ``default_rng(seed).random(n) < p.probs``; for a
+    sequence of T seeds, the (T, n) block of their truths.  Each seed is a
+    whole number of at least 0.  A block's generator words are hashed in
+    one pass, and numpy's ``PCG64`` seeds each row's generator from them."""
+    one = np.ndim(seed) == 0
+    seeds = [whole_number("seed", s, 0, math.inf) for s in ([seed] if one else seed)]
+    state = np.ascontiguousarray(_uint64(_seed_state(*_entropy_words((), seeds), 8)).T)
+    truths = np.empty((len(seeds), p.n), dtype=bool)
+    state_words = _state_words()
+    for row, words in zip(truths, state):
+        np.less(np.random.Generator(np.random.PCG64(state_words(words))).random(p.n), p.probs, out=row)
+    truths.flags.writeable = False
+    return truths[0] if one else truths
 
 
-def trial_seeds(base_seed: int, point_index: int, trial_index: int) -> tuple[int, int]:
-    """A trial's (truth seed, matrix seed): the two 64-bit words of the
-    SeedSequence of (base_seed, point_index, trial_index)."""
-    words = np.random.SeedSequence([base_seed, point_index, trial_index]).generate_state(2, dtype=np.uint64)
-    return int(words[0]), int(words[1])
+def trial_seeds(base_seed: int, point_index: int, trials: int) -> list[tuple[int, int]]:
+    """Each trial's (truth seed, matrix seed) at a sweep point: the two
+    64-bit words of numpy's SeedSequence of (base_seed, point_index,
+    trial_index), for trial_index = 0 .. trials - 1, hashed in one pass."""
+    words = _seed_state(*_entropy_words((base_seed, point_index), range(trials)), 4)
+    return list(zip(*_uint64(words).tolist()))
 
 
 def _run_trials(p: PriorVector, built: dict, seeds: Sequence[tuple[int, int]], eps: float):
     """Each algorithm's tests and success columns, one entry per trial's
     (truth seed, matrix seed).  Each truth is drawn once and shared by every
-    algorithm; ``built`` plans run on blocks of stacked truths, and each
+    algorithm; ``built`` plans run on blocks of truths, and each
     ``built`` design is measured with its trial's matrix seed."""
     tests = {a: [] for a in built}
     success = {a: [] for a in built}
     block = max(1, TRUTH_BLOCK_CELLS // p.n)
     for first in range(0, len(seeds), block):
         chunk = seeds[first : first + block]
-        truths = [draw_truth(p, truth_seed) for truth_seed, _ in chunk]
-        bits = np.stack(truths)
+        bits = draw_truth(p, [truth_seed for truth_seed, _ in chunk])
         for algorithm, obj in built.items():
             if isinstance(obj, adaptive.NestedPlan):
                 result = adaptive.run_adaptive(obj, bits, eps=eps)
                 tests[algorithm] += result.tests.tolist()
                 success[algorithm] += (result.recovered == bits).all(axis=1).tolist()
             else:
-                for truth, (_, matrix_seed) in zip(truths, chunk):
+                for truth, (_, matrix_seed) in zip(bits, chunk):
                     used, recovered = nonadaptive.measure_design(replace(obj, seed=matrix_seed), truth)
                     tests[algorithm].append(used)
                     success[algorithm].append(np.array_equal(recovered, truth))
@@ -176,7 +301,7 @@ def run_campaign(campaign: Campaign) -> list[PointTrials]:
     for point_index, target_mu in enumerate(campaign.sweep):
         p = generate_prior(campaign.family, campaign.n, target_mu, rho=campaign.rho)
         built = {a: BUILDERS[a](p, campaign.eps, campaign.delta) for a in campaign.algorithms}
-        seeds = [trial_seeds(campaign.base_seed, point_index, k) for k in range(campaign.trials)]
+        seeds = trial_seeds(campaign.base_seed, point_index, campaign.trials)
         tests, success = _run_trials(p, built, seeds, campaign.eps)
         points.append(PointTrials(campaign.n, p.mu, p.entropy_bits, [s for s, _ in seeds], tests, success))
     return points
@@ -201,13 +326,14 @@ def success_curve(p: PriorVector, t_grid: Sequence[int], trials: int, seed: int)
     with ``optimal_g(p)`` draws per row: one draw per trial from the law
     built for that budget.  Only the sampled design has a free row budget;
     adaptive plans and the block design fix their own test counts.  The
-    trial count and each budget must be whole numbers of at least 1."""
-    trials = whole_number("trials", trials)
+    trial count and each budget must be whole numbers of at least 1, and
+    the seed one of at least 0."""
+    trials, seed = whole_number("trials", trials), whole_number("seed", seed, 0, math.inf)
     t_grid = [whole_number(f"t_grid[{ti}]", t) for ti, t in enumerate(t_grid)]
     g = nonadaptive.optimal_g(p)
     out = []
     for ti, t in enumerate(t_grid):
-        seeds = [trial_seeds(seed, ti, k) for k in range(trials)]
+        seeds = trial_seeds(seed, ti, trials)
         _, success = _run_trials(p, {"cca": nonadaptive.sample_cca(p, t, g, seed=0)}, seeds, eps=0.0)
         out.append((t, sum(success["cca"]) / trials))
     return out

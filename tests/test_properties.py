@@ -962,7 +962,7 @@ def test_success_curve_matches_per_trial_matrix_loop(monkeypatch):
         for trial_index in range(trials):
             ss = np.random.SeedSequence([seed, ti, trial_index])
             truth_seed, matrix_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
-            truth = draw_truth(p, truth_seed)
+            truth = np.random.default_rng(truth_seed).random(p.n) < p.probs
             _, recovered = run_nonadaptive(build_cca_matrix(p, t, g, matrix_seed), truth)
             successes += np.array_equal(recovered, truth)
         expected.append((t, successes / trials))

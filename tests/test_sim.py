@@ -52,6 +52,55 @@ def test_draw_truth_deterministic():
     assert draw_truth(p, 9).tolist() != draw_truth(p, 10).tolist()
 
 
+# Base seeds and truth seeds at the edges of numpy's 32-bit entropy words.
+EDGE_SEEDS = [0, 1, 2, 20240801, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 1, 2**96 + 7]
+
+
+@pytest.mark.parametrize("base_seed", EDGE_SEEDS)
+def test_trial_seeds_match_numpy_seed_sequence(base_seed):
+    # Pins the hash to numpy's SeedSequence, which numpy keeps stable.
+    for point_index in (0, 1, 7):
+        expected = [
+            tuple(int(w) for w in np.random.SeedSequence([base_seed, point_index, k]).generate_state(2, np.uint64))
+            for k in range(300)
+        ]
+        assert sim.trial_seeds(base_seed, point_index, 300) == expected
+
+
+def test_seed_words_match_numpy_past_the_pool():
+    # Trial index 2**32 takes two entropy words, so one call mixes columns
+    # of four and five words; 2**160 + 3 alone takes six.
+    trials = [0, 2**32 - 1, 2**32, 2**40 + 9, 2**160 + 3]
+    for head in ((5, 1), (2**32, 7), (2**96 + 7, 2**32 + 1)):
+        state = sim._seed_state(*sim._entropy_words(head, trials), 8)
+        for column, k in zip(state.T, trials):
+            assert column.tolist() == np.random.SeedSequence([*head, k]).generate_state(8).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 1000])
+def test_draw_truth_matches_numpy_default_rng(n):
+    # Pins each truth to default_rng's PCG64 stream, whose seeding numpy
+    # keeps stable, for one seed and for a block of seeds.
+    p = PriorVector((0.3,)) if n == 1 else generate_prior("exponential", n, 8.0)
+    seeds = EDGE_SEEDS + [2**128 - 1, 2**128, 2**300 + 1, *range(3, 40)]
+    expected = np.array([np.random.default_rng(s).random(n) < p.probs for s in seeds])
+    block = draw_truth(p, seeds)
+    assert block.shape == (len(seeds), n) and block.dtype == np.bool_ and not block.flags.writeable
+    assert np.array_equal(block, expected)
+    for s, row in zip(seeds, expected):
+        assert np.array_equal(draw_truth(p, s), row)
+    assert draw_truth(p, []).shape == (0, n)
+
+
+def test_draw_truth_reads_each_seed_as_a_whole_number():
+    p = generate_prior("uniform", 20, 2.0)
+    assert np.array_equal(draw_truth(p, 1.0), draw_truth(p, 1))
+    assert np.array_equal(draw_truth(p, np.uint64(2**64 - 1)), draw_truth(p, 2**64 - 1))
+    for seed in (True, 1.5, "3", -1, [4, False], [4, -2], [4, "5"]):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            draw_truth(p, seed)
+
+
 def test_run_campaign_single_cell():
     c = Campaign(family="uniform", n=20, sweep=(1.0,), trials=1, algorithms=("adaptive_me",))
     (point,) = run_campaign(c)
@@ -83,14 +132,17 @@ def test_run_campaign_truth_shared_across_algorithms(monkeypatch):
     )
     drawn = []
 
-    def recorded(p, seed):
-        drawn.append(seed)
-        return draw_truth(p, seed)
+    def recorded(p, seeds):
+        drawn.append(list(seeds))
+        return draw_truth(p, seeds)
 
     monkeypatch.setattr(sim, "draw_truth", recorded)
+    monkeypatch.setattr(sim, "TRUTH_BLOCK_CELLS", 3 * c.n)
     (point,) = run_campaign(c)
-    # One draw per trial, from the trial's truth seed, for all three algorithms.
-    assert drawn == point.seeds and len(set(drawn)) == 4
+    # One draw per trial, from the trial's truth seed, for all three
+    # algorithms, in blocks of at most TRUTH_BLOCK_CELLS // n trials.
+    assert [seed for block in drawn for seed in block] == point.seeds and len(set(point.seeds)) == 4
+    assert all(len(block) <= sim.TRUTH_BLOCK_CELLS // c.n for block in drawn)
     assert all(len(column) == 4 for column in [*point.tests.values(), *point.success.values()])
 
 
@@ -124,7 +176,7 @@ def test_run_campaign_matches_per_trial_scalar_reference(monkeypatch, block_tria
         for trial_index in range(c.trials):
             ss = np.random.SeedSequence([c.base_seed, point_index, trial_index])
             truth_seed, matrix_seed = (int(s) for s in ss.generate_state(2, dtype=np.uint64))
-            truth = draw_truth(p, truth_seed)
+            truth = np.random.default_rng(truth_seed).random(p.n) < p.probs
             seeds.append(truth_seed)
             for algorithm in c.algorithms:
                 if algorithm in plans:
@@ -187,6 +239,15 @@ def test_success_curve_refuses_counts_that_are_not_whole_numbers():
     for grid, trials in (([10], 0), ([10], 2.5), ([10], True), ([10.7], 3), ([0], 3), (["10"], 3)):
         with pytest.raises(ValueError, match="whole number"):
             success_curve(p, grid, trials=trials, seed=1)
+
+
+def test_success_curve_reads_its_seed_as_a_whole_number():
+    p = generate_prior("uniform", 30, 2.0)
+    assert success_curve(p, [10], trials=3, seed=3.0) == success_curve(p, [10], trials=3, seed=3)
+    assert success_curve(p, [10], trials=3, seed=2**64 + 1) == success_curve(p, [10], trials=3, seed=2**64 + 1)
+    for seed in (True, "3", 1.5, -1):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            success_curve(p, [10], trials=3, seed=seed)
 
 
 def test_mann_kendall_detects_increase():

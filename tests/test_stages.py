@@ -22,6 +22,7 @@ STAGES_AT_1000 = [
     "build_prepartitioned_plan/max_entropy",
     "build_prepartitioned_plan/shannon_fano",
     "build_prepartitioned_plan/huffman",
+    "trial_truths/200",
     "run_adaptive/1",
     "run_adaptive/16",
     "run_adaptive/32",

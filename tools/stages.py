@@ -9,10 +9,12 @@ copy of the script in another checkout times that checkout's code.
 
 Every stage runs on an exponential prior, mu = 100, rho = 0.99999, with
 eps = 0.01 and delta = 1: prior generation, the uncached entropy, the
-partition, whole and pre-partitioned plan builds per construction, plan
-execution, the closed-form expected test count, both sampled designs' laws
-and their measurement, and up to n = 1e5 (a CCA matrix at 1e6 would need
-some 2.4 GB) the CCA matrix with its outcome measurement and COMP decode.
+partition, whole and pre-partitioned plan builds per construction, the
+seeds and truths of one 200-trial sweep point drawn in the campaign's
+truth blocks, plan execution, the closed-form expected test count, both
+sampled designs' laws and their measurement, and up to n = 1e5 (a CCA
+matrix at 1e6 would need some 2.4 GB) the CCA matrix with its outcome
+measurement and COMP decode.
 Execution is timed on one truth at every n, on blocks of 16 and 32 truths
 at n = 1e3, and on the block of all 4,096 truths at n = 12, which the exact
 oracle enumerates.
@@ -44,13 +46,15 @@ import numpy as np  # noqa: E402
 from priorgt import adaptive, nonadaptive, oracle  # noqa: E402
 from priorgt.partition import build_partition  # noqa: E402
 from priorgt.priors import generate_prior  # noqa: E402
-from priorgt.sim import draw_truth  # noqa: E402
+from priorgt.sim import TRUTH_BLOCK_CELLS, draw_truth, trial_seeds  # noqa: E402
 
 SIZES = (1_000, 10_000, 100_000)
 LARGE = 1_000_000
 MATRIX_LIMIT = 100_000
 # Blocks of truths executed at n = BLOCK_N.
 BLOCK_N, BLOCKS = 1_000, (16, 32)
+# Trials of the sweep point whose seeds and truths are drawn.
+POINT_TRIALS = 200
 MU, RHO, EPS, DELTA = 100.0, 0.99999, 0.01, 1.0
 ORACLE_N = 12
 # Timings per stage, the best kept, and calls per timing, so that one
@@ -98,9 +102,15 @@ def stages(n: int):
         yield f"build_plan/{c}", lambda c=c: adaptive.build_plan(p, c)
     for c in adaptive.CONSTRUCTIONS:
         yield f"build_prepartitioned_plan/{c}", lambda c=c: adaptive.build_prepartitioned_plan(p, EPS, c)
+    def trial_truths():
+        seeds = [seed for seed, _ in trial_seeds(0, 0, POINT_TRIALS)]
+        block = max(1, TRUTH_BLOCK_CELLS // n)
+        return [draw_truth(p, seeds[first : first + block]) for first in range(0, POINT_TRIALS, block)]
+
+    yield f"trial_truths/{POINT_TRIALS}", trial_truths
     plan = adaptive.build_plan(p, "max_entropy")
     for t in (1,) + (BLOCKS if n == BLOCK_N else ()):
-        truths = np.stack([draw_truth(p, seed) for seed in range(t)])
+        truths = draw_truth(p, range(t))
         yield f"run_adaptive/{t}", lambda truths=truths: adaptive.run_adaptive(plan, truths)
     yield "expected_tests", lambda: adaptive.expected_tests(plan, p)
     truth = draw_truth(p, 1)
