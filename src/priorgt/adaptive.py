@@ -203,8 +203,10 @@ class NestedPlan(ValueEq):
 
     @cached_property
     def untested_items(self) -> np.ndarray:
-        """The items outside ``perm``, which no run tests."""
-        return np.setdiff1d(np.arange(self.n), self.perm, assume_unique=True)
+        """The items outside ``perm``, which no run tests, ascending."""
+        untested = np.ones(self.n, dtype=bool)
+        untested[self.perm] = False
+        return np.flatnonzero(untested)
 
 
 @dataclass(frozen=True, eq=False)

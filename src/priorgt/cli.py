@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -120,7 +121,10 @@ def cmd_oracle(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every ``main`` call in a process: parsing keeps no
+    state in it, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="priorgt",
         description="Group testing with per-item priors: plans, bounds, oracle checks, simulations.",

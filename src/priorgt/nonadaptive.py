@@ -252,6 +252,7 @@ class SampledDesign:
     with seed s.  Block k's rows follow the rows of blocks 0..k-1, and the
     route's rows follow every block's.  Every block of the block design is
     labelled with its band; the whole-vector design's one block is not.
+    The seed is a whole number of at least 0, checked on ``replace`` too.
     """
 
     n: int
@@ -259,6 +260,9 @@ class SampledDesign:
     blocks: tuple[BlockLaw, ...]
     route: np.ndarray
     zero: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", whole_number("seed", self.seed, 0, math.inf))
 
     @property
     def t(self) -> int:

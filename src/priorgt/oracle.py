@@ -27,7 +27,7 @@ from .adaptive import AdaptiveRunResult, NestedPlan, run_adaptive
 # run_nonadaptive is not called here, but stays importable under this
 # module's name: the benchmark tracer wraps ``oracle.run_nonadaptive``.
 from .nonadaptive import TestMatrix, run_nonadaptive  # noqa: F401
-from .priors import PriorVector
+from .priors import PriorVector, whole_number
 
 MAX_STOPPING_TIME_ITEMS = 20
 MAX_PLAN_ITEMS = 12
@@ -211,12 +211,14 @@ class CheckResult:
 
 
 def run_all_checks(seed: int = 20240801) -> list[CheckResult]:
-    """The oracle battery used by the command-line front end."""
+    """The oracle battery used by the command-line front end.  The seed is a
+    whole number of at least 0."""
     from .adaptive import build_plan
     from .bounds import adaptive_expected_upper
     from .nonadaptive import build_cca_matrix
     from .priors import generate_prior
 
+    seed = whole_number("seed", seed, 0, math.inf)
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 

@@ -84,6 +84,13 @@ def truth_array(n: int, value, block: bool = False) -> np.ndarray:
 _UNSIGNED = {size: np.dtype(f"u{size}") for size in (1, 2, 4, 8)}
 
 
+def word_lanes(n: int) -> int:
+    """How many truths one 64-bit word of :func:`prefix_counts` packs when
+    its counts run to n, one lane each of the smallest unsigned type that
+    holds n: 8 below n = 256, 4 below 65,536, 2 below 2^32, else 1."""
+    return 8 // np.min_scalar_type(n).itemsize
+
+
 def prefix_counts(truths: np.ndarray, index: np.ndarray) -> np.ndarray:
     """The defectives among ``index[:j]`` for every j and every row of a
     (T, n) bool block, item-major: row j of the result, len(index) + 1
@@ -92,14 +99,15 @@ def prefix_counts(truths: np.ndarray, index: np.ndarray) -> np.ndarray:
 
     Lanes are packed into unsigned words, truth t in lane t % L of word
     t // L, the fewest lanes that hold the block, a power of two, to at most
-    64 bits: so one truth has one lane to a word, its own type.  Numbers
+    :func:`word_lanes`, 64 bits: so one truth has one lane to a word, its
+    own type.  Numbers
     that no lane can exceed add lane by lane in their words, with no carry
     from one lane into the next.  No count exceeds len(index), so one
     running sum of words counts L truths at once."""
     rows, n = truths.shape
     lane = np.min_scalar_type(len(index))
-    word = _UNSIGNED[min(8, lane.itemsize << (rows - 1).bit_length())] if rows else lane
-    per = word.itemsize // lane.itemsize
+    per = min(word_lanes(len(index)), 1 << (rows - 1).bit_length()) if rows else 1
+    word = _UNSIGNED[lane.itemsize * per]
     width = -(-rows // per)
     counts = np.zeros((len(index) + 1, width), dtype=word)
     if rows == 1:
@@ -219,8 +227,18 @@ class PriorVector(ValueEq):
 
     @cached_property
     def entropy_bits(self) -> float:
-        """Total entropy in bits, sum of the per-item binary entropies."""
-        return math.fsum(map(binary_entropy, self.probs.tolist()))
+        """Total entropy in bits, sum of the per-item binary entropies.
+
+        Each distinct probability strictly between 0 and 1 is evaluated once,
+        with :func:`binary_entropy`'s ``math.log2`` and IEEE products and
+        difference, so its term is that function's bit for bit; ``math.fsum``
+        then adds one copy per item, exactly."""
+        values, counts = np.unique(self.probs, return_counts=True)
+        inner = (values > 0.0) & (values < 1.0)
+        p, q = values[inner], 1.0 - values[inner]
+        log_p, log_q = (np.fromiter(map(math.log2, x.tolist()), np.float64, len(x)) for x in (p, q))
+        terms = (-p) * log_p - q * log_q
+        return math.fsum(np.repeat(terms, counts[inner]).tolist())
 
     @cached_property
     def max_prob(self) -> float:

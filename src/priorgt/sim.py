@@ -21,10 +21,13 @@ One trial loop, :func:`_run_trials`, serves campaigns and success curves.
 Every plan, whole-vector or pre-partitioned, is built once per sweep point
 and run by ``adaptive.run_adaptive`` on a block of trials' truths, drawn by
 one :func:`draw_truth` call, one run per plan and block.  The executor
-counts a block several truths to a 64-bit word, so a wider block costs it
-less per truth.  A block holds at most ``TRUTH_BLOCK_CELLS`` truth bits, 32
-trials at n = 1000, or one trial when n is larger, so memory does not grow
-with the trial count.
+counts a block several truths to a 64-bit word, ``priors.word_lanes(n)`` of
+them, so a wider block costs it less per truth, and one word costs about the
+same however few of its lanes are filled.  A block holds
+:func:`truth_block` trials: at most ``TRUTH_BLOCK_CELLS`` truth bits, 32
+trials at n = 1000, but never fewer than one word's lanes, 4 trials at
+n = 10,000 and 2 beyond n = 65,535, so memory does not grow with the trial
+count.
 
 The sampled and block designs' laws (the partition, sampling CDFs, guide
 tables and row counts) are likewise built once per sweep point, or once
@@ -70,9 +73,10 @@ BUILDERS = {
 }
 ALGORITHMS = tuple(BUILDERS)
 
-# Upper bound on trials x n in one block of stacked truths.  At n = 1000,
-# blocks of 2^16 cells ran no faster than 2^15 and raised a campaign's peak
-# RSS by 0.3-0.4 MiB, beyond its run-to-run noise.
+# Upper bound on trials x n in one block of stacked truths, unless one
+# executor word's lanes hold more (see truth_block).  At n = 1000, blocks of
+# 2^16 cells ran no faster than 2^15 and raised a campaign's peak RSS by
+# 0.3-0.4 MiB, beyond its run-to-run noise.
 TRUTH_BLOCK_CELLS = 1 << 15
 
 TRIALS_CSV_HEADER = ["trial_id", "seed", "algorithm", "n", "mu", "entropy", "tests", "success"]
@@ -268,6 +272,14 @@ def trial_seeds(base_seed: int, point_index: int, trials: int) -> list[tuple[int
     return list(zip(*_uint64(words).tolist()))
 
 
+def truth_block(n: int) -> int:
+    """Trials in one block of stacked truths at n: ``TRUTH_BLOCK_CELLS // n``,
+    or one executor word's lanes, ``priors.word_lanes(n)``, when that is
+    more.  A word runs in about the same time with any of its lanes filled, so
+    a block smaller than a word would pay for a lane it leaves empty."""
+    return max(priors.word_lanes(n), TRUTH_BLOCK_CELLS // n)
+
+
 def _run_trials(p: PriorVector, built: dict, seeds: Sequence[tuple[int, int]], eps: float):
     """Each algorithm's tests and success columns, one entry per trial's
     (truth seed, matrix seed).  Each truth is drawn once and shared by every
@@ -275,7 +287,7 @@ def _run_trials(p: PriorVector, built: dict, seeds: Sequence[tuple[int, int]], e
     ``built`` design is measured with its trial's matrix seed."""
     tests = {a: [] for a in built}
     success = {a: [] for a in built}
-    block = max(1, TRUTH_BLOCK_CELLS // p.n)
+    block = truth_block(p.n)
     for first in range(0, len(seeds), block):
         chunk = seeds[first : first + block]
         bits = draw_truth(p, [truth_seed for truth_seed, _ in chunk])

@@ -51,6 +51,16 @@ def all_truths(n):
 # ---------------------------------------------------------------- first stage
 
 
+@pytest.mark.parametrize("probs", [(0.0, 0.2, 1.0, 0.3, 0.0), (0.1,) * 6, (0.0,) * 4, (1.0, 0.0, 1.0)])
+def test_untested_items_are_the_items_outside_perm_ascending(probs):
+    p = PriorVector(probs)
+    for plan in (build_plan(p, "max_entropy"), build_prepartitioned_plan(p, 0.5, "huffman")):
+        expected = np.setdiff1d(np.arange(plan.n), plan.perm, assume_unique=True)
+        assert plan.untested_items.dtype == np.int64
+        assert np.array_equal(plan.untested_items, expected)
+        assert sorted([*plan.untested_items.tolist(), *plan.perm.tolist()]) == list(range(plan.n))
+
+
 def test_me_first_stage_exact_half_beats_pair():
     groups = me_first_stage(PriorVector((0.5, 0.3)))
     assert groups == [(0,), (1,)]

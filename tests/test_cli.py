@@ -10,7 +10,7 @@ import pytest
 from priorgt.cli import main
 from priorgt.adaptive import NestedPlan
 from priorgt.priors import generate_prior
-from priorgt.sim import ALGORITHMS, TRUTH_BLOCK_CELLS
+from priorgt.sim import ALGORITHMS, truth_block
 
 from helpers import prior_to_json_dict
 
@@ -441,8 +441,8 @@ PINNED_CSV_DIGESTS = {
         "eca0503e1f723f9e44b8a6dae054e3019f33682e5ff1eb3db23eaf7cc2b47178",
     ),
     # Every algorithm at n = 5000, where a block of stacked truths holds
-    # TRUTH_BLOCK_CELLS // 5000 = 6 trials, so each point's 8 trials run in
-    # blocks of 6 and 2.
+    # truth_block(5000) = TRUTH_BLOCK_CELLS // 5000 = 6 trials, so each
+    # point's 8 trials run in blocks of 6 and 2.
     "multiblock": (
         "a6696529f8509d4ad506ab8eb602c6c2f97dbf1c2bb49125e72c94514b5ed127",
         "75081eae2352778e95793449332edb288f1246420bf1cb260ad93a4d90bbc941",
@@ -471,7 +471,7 @@ PINNED_CAMPAIGNS = {
 
 def test_simulate_csv_bytes_are_pinned(tmp_path):
     multiblock = PINNED_CAMPAIGNS["multiblock"]
-    assert TRUTH_BLOCK_CELLS // multiblock["n"] < multiblock["trials"]
+    assert truth_block(multiblock["n"]) == 6 < multiblock["trials"]
     campaigns = {"quick": os.path.join(REPO_ROOT, "campaigns", "quick.json")}
     for name, spec in PINNED_CAMPAIGNS.items():
         campaigns[name] = str(tmp_path / f"{name}.json")
@@ -598,3 +598,64 @@ def test_cli_runs_as_module(tmp_path):
     )
     assert proc.returncode == 0
     assert "T4" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["plan", "--algorithm", "cca", "--seed", "-1"], id="plan-cca"),
+        pytest.param(["plan", "--algorithm", "block", "--seed", "-1"], id="plan-block"),
+        pytest.param(["oracle", "--seed", "-5"], id="oracle"),
+    ],
+)
+def test_a_negative_seed_exits_2_naming_the_seed(tmp_path, uniform_prior_file, capsys, argv):
+    # numpy refused these with "expected non-negative integer", naming no flag.
+    if argv[0] == "plan":
+        argv = [*argv, "--prior", uniform_prior_file, "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be a whole number in [0, inf], got -")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_main_writes_the_same_output_on_every_call(tmp_path, uniform_prior_file, capsys, monkeypatch):
+    # One parser serves every call in a process, so no call may leave state
+    # in it for the next: each subcommand twice, with and without its
+    # optional flags, and again after usage errors, writes the same bytes.
+    from priorgt import oracle
+
+    def checks(seed=0):
+        return [oracle.CheckResult("stub", True, f"seed {seed}", 0.0)]
+
+    monkeypatch.setattr(oracle, "run_all_checks", checks)
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(json.dumps({**SMALL_CAMPAIGN, "trials": 3, "algorithms": ["adaptive_me", "cca"]}))
+    calls = [
+        ["plan", "--prior", uniform_prior_file, "--algorithm", "cca", "--seed", "4", "--out", str(tmp_path / "a")],
+        ["plan", "--prior", uniform_prior_file, "--algorithm", "cca", "--out", str(tmp_path / "a")],
+        ["simulate", "--campaign", str(campaign), "--out", str(tmp_path / "t.csv")],
+        ["bounds", "--prior", uniform_prior_file, "--format", "json", "--eps", "0.1"],
+        ["bounds", "--prior", uniform_prior_file],
+        ["oracle", "--seed", "9"],
+        ["oracle"],
+    ]
+    files = ["a", "t.csv", "t.summary.csv"]
+
+    def run_all():
+        outputs = []
+        for argv in calls:
+            for name in files:
+                (tmp_path / name).unlink(missing_ok=True)
+            assert main(argv) == 0
+            written = {name: (tmp_path / name).read_bytes() for name in files if (tmp_path / name).exists()}
+            outputs.append((capsys.readouterr(), written))
+        return outputs
+
+    first = run_all()
+    assert run_all() == first
+    for bad in (["plan", "--algorithm", "cca"], ["bogus"], ["bounds", "--format", "xml"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    assert capsys.readouterr().err.count("usage: priorgt") == 4
+    assert run_all() == first
+    assert "seed 9" in first[5][0].out and "seed 20240801" in first[6][0].out

@@ -448,6 +448,20 @@ def test_sample_cca_reads_whole_sizes_only(t, g, error):
             sample_cca(p, t, g, seed=1)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "3", -1], ids=["bool", "fraction", "str", "negative"])
+def test_sampled_designs_refuse_a_seed_that_is_not_a_whole_number_of_at_least_0(seed):
+    # A bool drew seed 1, a fraction or a string raised numpy's TypeError,
+    # and -1 failed only when drawn, with a message naming no argument.
+    p = generate_prior("exponential", 200, 6.0)
+    for build in (lambda s: sample_cca(p, 5, 3, seed=s), lambda s: sample_block(p, 0.01, 1.0, seed=s)):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            build(seed)
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            replace(build(0), seed=seed)
+    assert type(sample_cca(p, 5, 3, seed=3.0).seed) is int
+    assert type(replace(sample_cca(p, 5, 3, seed=0), seed=np.uint64(2**64 - 1)).seed) is int
+
+
 def test_cca_design_is_the_sampled_design_at_its_budget():
     p = generate_prior("exponential", 200, 6.0)
     t = num_tests_cca(p, 1.0)

@@ -250,3 +250,9 @@ def test_run_all_checks_green():
     assert all(r.passed for r in results), [(r.name, r.detail) for r in results]
     names = {r.name for r in results}
     assert "lemma2_exact_rational" in names
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "3", -5])
+def test_run_all_checks_refuses_a_seed_that_is_not_a_whole_number_of_at_least_0(seed):
+    with pytest.raises(ValueError, match="seed must be a whole number"):
+        run_all_checks(seed=seed)

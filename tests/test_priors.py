@@ -76,6 +76,38 @@ def test_mu_linear_family_hits_target():
     assert abs(p.mu - 8.0) <= 1e-9
 
 
+# Extreme probabilities: subnormal, tiny, one ulp either side of 1/2, one
+# ulp below 1, and exactly 0 and 1.
+EXTREME_GRID = [5e-324, 1e-310, 1e-300, 1e-200, 1e-17, 1e-12, 1e-6, 0.3, 0.5 - 2**-54, 0.5, 0.5 + 2**-53,
+                0.7, 1 - 1e-12, 1 - 2**-53, 0.0, 1.0]
+
+
+def binary_entropy_sum(probs):
+    """The per-item reference: ``binary_entropy`` of every item, exactly summed."""
+    return math.fsum(map(binary_entropy, probs.tolist()))
+
+
+def test_entropy_bits_equals_per_item_binary_entropy_on_extremes():
+    rng = np.random.default_rng(11)
+    priors = [PriorVector(EXTREME_GRID)] + [PriorVector([q]) for q in EXTREME_GRID]
+    priors += [PriorVector(rng.choice(EXTREME_GRID, size=int(rng.integers(1, 40)))) for _ in range(300)]
+    # Repeated values mixed with distinct ones, and priors with no inner value.
+    priors += [PriorVector(np.concatenate([rng.choice(EXTREME_GRID, 20), rng.uniform(0, 1, 20)])) for _ in range(50)]
+    priors += [PriorVector([0.0, 1.0, 1.0]), PriorVector([0.0])]
+    # A one-item prior's total is its one term, so a term one ulp off shows.
+    priors += [PriorVector([q]) for q in rng.uniform(0.0, 1.0, 5000).tolist()]
+    for p in priors:
+        assert p.entropy_bits == binary_entropy_sum(p.probs)
+
+
+@pytest.mark.parametrize("family", ["uniform", "linear", "exponential"])
+@pytest.mark.parametrize("n", [1, 7, 1000, 10_000, 100_000])
+def test_entropy_bits_equals_per_item_binary_entropy_on_families(family, n):
+    for mu in (0.3, min(16.0, n / 4)) if n > 1 else (0.3,):
+        p = generate_prior(family, n, mu, rho=0.999)
+        assert p.entropy_bits == binary_entropy_sum(p.probs)
+
+
 def test_binary_entropy_symmetry_and_edges():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0

@@ -968,6 +968,8 @@ def test_success_curve_matches_per_trial_matrix_loop(monkeypatch):
         expected.append((t, successes / trials))
     assert 0.0 < expected[2][1] < 1.0  # the grid spans partial recovery
     assert success_curve(p, grid, trials, seed) == expected
-    # Blocks of 5 truths split each budget's 12 trials into 5, 5 and 2.
+    # A cap of 5 truths is lifted to one word's 8 lanes at n = 80, so each
+    # budget's 12 trials run in blocks of 8 and 4.
     monkeypatch.setattr(sim, "TRUTH_BLOCK_CELLS", 5 * p.n)
+    assert sim.truth_block(p.n) == 8
     assert success_curve(p, grid, trials, seed) == expected

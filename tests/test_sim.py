@@ -6,7 +6,7 @@ import pytest
 from priorgt.adaptive import build_plan, build_prepartitioned_plan
 from priorgt.bounds import adaptive_expected_upper
 from priorgt.nonadaptive import build_block_matrix, build_cca_matrix, num_tests_cca, optimal_g, run_nonadaptive
-from priorgt import nonadaptive, sim
+from priorgt import nonadaptive, priors, sim
 from priorgt.priors import DEFAULT_EXPONENTIAL_DECAY, PriorVector, generate_prior
 from priorgt.sim import (
     ALGORITHMS,
@@ -41,7 +41,8 @@ def test_draw_truth_is_a_read_only_bool_array():
 
 def test_draw_truth_frequency():
     p = PriorVector((0.3,))
-    hits = sum(draw_truth(p, seed)[0] for seed in range(10_000))
+    # One block of 10,000 single-seed truths: each row is its seed's truth.
+    hits = int(draw_truth(p, range(10_000)).sum())
     sigma = math.sqrt(0.3 * 0.7 / 10_000)
     assert abs(hits / 10_000 - 0.3) <= 3 * sigma
 
@@ -126,7 +127,7 @@ def test_run_campaign_truth_shared_across_algorithms(monkeypatch):
         family="uniform",
         n=25,
         sweep=(2.0,),
-        trials=4,
+        trials=20,
         algorithms=("adaptive_me", "adaptive_huffman", "cca"),
         base_seed=3,
     )
@@ -140,23 +141,55 @@ def test_run_campaign_truth_shared_across_algorithms(monkeypatch):
     monkeypatch.setattr(sim, "TRUTH_BLOCK_CELLS", 3 * c.n)
     (point,) = run_campaign(c)
     # One draw per trial, from the trial's truth seed, for all three
-    # algorithms, in blocks of at most TRUTH_BLOCK_CELLS // n trials.
-    assert [seed for block in drawn for seed in block] == point.seeds and len(set(point.seeds)) == 4
-    assert all(len(block) <= sim.TRUTH_BLOCK_CELLS // c.n for block in drawn)
-    assert all(len(column) == 4 for column in [*point.tests.values(), *point.success.values()])
+    # algorithms, in blocks of sim.truth_block(n) trials: a cap of 3 is
+    # lifted to one word's 8 lanes, so the 20 trials run as 8, 8 and 4.
+    assert [seed for block in drawn for seed in block] == point.seeds and len(set(point.seeds)) == 20
+    assert [len(block) for block in drawn] == [8, 8, 4] and sim.truth_block(c.n) == 8
+    assert all(len(column) == 20 for column in [*point.tests.values(), *point.success.values()])
+
+
+@pytest.mark.parametrize("n", [1, 25, 255, 256, 1000, 5000, 10_000, 65_535, 65_536, 100_000, 10**6])
+def test_truth_block_fills_a_word_and_keeps_the_cell_cap_above_it(n):
+    block, lanes = sim.truth_block(n), 8 // np.min_scalar_type(n).itemsize
+    assert lanes == priors.word_lanes(n) and lanes == (8 if n < 256 else 4 if n < 65_536 else 2)
+    # Never fewer truths than one word packs; a wider block keeps the cap.
+    assert block >= lanes
+    assert block == lanes or block <= TRUTH_BLOCK_CELLS // n
+
+
+@pytest.mark.parametrize("n, trials", [(10_000, 4), (10_000, 7), (100_000, 3), (1000, 70), (25, 5)])
+def test_run_trials_blocks_fill_a_word_unless_the_point_has_fewer_trials(monkeypatch, n, trials):
+    p = generate_prior("uniform", n, 2.0)
+    drawn = []
+
+    def recorded(p, seeds):
+        drawn.append(len(seeds))
+        return draw_truth(p, seeds)
+
+    monkeypatch.setattr(sim, "draw_truth", recorded)
+    plan = build_plan(p, "max_entropy")
+    sim._run_trials(p, {"adaptive_me": plan}, sim.trial_seeds(0, 0, trials), eps=0.0)
+    lanes = priors.word_lanes(n)
+    assert sum(drawn) == trials
+    # Every block but the last is a full block, the last holds the rest.
+    assert all(size == sim.truth_block(n) for size in drawn[:-1]) and 0 < drawn[-1] <= sim.truth_block(n)
+    # No block holds fewer truths than a word unless the point has fewer trials.
+    assert drawn[0] >= min(lanes, trials)
+    assert all(size <= max(lanes, TRUTH_BLOCK_CELLS // n) for size in drawn)
 
 
 @pytest.mark.parametrize("block_trials", [3, TRUTH_BLOCK_CELLS // 200], ids=["blocks-of-3", "default-blocks"])
 def test_run_campaign_matches_per_trial_scalar_reference(monkeypatch, block_trials):
-    # Blocks of 3 trials split each point into blocks of 3, 3, 3 and 1; the
-    # default size holds every trial in one block.  The first point's mass
-    # lies below eps, so the adaptive shortcut fires there.
+    # A cap of 3 trials is lifted to one word's 8 lanes at n = 200, so each
+    # point's 12 trials run in blocks of 8 and 4; the default size holds
+    # every trial in one block.  The first point's mass lies below eps, so
+    # the adaptive shortcut fires there.
     monkeypatch.setattr(sim, "TRUTH_BLOCK_CELLS", 200 * block_trials)
     c = Campaign(
         family="exponential",
         n=200,
         sweep=(0.3, 4.0),
-        trials=10,
+        trials=12,
         algorithms=ALGORITHMS,
         base_seed=6,
         eps=0.5,
@@ -191,6 +224,8 @@ def test_run_campaign_matches_per_trial_scalar_reference(monkeypatch, block_tria
                 tests[algorithm].append(cell[0])
                 success[algorithm].append(cell[1])
         expected.append(PointTrials(c.n, p.mu, p.entropy_bits, seeds, tests, success))
+    # Only the capped run splits a point into several blocks.
+    assert (sim.truth_block(c.n) < c.trials) == (block_trials == 3)
     assert run_campaign(c) == expected
     # c.algorithms[:3] are the whole-vector adaptive plans, which the shortcut can fail.
     assert not all(ok for point in expected for a in c.algorithms[:3] for ok in point.success[a])

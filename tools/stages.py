@@ -46,7 +46,7 @@ import numpy as np  # noqa: E402
 from priorgt import adaptive, nonadaptive, oracle  # noqa: E402
 from priorgt.partition import build_partition  # noqa: E402
 from priorgt.priors import generate_prior  # noqa: E402
-from priorgt.sim import TRUTH_BLOCK_CELLS, draw_truth, trial_seeds  # noqa: E402
+from priorgt.sim import draw_truth, trial_seeds, truth_block  # noqa: E402
 
 SIZES = (1_000, 10_000, 100_000)
 LARGE = 1_000_000
@@ -104,7 +104,7 @@ def stages(n: int):
         yield f"build_prepartitioned_plan/{c}", lambda c=c: adaptive.build_prepartitioned_plan(p, EPS, c)
     def trial_truths():
         seeds = [seed for seed, _ in trial_seeds(0, 0, POINT_TRIALS)]
-        block = max(1, TRUTH_BLOCK_CELLS // n)
+        block = truth_block(n)
         return [draw_truth(p, seeds[first : first + block]) for first in range(0, POINT_TRIALS, block)]
 
     yield f"trial_truths/{POINT_TRIALS}", trial_truths
