@@ -18,10 +18,10 @@ node k, numbered in preorder, tests ``perm[lo[k]:hi[k]]``.  Plans compare
 and hash by value (``priors.ValueEq``).  A pre-partitioned run is one such
 plan too, whose individually tested items are singleton roots.  Execution
 answers, from prefix counts of the truths in ``perm`` order
-(``priors.prefix_counts``, the rule test matrices use), only the pools whose
-outcome decides whether a child is tested, and descends only through
-positive pools, so a noiseless run recovers the true population vector
-exactly.  Plans serialize to one flat JSON object marked ``"format": 2``.
+(:func:`prefix_counts`), only the pools whose outcome decides whether a
+child is tested, and descends only through positive pools, so a noiseless
+run recovers the true population vector exactly.  Plans serialize to one
+flat JSON object marked ``"format": 2``.
 
 Preorder numbers are closed-form.  A tree over m items has 2m - 1 nodes, so
 the root over ``perm[s:e]`` that follows j earlier roots is node 2s - j, the
@@ -75,9 +75,11 @@ test count per truth.  A child is tested when a pool that
 mode, for a right child, its left sibling's.  So the executor answers only
 internal nodes' pools, and in inference mode their left children's, and
 counts each truth's positive ones lane by lane, several truths to a 64-bit
-word (``priors.positive_pools``).  A depth-first walk that records each
-tested pool in order, ``walk_plan`` in ``tests/helpers.py``, is the
-reference it is tested against.
+word (:func:`positive_pools`).  The lanes are the executor's own, as only
+nested pools need them: a test matrix's rows are flat, and
+``nonadaptive.run_nonadaptive`` answers them by gathering their ids.  A
+depth-first walk that records each tested pool in order, ``walk_plan`` in
+``tests/helpers.py``, is the reference it is tested against.
 :func:`expected_tests` gives a plan's exact expected test count in closed
 form.
 """
@@ -92,7 +94,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .partition import build_partition, combine_for_concentration
-from .priors import PriorVector, ValueEq, index_array, positive_pools, prefix_counts, truth_array, whole_number
+from .priors import PriorVector, ValueEq, index_array, truth_array, whole_number
 
 CONSTRUCTIONS = ("max_entropy", "shannon_fano", "huffman")
 PLAN_FORMAT = 2
@@ -531,6 +533,70 @@ def build_prepartitioned_plan(
     )
 
 
+def word_lanes(n: int) -> int:
+    """How many truths one 64-bit word of :func:`prefix_counts` packs when
+    its counts run to n, one lane each of the smallest unsigned type that
+    holds n: 8 below n = 256, 4 below 65,536, 2 below 2^32, else 1."""
+    return 8 // np.min_scalar_type(n).itemsize
+
+
+def prefix_counts(truths: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The defectives among ``index[:j]`` for every j and every row of a
+    (T, n) bool block, item-major: row j of the result, len(index) + 1
+    rows in all, holds the T counts, each a lane of the smallest unsigned
+    type that holds len(index).
+
+    One truth has one lane to a word, its own type.  A block of two or more
+    packs :func:`word_lanes` lanes into each uint64 word, truth t in lane
+    t % L of word t // L, and leaves the last word's spare lanes at 0.
+    Numbers that no lane can exceed add lane by lane in their words, with
+    no carry from one lane into the next.  No count exceeds len(index), so
+    one running sum of words counts L truths at once."""
+    rows, n = truths.shape
+    lane = np.min_scalar_type(len(index))
+    if rows == 1:
+        # The truth's bytes widen as they are summed, which spares a pass
+        # over the counts.
+        counts = np.zeros((len(index) + 1, 1), dtype=lane)
+        np.cumsum(truths[0].view(np.uint8)[index], dtype=lane, out=counts[1:, 0])
+        return counts
+    per = word_lanes(len(index))
+    width = -(-rows // per)
+    counts = np.zeros((len(index) + 1, width), dtype=np.uint64)
+    lanes = np.zeros((n, width * per), dtype=lane)
+    # numpy copies a transpose one short inner row at a time, so a block
+    # of one word is laid out truth by truth.
+    if width == 1:
+        for t, truth in enumerate(truths):
+            lanes[:, t] = truth
+    else:
+        lanes[:, :rows] = truths.T
+    # take gathers rows several times faster than an index does, and with
+    # mode="clip" (every index is valid) straight into counts, as cumsum
+    # then sums in place.
+    lanes.view(np.uint64).take(index, axis=0, out=counts[1:], mode="clip")
+    np.cumsum(counts[1:], axis=0, out=counts[1:])
+    return counts
+
+
+def positive_pools(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """How many of the pools ``index[lo[k]:hi[k]]``, at most len(index) of
+    them, hold a defective, for each lane of ``counts`` from
+    :func:`prefix_counts`, as int64: a pool holds one when its range's
+    counts differ.  A count never falls, so each word's difference is its
+    lanes' differences, and the 0-or-1 lanes add up per truth in one sum
+    of words."""
+    lane = np.min_scalar_type(len(counts) - 1)
+    gap = counts.take(hi, axis=0)
+    base = counts.take(lo, axis=0)
+    if gap.dtype == lane:  # one lane to a word
+        return np.count_nonzero(gap != base, axis=0)
+    gap -= base
+    lanes = gap.view(lane)
+    np.not_equal(lanes, 0, out=lanes, casting="unsafe")
+    return (np.ones(len(gap), dtype=gap.dtype) @ gap).view(lane).astype(np.int64)
+
+
 def _tested_children(plan: NestedPlan) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The pools, as ranges (lo, hi) of ``perm`` in internal node order,
     whose being positive gets each internal node's left and its right child
@@ -555,28 +621,12 @@ def _recovered(plan: NestedPlan, truths: np.ndarray) -> np.ndarray:
     return recovered
 
 
-def _run(plan: NestedPlan, truths: np.ndarray, eps: float) -> AdaptiveRunResult:
-    """The recovered vectors and test counts of one truth or of every row of
-    a (T, n) block, over the last axis.  Only the pools that
-    :func:`_tested_children` reads are answered, from the block's
-    :func:`priors.prefix_counts`."""
-    if eps > 0.0 and plan.mu_covered < eps:
-        return AdaptiveRunResult(np.zeros(truths.shape, dtype=bool), np.zeros(truths.shape[:-1], dtype=np.int64))
-    block = truths.reshape(-1, plan.n)
-    counts = prefix_counts(block, plan.perm)
-    first, second = _tested_children(plan)
-    left_tests = positive_pools(counts, *first)[: len(block)]
-    right_tests = left_tests if second is first else positive_pools(counts, *second)[: len(block)]
-    # [()] gives one truth's count as a scalar and a block's as its array.
-    tests = (plan.root_count + left_tests + right_tests).reshape(truths.shape[:-1])[()]
-    return AdaptiveRunResult(_recovered(plan, truths), tests)
-
-
 def run_adaptive(plan: NestedPlan, truth: np.ndarray, eps: float = 0.0) -> AdaptiveRunResult:
     """Execute a plan with noiseless OR pools against a bool truth of length
     n, or against each row of a (T, n) block of truths in one numpy pass,
-    which counts the block several truths to a 64-bit word and answers only
-    the pools whose outcome decides whether a child is tested.
+    which counts the block several truths to a 64-bit word
+    (:func:`prefix_counts`) and answers only the pools whose outcome decides
+    whether a child is tested (:func:`_tested_children`).
 
     Every root is tested, then the children of each positive pool.  With
     ``counts_both_children`` both children are measured.  Otherwise the left
@@ -588,7 +638,17 @@ def run_adaptive(plan: NestedPlan, truth: np.ndarray, eps: float = 0.0) -> Adapt
     the truth is nonzero, which happens with probability at most the covered
     mass.  Pass ``eps=0`` to disable the shortcut.
     """
-    return _run(plan, truth_array(plan.n, truth, block=True), eps)
+    truths = truth_array(plan.n, truth, block=True)
+    if eps > 0.0 and plan.mu_covered < eps:
+        return AdaptiveRunResult(np.zeros(truths.shape, dtype=bool), np.zeros(truths.shape[:-1], dtype=np.int64))
+    block = truths.reshape(-1, plan.n)
+    counts = prefix_counts(block, plan.perm)
+    first, second = _tested_children(plan)
+    left_tests = positive_pools(counts, *first)[: len(block)]
+    right_tests = left_tests if second is first else positive_pools(counts, *second)[: len(block)]
+    # [()] gives one truth's count as a scalar and a block's as its array.
+    tests = (plan.root_count + left_tests + right_tests).reshape(truths.shape[:-1])[()]
+    return AdaptiveRunResult(_recovered(plan, truths), tests)
 
 
 def expected_tests(plan: NestedPlan, p: PriorVector) -> float:

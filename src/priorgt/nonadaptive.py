@@ -25,20 +25,20 @@ items, the clipped CDF with its guide table, the row and draw counts and the
 band label, plus the individually tested items and the zero set.  Its ids
 are drawn on demand by one generator, max(1, CHUNK // g) rows at a time, so
 a temporary holds at most ``CHUNK`` draws; a wider row is drawn ``CHUNK``
-at a time and comes as its distinct ids.  PCG64 spends one 64-bit output
-per double, so the chunks hold exactly the ids of one (t, g) draw, up to a
-wide row's order and repeats.  The same law serves any seed.
+at a time, until it holds every item it can draw, and comes as its
+distinct ids.  PCG64 spends one 64-bit output per double, so the chunks
+hold exactly the ids of one (t, g) draw, up to a wide row's order and
+repeats.  The same law serves any seed.
 
 Row counts are T4's budget ``bounds.sampled_budget`` rounded up; its slack
 is checked by ``bounds.check_delta``.  A matrix is stored in compressed
-sparse row form and compares by value (``priors.ValueEq``).  Every row is
-measured from the truth's ``priors.prefix_counts`` over ``indices``, the
-count that answers an adaptive plan's pools over ``perm``: a row is
-positive when the counts at its ends differ.  Every negative row is
-cleared in one scatter.  Repeated draws change neither, so sampled rows
-keep each id once; for the same reason :func:`measure_design` measures the
-drawn chunks directly, without sorting or deduplicating them, for Monte
-Carlo runs.
+sparse row form and compares by value (``priors.ValueEq``).  A row is
+positive when any of its ids is defective, so :func:`run_nonadaptive`
+gathers the truth at ``indices`` and ORs each non-empty row's run in one
+``reduceat``.  Every negative row is cleared in one scatter.  Repeated
+draws change neither, so sampled rows keep each id once; for the same
+reason :func:`measure_design` measures the drawn chunks directly, without
+sorting or deduplicating them, for Monte Carlo runs.
 
 :func:`measure_design` also stops drawing a block once every clear item in
 it is cleared and skips the rest with ``PCG64.advance``; its docstring shows
@@ -59,7 +59,7 @@ import numpy as np
 
 from .bounds import check_delta, sampled_budget
 from .partition import build_partition
-from .priors import INT64_MAX, PriorVector, ValueEq, index_array, prefix_counts, truth_array, whole_number
+from .priors import INT64_MAX, PriorVector, ValueEq, index_array, truth_array, whole_number
 
 # Draws per chunk.  A design's ids are drawn and consumed max(1, CHUNK // g)
 # rows at a time, so temporaries stay cache-sized however many rows it has,
@@ -219,7 +219,10 @@ def _block_chunks(block: BlockLaw, rng) -> Iterator[np.ndarray]:
     mask over the block's items and comes as a (1, k) array of its k
     distinct ids, ascending: measuring and the matrix ignore the order and
     repeats of a row's ids, and no temporary holds more than ``CHUNK``
-    draws.
+    draws.  Drawing stops once the mask holds every item whose CDF step is
+    above 0, the only items a uniform can land on, and the row's unread
+    uniforms are skipped with ``PCG64.advance``: later draws could add no
+    id, and the generator ends where the whole row's draw would.
     """
     rows = max(1, CHUNK // block.g)
     for lo in range(0, block.t, rows):
@@ -227,8 +230,12 @@ def _block_chunks(block: BlockLaw, rng) -> Iterator[np.ndarray]:
             yield _inverse_cdf(block, rng.random((min(rows, block.t - lo), block.g)))
             continue
         mask = np.zeros(len(block.items), dtype=bool)
-        for drawn in range(0, block.g, CHUNK):
-            mask[_inverse_cdf(block, rng.random(min(CHUNK, block.g - drawn)))] = True
+        drawable, drawn = np.count_nonzero(np.diff(block.cdf, prepend=0.0)), 0
+        while drawn < block.g and np.count_nonzero(mask) < drawable:
+            size = min(CHUNK, block.g - drawn)
+            mask[_inverse_cdf(block, rng.random(size))] = True
+            drawn += size
+        rng.bit_generator.advance(block.g - drawn)
         yield np.flatnonzero(mask)[None]
 
 
@@ -419,9 +426,12 @@ def decode_comp(m: TestMatrix, outcomes: Sequence[int]) -> np.ndarray:
 
 def run_nonadaptive(m: TestMatrix, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measure every row against a bool truth of length n (noiseless OR) and
-    decode: ``(outcomes, recovered)``, both bool arrays."""
-    counts = prefix_counts(truth_array(m.n, truth)[None], m.indices)[:, 0]
-    positive = counts[m.indptr[1:]] > counts[m.indptr[:-1]]
+    decode: ``(outcomes, recovered)``, both bool arrays.  The non-empty rows
+    are answered by one OR of their gathered ids, and empty rows stay
+    negative: ``reduceat`` would read an empty row's next id."""
+    rows = np.flatnonzero(np.diff(m.indptr))
+    positive = np.zeros(m.t, dtype=bool)
+    positive[rows] = np.logical_or.reduceat(truth_array(m.n, truth)[m.indices], m.indptr[rows])
     return positive, decode_comp(m, positive)
 
 

@@ -215,7 +215,7 @@ def run_all_checks(seed: int = 20240801) -> list[CheckResult]:
     whole number of at least 0."""
     from .adaptive import build_plan
     from .bounds import adaptive_expected_upper
-    from .nonadaptive import build_cca_matrix
+    from .nonadaptive import sample_cca
     from .priors import generate_prior
 
     seed = whole_number("seed", seed, 0, math.inf)
@@ -273,7 +273,7 @@ def run_all_checks(seed: int = 20240801) -> list[CheckResult]:
             if not exhaustive_decode_check(plan, p):
                 return False, f"adaptive decode mismatch at n={k}"
         p = generate_prior("uniform", 10, 1.0)
-        m = build_cca_matrix(p, t=5, g=4, seed=seed)
+        m = sample_cca(p, 5, 4, seed).to_matrix()
         check = exhaustive_decode_check(m, p)
         if not check:
             return False, "matrix decode missed a defective"

@@ -21,9 +21,9 @@ One trial loop, :func:`_run_trials`, serves campaigns and success curves.
 Every plan, whole-vector or pre-partitioned, is built once per sweep point
 and run by ``adaptive.run_adaptive`` on a block of trials' truths, drawn by
 one :func:`draw_truth` call, one run per plan and block.  The executor
-counts a block several truths to a 64-bit word, ``priors.word_lanes(n)`` of
-them, so a wider block costs it less per truth, and one word costs about the
-same however few of its lanes are filled.  A block holds
+counts a block several truths to a 64-bit word, ``adaptive.word_lanes(n)``
+of them, so a wider block costs it less per truth, and one word costs about
+the same however few of its lanes are filled.  A block holds
 :func:`truth_block` trials: at most ``TRUTH_BLOCK_CELLS`` truth bits, 32
 trials at n = 1000, but never fewer than one word's lanes, 4 trials at
 n = 10,000 and 2 beyond n = 65,535, so memory does not grow with the trial
@@ -274,10 +274,10 @@ def trial_seeds(base_seed: int, point_index: int, trials: int) -> list[tuple[int
 
 def truth_block(n: int) -> int:
     """Trials in one block of stacked truths at n: ``TRUTH_BLOCK_CELLS // n``,
-    or one executor word's lanes, ``priors.word_lanes(n)``, when that is
+    or one executor word's lanes, ``adaptive.word_lanes(n)``, when that is
     more.  A word runs in about the same time with any of its lanes filled, so
     a block smaller than a word would pay for a lane it leaves empty."""
-    return max(priors.word_lanes(n), TRUTH_BLOCK_CELLS // n)
+    return max(adaptive.word_lanes(n), TRUTH_BLOCK_CELLS // n)
 
 
 def _run_trials(p: PriorVector, built: dict, seeds: Sequence[tuple[int, int]], eps: float):

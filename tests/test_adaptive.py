@@ -431,6 +431,27 @@ def test_run_adaptive_rejects_malformed_truth_blocks():
             run_adaptive(plan, bad)
 
 
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("height", [2, 3])
+def test_blocks_of_a_few_truths_count_each_truth_as_alone(n, height):
+    # A block of two or more truths fills uint64 words of 8 lanes (n = 100)
+    # or 4 (n = 1000), so blocks of 2 and 3 leave lanes empty; one truth has
+    # one lane of its own type.  The last truth is all defective, so its
+    # counts reach len(perm).
+    p = generate_prior("exponential", n, 8.0)
+    truths = np.stack([draw_truth(p, seed) for seed in range(height - 1)] + [np.ones(n, dtype=bool)])
+    for counts_both in (True, False):
+        plan = build_plan(p, "max_entropy", counts_both_children=counts_both)
+        counts = adaptive.prefix_counts(truths, plan.perm)
+        assert counts.dtype == np.uint64 and counts.shape == (len(plan.perm) + 1, 1)
+        assert adaptive.prefix_counts(truths[:1], plan.perm).dtype == np.min_scalar_type(len(plan.perm))
+        block = run_adaptive(plan, truths)
+        for truth, tests, recovered in zip(truths, block.tests, block.recovered, strict=True):
+            alone = run_adaptive(plan, truth)
+            assert tests == alone.tests == len(walk_plan(plan, truth)[1])
+            assert np.array_equal(recovered, alone.recovered)
+
+
 def test_inference_mode_never_uses_more_tests():
     rng = np.random.default_rng(37)
     p = PriorVector(tuple(rng.uniform(0.05, 0.4, size=12)))

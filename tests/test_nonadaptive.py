@@ -253,6 +253,78 @@ def test_wide_rows_draw_at_most_a_chunk_of_uniforms_at_a_time(monkeypatch):
     assert asked and max(asked) <= CHUNK
 
 
+class _CappedGenerator(_SpyGenerator):
+    """A spy that refuses to hand out more than ``cap`` doubles in all, so a
+    sampler that would draw a huge row fails at once instead of running on."""
+
+    def __init__(self, rng, cap):
+        super().__init__(rng, [])
+        self.cap = cap
+
+    def random(self, size):
+        assert sum(self.asked) + int(np.prod(size)) <= self.cap, "drew more uniforms than a covered row needs"
+        return super().random(size)
+
+
+def test_a_wide_row_stops_drawing_once_it_holds_every_item(monkeypatch):
+    # One row of 10^12 draws over 1000 equally likely items is covered within
+    # a few chunks (about 7,500 draws on average), so no generator hands out
+    # more than 16 chunks.  The generator then ends where the whole row's
+    # draw would.
+    p = generate_prior("uniform", 1000, 1e-9)
+    design = sample_cca(p, 1, 10**12, seed=6)
+    real = np.random.default_rng
+    spies = []
+
+    def capped(seed):
+        spies.append(_CappedGenerator(real(seed), 16 * CHUNK))
+        return spies[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", capped)
+    m = design.to_matrix()
+    assert m.rows[0].tolist() == list(range(1000))
+    assert 0 < sum(spies[0].asked) and max(spies[0].asked) <= CHUNK
+    after = real(6)
+    after.bit_generator.advance(10**12)
+    assert np.array_equal(spies[0].rng.random(5), after.random(5))
+    truth = np.zeros(1000, dtype=bool)
+    truth[17] = True
+    for bits in (truth, ~truth, np.zeros(1000, dtype=bool)):
+        t, recovered = measure_design(design, bits)
+        assert t == 1 and np.array_equal(recovered, run_nonadaptive(m, bits)[1])
+
+
+@pytest.mark.parametrize("g", [CHUNK + 1, 3 * CHUNK + 5, 10 * CHUNK])
+@pytest.mark.parametrize(
+    "probs",
+    [
+        (0.02,) * 50,
+        tuple(np.linspace(0.001, 0.3, 300)),
+        (1.0,) + (0.05,) * 10 + (1.0,) + (0.1,) * 10,  # two items never drawn
+        (1 - 1e-12,) + (0.05,) * 40,  # one item drawn about once in 10^13 draws
+    ],
+    ids=["uniform-50", "linear-300", "two-certain-of-22", "one-near-certain"],
+)
+def test_wide_rows_that_stop_early_equal_one_full_draw_of_every_row(monkeypatch, probs, g):
+    # Three wide rows, each drawn until it holds every item it can draw; the
+    # rows after a stop, and measuring on the same seed, see the ids of one
+    # full (3, g) searchsorted draw.  Where an item is drawable but almost
+    # never drawn, every row is drawn whole.
+    p = PriorVector(probs)
+    design = sample_cca(p, 3, g, seed=13)
+    [reference] = _one_block_reference(design, 13)
+    expected = matrix_from_rows(p.n, [np.unique(row) for row in reference])
+    asked = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _SpyGenerator(real(seed), asked))
+    assert design.to_matrix() == expected
+    assert (sum(asked) < 3 * g) == (probs[0] != 1 - 1e-12)
+    rng = np.random.default_rng(5)
+    for truth in (np.zeros(p.n, dtype=bool), rng.random(p.n) < 0.05, rng.random(p.n) < 0.5):
+        t, recovered = measure_design(design, truth)
+        assert t == 3 and np.array_equal(recovered, run_nonadaptive(expected, truth)[1])
+
+
 def test_measuring_holds_one_chunk_of_draws():
     # About 2M draws; the whole (t, g) block of ids alone would take 15 MiB.
     p = generate_prior("uniform", 1000, 8.0)
@@ -513,6 +585,37 @@ def test_run_nonadaptive_trivial_cases():
     truth = np.array((1, 0, 0, 1), dtype=bool)
     _, rec = run_nonadaptive(singles, truth)
     assert rec.tolist() == truth.tolist()
+
+
+def _row_reference(n, rows, truth):
+    """Each row's OR and the COMP decode, one row at a time."""
+    outcomes = [bool(truth[list(row)].any()) for row in rows]
+    cleared = {i for row, y in zip(rows, outcomes) if not y for i in row}
+    return outcomes, [i not in cleared for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (5, [[], [0, 1], [2]]),
+        (5, [[0, 1], [], [], [3, 4]]),
+        (5, [[3], [1, 4], []]),
+        (5, [[2], [], [], []]),
+        (4, [[], [], []]),
+        (4, []),
+        (6, [[5, 1, 5, 0], [3, 3], [], [4, 2, 4, 4]]),
+    ],
+    ids=["empty-first", "empty-between", "empty-last", "empty-trailing", "all-empty", "no-rows", "repeats-unsorted"],
+)
+def test_run_nonadaptive_matches_the_per_row_reference_around_empty_rows(n, rows):
+    # reduceat would read an empty row's next id, or index past the end for
+    # a trailing one, so empty rows must come back negative on their own.
+    m = matrix_from_rows(n, rows)
+    for mask in range(1 << n):
+        truth = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
+        outcomes, recovered = run_nonadaptive(m, truth)
+        assert outcomes.shape == (len(rows),) and outcomes.dtype == recovered.dtype == np.bool_
+        assert (outcomes.tolist(), recovered.tolist()) == _row_reference(n, rows, truth)
 
 
 def test_comp_one_sidedness():

@@ -692,10 +692,9 @@ def matrices(draw):
 
 @pytest.mark.parametrize("size", [255, 256, 65_535, 65_536])
 def test_matrix_runs_match_the_per_row_reference_at_count_dtype_boundaries(size):
-    # Rows are answered from prefix counts over all ``size`` ids in the
-    # smallest unsigned type that holds ``size``: uint8 up to 255 ids, uint16
-    # up to 65,535, uint32 beyond.  An all-defective truth takes the last
-    # count to ``size``.
+    # Matrices of 255 to 65,536 ids cut at 20 random points into 21 rows,
+    # some of them empty, answered by gathering the truth at every id.  The truths are all
+    # defective, only the last id defective, sparse and all clear.
     rng = np.random.default_rng(size)
     n = 300
     ids = rng.integers(0, n, size=size)

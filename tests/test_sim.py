@@ -6,7 +6,7 @@ import pytest
 from priorgt.adaptive import build_plan, build_prepartitioned_plan
 from priorgt.bounds import adaptive_expected_upper
 from priorgt.nonadaptive import build_block_matrix, build_cca_matrix, num_tests_cca, optimal_g, run_nonadaptive
-from priorgt import nonadaptive, priors, sim
+from priorgt import adaptive, nonadaptive, sim
 from priorgt.priors import DEFAULT_EXPONENTIAL_DECAY, PriorVector, generate_prior
 from priorgt.sim import (
     ALGORITHMS,
@@ -151,7 +151,7 @@ def test_run_campaign_truth_shared_across_algorithms(monkeypatch):
 @pytest.mark.parametrize("n", [1, 25, 255, 256, 1000, 5000, 10_000, 65_535, 65_536, 100_000, 10**6])
 def test_truth_block_fills_a_word_and_keeps_the_cell_cap_above_it(n):
     block, lanes = sim.truth_block(n), 8 // np.min_scalar_type(n).itemsize
-    assert lanes == priors.word_lanes(n) and lanes == (8 if n < 256 else 4 if n < 65_536 else 2)
+    assert lanes == adaptive.word_lanes(n) and lanes == (8 if n < 256 else 4 if n < 65_536 else 2)
     # Never fewer truths than one word packs; a wider block keeps the cap.
     assert block >= lanes
     assert block == lanes or block <= TRUTH_BLOCK_CELLS // n
@@ -169,7 +169,7 @@ def test_run_trials_blocks_fill_a_word_unless_the_point_has_fewer_trials(monkeyp
     monkeypatch.setattr(sim, "draw_truth", recorded)
     plan = build_plan(p, "max_entropy")
     sim._run_trials(p, {"adaptive_me": plan}, sim.trial_seeds(0, 0, trials), eps=0.0)
-    lanes = priors.word_lanes(n)
+    lanes = adaptive.word_lanes(n)
     assert sum(drawn) == trials
     # Every block but the last is a full block, the last holds the rest.
     assert all(size == sim.truth_block(n) for size in drawn[:-1]) and 0 < drawn[-1] <= sim.truth_block(n)
