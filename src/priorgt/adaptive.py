@@ -27,17 +27,19 @@ Preorder numbers are closed-form.  A tree over m items has 2m - 1 nodes, so
 the root over ``perm[s:e]`` that follows j earlier roots is node 2s - j, the
 left child of an internal node k (hi - lo > 1) is k + 1, its right child is
 k + 2 |left range|, and the roots are the nodes that are no node's child.
-Plans are therefore built level by level over int64 arrays: the frontier is
-every range still to split, of every root at once, and one numpy pass per
-level returns all their left sizes.  The one-node references for those
-passes, ``me_split`` and ``_sf_cut``, live in ``tests/helpers.py``.  The
-constructor checks that pools are nonempty and each internal node's children
-partition it, so by induction node k's tree is the 2 |range| - 1 nodes from
-k on; as children follow parents, the roots' trees tile the nodes, and it
-checks that their ranges tile ``perm``.  A depth-first parse of the nodes in
-order accepts exactly these plans.
+The cut constructions are therefore built level by level over int64 arrays:
+the frontier is every range still to split, of every root at once, and one
+numpy pass per level returns all their left sizes.  The one-node references
+for those passes, ``me_split`` and ``_sf_cut``, live in
+``tests/helpers.py``.  The constructor checks that pools are nonempty and
+each internal node's children partition it, so by induction node k's tree
+is the 2 |range| - 1 nodes from k on; as children follow parents, the
+roots' trees tile the nodes, and it checks that their ranges tile
+``perm``.  A depth-first parse of the nodes in order accepts exactly these
+plans.
 
-Each level decides its cuts by filtered exact predicates (Shewchuk 1997):
+Each level gives a range of two items its one cut, and decides the wider
+ranges' cuts by filtered exact predicates (Shewchuk 1997):
 one ``searchsorted`` on the plan's item depths -log1p(-p) (max entropy) or
 weights (Shannon-Fano), summed over all of ``perm``, finds each range's
 candidate cut, and the sums restarting at each root decide it with numpy's
@@ -64,8 +66,9 @@ its subtrees lighter than the rounded sum s of its two lightest: 1st with
 2nd, 3rd with 4th, and so on.  Rounding is monotone, so every subtree merged
 in the round weighs at least s, and each pair is the one the heap would pop
 next.  When s absorbs the lightest weight, the root merges just its first
-two.  The heap reference ``huffman_merge`` lives in
-``tests/test_properties.py``.
+two.  A subtree's parent merges in a later round, so the rounds, read
+latest first, lay the trees out with no pass over levels.  The heap
+reference ``huffman_merge`` lives in ``tests/test_properties.py``.
 
 Truths and recovered vectors are bool arrays.  :func:`run_adaptive` is the
 one executor: it runs one truth of length n, or every row of a (T, n) block
@@ -290,10 +293,14 @@ def _me_cuts(xs: np.ndarray, sums: tuple, a: np.ndarray, b: np.ndarray) -> np.nd
     the item depths in ``perm`` order plus a +inf pad, filtered with
     ``sums`` from :func:`_root_sums` as the module docstring sets out: the
     first prefix whose depth reaches the target's, or the one before it
-    when that misses the target by no more."""
+    when that misses the target by no more.  A range of two items has the
+    one cut 1, outside the filter."""
+    cut = np.ones(len(a), dtype=np.int64)
+    wide = np.flatnonzero(b - a > 2)
+    if not len(wide):
+        return cut
+    a, b = a[wide], b[wide]
     m = b - a
-    if (m == 2).all():  # one cut each
-        return m // 2
     whole, through, before = sums
     base, reach = before[a], through[b - 1]
     # The margin, R the root's sum at b.
@@ -308,10 +315,10 @@ def _me_cuts(xs: np.ndarray, sums: tuple, a: np.ndarray, b: np.ndarray) -> np.nd
     inner = (end > 1) & (end < m)
     sure = (total > e) & ((end == 1) | (limit - short > e)) & ((end == m) | (long - limit > e))
     sure &= ~inner | (np.abs(gap) > e)
-    cut = np.minimum(end, m - 1) - (inner & (gap <= 0.0))
+    cut[wide] = np.minimum(end, m - 1) - (inner & (gap <= 0.0))
     rows = (~sure).nonzero()[0]
     if len(rows):
-        cut[rows] = _me_exact(xs, a[rows], b[rows])
+        cut[wide[rows]] = _me_exact(xs, a[rows], b[rows])
     return cut
 
 
@@ -333,10 +340,14 @@ def _sf_cuts(weights: np.ndarray, sums: tuple, a: np.ndarray, b: np.ndarray) -> 
     ``perm`` order, descending within each root, plus a +inf pad, filtered
     as in :func:`_me_cuts`: the first prefix holding half the weight, or
     the one before it when its gap is no larger.  As weights descend, two
-    gaps that clear the margin leave no earlier prefix with an equal gap."""
+    gaps that clear the margin leave no earlier prefix with an equal gap.
+    A range of two items has the one cut 1, outside the filter."""
+    cut = np.ones(len(a), dtype=np.int64)
+    wide = np.flatnonzero(b - a > 2)
+    if not len(wide):
+        return cut
+    a, b = a[wide], b[wide]
     m = b - a
-    if (m == 2).all():  # one cut each
-        return m // 2
     whole, through, before = sums
     base, reach = before[a], through[b - 1]
     # The margin, R the root's sum at b.
@@ -348,7 +359,7 @@ def _sf_cuts(weights: np.ndarray, sums: tuple, a: np.ndarray, b: np.ndarray) -> 
     i = a + end - 2
     under, over = half - (through[i] - base), (through[i + 1] - base) - half
     sure = (over > e) & ((end == 1) | ((under > e) & (np.abs(under - over) > e)))
-    cut = end - ((end > 1) & (under <= over))
+    cut[wide] = end - ((end > 1) & (under <= over))
     rows = (~sure).nonzero()[0]
     if len(rows):
         s, t = a[rows], b[rows]
@@ -356,7 +367,7 @@ def _sf_cuts(weights: np.ndarray, sums: tuple, a: np.ndarray, b: np.ndarray) -> 
         w = weights[s]
         same = np.unique(np.where(w == weights[t - 1], w.view(np.int64), -1 - rows), return_inverse=True)[1]
         _, first, pair = np.unique(same * len(weights) + t - s, return_index=True, return_inverse=True)
-        cut[rows] = _sf_exact(weights, s[first], t[first])[pair]
+        cut[wide[rows]] = _sf_exact(weights, s[first], t[first])[pair]
     return cut
 
 
@@ -373,10 +384,10 @@ def _sf_exact(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _layout(bounds: np.ndarray, split: Callable) -> tuple[np.ndarray, np.ndarray]:
     """Preorder ``lo`` and ``hi`` of trees over the consecutive ranges
-    bounds[j]:bounds[j + 1], each nonempty.
+    bounds[j]:bounds[j + 1], each nonempty, cut top down one level at a time.
 
-    ``split(k, a, b)`` gets the nodes k of the frontier with their ranges
-    [a, b) and returns their left sizes, each in 1..b - a - 1.
+    ``split(a, b)`` gets the ranges [a, b) of the frontier, each of two or
+    more items, and returns their left sizes, each in 1..b - a - 1.
     """
     starts, ends = bounds[:-1], bounds[1:]
     roots = 2 * starts - np.arange(len(starts))
@@ -386,7 +397,7 @@ def _layout(bounds: np.ndarray, split: Callable) -> tuple[np.ndarray, np.ndarray
     wide = ends - starts > 1
     k, a, b = roots[wide], starts[wide], ends[wide]
     while len(k):
-        cut = split(k, a, b)
+        cut = split(a, b)
         k, a, b = np.concatenate((k + 1, k + 2 * cut)), np.concatenate((a, a + cut)), np.concatenate((a + cut, b))
         lo[k], hi[k] = a, b
         wide = b - a > 1
@@ -395,90 +406,96 @@ def _layout(bounds: np.ndarray, split: Callable) -> tuple[np.ndarray, np.ndarray
 
 
 def _huffman(p: PriorVector, perm: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per root range, merge the two lightest subtrees until one is left;
-    weight ties break on the smallest item id.  Subtree j < len(perm) is the
-    leaf perm[j]; merged subtrees follow.  Returns each subtree's first and
-    second merged child and the first one's leaf count (-1 at a leaf), and
-    each root's subtree.
+    """Huffman trees over the root ranges bounds[j]:bounds[j + 1] of
+    ``perm``, laid out as ``perm``, ``lo`` and ``hi``.  Per root, the two
+    lightest subtrees merge until one is left; weight ties break on the
+    smallest item id.
 
-    The merges run in rounds over every root at once.  A round sorts the
-    live subtrees by (root, weight, smallest item id).  Each root then
-    pairs, in that order, all of its subtrees lighter than s, the rounded sum
-    of its two lightest: the 1st with the 2nd, the 3rd with the 4th, and so
-    on, while an odd last one waits.  When the sum absorbs the lightest, so
-    that s equals the second weight, only one subtree is lighter and the root
-    merges its first two.  Rounding is monotone, so every merged subtree
-    weighs at least s: each pair is the one a heap of (weight, smallest item
-    id) would pop next.  A root with m items needs at most m - 1 rounds,
-    typically about 2 log2(total weight / lightest weight).
+    The merges run in rounds over every root at once (module docstring): a
+    round sorts the live subtrees by (root, weight, smallest item id), and
+    each root pairs from its head all of its subtrees lighter than the
+    rounded sum s of its two lightest, or its first two when s absorbs the
+    lightest.  A root with m items needs at most m - 1 rounds, typically
+    about 2 log2(total weight / lightest weight).
+
+    The rounds, latest first, lay the trees out: a root's top is node
+    2 start - j over the range from its first item, a merged subtree's
+    first child is the next node over the same start, and its second child
+    follows the first's 2 c - 1 nodes and c items.
     """
     size, width = len(perm), np.diff(bounds)
-    total = 2 * size - len(width)
-    first, second, first_count = np.full((3, total), -1, dtype=np.int64)
-    weight, least, count = np.empty(total), np.empty(total, dtype=np.int64), np.ones(total, dtype=np.int64)
+    roots = len(width)
+    nodes = 2 * size - roots
+    # Subtree j < size is the leaf perm[j]; merged subtrees follow.  The
+    # int64 arrays share one block: freeing one that large raises glibc's
+    # dynamic trim threshold, so the heap stays resident for the executor.
+    # Separate arrays left it trimmed after each build, and prepart_scale's
+    # runs about a third slower (page faults; n = 1e4, 2-core x86-64 host).
+    weight = np.empty(nodes)
+    least, count, node, start = np.empty((4, nodes), dtype=np.int64)
+    count[:] = 1
     weight[:size], least[:size] = p.probs[perm], perm
-    # A singleton root is its leaf; the others enter the rounds.
+    # A root of one item is its leaf; the others enter the rounds.
     tops = bounds[:-1].copy()
-    root = np.repeat(np.arange(len(width)), width)
+    root = np.repeat(np.arange(roots), width)
     live = np.flatnonzero(width[root] > 1)
-    root, merged = root[live], size
-    # A root of m items needs at most m - 1 rounds.
-    for _ in range(int(width.max(initial=1)) - 1):
-        if not len(live):
-            break
+    root = root[live]
+    rounds, merged = [], size
+    while len(live):
         order = np.lexsort((least[live], weight[live], root))
         live, root = live[order], root[order]
-        step = np.concatenate(([True], root[1:] != root[:-1]))
-        head = np.flatnonzero(step)
-        group = np.cumsum(step) - 1
+        head = np.flatnonzero(np.concatenate(([True], root[1:] != root[:-1])))
+        run = np.diff(np.append(head, len(live)))
         w = weight[live]
-        lighter = np.add.reduceat(w < (w[head] + w[head + 1])[group], head, dtype=np.int64)
-        rank = np.arange(len(live)) - head[group]
-        paired = rank < 2 * np.maximum(lighter // 2, 1)[group]
-        at = np.flatnonzero(paired & (rank % 2 == 0))
-        a, b, new = live[at], live[at + 1], np.arange(merged, merged + len(at))
-        first[new], second[new], first_count[new] = a, b, count[a]
-        weight[new], least[new], count[new] = weight[a] + weight[b], np.minimum(least[a], least[b]), count[a] + count[b]
-        merged += len(at)
+        pairs = np.maximum(np.add.reduceat(w < (w[head] + w[head + 1]).repeat(run), head) >> 1, 1)
+        last = pairs.cumsum()
+        k = int(last[-1])
+        at = np.repeat(head - 2 * (last - pairs), pairs) + np.arange(0, 2 * k, 2)
+        a, b = live[at], live[at + 1]
+        new = slice(merged, merged + k)
+        weight[new], least[new], count[new] = w[at] + w[at + 1], np.minimum(least[a], least[b]), count[a] + count[b]
+        rounds.append((merged, a, b))
         # A root with two live subtrees is done once they merge.
-        done = (np.diff(np.append(head, len(live))) == 2)[group[at]]
-        tops[root[at[done]]] = new[done]
-        live = np.concatenate((live[~paired], new[~done]))
-        root = np.concatenate((root[~paired], root[at[~done]]))
-    return first, second, first_count, tops
+        done = run == 2
+        tops[root[head[done]]] = merged + last[done] - 1
+        unpaired = np.ones(len(live), dtype=bool)
+        unpaired[at] = unpaired[at + 1] = False
+        stay = np.repeat(~done, pairs)
+        live = np.concatenate((live[unpaired], np.arange(merged, merged + k)[stay]))
+        root = np.concatenate((root[unpaired], root[at[stay]]))
+        merged += k
+    node[tops], start[tops] = 2 * bounds[:-1] - np.arange(roots), bounds[:-1]
+    for first, a, b in reversed(rounds):
+        new = slice(first, first + len(a))
+        v, at, c = node[new], start[new], count[a]
+        node[a], start[a] = v + 1, at
+        node[b], start[b] = v + 2 * c, at + c
+    lo, hi = np.empty(nodes, dtype=np.int64), np.empty(nodes, dtype=np.int64)
+    lo[node], hi[node] = start, start + count
+    laid = np.empty_like(perm)
+    laid[start[:size]] = least[:size]
+    return laid, lo, hi
 
 
 def _trees(p: PriorVector, construction: str, perm: np.ndarray, bounds: np.ndarray) -> dict:
-    """One tree per root range of ``perm``, laid out level by level."""
+    """One tree per root range of ``perm``: the cut constructions laid out
+    level by level, Huffman's from its merge rounds."""
     if construction == "max_entropy":
         # p = 1 items, only at singleton roots, split nothing: depth 0 keeps
         # the sums finite.
         q = p.probs[perm]
         xs = np.append(-np.log1p(-np.where(q < 1.0, q, 0.0)), np.inf)
         sums = _root_sums(xs, bounds)
-        lo, hi = _layout(bounds, lambda k, a, b: _me_cuts(xs, sums, a, b))
+        lo, hi = _layout(bounds, lambda a, b: _me_cuts(xs, sums, a, b))
     elif construction == "shannon_fano":
         # Each root's items by descending weight, ties by item id.
         root_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
         perm = perm[np.lexsort((perm, -p.probs[perm], root_of))]
         weights = np.append(p.probs[perm], np.inf)
         sums = _root_sums(weights, bounds)
-        lo, hi = _layout(bounds, lambda k, a, b: _sf_cuts(weights, sums, a, b))
+        lo, hi = _layout(bounds, lambda a, b: _sf_cuts(weights, sums, a, b))
     elif construction == "huffman":
-        first, second, first_count, tops = _huffman(p, perm, bounds)
-        subtree = np.empty(2 * len(perm) - len(tops), dtype=np.int64)
-
-        def split(k, a, b):
-            j = subtree[k]
-            cut = first_count[j]
-            subtree[k + 1], subtree[k + 2 * cut] = first[j], second[j]
-            return cut
-
-        subtree[2 * bounds[:-1] - np.arange(len(tops))] = tops
-        lo, hi = _layout(bounds, split)
-        leaves = hi - lo == 1
-        perm, leaf_item = np.empty_like(perm), perm
-        perm[lo[leaves]] = leaf_item[subtree[leaves]]
+        perm, lo, hi = _huffman(p, perm, bounds)
     else:
         raise ValueError(f"unknown construction {construction!r}; expected one of {CONSTRUCTIONS}")
     return dict(perm=perm, lo=lo, hi=hi)

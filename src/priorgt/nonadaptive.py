@@ -35,7 +35,8 @@ is checked by ``bounds.check_delta``.  A matrix is stored in compressed
 sparse row form and compares by value (``priors.ValueEq``).  A row is
 positive when any of its ids is defective, so :func:`run_nonadaptive`
 gathers the truth at ``indices`` and ORs each non-empty row's run in one
-``reduceat``.  Every negative row is cleared in one scatter.  Repeated
+``reduceat``.  Negative rows are cleared ``CLEAR_ROWS`` rows at a time, so
+the flags and ids gathered for one scatter stay bounded.  Repeated
 draws change neither, so sampled rows keep each id once; for the same
 reason :func:`measure_design` measures the drawn chunks directly, without
 sorting or deduplicating them, for Monte Carlo runs.
@@ -66,6 +67,9 @@ from .priors import INT64_MAX, PriorVector, ValueEq, index_array, truth_array, w
 # and measuring overshoots the draw where a block is settled by less than a
 # chunk, or one row where a row is wider; such a row is drawn CHUNK at a time.
 CHUNK = 1 << 13
+# Rows per scatter of decode_comp: flagging and gathering every row's ids at
+# once copied each id of a negative row as int64 (95 MiB at n = 1e5).
+CLEAR_ROWS = 1 << 12
 
 
 def sampling_distribution(p: PriorVector) -> np.ndarray:
@@ -419,7 +423,9 @@ def decode_comp(m: TestMatrix, outcomes: Sequence[int]) -> np.ndarray:
         raise ValueError(f"outcomes must be {m.t} bools or 0/1 integers, got {positive.dtype} {positive.shape}")
     negative = ~positive
     cleared = np.zeros(m.n, dtype=bool)
-    cleared[m.indices[np.repeat(negative, np.diff(m.indptr))]] = True
+    for r in range(0, m.t, CLEAR_ROWS):
+        span = m.indptr[r : r + CLEAR_ROWS + 1]
+        cleared[m.indices[span[0] : span[-1]][np.repeat(negative[r : r + CLEAR_ROWS], np.diff(span))]] = True
     cleared[list(m.zero_assigned)] = True
     return ~cleared
 

@@ -16,6 +16,7 @@ int64 slices of that one order.  Only a merged band, see
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -152,16 +153,29 @@ def combine_for_concentration(part: Partition, p: PriorVector) -> Partition:
     ``concentration_void`` set; the concentration guarantee is then
     unavailable.  The merged band is not re-checked for balance: guarantees
     fall back on the band count staying below the measure factor.
+
+    The running mass adds each band's exactly rounded sum (``math.fsum``)
+    in turn, and a filter decides where it first reaches 1/2 from numpy's
+    band sums instead.  A floating-point addition of nonnegative terms
+    rounds by at most u = 2^-53 relative, and is exact at subnormal
+    results, so with m items in the first j bands the two running masses
+    lie within about 2 (m + j) u of each other, relative to the mass.  A
+    numpy running mass that clears 1/2 by 4 (m + j) u of itself lies on the
+    same side as the exact one; the exact per-band loop decides only when
+    the first running mass that does not clear 1/2 from below lies within
+    that margin of it.
     """
     ample = [k for k, b in enumerate(part.bands) if b.size >= part.gamma]
-    cumulative = 0.0
-    for taken, k in enumerate(ample, 1):
-        cumulative += p.restricted_mu(part.bands[k].items)
-        if cumulative >= 0.5:
-            break
-    else:
+    mass = np.cumsum([p.probs[part.bands[k].items].sum() for k in ample])
+    terms = np.cumsum([part.bands[k].size + 1 for k in ample])
+    close = np.abs(mass - 0.5) <= 4.0 * 2.0**-53 * terms * mass
+    settled = np.flatnonzero(close | (mass > 0.5))
+    taken = int(settled[0]) + 1 if len(settled) else None
+    if taken and close[taken - 1]:
+        exact = itertools.accumulate(p.restricted_mu(part.bands[k].items) for k in ample)
+        taken = next((j for j, total in enumerate(exact, 1) if total >= 0.5), None)
+    if taken is None:
         return replace(part, num_combined=len(ample), concentration_void=True)
-
     if taken == 1:
         return replace(part, num_combined=1, concentration_void=False)
 

@@ -604,12 +604,15 @@ def test_prepartitioned_plan_json_is_pinned(monkeypatch, construction, margin):
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PREPARTITIONED_PLANS[construction]
 
 
-# sha256 of the eight index arrays' bytes, in field order, of the
-# max_entropy and shannon_fano plans at n = 1e5, mu = 100, built whole and
-# pre-partitioned at eps 0.01, on the stage table's exponential prior
-# (rho = 0.99999) and on the uniform prior, whose one band makes both its
-# plans the same.  Computed with the per-range exact cuts, before the
-# filtered level builders, so the filter is held to them at scale.
+# sha256 of the eight index arrays' bytes, in field order, of each
+# construction's plans at n = 1e5, mu = 100, built whole and pre-partitioned
+# at eps 0.01, on the stage table's exponential prior (rho = 0.99999) and on
+# the uniform prior, whose one band makes both its plans the same.  The
+# max_entropy and shannon_fano rows were computed with the per-range exact
+# cuts, before the filtered level builders, so the filter is held to them at
+# scale.  The huffman rows were computed with the merge rounds that re-sorted
+# every live subtree, and agree with the heap merge of ``reference_plan`` in
+# ``test_properties.py``.
 PINNED_LARGE_PLANS = {
     ("exponential", "max_entropy"): (
         "65e5acdceca3740902f91b722c183816353f01cef811992836b7836a23b2afa2",
@@ -619,6 +622,11 @@ PINNED_LARGE_PLANS = {
         "b43815002022fa88402e40e3a6f530ff7a1183564f43ed8427ace197ac29363f",
         "bbbcd03cdd28a780b6799d39c31981ed6597cc17db81d11e07ca5c3364eebcc7",
     ),
+    ("exponential", "huffman"): (
+        "eb064fa0ee5d9de5c00e2a5f9f122755bc32d0af488a8f28c2dc12e6c233119d",
+        "d48a10cf40ded135223b94c4a54b5b5618beb9f0582785eba26a969dc1a69865",
+    ),
+    ("uniform", "huffman"): ("1584ae62bdd8c2e32c804cc5a3280f7eb36a483f2940ce9de037b5ddd182e0c6",) * 2,
     ("uniform", "max_entropy"): ("1ec6f542ec7904472953a7fe322f8bf8b251ee72a7fd9bad4faafc5abfe8682e",) * 2,
     ("uniform", "shannon_fano"): ("da68a05d91f6d7b07e7aa3dc62bd6fb95d0dc3020408e8345f038204d6bc668c",) * 2,
 }

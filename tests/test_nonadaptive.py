@@ -618,6 +618,25 @@ def test_run_nonadaptive_matches_the_per_row_reference_around_empty_rows(n, rows
         assert (outcomes.tolist(), recovered.tolist()) == _row_reference(n, rows, truth)
 
 
+def test_run_nonadaptive_matches_the_per_row_reference_across_row_chunks():
+    """COMP clears the items of a bounded number of rows at a time, so a
+    matrix of several such chunks, with empty rows, negative and positive
+    rows on both sides of each chunk edge, and a pre-cleared set, must
+    decode as a per-row loop does."""
+    rng = np.random.default_rng(31)
+    n, t = 300, 3 * nonadaptive.CLEAR_ROWS + 17
+    rows = [rng.integers(0, n, size=int(rng.integers(0, 6))) for _ in range(t)]
+    zero = frozenset(range(0, n, 37))
+    m = matrix_from_rows(n, rows, zero_assigned=zero)
+    for density in (0.003, 0.02, 0.0):
+        truth = rng.random(n) < density
+        outcomes, recovered = run_nonadaptive(m, truth)
+        expected, clear = _row_reference(n, rows, truth)
+        assert outcomes.tolist() == expected
+        assert recovered.tolist() == [ok and i not in zero for i, ok in enumerate(clear)]
+        assert 0 < outcomes.sum() < t or not truth.any()
+
+
 def test_comp_one_sidedness():
     """Recovered dominates truth componentwise outside the pre-cleared set."""
     rng = np.random.default_rng(21)

@@ -11,13 +11,13 @@ vector, also on plans over some of the items and on the pre-partitioned
 plans of the benchmark's n = 1e4 priors; and the
 closed-form E[T] must agree with full enumeration.
 
-The level-by-level builders must lay out exactly the plan of a per-node
-reference kept here: a preorder walk that asks ``me_split`` or ``_sf_cut``
-from ``tests/helpers.py``, or the Huffman merge, for one node's split at a
-time.  Deterministic cases hold the Huffman merge rounds to the heap
-reference on halving weights (one pair per round), on sums that absorb the
-lightest weight, on weight ties and on pre-partitioned plans with many
-singleton roots.  The vectorized constructor check must reject a corrupted
+The plan builders must lay out exactly the plan of a per-node reference
+kept here: a preorder walk that asks ``me_split`` or ``_sf_cut`` from
+``tests/helpers.py``, or the Huffman merge, for one node's split at a time.
+Deterministic cases hold the Huffman merge rounds to the heap reference on
+halving weights (one pair per round), on sums that absorb the lightest
+weight, on weight ties, on a merged subtree that ties leaves of the next
+round, and on pre-partitioned plans with many singleton roots.  The vectorized constructor check must reject a corrupted
 or renumbered plan, and every plan of up to three nodes, exactly when a
 recursive-descent parse of ``lo`` and ``hi``, kept here, rejects it, and
 derive the children and roots that the parse finds.
@@ -31,7 +31,8 @@ At n = 1e5 fewer than 1% of ranges may fall back.
 Band combining must give the partition of the per-band loop it replaced,
 ``combine_reference`` in ``tests/helpers.py``, on priors that fill chosen
 bands with chosen counts, so that merged, skipped, void and absent ample
-bands all occur.
+bands all occur, and on running masses on 1/2 and one ulp beside it, where
+it sums bands exactly; on the benchmark's priors it sums none exactly.
 
 Matrices have at most 12 items and may hold empty rows, repeated ids and a
 pre-cleared set.  Measuring and decoding must agree with a per-row reference,
@@ -115,6 +116,8 @@ plan_specs = st.tuples(
     st.sampled_from([None, 0.01, 0.3]),
 )
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# The prepart_scale workload's priors at n = 1e4, with eps 0.01: (family, mu, rho).
+BENCHMARK_PRIORS = [("uniform", 16.0, 0.99), ("uniform", 100.0, 0.99), ("exponential", 16.0, 0.999), ("exponential", 48.0, 0.999)]
 
 
 def make_plan(p, construction, counts_both_children, eps):
@@ -195,9 +198,8 @@ def test_executors_match_the_walk_on_plans_over_some_items(kind, counts_both_chi
 @pytest.mark.parametrize("construction", ["max_entropy", "huffman"])
 @pytest.mark.parametrize("counts_both_children", [True, False], ids=["both", "infer"])
 def test_executors_match_the_walk_on_benchmark_scale_plans(construction, counts_both_children):
-    # The prepart_scale workload's priors and eps, 20 truths each.
-    for family, mu, rho in [("uniform", 16.0, 0.99), ("uniform", 100.0, 0.99), ("exponential", 16.0, 0.999),
-                            ("exponential", 48.0, 0.999)]:
+    # 20 truths each.
+    for family, mu, rho in BENCHMARK_PRIORS:
         p = generate_prior(family, 10_000, mu, rho=rho)
         plan = build_prepartitioned_plan(p, 0.01, construction, counts_both_children)
         truths = np.stack([draw_truth(p, seed) for seed in range(20)])
@@ -488,6 +490,22 @@ def test_huffman_rounds_break_weight_ties_on_the_smallest_item(q):
     assert_huffman_merges_like_the_heap(p, [list(range(0, 39, 2)), list(range(1, 39, 2))[::-1]])
 
 
+@pytest.mark.parametrize("q", [2.0**-6, 1e-300, 0.01])
+def test_huffman_rounds_pair_a_late_leaf_with_a_tied_waiting_subtree(q):
+    """Leaves 3 and 4, of weight q, merge in the first round into a subtree
+    of weight 2q and smallest id 3.  In the second round it ties leaves 0
+    and 9, too heavy to pair in the first: the heap pairs leaf 0 with the
+    subtree, whose id 3 is smaller than 9, and leaf 9 waits again."""
+    probs = [0.0] * 10
+    probs[3] = probs[4] = q
+    probs[0] = probs[9] = q + q
+    probs[5] = probs[7] = 5 * q
+    p = PriorVector(probs)
+    for pool in ([3, 4, 0, 9, 5, 7], [9, 7, 5, 4, 3, 0], [0, 3, 9, 4]):
+        assert_huffman_merges_like_the_heap(p, [pool])
+    assert_huffman_merges_like_the_heap(p, [[9, 4, 0, 3], [1], [5, 7]])
+
+
 @pytest.mark.parametrize("eps", [0.01, 0.3])
 def test_prepartitioned_huffman_with_many_singleton_roots(eps):
     """Singleton roots of the individual route sit between the band pools;
@@ -500,6 +518,13 @@ def test_prepartitioned_huffman_with_many_singleton_roots(eps):
         widths = [plan.hi[k] - plan.lo[k] for k in plan.roots]
         assert widths.count(1) >= 20 and max(widths) > 1
         assert plan == reference_plan(*spec)
+
+
+# Priors at n = 12, eps 0.5, whose first two ample bands reach a running
+# mass of 1/2 - 2^-54, exactly 1/2 and 1/2 + 2^-53: the ulps below and above.
+HALF_BAND_MASSES = [
+    [1 / 32] * 4 + [0.125, 0.125, 0.125 + d] + [0.3] * 3 + [0.0] * 2 for d in (-(2.0**-54), 0.0, 2.0**-53)
+]
 
 
 @st.composite
@@ -531,12 +556,34 @@ def combining_priors(draw):
 @example(case=(PriorVector([0.05] * 3 + [0.0] * 9), 0.5))
 @example(case=(PriorVector([0.05, 0.1, 0.3, 0.7, 1.0] + [0.0] * 7), 0.5))
 @example(case=(PriorVector([0.25] * 3 + [0.0625] * 3 + [1 / 48, 0.0, 1.0] + [0.3] * 3), 0.5))
+# Four items of 1/32 and three near 1/8 bring the running mass to exactly
+# 1/2, or one ulp below or above it, before a third ample band of 0.3s.
+@example(case=(PriorVector(HALF_BAND_MASSES[0]), 0.5))
+@example(case=(PriorVector(HALF_BAND_MASSES[-1]), 0.5))
+@example(case=(PriorVector(HALF_BAND_MASSES[1]), 0.5))
 def test_combining_matches_the_per_band_reference(case):
     p, eps = case
     part = build_partition(p, eps)
     combined = combine_for_concentration(part, p)
     assert partition_fields(combined) == partition_fields(combine_reference(part, p))
     assert all(b.items.dtype == np.int64 and not b.items.flags.writeable for b in combined.bands)
+
+
+def test_combining_sums_bands_exactly_only_near_one_half(monkeypatch):
+    """numpy's band sums settle the prepart_scale priors at n = 1e4 without
+    one exact band sum; a running mass on 1/2 or one ulp beside it falls
+    back on the exact per-band loop, which sums each band it adds."""
+    calls = []
+    exact = PriorVector.restricted_mu
+    monkeypatch.setattr(PriorVector, "restricted_mu", lambda self, items: calls.append(len(items)) or exact(self, items))
+    cases = [(generate_prior(f, 10_000, mu, rho=rho), 0.01) for f, mu, rho in BENCHMARK_PRIORS]
+    cases += [(PriorVector(probs), 0.5) for probs in HALF_BAND_MASSES]
+    for p, eps in cases:
+        part = build_partition(p, eps)
+        calls.clear()
+        combined = combine_for_concentration(part, p)
+        assert calls == ([] if eps == 0.01 else [4, 3] if combined.num_combined == 2 else [4, 3, 3])
+        assert partition_fields(combined) == partition_fields(combine_reference(part, p))
 
 
 def walk_check(n, perm, lo, hi, auto_defective, auto_clear):
