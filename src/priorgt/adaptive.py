@@ -105,6 +105,7 @@ _STORED_FIELDS = ("perm", "lo", "hi", "auto_defective", "auto_clear")
 # Plan JSON's index keys in order, the derived left, right and roots among them.
 _INDEX_FIELDS = ("perm", "lo", "hi", "left", "right", "roots", "auto_defective", "auto_clear")
 _PARTITION = "children must partition their parent into nonempty pools"
+_IDS = "plan item ids must be distinct and lie in 0..n-1"
 # The root ranges share one padded block unless that wastes more than this
 # many cells beyond twice their length.
 _ONE_BLOCK_CELLS = 1 << 12
@@ -147,6 +148,14 @@ class NestedPlan(ValueEq):
     any integer sequences and hold them as 1-D, read-only int64 arrays;
     float or bool values are refused, not truncated.  Plans compare and hash
     by value.
+
+    ``internal`` holds each internal node's range [lo, hi) of ``perm``, in
+    node order, and the end of its left child's range [lo, mid), as
+    read-only (lo, mid, hi), 24 bytes per internal node.  Every run reads
+    it, and the constructor's partition check gathers exactly these arrays,
+    so it keeps them: deriving them per call made ``run_adaptive`` about 15%
+    slower at n = 1e3 and 30% slower pre-partitioned at n = 1e4 (2-core
+    host).
     """
 
     n: int
@@ -167,17 +176,25 @@ class NestedPlan(ValueEq):
             raise ValueError(f"unknown construction {self.construction!r}; expected one of {CONSTRUCTIONS}")
         perm, lo, hi = self.perm, self.lo, self.hi
         ids = np.concatenate((perm, self.auto_defective, self.auto_clear))
-        if len(ids) and (ids.min() < 0 or int(ids.max()) >= self.n or np.bincount(ids).max() > 1):
-            raise ValueError("plan item ids must be distinct and lie in 0..n-1")
+        if len(ids) and (ids.min() < 0 or int(ids.max()) >= self.n):
+            raise ValueError(_IDS)
+        seen = np.zeros(self.n, dtype=bool)
+        seen[ids] = True
+        if np.count_nonzero(seen) < len(ids):
+            raise ValueError(_IDS)
         if len(hi) != len(lo):
             raise ValueError("lo and hi need one entry per node")
         inner, b, roots = _links(lo, hi)
         a = inner + 1
-        if not ((lo[a] == lo[inner]) & (hi[a] == lo[b]) & (hi[b] == hi[inner])).all():
+        internal = lo[inner], hi[a], hi[inner]
+        if not ((lo[a] == internal[0]) & (internal[1] == lo[b]) & (hi[b] == internal[2])).all():
             raise ValueError(_PARTITION)
+        for arr in internal:
+            arr.flags.writeable = False
         bounds = np.concatenate(([0], hi[roots]))
         if (lo[roots] != bounds[:-1]).any() or bounds[-1] != len(perm):
             raise ValueError("root pools must tile perm in order")
+        object.__setattr__(self, "internal", internal)
 
     @cached_property
     def _derived(self) -> tuple[np.ndarray, ...]:
@@ -195,16 +212,6 @@ class NestedPlan(ValueEq):
     def root_count(self) -> int:
         """The roots' number: a tree over m items has 2m - 1 nodes."""
         return 2 * len(self.perm) - len(self.lo)
-
-    @cached_property
-    def internal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each internal node's range [lo, hi) of ``perm``, in node order,
-        and the end of its left child's range [lo, mid), as (lo, mid, hi).
-        Cached, at 24 bytes per internal node, since every run reads it:
-        deriving it per call made ``run_adaptive`` about 15% slower at
-        n = 1e3 and 30% slower pre-partitioned at n = 1e4 (2-core host)."""
-        inner = np.flatnonzero(self.hi - self.lo > 1)
-        return self.lo[inner], self.hi[inner + 1], self.hi[inner]
 
     @cached_property
     def untested_items(self) -> np.ndarray:
@@ -377,7 +384,7 @@ def _sf_exact(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     doubled sum from 0 lies nearest the range's ``math.fsum`` total."""
     cut = np.empty(len(a), dtype=np.int64)
     for j, (s, e) in enumerate(zip(a.tolist(), b.tolist())):
-        gap = np.abs(2.0 * np.cumsum(weights[s : e - 1]) - math.fsum(weights[s:e].tolist()))
+        gap = np.abs(2.0 * np.cumsum(weights[s : e - 1]) - math.fsum(memoryview(weights[s:e])))
         cut[j] = int(np.argmin(gap)) + 1
     return cut
 
@@ -691,7 +698,7 @@ def expected_tests(plan: NestedPlan, p: PriorVector) -> float:
     first, second = _tested_children(plan)
     left = positive(*first)
     right = left if second is first else positive(*second)
-    return plan.root_count + math.fsum(left.tolist()) + math.fsum(right.tolist())
+    return plan.root_count + math.fsum(memoryview(left)) + math.fsum(memoryview(right))
 
 
 def run_prepartitioned_adaptive(

@@ -10,6 +10,12 @@ The plan oracles share one run of the adaptive executor over the block of
 all 2**n truth vectors; the tests hold it to a depth-first walk of the plan.
 The matrix audit measures and decodes the same truths in a few matrix
 products, against :func:`run_nonadaptive` as the reference.
+
+What depends only on n, the prior or the plan is computed once and kept,
+read-only: one truth matrix per n (at most MAX_MATRIX_ITEMS of them, under
+1 MB together), the last prior's truth weights and the last plan's executor
+pass.  Priors and plans keep their hashes, so a repeat lookup hashes no
+array.
 """
 
 from __future__ import annotations
@@ -88,7 +94,7 @@ def exact_stopping_time(p_hat: Sequence[float]) -> float:
         totals[lo : 2 * lo] = totals[:lo] + weights[i]
         parity[lo : 2 * lo] = parity[:lo] ^ 1
     signs = np.where(parity[1:] == 1, 1.0, -1.0)
-    return math.fsum((signs / totals[1:]).tolist())
+    return math.fsum(memoryview(signs / totals[1:]))
 
 
 @dataclass(frozen=True)
@@ -97,19 +103,24 @@ class ExactExpectation:
     terms: int
 
 
+@functools.lru_cache(maxsize=1)
 def _truth_weights(p: PriorVector) -> np.ndarray:
-    """Probability of every truth vector, indexed by bitmask (bit i = item i)."""
+    """Probability of every truth vector, as a read-only array indexed by
+    bitmask (bit i = item i).  The last prior's weights are kept: the
+    oracles audit several plans over one prior in a row."""
     weights = np.ones(1)
     for q in p.probs.tolist():
         weights = np.concatenate([weights * (1.0 - q), weights * q])
+    weights.flags.writeable = False
     return weights
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=MAX_MATRIX_ITEMS)
 def _truth_matrix(n: int) -> np.ndarray:
     """Every truth vector as one row of a read-only 2**n x n bool matrix, in
-    bitmask order (bit i = item i).  The oracles enumerate the same n many
-    times in a row, so the last matrix is kept."""
+    bitmask order (bit i = item i).  One matrix is kept per n, for up to
+    MAX_MATRIX_ITEMS values of n, under 1 MB together for every n up to
+    MAX_MATRIX_ITEMS: the oracles' callers interleave sizes."""
     truths = (np.arange(1 << n)[:, None] & (1 << np.arange(n))) != 0
     truths.flags.writeable = False
     return truths
@@ -119,9 +130,9 @@ def _truth_matrix(n: int) -> np.ndarray:
 def _plan_pass(plan: NestedPlan) -> AdaptiveRunResult:
     """The test count and recovered vector of ``plan`` on every truth in
     :func:`_truth_matrix` order, shortcut off, as read-only arrays.  Both
-    plan oracles read this one pass.  A plan's index fields are read-only
-    int64 arrays, and plans hash and compare by their values, so the last
-    plan's pass also serves an equal plan built again."""
+    plan oracles read this one pass, so the last plan's pass is kept.  A
+    plan's index fields are read-only int64 arrays, and plans hash and
+    compare by their values, so it also serves an equal plan built again."""
     result = run_adaptive(plan, _truth_matrix(plan.n), eps=0.0)
     result.tests.flags.writeable = result.recovered.flags.writeable = False
     return result
@@ -129,13 +140,14 @@ def _plan_pass(plan: NestedPlan) -> AdaptiveRunResult:
 
 def exact_expected_tests(plan: NestedPlan, p: PriorVector) -> ExactExpectation:
     """Exact expected test count of a plan: run the executor on every truth
-    vector, in one block, and weight by the prior."""
+    vector, in one block, and weight by the prior.  The weighted products
+    are summed exactly, read from their array."""
     n = p.n
     if plan.n != n:
         raise ValueError("plan and prior disagree on the universe size")
     if n > MAX_PLAN_ITEMS:
         raise ValueError(f"exhaustive enumeration capped at {MAX_PLAN_ITEMS} items")
-    total = math.fsum((_truth_weights(p) * _plan_pass(plan).tests).tolist())
+    total = math.fsum(memoryview(_truth_weights(p) * _plan_pass(plan).tests))
     return ExactExpectation(value=total, terms=1 << n)
 
 
@@ -197,7 +209,7 @@ def exhaustive_decode_check(target: NestedPlan | TestMatrix, p: PriorVector) -> 
         if (truths & ~recovered & checked).any():
             return DecodeCheck(passed=False)
         wrong = (recovered != truths).any(axis=1)
-        return DecodeCheck(passed=True, error_probability=math.fsum(_truth_weights(p)[wrong].tolist()))
+        return DecodeCheck(passed=True, error_probability=math.fsum(memoryview(_truth_weights(p)[wrong])))
 
     raise TypeError(f"expected a NestedPlan or TestMatrix, got {type(target).__name__}")
 

@@ -81,7 +81,11 @@ class ValueEq:
     """Compare and hash a frozen dataclass by value: objects of the same
     class are equal when their fields are, array fields compared by their
     bytes.  Objects of other classes are never equal to it.  A class with an
-    unhashable field sets ``__hash__ = None``."""
+    unhashable field sets ``__hash__ = None``.
+
+    The hash is computed once and kept on the object, the hash only and not
+    the key's bytes, which would double a large object's memory.  It is left
+    out of pickled state, because bytes hashes are salted per process."""
 
     def _key(self) -> tuple:
         values = (getattr(self, f.name) for f in fields(self))
@@ -90,8 +94,15 @@ class ValueEq:
     def __eq__(self, other) -> bool:
         return self._key() == other._key() if type(other) is type(self) else NotImplemented
 
+    _hash = cached_property(lambda self: hash(self._key()))
+
     def __hash__(self) -> int:
-        return hash(self._key())
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 def json_number(name: str, value) -> float:
@@ -151,7 +162,7 @@ class PriorVector(ValueEq):
     @cached_property
     def mu(self) -> float:
         """Expected number of defective items, sum of all p_i."""
-        return math.fsum(self.probs.tolist())
+        return math.fsum(memoryview(self.probs))
 
     @cached_property
     def entropy_bits(self) -> float:
@@ -166,7 +177,7 @@ class PriorVector(ValueEq):
         p, q = values[inner], 1.0 - values[inner]
         log_p, log_q = (np.fromiter(map(math.log2, x.tolist()), np.float64, len(x)) for x in (p, q))
         terms = (-p) * log_p - q * log_q
-        return math.fsum(np.repeat(terms, counts[inner]).tolist())
+        return math.fsum(memoryview(np.repeat(terms, counts[inner])))
 
     @cached_property
     def max_prob(self) -> float:
@@ -174,7 +185,7 @@ class PriorVector(ValueEq):
 
     def restricted_mu(self, items) -> float:
         """Sum of p_i over ``items``, exactly rounded."""
-        return math.fsum(self.probs[np.asarray(items, dtype=np.int64)].tolist())
+        return math.fsum(memoryview(self.probs[np.asarray(items, dtype=np.int64)]))
 
 
 def generate_prior(

@@ -256,3 +256,68 @@ def test_run_all_checks_green():
 def test_run_all_checks_refuses_a_seed_that_is_not_a_whole_number_of_at_least_0(seed):
     with pytest.raises(ValueError, match="seed must be a whole number"):
         run_all_checks(seed=seed)
+
+
+def clear_oracle_caches():
+    oracle._plan_pass.cache_clear()
+    oracle._truth_weights.cache_clear()
+    oracle._truth_matrix.cache_clear()
+
+
+def oracle_answers(priors, cleared):
+    """repr(E[T]) and the decode audit of every construction's plan over each
+    prior, and the CCA matrix audit, optionally with every oracle cache
+    cleared before each call."""
+    answers = []
+    for k, p in enumerate(priors):
+        for construction in ("max_entropy", "shannon_fano", "huffman"):
+            plan = build_plan(p, construction)
+            for call in (exact_expected_tests, exhaustive_decode_check):
+                if cleared:
+                    clear_oracle_caches()
+                answers.append(repr(call(plan, p)))
+        if cleared:
+            clear_oracle_caches()
+        answers.append(repr(exhaustive_decode_check(build_cca_matrix(p, t=6, g=3, seed=k), p)))
+    return answers
+
+
+def test_oracle_caches_answer_as_cleared_caches_do_with_sizes_interleaved():
+    rng = np.random.default_rng(31)
+    priors = [PriorVector(tuple(rng.uniform(0.05, 0.45, size=n))) for n in (10, 11, 12) * 2]
+    clear_oracle_caches()
+    warm = oracle_answers(priors, cleared=False)
+    assert oracle._truth_matrix.cache_info().hits > 0 and oracle._truth_weights.cache_info().hits > 0
+    assert warm == oracle_answers(priors, cleared=True)
+    # The weighted sum is the list-based exact sum, bit for bit.
+    p = priors[-1]
+    plan = build_plan(p, "huffman")
+    tests = run_adaptive(plan, oracle._truth_matrix(p.n), eps=0.0).tests
+    assert repr(exact_expected_tests(plan, p).value) == repr(math.fsum((oracle._truth_weights(p) * tests).tolist()))
+
+
+def test_truth_matrix_is_kept_read_only_once_per_n():
+    clear_oracle_caches()
+    kept = {n: oracle._truth_matrix(n) for n in range(1, oracle.MAX_MATRIX_ITEMS + 1)}
+    for n, truths in kept.items():
+        assert oracle._truth_matrix(n) is truths
+        assert not truths.flags.writeable and truths.shape == (1 << n, n)
+        assert np.array_equal(truths, (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 == 1)
+    assert oracle._truth_matrix.cache_info().currsize == oracle.MAX_MATRIX_ITEMS
+    assert sum(truths.nbytes for truths in kept.values()) < 1 << 20
+    oracle._truth_matrix(oracle.MAX_MATRIX_ITEMS + 1)
+    assert oracle._truth_matrix.cache_info().currsize == oracle.MAX_MATRIX_ITEMS
+    clear_oracle_caches()
+
+
+def test_truth_weights_are_read_only_and_equal_for_an_equal_prior():
+    probs = tuple(np.random.default_rng(37).uniform(0.05, 0.45, size=7))
+    p = PriorVector(probs)
+    weights = oracle._truth_weights(p)
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 1.0
+    assert math.fsum(weights.tolist()) == pytest.approx(1.0, abs=1e-15)
+    assert oracle._truth_weights(PriorVector(probs)) is weights
+    oracle._truth_weights.cache_clear()
+    assert oracle._truth_weights(PriorVector(probs)).tobytes() == weights.tobytes()

@@ -1,6 +1,8 @@
 import json
 import math
+import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,3 +293,33 @@ def test_prior_json_probs_must_be_a_json_list(probs):
     # A string would otherwise be read as its characters, an object as its keys.
     with pytest.raises(ValueError, match=r"^probs must be a JSON list, got "):
         prior_from_json_dict({"probs": probs})
+
+
+def test_equal_priors_and_plans_built_afresh_hash_equal_before_and_after_the_first_hash():
+    probs = tuple(np.random.default_rng(41).uniform(0.05, 0.45, size=9))
+    for build in (lambda: PriorVector(probs), lambda: build_plan(PriorVector(probs), "huffman")):
+        first, second = build(), build()
+        assert "_hash" not in first.__dict__ and "_hash" not in second.__dict__
+        assert hash(first) == hash(first._key())
+        assert "_hash" in first.__dict__ and "_hash" not in second.__dict__
+        assert hash(second) == hash(first) == hash(build())
+        assert first == second
+
+
+def test_replace_gives_a_plan_its_own_hash():
+    plan = build_plan(PriorVector((0.1, 0.2, 0.3, 0.15)), "max_entropy")
+    hash(plan)
+    other = replace(plan, counts_both_children=False)
+    assert "_hash" not in other.__dict__
+    assert hash(other) == hash(other._key()) and other != plan
+    same = replace(plan)
+    assert hash(same) == hash(plan) and same == plan
+
+
+def test_a_pickled_prior_carries_no_kept_hash():
+    p = PriorVector((0.1, 0.2, 0.3))
+    hash(p)
+    loaded = pickle.loads(pickle.dumps(p))
+    assert "_hash" not in loaded.__dict__
+    assert loaded == p and hash(loaded) == hash(p)
+    assert "_hash" in p.__dict__

@@ -56,7 +56,7 @@ def test_stage_bench_writes_every_stage_at_n_1000(tmp_path):
     assert [(row["stage"], row["n"]) for row in rows] == [(stage, 1000) for stage in STAGES_AT_1000] + [
         ("run_adaptive/4096", 12),
         ("exact_expected_tests", 12),
-    ]
+    ] + [(f"oracle_unit/{c}", 12) for c in ("max_entropy", "shannon_fano", "huffman")]
     for row in rows:
         assert set(row) == {"stage", "n", "seconds", "repeats", "calls", "peak_rss_mb"}
         assert row["seconds"] > 0 and row["repeats"] >= 1 and row["calls"] >= 1 and row["peak_rss_mb"] > 0
@@ -78,7 +78,7 @@ def test_paired_stage_bench_times_both_trees_at_n_1000(tmp_path):
     assert [(row["stage"], row["n"]) for row in rows] == [(stage, 1000) for stage in STAGES_AT_1000] + [
         ("run_adaptive/4096", 12),
         ("exact_expected_tests", 12),
-    ]
+    ] + [(f"oracle_unit/{c}", 12) for c in ("max_entropy", "shannon_fano", "huffman")]
     for row in rows:
         assert set(row) == {"stage", "n", "calls", "a_seconds", "b_seconds", "ratio", "control"}
         assert row["calls"] >= 1 and row["a_seconds"] > 0 and row["b_seconds"] > 0

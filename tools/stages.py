@@ -19,7 +19,12 @@ matrix at 1e6 would need some 2.4 GB) the CCA matrix with its outcome
 measurement and COMP decode.
 Execution is timed on one truth at every n, on blocks of 16 and 32 truths
 at n = 1e3, and on the block of all 4,096 truths at n = 12, which the exact
-oracle enumerates.  ``--stages`` keeps the stages whose names start with
+oracle enumerates.  At n = 12 the oracle's enumeration is timed alone, and
+``oracle_unit/<construction>`` times what one unit of the benchmark's
+exact_oracle workload runs: a plan build, the exact expected test count,
+the decode audit and the T2 ceiling.  Both clear the oracle's kept
+executor pass before each call, and the enumeration its kept truth weights
+too.  ``--stages`` keeps the stages whose names start with
 one of its prefixes, and builds the CCA matrix only when a matrix stage is
 kept.
 
@@ -61,7 +66,7 @@ sys.path.insert(0, str(TIMED / "src"))
 
 import numpy as np  # noqa: E402
 
-from priorgt import adaptive, nonadaptive, oracle  # noqa: E402
+from priorgt import adaptive, bounds, nonadaptive, oracle  # noqa: E402
 from priorgt.partition import build_partition  # noqa: E402
 from priorgt.priors import generate_prior  # noqa: E402
 from priorgt.sim import draw_truth, trial_seeds, truth_block  # noqa: E402
@@ -158,19 +163,38 @@ def stages(n: int, keep=lambda stage: True):
         yield "decode_comp/cca", lambda: nonadaptive.decode_comp(matrix, outcomes)
 
 
+def clear_caches(*fns) -> None:
+    """Empty the caches of ``fns``; a checkout timed by ``--against`` may
+    not cache some of them."""
+    for fn in fns:
+        getattr(fn, "cache_clear", lambda: None)()
+
+
 def oracle_stages():
-    """Execution over every truth at n = 12, and the oracle that runs it."""
+    """Execution over every truth at n = 12, the oracle that runs it, and
+    one oracle unit per construction."""
     p = generate_prior("exponential", ORACLE_N, 2.0, rho=0.8)
     plan = adaptive.build_plan(p, "max_entropy")
     truths = oracle._truth_matrix(ORACLE_N)
 
     def enumerate_truths():
-        # The oracle keeps the last plan's pass; time the pass, not the cache.
-        oracle._plan_pass.cache_clear()
+        # The oracle keeps the last plan's pass and the last prior's
+        # weights; time the enumeration, not the caches.
+        clear_caches(oracle._plan_pass, oracle._truth_weights)
         return oracle.exact_expected_tests(plan, p)
+
+    def unit(construction):
+        # The benchmark's units run a new plan each, which the kept pass
+        # never serves; here every call builds an equal plan.
+        clear_caches(oracle._plan_pass)
+        built = adaptive.build_plan(p, construction)
+        exact = oracle.exact_expected_tests(built, p)
+        return exact, oracle.exhaustive_decode_check(built, p), bounds.adaptive_expected_upper(p)
 
     yield f"run_adaptive/{len(truths)}", lambda: adaptive.run_adaptive(plan, truths)
     yield "exact_expected_tests", enumerate_truths
+    for c in adaptive.CONSTRUCTIONS:
+        yield f"oracle_unit/{c}", lambda c=c: unit(c)
 
 
 def runs(sizes: list[int], keep) -> list:
