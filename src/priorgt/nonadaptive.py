@@ -23,12 +23,14 @@ power of two, the ids equal those of a binary search over the same CDF.
 A :class:`SampledDesign` is a design's law and its seed: per block the
 items, the clipped CDF with its guide table, the row and draw counts and the
 band label, plus the individually tested items and the zero set.  Its ids
-are drawn on demand by one generator, max(1, CHUNK // g) rows at a time, so
-a temporary holds at most ``CHUNK`` draws; a wider row is drawn ``CHUNK``
-at a time, until it holds every item it can draw, and comes as its
-distinct ids.  PCG64 spends one 64-bit output per double, so the chunks
-hold exactly the ids of one (t, g) draw, up to a wide row's order and
-repeats.  The same law serves any seed.
+are drawn on demand by one generator, in chunks of at most min(CHUNK, 16 k)
+draws over a block of k items: max(1, that // g) rows at a time.  A row
+wider than ``CHUNK`` comes as its distinct ids and costs its draws, not n:
+below the block's count of drawable items it is drawn whole and sorted,
+and otherwise a chunk at a time into a mask, until it holds every item it
+can draw.  PCG64 spends one 64-bit output per double, so the chunks hold
+exactly the ids of one (t, g) draw, up to a wide row's order and repeats,
+whatever their size.  The same law serves any seed.
 
 Row counts are T4's budget ``bounds.sampled_budget`` rounded up; its slack
 is checked by ``bounds.check_delta``.  A matrix is stored in compressed
@@ -62,10 +64,11 @@ from .bounds import check_delta, sampled_budget
 from .partition import build_partition
 from .priors import INT64_MAX, PriorVector, ValueEq, index_array, truth_array, whole_number
 
-# Draws per chunk.  A design's ids are drawn and consumed max(1, CHUNK // g)
-# rows at a time, so temporaries stay cache-sized however many rows it has,
-# and measuring overshoots the draw where a block is settled by less than a
-# chunk, or one row where a row is wider; such a row is drawn CHUNK at a time.
+# Most draws per chunk.  A block of k items is drawn and consumed in chunks
+# of max(1, min(CHUNK, 16 k) // g) rows, so temporaries stay cache-sized
+# however many rows it has, and measuring overshoots the draw where a block
+# is settled by less than one chunk of the block, or one row where a row is
+# wider than CHUNK.  Blocks of 512 items or more keep CHUNK.
 CHUNK = 1 << 13
 # Rows per scatter of decode_comp: flagging and gathering every row's ids at
 # once copied each id of a negative row as int64 (95 MiB at n = 1e5).
@@ -212,33 +215,44 @@ def _inverse_cdf(block: BlockLaw, u: np.ndarray) -> np.ndarray:
 
 def _block_chunks(block: BlockLaw, rng) -> Iterator[np.ndarray]:
     """One block's ids, drawn with replacement, as (r, g) int64 arrays of
-    positions in the block's ``items`` in row order, r = max(1, CHUNK // g)
-    rows or the block's rest.  Each chunk's uniforms are drawn when it is
-    pulled, and map to ids by :func:`_inverse_cdf`: the ids equal a binary
-    search's, from the same uniforms in the same order.  PCG64 spends one
-    64-bit output per double, so successive (r, g) chunks of uniforms are
-    exactly one (t, g) block's.
+    positions in the block's ``items`` in row order, r = max(1, c // g)
+    rows or the block's rest.  A chunk holds at most c = min(CHUNK, 16 k)
+    draws, k the block's item count, so a small block settles in a small
+    chunk.  Each chunk's uniforms are drawn when it is pulled, and map to
+    ids by :func:`_inverse_cdf`: the ids equal a binary search's, from the
+    same uniforms in the same order.  PCG64 spends one 64-bit output per
+    double, so successive (r, g) chunks of uniforms are exactly one (t, g)
+    block's, whatever c is.
 
-    A row wider than ``CHUNK`` is drawn ``CHUNK`` uniforms at a time into a
-    mask over the block's items and comes as a (1, k) array of its k
-    distinct ids, ascending: measuring and the matrix ignore the order and
-    repeats of a row's ids, and no temporary holds more than ``CHUNK``
-    draws.  Drawing stops once the mask holds every item whose CDF step is
-    above 0, the only items a uniform can land on, and the row's unread
-    uniforms are skipped with ``PCG64.advance``: later draws could add no
-    id, and the generator ends where the whole row's draw would.
+    A row wider than ``CHUNK`` comes as a (1, j) array of its j distinct
+    ids, ascending: measuring and the matrix ignore the order and repeats
+    of a row's ids.  Only items whose CDF step is above 0 can be drawn; they
+    are counted once per block.  A row of fewer draws than that count can
+    never hold them all, so it is drawn whole and sorted, at a cost of its
+    draws, not of k.  A longer row is drawn c uniforms at a time into a mask
+    over the block's items, which is counted only once the row has drawn as
+    many as there are drawable items; drawing stops once the mask holds
+    them all, and the row's unread uniforms are skipped with
+    ``PCG64.advance``: later draws could add no id, and the generator ends
+    where the whole row's draw would.
     """
-    rows = max(1, CHUNK // block.g)
-    for lo in range(0, block.t, rows):
-        if block.g <= CHUNK:
+    size = min(CHUNK, 16 * len(block.items))
+    if block.g <= CHUNK:
+        rows = max(1, size // block.g)
+        for lo in range(0, block.t, rows):
             yield _inverse_cdf(block, rng.random((min(rows, block.t - lo), block.g)))
+        return
+    drawable = np.count_nonzero(np.diff(block.cdf, prepend=0.0))
+    for _ in range(block.t):
+        if block.g < drawable:
+            yield _csr_rows(_inverse_cdf(block, rng.random((1, block.g))))[1][None]
             continue
         mask = np.zeros(len(block.items), dtype=bool)
-        drawable, drawn = np.count_nonzero(np.diff(block.cdf, prepend=0.0)), 0
-        while drawn < block.g and np.count_nonzero(mask) < drawable:
-            size = min(CHUNK, block.g - drawn)
-            mask[_inverse_cdf(block, rng.random(size))] = True
-            drawn += size
+        drawn = 0
+        while drawn < block.g and (drawn < drawable or np.count_nonzero(mask) < drawable):
+            piece = min(size, block.g - drawn)
+            mask[_inverse_cdf(block, rng.random(piece))] = True
+            drawn += piece
         rng.bit_generator.advance(block.g - drawn)
         yield np.flatnonzero(mask)[None]
 
@@ -371,9 +385,9 @@ def measure_design(design: SampledDesign, truth: np.ndarray) -> tuple[int, np.nd
 
     A row is positive when any of its draws is defective; every draw of a
     negative row and the zero set are cleared.  Repeated draws change
-    neither, so rows are never sorted or deduplicated, and no more than one
-    chunk of draws is held at a time; a row wider than a chunk comes as its
-    distinct ids and counts as its g draws.
+    neither, so chunks are never sorted or deduplicated, and no more than
+    one chunk of draws, or one row wider than ``CHUNK``, is held at a time;
+    such a row comes as its distinct ids and counts as its g draws.
 
     Each block is measured only until every clear item in it is cleared;
     its later rows are never drawn.  This is exact: a negative row holds
@@ -381,10 +395,12 @@ def measure_design(design: SampledDesign, truth: np.ndarray) -> tuple[int, np.nd
     are disjoint from each other and from the route and the zero set.  A
     block with no defective is measured as its stream of t g draws in rows
     of one draw, the same doubles in the same order: each of its rows is
-    negative, so each draw clears its item whatever row it falls in, and
-    the block can stop mid-row.  Either way the stop rule is tested once
-    per chunk of at most ``CHUNK`` draws (or one wider row).  The
-    generator then skips the block's unread uniforms with
+    negative, so each draw clears its item whatever row it falls in, with
+    no positivity test, and the block can stop mid-row.  Either way the
+    stop rule is tested once per chunk of the block, at most min(CHUNK,
+    16 k) draws over its k items (or one row wider than ``CHUNK``), so a
+    block overshoots the draw that settles it by at most one chunk of the
+    block.  The generator then skips the block's unread uniforms with
     ``PCG64.advance``, which equals drawing them, one 64-bit output per
     double, so the next block gets the same ids.  ``t`` still counts every
     row of the design.
@@ -398,12 +414,13 @@ def measure_design(design: SampledDesign, truth: np.ndarray) -> tuple[int, np.nd
         drawn = 0
         # With no defective every row is negative, so each draw clears its
         # item whatever row it falls in: read the same doubles as rows of one.
-        law = block if local.any() else replace(block, t=block.t * block.g, g=1)
+        clear = not local.any()
+        law = replace(block, t=block.t * block.g, g=1) if clear else block
         chunks = _block_chunks(law, rng)
         # Test before pulling: a chunk's uniforms are spent once it is drawn.
         while not done.all() and (ids := next(chunks, None)) is not None:
             drawn += len(ids) * law.g
-            done[ids[~local[ids].any(axis=1)]] = True
+            done[ids if clear else ids[~local[ids].any(axis=1)]] = True
         rng.bit_generator.advance(block.t * block.g - drawn)
         cleared[block.items] = done & ~local
     cleared[design.route[~bits[design.route]]] = True

@@ -32,13 +32,15 @@ count.
 The sampled and block designs' laws (the partition, sampling CDFs, guide
 tables and row counts) are likewise built once per sweep point, or once
 per row budget in a success curve.  Each trial gives the law only its own
-matrix seed and measures the draws chunk by chunk: outcomes and the COMP
-decode need no sorted, deduplicated rows, so no ``TestMatrix`` is built.
-Measuring stops drawing a block once every clear item in it is cleared and
-skips its unread uniforms, which cannot change the decode or the ids of
-later blocks; a block that holds no defective is read as one stream of
-draws and may stop mid-row.  The reported tests still count every row of
-the design.
+matrix seed and measures the draws chunk by chunk, a chunk holding at most
+min(``nonadaptive.CHUNK``, 16 k) draws over a block of k items: outcomes and
+the COMP decode need no sorted, deduplicated rows, so no ``TestMatrix`` is
+built.  Measuring stops drawing a block once every clear item in it is
+cleared and skips its unread uniforms, which cannot change the decode or
+the ids of later blocks; a block that holds no defective is read as one
+stream of draws, each of which clears its item, and may stop mid-row.  A
+row wider than a chunk costs its draws, not n.  The reported tests still
+count every row of the design.
 Matrices remain for ``priorgt plan`` and the oracle, are always drawn in
 full, and running one gives the same tests and recovery on the same seed.
 """

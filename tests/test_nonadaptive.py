@@ -325,6 +325,53 @@ def test_wide_rows_that_stop_early_equal_one_full_draw_of_every_row(monkeypatch,
         assert t == 3 and np.array_equal(recovered, run_nonadaptive(expected, truth)[1])
 
 
+@pytest.mark.parametrize(
+    "probs, g",
+    [
+        ((0.001,) * (3 * CHUNK), CHUNK + 5),
+        ((0.001,) * (3 * CHUNK), 2 * CHUNK + 1),
+        ((0.001,) * 10_000, 2 * CHUNK),
+        ((1.0,) * 19_000 + (0.05,) * 1000, 3 * CHUNK),
+    ],
+    ids=["below-drawable", "below-drawable-twice", "above-drawable-uncovered", "above-drawable-covered"],
+)
+def test_rows_wider_than_a_chunk_equal_one_full_draw(monkeypatch, probs, g):
+    # Three rows of g > CHUNK draws.  Below the drawable count (every item
+    # here, or the 1,000 items with p < 1 in the last case) a row is drawn
+    # whole in one call; above it a row is drawn a chunk at a time, and
+    # stops early only where its chunks cover every drawable item.  The
+    # rows, measuring, and where the generator ends all match one full
+    # (3, g) searchsorted draw.
+    p = PriorVector(probs)
+    design = sample_cca(p, 3, g, seed=13)
+    [reference] = _one_block_reference(design, 13)
+    expected = matrix_from_rows(p.n, [np.unique(row) for row in reference])
+    real = np.random.default_rng
+    spies = []
+
+    def spied(seed):
+        spies.append(_SpyGenerator(real(seed), []))
+        return spies[-1]
+
+    def assert_ends_after_every_draw(spy):
+        after = real(13)
+        after.bit_generator.advance(3 * g)
+        assert np.array_equal(spy.rng.random(5), after.random(5))
+
+    monkeypatch.setattr(np.random, "default_rng", spied)
+    assert design.to_matrix() == expected
+    below = g < np.count_nonzero(p.probs < 1.0)
+    assert (spies[0].asked == [g] * 3) == below
+    assert below or max(spies[0].asked) <= CHUNK
+    assert (sum(spies[0].asked) < 3 * g) == (probs[0] == 1.0)
+    assert_ends_after_every_draw(spies[0])
+    rng = real(5)
+    for truth in (np.zeros(p.n, dtype=bool), rng.random(p.n) < 0.05, rng.random(p.n) < 0.5):
+        t, recovered = measure_design(design, truth)
+        assert t == 3 and np.array_equal(recovered, run_nonadaptive(expected, truth)[1])
+        assert_ends_after_every_draw(spies[-1])
+
+
 def test_measuring_holds_one_chunk_of_draws():
     # About 2M draws; the whole (t, g) block of ids alone would take 15 MiB.
     p = generate_prior("uniform", 1000, 8.0)
@@ -375,8 +422,9 @@ def _settled_draws(design, truth):
     """Per block, the draws measuring should read, replayed from the
     reference ids of one (t, g) block of uniforms: whole chunks up to the
     first row after which every clear item of the block is cleared, and at
-    most the block's t g draws.  A block with no defective is read in rows
-    of one draw, CHUNK draws a chunk."""
+    most the block's t g draws.  A chunk holds min(CHUNK, 16 k) draws over
+    a block of k items, and a block with no defective is read in rows of
+    one draw."""
     expected = []
     for block, ids in zip(design.blocks, _one_block_reference(design, design.seed), strict=True):
         local = truth[block.items]
@@ -385,32 +433,33 @@ def _settled_draws(design, truth):
         first = np.full(len(local), len(rows))
         np.minimum.at(first, rows[negative].reshape(-1), np.repeat(negative, rows.shape[1]))
         settled = first[~local].max(initial=-1) + 1
-        per = max(1, CHUNK // rows.shape[1])
+        per = max(1, min(CHUNK, 16 * len(block.items)) // rows.shape[1])
         expected.append(min(len(rows), -(-settled // per) * per) * rows.shape[1])
     return expected
 
 
 def test_measuring_stops_each_block_once_its_clear_items_are_cleared(monkeypatch):
-    # Three bands: 20 rows of 364 draws, 714 rows of 47 and 336 rows of 12.
-    # The middle band is done after its first chunk of CHUNK // 47 rows, and
-    # the last band must still draw its own ids: a quarter of its items are
-    # defective, so few of its rows come back negative, and ids drawn from
-    # the wrong uniforms leave clear items uncleared.  The first band holds
-    # no defective and is read as one stream of draws.
+    # Three bands: 20 rows of 364 draws, 714 rows of 47 and 336 rows of 12,
+    # over 75, 276 and 49 items.  The middle band is done after its first
+    # chunk of 16 * 276 // 47 rows, and the last band must still draw its
+    # own ids: a quarter of its items are defective, so few of its rows come
+    # back negative, and ids drawn from the wrong uniforms leave clear items
+    # uncleared.  The first band holds no defective and is read as one
+    # stream of draws.
     p = generate_prior("exponential", 400, 10.0)
     design = sample_block(p, eps=0.01, delta=1.0, seed=9)
     truth = draw_truth(p, 4).copy()
     last = design.blocks[-1].items
     truth[last[::4]] = True
     total = [b.t * b.g for b in design.blocks]
-    assert [(b.t, b.g) for b in design.blocks] == [(20, 364), (714, 47), (336, 12)]
+    assert [(b.t, b.g, len(b.items)) for b in design.blocks] == [(20, 364, 75), (714, 47, 276), (336, 12, 49)]
     assert [truth[b.items].any() for b in design.blocks] == [False, True, True]
     expected_draws = _settled_draws(design, truth)
     _, expected = run_nonadaptive(design.to_matrix(), truth)
     drawn = _count_drawn(monkeypatch, design)
     t, recovered = measure_design(design, truth)
     assert drawn == expected_draws
-    assert drawn[1] == CHUNK // 47 * 47 < total[1] and sum(drawn) < sum(total)
+    assert drawn[1] == 16 * 276 // 47 * 47 < total[1] and sum(drawn) < sum(total)
     assert t == design.t
     assert np.array_equal(recovered, expected)
 
@@ -450,6 +499,28 @@ def test_measuring_stops_a_block_with_no_defective_mid_row(monkeypatch):
     t, recovered = measure_design(design, truth)
     assert 0 < drawn[0] <= CHUNK < band0.g
     assert drawn == expected_draws
+    assert t == design.t
+    assert np.array_equal(recovered, expected)
+
+
+def test_a_block_with_no_defective_reads_at_most_one_chunk_of_its_size_past_settling(monkeypatch):
+    # With no defective, every block is read as rows of one draw in chunks
+    # of min(CHUNK, 16 k) draws over its k items; band0 has 111 items, so it
+    # stops within 1,776 draws of the draw that covers its last item.
+    p = generate_prior("exponential", 1000, 8.0)
+    design = sample_block(p, eps=0.01, delta=1.0, seed=9)
+    assert len(design.blocks[0].items) == 111 and design.blocks[0].label == "band0"
+    truth = np.zeros(1000, dtype=bool)
+    settled = []
+    for block, ids in zip(design.blocks, _one_block_reference(design, design.seed), strict=True):
+        first = np.full(len(block.items), block.t * block.g)
+        np.minimum.at(first, ids.reshape(-1), np.arange(ids.size))
+        settled.append(int(first.max()) + 1)
+    _, expected = run_nonadaptive(design.to_matrix(), truth)
+    drawn = _count_drawn(monkeypatch, design)
+    t, recovered = measure_design(design, truth)
+    for block, read, last in zip(design.blocks, drawn, settled, strict=True):
+        assert last <= read < last + min(CHUNK, 16 * len(block.items))
     assert t == design.t
     assert np.array_equal(recovered, expected)
 
