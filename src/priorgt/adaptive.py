@@ -73,9 +73,9 @@ reference ``huffman_merge`` lives in ``tests/test_properties.py``.
 Truths and recovered vectors are bool arrays.  :func:`run_adaptive` is the
 one executor: it runs one truth of length n, or every row of a (T, n) block
 of truths, over the last axis, and returns the recovered vectors with one
-test count per truth.  A child is tested when a pool that
-:func:`_tested_children` names is positive: its parent's, or in inference
-mode, for a right child, its left sibling's.  So the executor answers only
+test count per truth: the plan's roots and each child whose pool in the
+plan's ``tested_pools`` is positive, its parent's or, in inference mode,
+for a right child, its left sibling's.  So the executor answers only
 internal nodes' pools, and in inference mode their left children's, and
 counts each truth's positive ones lane by lane, several truths to a 64-bit
 word (:func:`positive_pools`).  The lanes are the executor's own, as only
@@ -137,25 +137,25 @@ def _links(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 class NestedPlan(ValueEq):
     """A laminar family of pools stored as ranges over one item permutation.
 
-    Node k, in preorder, tests ``perm[lo[k]:hi[k]]``.  ``left``, ``right``
-    (-1 at a leaf) and ``roots``, the first-stage pools in test order, whose
-    ranges tile ``perm``, are derived from ``lo`` and ``hi`` by the closed
-    forms of the module docstring when first read.  ``auto_defective`` and
+    Node k, in preorder, tests ``perm[lo[k]:hi[k]]``.  ``auto_defective`` and
     ``auto_clear`` hold items declared without testing; the trees cover
-    everything else.  ``mu_covered`` is the prior mass over all covered
-    items, used by the small-mass shortcut at execution time.  ``n`` is a
-    whole number of at least 1 (3.0 reads as 3).  The five index fields take
-    any integer sequences and hold them as 1-D, read-only int64 arrays;
-    float or bool values are refused, not truncated.  Plans compare and hash
-    by value.
+    everything else.  ``counts_both_children``, a bool (numpy's too), says
+    whether a run tests a positive pool's right child or infers it.
+    ``mu_covered``, a finite int or float of at least 0, is the prior mass
+    over all covered items, used by the small-mass shortcut at execution
+    time.  ``n`` is a whole number of at least 1 (3.0 reads as 3).  The five
+    index fields take any integer sequences and hold them as 1-D, read-only
+    int64 arrays; float or bool values are refused, not truncated.  Plans
+    compare and hash by value.
 
-    ``internal`` holds each internal node's range [lo, hi) of ``perm``, in
-    node order, and the end of its left child's range [lo, mid), as
-    read-only (lo, mid, hi), 24 bytes per internal node.  Every run reads
-    it, and the constructor's partition check gathers exactly these arrays,
-    so it keeps them: deriving them per call made ``run_adaptive`` about 15%
-    slower at n = 1e3 and 30% slower pre-partitioned at n = 1e4 (2-core
-    host).
+    The constructor's check derives, and the plan keeps read-only, what
+    every run reads: ``roots``, the first-stage pools' nodes in test order,
+    and ``tested_pools``, the ranges (lo, hi) of ``perm`` whose being
+    positive gets each internal node's left and right child tested, in node
+    order.  With ``counts_both_children`` that is the node's own range for
+    both, one shared tuple; otherwise a right child is tested when its left
+    sibling [lo, mid) is positive.  ``left`` and ``right`` (-1 at a leaf)
+    are derived by the closed forms of the module docstring when first read.
     """
 
     n: int
@@ -174,6 +174,12 @@ class NestedPlan(ValueEq):
             object.__setattr__(self, name, index_array(f"plan field {name}", getattr(self, name)))
         if self.construction not in CONSTRUCTIONS:
             raise ValueError(f"unknown construction {self.construction!r}; expected one of {CONSTRUCTIONS}")
+        both, mass = self.counts_both_children, self.mu_covered
+        if not isinstance(both, (bool, np.bool_)):
+            raise ValueError(f"counts_both_children must be a bool, got {both!r}")
+        object.__setattr__(self, "counts_both_children", bool(both))
+        if isinstance(mass, bool) or not isinstance(mass, (int, float)) or not 0 <= mass < math.inf:
+            raise ValueError(f"mu_covered must be a finite number of at least 0, got {mass!r}")
         perm, lo, hi = self.perm, self.lo, self.hi
         ids = np.concatenate((perm, self.auto_defective, self.auto_clear))
         if len(ids) and (ids.min() < 0 or int(ids.max()) >= self.n):
@@ -186,32 +192,36 @@ class NestedPlan(ValueEq):
             raise ValueError("lo and hi need one entry per node")
         inner, b, roots = _links(lo, hi)
         a = inner + 1
-        internal = lo[inner], hi[a], hi[inner]
-        if not ((lo[a] == internal[0]) & (internal[1] == lo[b]) & (hi[b] == internal[2])).all():
+        start, mid, end = lo[inner], hi[a], hi[inner]
+        if not ((lo[a] == start) & (mid == lo[b]) & (hi[b] == end)).all():
             raise ValueError(_PARTITION)
-        for arr in internal:
-            arr.flags.writeable = False
         bounds = np.concatenate(([0], hi[roots]))
         if (lo[roots] != bounds[:-1]).any() or bounds[-1] != len(perm):
             raise ValueError("root pools must tile perm in order")
-        object.__setattr__(self, "internal", internal)
+        for arr in (start, mid, end, roots):
+            arr.flags.writeable = False
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "tested_pools", ((start, end),) * 2 if both else ((start, end), (start, mid)))
+
+    def _children(self, side: int) -> np.ndarray:
+        """Each node's left (side 0) or right (side 1) child, -1 at a leaf:
+        k + 1 or k + 2 |left range| at an internal node k."""
+        width = self.hi - self.lo
+        inner = np.flatnonzero(width > 1)
+        child = np.full(len(width), -1, dtype=np.int64)
+        child[inner] = inner + 1 + side * (2 * width[inner + 1] - 1)
+        child.flags.writeable = False
+        return child
 
     @cached_property
-    def _derived(self) -> tuple[np.ndarray, ...]:
-        inner, right, roots = _links(self.lo, self.hi)
-        children = np.full((2, len(self.lo)), -1, dtype=np.int64)
-        children[:, inner] = inner + 1, right
-        children.flags.writeable = roots.flags.writeable = False
-        return (*children, roots)
+    def left(self) -> np.ndarray:
+        """Each node's left child, -1 at a leaf."""
+        return self._children(0)
 
-    left = property(lambda self: self._derived[0], doc="Each node's left child, -1 at a leaf.")
-    right = property(lambda self: self._derived[1], doc="Each node's right child, -1 at a leaf.")
-    roots = property(lambda self: self._derived[2], doc="The first-stage pools' nodes, in test order.")
-
-    @property
-    def root_count(self) -> int:
-        """The roots' number: a tree over m items has 2m - 1 nodes."""
-        return 2 * len(self.perm) - len(self.lo)
+    @cached_property
+    def right(self) -> np.ndarray:
+        """Each node's right child, -1 at a leaf."""
+        return self._children(1)
 
     @cached_property
     def untested_items(self) -> np.ndarray:
@@ -621,18 +631,6 @@ def positive_pools(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nda
     return (np.ones(len(gap), dtype=gap.dtype) @ gap).view(lane).astype(np.int64)
 
 
-def _tested_children(plan: NestedPlan) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The pools, as ranges (lo, hi) of ``perm`` in internal node order,
-    whose being positive gets each internal node's left and its right child
-    tested.  A positive pool's left child is tested, and so is its right
-    child with ``counts_both_children``, the same pools, returned as the same
-    tuple; otherwise the right child is tested when the left child is
-    positive, as a negative one leaves it positive."""
-    lo, mid, hi = plan.internal
-    parents = (lo, hi)
-    return parents, parents if plan.counts_both_children else (lo, mid)
-
-
 def _recovered(plan: NestedPlan, truths: np.ndarray) -> np.ndarray:
     """The truths on the items in ``perm``: every pool above a defective
     item's leaf is positive, so the leaf is reached and reads positive, and
@@ -650,7 +648,7 @@ def run_adaptive(plan: NestedPlan, truth: np.ndarray, eps: float = 0.0) -> Adapt
     n, or against each row of a (T, n) block of truths in one numpy pass,
     which counts the block several truths to a 64-bit word
     (:func:`prefix_counts`) and answers only the pools whose outcome decides
-    whether a child is tested (:func:`_tested_children`).
+    whether a child is tested, the plan's ``tested_pools``.
 
     Every root is tested, then the children of each positive pool.  With
     ``counts_both_children`` both children are measured.  Otherwise the left
@@ -660,26 +658,27 @@ def run_adaptive(plan: NestedPlan, truth: np.ndarray, eps: float = 0.0) -> Adapt
     When ``eps`` is positive and the plan's covered prior mass is below it,
     the run returns all-zero without testing; that shortcut errs only when
     the truth is nonzero, which happens with probability at most the covered
-    mass.  Pass ``eps=0`` to disable the shortcut.
+    mass.  Pass ``eps=0`` to disable the shortcut.  Either way one truth's
+    count is an int64 scalar and a block's an array.
     """
     truths = truth_array(plan.n, truth, block=True)
+    # [()] gives one truth's count as a scalar and a block's as its array.
     if eps > 0.0 and plan.mu_covered < eps:
-        return AdaptiveRunResult(np.zeros(truths.shape, dtype=bool), np.zeros(truths.shape[:-1], dtype=np.int64))
+        return AdaptiveRunResult(np.zeros(truths.shape, dtype=bool), np.zeros(truths.shape[:-1], dtype=np.int64)[()])
     block = truths.reshape(-1, plan.n)
     counts = prefix_counts(block, plan.perm)
-    first, second = _tested_children(plan)
+    first, second = plan.tested_pools
     left_tests = positive_pools(counts, *first)[: len(block)]
     right_tests = left_tests if second is first else positive_pools(counts, *second)[: len(block)]
-    # [()] gives one truth's count as a scalar and a block's as its array.
-    tests = (plan.root_count + left_tests + right_tests).reshape(truths.shape[:-1])[()]
+    tests = (len(plan.roots) + left_tests + right_tests).reshape(truths.shape[:-1])[()]
     return AdaptiveRunResult(_recovered(plan, truths), tests)
 
 
 def expected_tests(plan: NestedPlan, p: PriorVector) -> float:
     """Exact expected test count of a noiseless run with the shortcut off,
     in closed form: the number of roots plus each child's probability of
-    being tested, which :func:`_tested_children` gives from the pools'
-    probabilities of being positive.  In inference mode a right child is
+    being tested, the probability that its pool in the plan's
+    ``tested_pools`` is positive.  In inference mode a right child is
     tested when its left sibling is positive, which implies the parent is.
     A pool is positive with probability -expm1(-sum of -log1p(-p_i)) over
     its items, each range summed on its own.  Items declared without
@@ -695,10 +694,10 @@ def expected_tests(plan: NestedPlan, p: PriorVector) -> float:
     def positive(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         return -np.expm1(-np.add.reduceat(depths, np.stack((lo, hi), axis=1).ravel())[::2])
 
-    first, second = _tested_children(plan)
+    first, second = plan.tested_pools
     left = positive(*first)
     right = left if second is first else positive(*second)
-    return plan.root_count + math.fsum(memoryview(left)) + math.fsum(memoryview(right))
+    return len(plan.roots) + math.fsum(memoryview(left)) + math.fsum(memoryview(right))
 
 
 def run_prepartitioned_adaptive(

@@ -6,7 +6,8 @@ pools as lists of tuples, one max-entropy split, one Shannon-Fano cut and
 one source-code tree over a single pool.  The tests check the level
 builders against them.  ``walk_plan`` runs a plan on one truth by a
 depth-first walk with an explicit stack and records each tested pool in
-order, and the tests check both executors against it.  The trend
+order, and the tests check both executors against it; ``plan_links``
+derives a plan's children and roots node by node.  The trend
 statistics (least squares slope, one-sided Mann-Kendall) serve the
 acceptance and harness tests, and ``drawn_ids`` stacks the sampler's chunks
 for the tests that compare them with a binary search.  ``combine_reference`` is the per-band combining loop that
@@ -106,6 +107,20 @@ def sf_build_tree(items: Sequence[int], p: PriorVector, kind: str) -> NestedPlan
         raise ValueError("cannot build a tree over an empty pool")
     trees = _trees(p, kind, pool, np.array([0, len(pool)]))
     return NestedPlan(n=p.n, construction=kind, mu_covered=p.restricted_mu(pool), **trees)
+
+
+def plan_links(lo: Sequence[int], hi: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """Each node's left and right child, -1 at a leaf, and the roots, one
+    node at a time: an internal node k, over more than one item, has left
+    child k + 1 and right child k + 2 width[k + 1], and the roots are the
+    nodes that are no node's child."""
+    width = [b - a for a, b in zip(lo, hi)]
+    left, right = [-1] * len(width), [-1] * len(width)
+    for k, w in enumerate(width):
+        if w > 1:
+            left[k], right[k] = k + 1, k + 2 * width[k + 1]
+    children = set(left) | set(right)
+    return left, right, [k for k in range(len(width)) if k not in children]
 
 
 def walk_plan(

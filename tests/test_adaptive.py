@@ -307,6 +307,33 @@ def test_nested_plan_reads_n_as_a_whole_number():
             NestedPlan(n, "max_entropy", (0, 1), (0, 0, 1), (2, 1, 2))
 
 
+@pytest.mark.parametrize("mode", ["no", None, 0, 1, np.int64(1)], ids=repr)
+def test_nested_plan_refuses_a_mode_that_is_not_a_bool(mode):
+    # "no" ran as both-children and plan JSON wrote "no"; None and 0 ran in
+    # inference mode.
+    with pytest.raises(ValueError, match="counts_both_children must be a bool"):
+        NestedPlan(4, "max_entropy", **SMALL_PLAN, counts_both_children=mode)
+
+
+@pytest.mark.parametrize("mass", ["x", -1.0, -1, math.nan, math.inf, True, None, "0.5"], ids=repr)
+def test_nested_plan_refuses_a_mass_that_is_not_finite_and_at_least_0(mass):
+    # "x" raised a TypeError only at a run with eps > 0, -1.0 made the
+    # shortcut fire at every eps > 0, and nan was written into plan JSON.
+    with pytest.raises(ValueError, match="mu_covered must be a finite number of at least 0"):
+        NestedPlan(4, "max_entropy", **SMALL_PLAN, mu_covered=mass)
+
+
+def test_nested_plan_keeps_a_numpy_bool_mode_as_a_bool_and_a_mass_as_given():
+    for mode in (np.True_, np.False_):
+        plan = NestedPlan(4, "max_entropy", **SMALL_PLAN, counts_both_children=mode)
+        assert type(plan.counts_both_children) is bool and plan.counts_both_children == mode
+        assert plan == NestedPlan(4, "max_entropy", **SMALL_PLAN, counts_both_children=bool(mode))
+        assert json.dumps(plan_to_json_dict(plan)["counts_both_children"]) == json.dumps(bool(mode))
+    for mass in (0, 0.0, 2, 1.5, np.float64(0.25), 2**70):
+        plan = NestedPlan(4, "max_entropy", **SMALL_PLAN, mu_covered=mass)
+        assert plan.mu_covered is mass and json.dumps(plan_to_json_dict(plan)["mu_covered"]) == json.dumps(mass)
+
+
 def test_nested_plan_index_fields_are_read_only_int64_arrays():
     p = generate_prior("exponential", 60, 4.0)
     source = np.array([0, 1], dtype=np.int32)
@@ -419,6 +446,20 @@ def test_run_adaptive_exact_for_every_truth(construction, counts_both):
             result = run_adaptive(plan, truth, eps=0.0)
             assert result.recovered.tolist() == truth.tolist()
             assert result.tests_used == len(walk_plan(plan, truth)[1])
+
+
+@pytest.mark.parametrize("counts_both", [True, False])
+def test_the_small_mass_shortcut_returns_the_types_and_shapes_of_a_run(counts_both):
+    # The shortcut gave one truth's tests as a 0-d array, a run as a scalar.
+    p = generate_prior("uniform", 50, 0.001)
+    plan = build_plan(p, "max_entropy", counts_both_children=counts_both)
+    truths = np.stack([draw_truth(p, seed) for seed in range(3)])
+    for truth in (truths[0], truths):
+        run, shortcut = run_adaptive(plan, truth, eps=0.0), run_adaptive(plan, truth, eps=0.01)
+        assert shortcut.tests_used == 0 and not shortcut.recovered.any()
+        for a, b in ((run.tests, shortcut.tests), (run.recovered, shortcut.recovered)):
+            assert (type(a), a.dtype, a.shape) == (type(b), b.dtype, b.shape)
+    assert type(shortcut.tests) is np.ndarray and type(run_adaptive(plan, truths[0], eps=0.01).tests) is np.int64
 
 
 def test_run_adaptive_rejects_malformed_truth_blocks():

@@ -4,7 +4,9 @@ Priors have at most 10 items and may hold the extreme values 0, 1, 1e-300
 and exactly 1/2.  Every construction, built whole or pre-partitioned, must
 give a plan that passes the constructor's check, covers every item once,
 recovers every sampled truth exactly, and writes JSON whose index fields
-are its arrays, the children and roots it derives included.  Both
+are its arrays, the children and roots it derives included.  The roots
+and tested pools a plan keeps, and the children it derives, must be those
+of the node-by-node reference ``plan_links``, and read-only.  Both
 executors must agree with the depth-first walk ``walk_plan`` from
 ``tests/helpers.py`` on every truth vector, in test count and recovered
 vector, also on plans over some of the items and on the pre-partitioned
@@ -101,6 +103,7 @@ from helpers import (
     me_first_stage,
     me_split,
     partition_fields,
+    plan_links,
     sf_build_tree,
     sf_first_stage,
     walk_plan,
@@ -136,6 +139,34 @@ def test_plans_are_valid_and_cover_every_item_once(spec):
     clear_cut = 0.0 if eps is None else eps / (2 * p.n)
     assert all(p.probs[i] <= clear_cut for i in plan.auto_clear)
     assert all(p.probs[i] == 1.0 for i in plan.auto_defective)
+
+
+@PROPERTY_SETTINGS
+@given(plan_specs)
+@example(spec=(PriorVector((1.0, 0.0, 1.0, 0.0)), "max_entropy", True, None))  # every item auto-declared
+@example(spec=(PriorVector((1.0, 0.0, 1.0, 0.0)), "huffman", False, 0.3))
+@example(spec=(PriorVector((0.4,)), "shannon_fano", False, None))  # one item
+@example(spec=(PriorVector((0.4,)), "huffman", True, 0.01))
+@example(spec=(PriorVector((1.0, 0.2, 0.0, 0.3, 0.1)), "max_entropy", False, 0.01))
+def test_plans_keep_the_roots_and_tested_pools_of_the_per_node_reference(spec):
+    """The constructor's roots and tested pools, and the children derived
+    when first read, are those of ``plan_links``, and every one is
+    read-only; both-children plans share one tuple of pools."""
+    plan = make_plan(*spec)
+    lo, hi = plan.lo.tolist(), plan.hi.tolist()
+    left, right, roots = plan_links(lo, hi)
+    assert (plan.left.tolist(), plan.right.tolist(), plan.roots.tolist()) == (left, right, roots)
+    assert len(plan.roots) == 2 * len(plan.perm) - len(plan.lo)
+    inner = [k for k in range(len(lo)) if hi[k] - lo[k] > 1]
+    parents = [lo[k] for k in inner], [hi[k] for k in inner]
+    first, second = plan.tested_pools
+    assert tuple(a.tolist() for a in first) == parents
+    if plan.counts_both_children:
+        assert second is first
+    else:
+        assert tuple(a.tolist() for a in second) == (parents[0], [hi[k + 1] for k in inner])
+    for arr in (plan.left, plan.right, plan.roots, *first, *second):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
 
 
 @PROPERTY_SETTINGS
