@@ -16,9 +16,13 @@ singleton row each.
 
 Ids are drawn by inverse-CDF sampling through a guide table (Chen & Asau
 1974): a table of K buckets, K a power of two at least 2n, gives each
-uniform a start at or before its answer, and a few forward steps end on it.
-Each draw costs O(1) on average, and since u K and b/K are exact for a
-power of two, the ids equal those of a binary search over the same CDF.
+uniform a start at or before its answer, and forward steps end on it.  A
+law knows ``steps``, the most CDF entries inside one bucket: at most 1
+when every weight is at least 1/K, as when every p_i < 1/2, for then
+(1 - p_i) / (n - mu) > 1/(2n) >= 1/K.  One pass over a chunk's draws
+takes each draw's only step, and a loop steps on only where a bucket
+holds several entries.  Since u K and b/K are exact for a power of two,
+the ids equal those of a binary search over the same CDF.
 
 A :class:`SampledDesign` is a design's law and its seed: per block the
 items, the clipped CDF with its guide table, the row and draw counts and the
@@ -143,6 +147,20 @@ class TestMatrix(ValueEq):
         for name in ("indptr", "indices"):
             object.__setattr__(self, name, index_array(name, getattr(self, name)))
         object.__setattr__(self, "zero_assigned", frozenset(self.zero_assigned))
+        self._check()
+
+    @classmethod
+    def _keeping(cls, n: int, indptr: np.ndarray, indices: np.ndarray, zero_assigned: frozenset[int]) -> TestMatrix:
+        """The checked matrix over int64 arrays that nothing else holds, made
+        read-only and kept, where the constructor copies a caller's."""
+        m = cls.__new__(cls)
+        for name, value in (("n", n), ("indptr", indptr), ("indices", indices), ("zero_assigned", zero_assigned)):
+            object.__setattr__(m, name, value)
+        indptr.flags.writeable = indices.flags.writeable = False
+        m._check()
+        return m
+
+    def _check(self):
         indptr, indices = self.indptr, self.indices
         if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(indices) or (np.diff(indptr) < 0).any():
             raise ValueError("indptr must start at 0, never decrease and end at len(indices)")
@@ -175,13 +193,16 @@ def _sampling_cdf(weights: np.ndarray) -> np.ndarray:
 class BlockLaw:
     """``t`` rows of ``g`` draws each, positions in the int64 array
     ``items`` drawn from the clipped sampling CDF ``cdf`` through its guide
-    table ``guide``.  ``label`` names a block design's band, such as
+    table ``guide``, whose buckets each hold at most ``steps`` CDF entries,
+    as :func:`_block_law` sets it; ``dataclasses.replace`` keeps it with
+    ``cdf`` and ``guide``.  ``label`` names a block design's band, such as
     ``"band0"``, and is None in the whole-vector design; matrix JSON lists
     a design's blocks only when every one is labelled."""
 
     items: np.ndarray
     cdf: np.ndarray
     guide: np.ndarray
+    steps: int
     t: int
     g: int
     label: str | None = None
@@ -189,27 +210,39 @@ class BlockLaw:
 
 def _block_law(items: np.ndarray, weights: np.ndarray, t: int, g: int, label: str | None = None) -> BlockLaw:
     """The law of t rows of g draws from ``weights`` over ``items``.  Its
-    guide table has K buckets, K the smallest power of two at least 2n, and
-    ``guide[b]`` is the binary search's answer for u = b/K."""
+    guide table has K buckets, K the smallest power of two at least 2n:
+    ``guide[b]`` counts the CDF entries at most b/K, the binary search's
+    answer for u = b/K, and ``steps`` is the most entries strictly inside
+    one bucket, the most forward steps a draw takes.  An entry on a
+    bucket's edge, such as a tail clipped to 1.0, adds none."""
     cdf = _sampling_cdf(weights)
     k = 1 << (2 * len(cdf) - 1).bit_length()
-    return BlockLaw(items, cdf, np.searchsorted(cdf, np.arange(k) / k, side="right"), t, g, label)
+    # c K is exact for a power of two K: c <= b/K exactly when ceil(c K) <= b,
+    # and c < (b+1)/K exactly when floor(c K) <= b.
+    scaled = cdf * k
+    guide = np.cumsum(np.bincount(np.ceil(scaled).astype(np.intp), minlength=k + 1)[:k])
+    below = np.cumsum(np.bincount(np.floor(scaled).astype(np.intp), minlength=k + 1)[:k])
+    return BlockLaw(items, cdf, guide, int((below - guide).max()), t, g, label)
 
 
 def _inverse_cdf(block: BlockLaw, u: np.ndarray) -> np.ndarray:
     """``searchsorted(block.cdf, u, "right")`` for an array of uniforms,
     through the guide table (Chen & Asau 1974; Devroye 1986, III.2.4): a
     draw starts at ``guide[floor(u K)]`` and steps forward while
-    ``cdf[id] <= u``, at most n/K <= 1/2 steps on average.  Because K is a
-    power of two, u K and b/K are exact, so the start never passes the
-    answer and the steps stop exactly on it."""
-    cdf, guide = block.cdf, block.guide
-    ids = guide[(u * len(guide)).astype(np.intp)]
-    flat_ids, flat_u = ids.reshape(-1), u.reshape(-1)
-    todo = np.flatnonzero(cdf[flat_ids] <= flat_u)
-    while len(todo):
-        flat_ids[todo] += 1
-        todo = todo[cdf[flat_ids[todo]] <= flat_u[todo]]
+    ``cdf[id] <= u``.  Because K is a power of two, u K and b/K are exact,
+    so the start never passes the answer and the steps stop exactly on it.
+    One pass over every draw takes each its first step, the only one a law
+    with ``steps`` <= 1 needs; a loop steps on only where a bucket holds
+    several CDF entries, which takes a weight below 1/K."""
+    cdf = block.cdf
+    ids = block.guide[(u * len(block.guide)).astype(np.intp)]
+    ids += cdf[ids] <= u
+    if block.steps > 1:
+        flat_ids, flat_u = ids.reshape(-1), u.reshape(-1)
+        todo = np.flatnonzero(cdf[flat_ids] <= flat_u)
+        while len(todo):
+            flat_ids[todo] += 1
+            todo = todo[cdf[flat_ids[todo]] <= flat_u[todo]]
     return ids
 
 
@@ -304,20 +337,22 @@ class SampledDesign:
                 yield index, ids
 
     def to_matrix(self) -> TestMatrix:
-        sizes = [np.zeros(1, dtype=np.int64)]
-        indices = []
+        """The design's matrix, its ids held once: written chunk by chunk into
+        one int64 array sized for each row's most ids, min(g, k) over a
+        block of k items, then trimmed in place and kept by the matrix."""
+        indptr = np.zeros(self.t + 1, dtype=np.int64)
+        most = sum(block.t * min(block.g, len(block.items)) for block in self.blocks)
+        indices = np.empty(most + len(self.route), dtype=np.int64)
+        row = end = 0
         for index, ids in self.draws():
             row_sizes, local = _csr_rows(ids)
-            sizes.append(row_sizes)
-            indices.append(self.blocks[index].items[local])
-        sizes.append(np.ones(len(self.route), dtype=np.int64))
-        indices.append(self.route)
-        return TestMatrix(
-            n=self.n,
-            indptr=np.cumsum(np.concatenate(sizes)),
-            indices=np.concatenate(indices),
-            zero_assigned=frozenset(self.zero.tolist()),
-        )
+            indptr[row + 1 : row + 1 + len(row_sizes)] = row_sizes
+            indices[end : end + len(local)] = self.blocks[index].items[local]
+            row, end = row + len(row_sizes), end + len(local)
+        indptr[row + 1 :] = 1
+        indices[end : end + len(self.route)] = self.route
+        indices.resize(end + len(self.route), refcheck=False)
+        return TestMatrix._keeping(self.n, np.cumsum(indptr, out=indptr), indices, frozenset(self.zero.tolist()))
 
 
 def sample_cca(p: PriorVector, t: int, g: int, seed: int) -> SampledDesign:

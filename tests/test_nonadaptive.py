@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ from priorgt import nonadaptive
 from priorgt.adaptive import build_plan
 from priorgt.nonadaptive import (
     CHUNK,
+    BlockLaw,
     _sampling_cdf,
     build_block_matrix,
     build_cca_matrix,
@@ -384,6 +386,55 @@ def test_measuring_holds_one_chunk_of_draws():
         tracemalloc.stop()
     assert t == 16000
     assert peak < 4 << 20
+
+
+def test_a_matrix_holds_its_ids_once():
+    # Some 470k ids, 3.6 MiB: held per chunk, then joined, then copied by the
+    # constructor, they peaked at three times that.
+    p = generate_prior("uniform", 1000, 8.0)
+    design = sample_cca(p, 4000, 124, seed=3)
+    tracemalloc.start()
+    try:
+        m = design.to_matrix()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.indices.nbytes > 3 << 20
+    assert peak < 1.25 * m.indices.nbytes + (1 << 20)
+    # The matrix keeps the one array, trimmed, not a view of a larger one.
+    assert m.indices.base is None and len(m.indices) == m.indptr[-1]
+    for arr in (m.indptr, m.indices):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert m == matrix_from_rows(m.n, [row.tolist() for row in m.rows])
+
+
+def test_a_callers_arrays_are_copied_even_when_read_only():
+    indptr, indices = np.array([0, 1, 3]), np.array([2, 0, 1])
+    for arr in (indptr, indices):
+        arr.flags.writeable = False
+    m = TestMatrix(3, indptr, indices)
+    assert not np.shares_memory(m.indptr, indptr) and not np.shares_memory(m.indices, indices)
+    indices.flags.writeable = True
+    indices[0] = 1
+    assert m.indices.tolist() == [2, 0, 1]
+
+
+def test_a_law_keeps_its_steps_when_replaced():
+    # Zero weights put three CDF entries inside one bucket: 0.68 of K = 16.
+    law = sample_cca(PriorVector((0.0, 0.3, 1.0, 1.0, 0.2)), 3, 2, seed=0).blocks[0]
+    assert len(set(law.cdf.tolist()[1:4])) == 1 and law.steps == 3
+    # measure_design reads a block with no defective through this law.
+    stream = replace(law, t=law.t * law.g, g=1)
+    assert (stream.t, stream.g, stream.steps) == (6, 1, 3) and stream.guide is law.guide
+    # steps has no default: a law states it, or is not built.
+    (field,) = [f for f in dataclasses.fields(BlockLaw) if f.name == "steps"]
+    assert field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING
+    with pytest.raises(TypeError):
+        BlockLaw(law.items, law.cdf, law.guide, t=1, g=1)
+    p = generate_prior("exponential", 1000, 8.0, 0.99)
+    for design in (sample_cca(p, 3, 2, seed=0), sample_block(p, 0.01, 1.0, seed=0)):
+        for law in design.blocks:
+            assert law.steps == 1 == replace(law, t=law.t * law.g, g=1).steps
 
 
 @pytest.mark.parametrize(

@@ -46,11 +46,14 @@ The exhaustive matrix audit must agree with a per-truth loop over
 
 The guide-table sampler must return exactly the ids of a binary search over
 the same CDF, also for uniforms on its bucket edges and on the CDF values,
-taking its uniforms in order across chunk edges.  Measuring a sampled
-design's drawn chunks must give the tests and recovery of running its
-matrix, also at n = 1000 where designs span several chunks, and on
-multi-band block designs where measuring stops blocks early, and a success
-curve those of a per-trial matrix loop.
+taking its uniforms in order across chunk edges, both where its one pass
+answers every draw and where its loop steps on.  A law's ``steps`` must
+equal the most steps a bucket's draw walks, count no CDF entry clipped to
+1.0, and be at most 1 on every law of a prior with every p_i < 1/2.
+Measuring a sampled design's drawn chunks must give the tests and recovery
+of running its matrix, also at n = 1000 where designs span several chunks,
+and on multi-band block designs where measuring stops blocks early, and a
+success curve those of a per-trial matrix loop.
 """
 
 import heapq
@@ -61,7 +64,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from priorgt import adaptive, sim
@@ -79,6 +82,7 @@ from priorgt.adaptive import (
 from priorgt.nonadaptive import (
     CHUNK,
     TestMatrix,
+    _block_law,
     _sampling_cdf,
     build_block_matrix,
     build_cca_matrix,
@@ -894,9 +898,102 @@ def test_draw_ids_match_binary_search(n, shape, seed):
     ids = drawn_ids(fixed, weights, t, g)
     assert ids.dtype == np.int64 and fixed.used == len(u)
     assert np.array_equal(ids.reshape(-1), np.searchsorted(cdf, u, side="right"))
+    # Both branches run: equal weights, all at least 1/K, are answered by the
+    # one pass, and zero or tiny weights put several CDF entries in a bucket,
+    # so the loop steps on.
+    steps = _block_law(np.arange(n, dtype=np.int64), weights, t, g).steps
+    if shape == "equal":
+        assert steps <= 1
+    elif shape != "random" and n >= 64:
+        assert steps >= 2
     # A real generator is consumed exactly as by one (t, g) block of uniforms.
     drawn = drawn_ids(np.random.default_rng(seed), weights, 7, 5)
     assert np.array_equal(drawn, np.searchsorted(cdf, np.random.default_rng(seed).random((7, 5)), side="right"))
+
+
+def bucket_steps(cdf: np.ndarray) -> int:
+    """The most forward steps a draw of any bucket takes, each bucket's draw
+    walked on from its start, ``searchsorted(cdf, b/K, "right")``, for its
+    largest uniform, the double below (b+1)/K."""
+    k = 1 << (2 * len(cdf) - 1).bit_length()
+    most = 0
+    for b in range(k):
+        top = np.nextafter((b + 1) / k, 0.0)
+        at = int(np.searchsorted(cdf, b / k, side="right"))
+        start = at
+        while cdf[at] <= top:
+            at += 1
+        most = max(most, at - start)
+    return most
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 64, 256])),
+    st.sampled_from(["random", "zeros", "skewed", "equal", "clipped"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_law_steps_count_each_bucket(n, shape, seed):
+    """A law's guide table holds the binary search's answer at each bucket's
+    lower edge, and ``steps`` is the most forward steps any bucket's draw
+    takes, walked one at a time."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(n)
+    if shape == "zeros":
+        weights[rng.random(n) < 0.7] = 0.0
+        weights[rng.integers(n)] = 1.0
+    elif shape == "skewed":
+        weights = weights**30 + 1e-300
+    elif shape == "equal":
+        weights = np.ones(n)
+    weights /= weights.sum()
+    if shape == "clipped":
+        # A running sum that overshoots 1 before a tail of zero weights.
+        weights[: -(-n // 2)] += 1e-12
+        weights[-(-n // 2) :] = 0.0
+    law = _block_law(np.arange(n, dtype=np.int64), weights, 1, 1)
+    k = 1 << (2 * n - 1).bit_length()
+    assert np.array_equal(law.guide, np.searchsorted(law.cdf, np.arange(k) / k, side="right"))
+    assert law.guide.dtype == np.intp
+    assert type(law.steps) is int and law.steps == bucket_steps(law.cdf)
+
+
+def test_clipped_tail_adds_no_step():
+    """CDF entries clipped to 1.0 lie on the top bucket's edge: no draw
+    reaches them, so they add no step however many there are."""
+    for tail in (1, 3, 200):
+        law = _block_law(np.arange(2 + tail, dtype=np.int64), np.array([0.3, 0.7 + 1e-12] + [0.0] * tail), 1, 1)
+        assert (law.cdf[1:] == 1.0).all() and law.steps == 1 == bucket_steps(law.cdf)
+        k = len(law.guide)
+        assert int(np.searchsorted(law.cdf, 1.0, side="right")) - law.guide[k - 1] == tail + 1
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(st.integers(1, 2000), st.sampled_from([512, 1000, 1024, 2000])),
+    st.sampled_from(["random", "small", "near_half", "zeros", "equal"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.01, 0.3]),
+)
+def test_laws_below_one_half_take_one_step(n, shape, seed, eps):
+    """Every p_i < 1/2 gives each weight (1 - p_i)/(n - mu) > 1/(2n) >= 1/K,
+    so no bucket holds two CDF entries: the whole-vector law and every band
+    of the block design are answered by the guide table's one pass."""
+    rng = np.random.default_rng(seed)
+    probs = {
+        "random": rng.random(n) * 0.5,
+        "small": rng.random(n) ** 8 * 1e-3,
+        "near_half": np.full(n, np.nextafter(0.5, 0.0)) * (rng.random(n) < 0.5),
+        "zeros": np.where(rng.random(n) < 0.5, 0.0, rng.random(n) * 0.5),
+        "equal": np.full(n, rng.random() * 0.5),
+    }[shape]
+    p = PriorVector(tuple(probs.tolist()))
+    assume(p.max_prob < 0.5 and p.mu > 0.0)
+    laws = sample_cca(p, 1, 1, seed).blocks + sample_block(p, eps, 1.0, seed).blocks
+    for law in laws:
+        assert law.steps <= 1
+        if len(law.items) <= 64:
+            assert law.steps == bucket_steps(law.cdf)
 
 
 @st.composite
