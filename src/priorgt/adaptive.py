@@ -204,12 +204,11 @@ class NestedPlan(ValueEq):
         object.__setattr__(self, "tested_pools", ((start, end),) * 2 if both else ((start, end), (start, mid)))
 
     def _children(self, side: int) -> np.ndarray:
-        """Each node's left (side 0) or right (side 1) child, -1 at a leaf:
-        k + 1 or k + 2 |left range| at an internal node k."""
-        width = self.hi - self.lo
-        inner = np.flatnonzero(width > 1)
-        child = np.full(len(width), -1, dtype=np.int64)
-        child[inner] = inner + 1 + side * (2 * width[inner + 1] - 1)
+        """Each node's left (side 0) or right (side 1) child, -1 at a leaf,
+        as :func:`_links` gives them."""
+        inner, right, _ = _links(self.lo, self.hi)
+        child = np.full(len(self.lo), -1, dtype=np.int64)
+        child[inner] = right if side else inner + 1
         child.flags.writeable = False
         return child
 

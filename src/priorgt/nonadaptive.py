@@ -28,13 +28,13 @@ A :class:`SampledDesign` is a design's law and its seed: per block the
 items, the clipped CDF with its guide table, the row and draw counts and the
 band label, plus the individually tested items and the zero set.  Its ids
 are drawn on demand by one generator, in chunks of at most min(CHUNK, 16 k)
-draws over a block of k items: max(1, that // g) rows at a time.  A row
-wider than ``CHUNK`` comes as its distinct ids and costs its draws, not n:
-below the block's count of drawable items it is drawn whole and sorted,
-and otherwise a chunk at a time into a mask, until it holds every item it
-can draw.  PCG64 spends one 64-bit output per double, so the chunks hold
-exactly the ids of one (t, g) draw, up to a wide row's order and repeats,
-whatever their size.  The same law serves any seed.
+draws over a block of k items: max(1, that // g) rows at a time.  Only a
+row that can hold every drawable item (g above ``CHUNK`` and at least its
+block's drawable count) comes as its distinct ids: it is drawn a chunk at
+a time into a mask until it holds every item it can draw, so it costs its
+draws, not n.  PCG64 spends one 64-bit output per double, so the chunks
+hold exactly the ids of one (t, g) draw, up to such a row's order and
+repeats, whatever their size.  The same law serves any seed.
 
 Row counts are T4's budget ``bounds.sampled_budget`` rounded up; its slack
 is checked by ``bounds.check_delta``.  A matrix is stored in compressed
@@ -249,37 +249,34 @@ def _inverse_cdf(block: BlockLaw, u: np.ndarray) -> np.ndarray:
 def _block_chunks(block: BlockLaw, rng) -> Iterator[np.ndarray]:
     """One block's ids, drawn with replacement, as (r, g) int64 arrays of
     positions in the block's ``items`` in row order, r = max(1, c // g)
-    rows or the block's rest.  A chunk holds at most c = min(CHUNK, 16 k)
-    draws, k the block's item count, so a small block settles in a small
-    chunk.  Each chunk's uniforms are drawn when it is pulled, and map to
+    rows or the block's rest.  A chunk of several rows holds at most
+    c = min(CHUNK, 16 k) draws, k the block's item count, so a small block
+    settles in a small chunk.  Each chunk's uniforms are drawn when it is pulled, and map to
     ids by :func:`_inverse_cdf`: the ids equal a binary search's, from the
     same uniforms in the same order.  PCG64 spends one 64-bit output per
     double, so successive (r, g) chunks of uniforms are exactly one (t, g)
     block's, whatever c is.
 
-    A row wider than ``CHUNK`` comes as a (1, j) array of its j distinct
-    ids, ascending: measuring and the matrix ignore the order and repeats
-    of a row's ids.  Only items whose CDF step is above 0 can be drawn; they
-    are counted once per block.  A row of fewer draws than that count can
-    never hold them all, so it is drawn whole and sorted, at a cost of its
-    draws, not of k.  A longer row is drawn c uniforms at a time into a mask
-    over the block's items, which is counted only once the row has drawn as
+    Only items whose CDF step is above 0 can be drawn; where g exceeds
+    ``CHUNK`` they are counted once per block.  A row of fewer draws than
+    that count can never hold them all, so it comes as its raw draws, one
+    row per chunk, at a cost of its draws, not of k.  Only a row that can
+    hold every drawable item comes as its distinct ids, a (1, j) array,
+    ascending: measuring and the matrix ignore the order and repeats of a
+    row's ids.  Such a row is drawn c uniforms at a time into a mask over
+    the block's items, which is counted only once the row has drawn as
     many as there are drawable items; drawing stops once the mask holds
     them all, and the row's unread uniforms are skipped with
     ``PCG64.advance``: later draws could add no id, and the generator ends
     where the whole row's draw would.
     """
     size = min(CHUNK, 16 * len(block.items))
-    if block.g <= CHUNK:
+    if block.g <= CHUNK or block.g < (drawable := np.count_nonzero(np.diff(block.cdf, prepend=0.0))):
         rows = max(1, size // block.g)
         for lo in range(0, block.t, rows):
             yield _inverse_cdf(block, rng.random((min(rows, block.t - lo), block.g)))
         return
-    drawable = np.count_nonzero(np.diff(block.cdf, prepend=0.0))
     for _ in range(block.t):
-        if block.g < drawable:
-            yield _csr_rows(_inverse_cdf(block, rng.random((1, block.g))))[1][None]
-            continue
         mask = np.zeros(len(block.items), dtype=bool)
         drawn = 0
         while drawn < block.g and (drawn < drawable or np.count_nonzero(mask) < drawable):
@@ -421,8 +418,9 @@ def measure_design(design: SampledDesign, truth: np.ndarray) -> tuple[int, np.nd
     A row is positive when any of its draws is defective; every draw of a
     negative row and the zero set are cleared.  Repeated draws change
     neither, so chunks are never sorted or deduplicated, and no more than
-    one chunk of draws, or one row wider than ``CHUNK``, is held at a time;
-    such a row comes as its distinct ids and counts as its g draws.
+    one chunk of draws, or one row wider than ``CHUNK``, is held at a time.
+    Only a row that can hold every drawable item comes as its distinct ids;
+    it counts as its g draws.
 
     Each block is measured only until every clear item in it is cleared;
     its later rows are never drawn.  This is exact: a negative row holds

@@ -29,16 +29,16 @@ def measure_factor(n: int, eps: float) -> int:
     """Granularity factor ceil(log2(log2(2n/eps))), at least 1.
 
     Controls both the number of probability bands and the minimum band size
-    admitted to group testing.  Requires 2n/eps > 2 so the double logarithm
-    is positive.
+    admitted to group testing.  Requires a finite 2n/eps > 2 so the double
+    logarithm is positive and its ceiling exists.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not eps > 0.0:  # also refuses NaN
         raise ValueError("eps must be positive")
     ratio = 2.0 * n / eps
-    if ratio <= 2.0:
-        raise ValueError(f"2n/eps must exceed 2 for the double log to be positive (got {ratio})")
+    if not 2.0 < ratio < math.inf:
+        raise ValueError(f"2n/eps must be finite and exceed 2 for the double log to be positive (got {ratio})")
     return max(1, math.ceil(math.log2(math.log2(ratio))))
 
 

@@ -95,7 +95,8 @@ def test_plan_malformed_prior_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--eps", "0"], ["--eps", "nan"], ["--delta", "0"], ["--delta", "inf"], ["--delta", "1e308"]]
+    "flags",
+    [["--eps", "0"], ["--eps", "nan"], ["--eps", "1e-320"], ["--delta", "0"], ["--delta", "inf"], ["--delta", "1e308"]],
 )
 def test_plan_with_bad_bound_arguments_writes_nothing(tmp_path, uniform_prior_file, capsys, flags):
     """The bound table is checked before the plan file is written."""
@@ -233,10 +234,12 @@ def test_json_containers_that_are_not_lists_exit_2_naming_the_field(tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "algorithm, eps", [("block", 0.0), ("prepartitioned_me", 0.0), ("block", 20.0), ("prepartitioned_huffman", 25.0)]
+    "algorithm, eps",
+    [("block", 0.0), ("prepartitioned_me", 0.0), ("block", 20.0), ("prepartitioned_huffman", 25.0), ("block", 1e-320)],
 )
 def test_campaign_eps_that_cannot_partition_exits_2_naming_eps(tmp_path, capsys, algorithm, eps):
-    # At n = 20, eps 0 and eps >= n leave no measure factor: 2n/eps <= 2.
+    # At n = 20, eps 0 and eps >= n leave no measure factor: 2n/eps <= 2;
+    # at eps 1e-320, 2n/eps overflows to inf.
     spec, out = tmp_path / "spec.json", tmp_path / "out.csv"
     spec.write_text(json.dumps({**SMALL_CAMPAIGN, "algorithms": ["cca", algorithm], "eps": eps}))
     assert main(["simulate", "--campaign", str(spec), "--out", str(out)]) == 2

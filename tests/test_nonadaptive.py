@@ -374,6 +374,23 @@ def test_rows_wider_than_a_chunk_equal_one_full_draw(monkeypatch, probs, g):
         assert_ends_after_every_draw(spies[-1])
 
 
+@pytest.mark.parametrize(
+    "weights, g",
+    [
+        (np.ones(3 * CHUNK), 2 * CHUNK + 1),
+        (np.tile([1.0, 0.0, 2.0], CHUNK), CHUNK + 5),  # 2 CHUNK drawable items
+    ],
+    ids=["equal", "zero-weights"],
+)
+def test_rows_below_the_drawable_count_come_in_draw_order(weights, g):
+    # A row wider than CHUNK that cannot hold every drawable item comes as
+    # its raw draws, in draw order and with repeats, one row per chunk.
+    weights = weights / weights.sum()
+    ids = drawn_ids(np.random.default_rng(21), weights, 3, g)
+    u = np.random.default_rng(21).random((3, g))
+    assert np.array_equal(ids, np.searchsorted(_sampling_cdf(weights), u, side="right"))
+
+
 def test_measuring_holds_one_chunk_of_draws():
     # About 2M draws; the whole (t, g) block of ids alone would take 15 MiB.
     p = generate_prior("uniform", 1000, 8.0)

@@ -27,6 +27,8 @@ def test_measure_factor_domain_error():
         measure_factor(1, 1.0)  # 2n/eps = 2, double log = 0
     with pytest.raises(ValueError):
         measure_factor(10, 0.0)
+    with pytest.raises(ValueError):
+        measure_factor(3, 1e-320)  # 2n/eps overflows to inf
 
 
 def test_is_skewed_uniform_1000_is_not():
