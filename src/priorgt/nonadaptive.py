@@ -38,14 +38,14 @@ repeats, whatever their size.  The same law serves any seed.
 
 Row counts are T4's budget ``bounds.sampled_budget`` rounded up; its slack
 is checked by ``bounds.check_delta``.  A matrix is stored in compressed
-sparse row form and compares by value (``priors.ValueEq``).  A row is
-positive when any of its ids is defective, so :func:`run_nonadaptive`
-gathers the truth at ``indices`` and ORs each non-empty row's run in one
-``reduceat``.  Negative rows are cleared ``CLEAR_ROWS`` rows at a time, so
-the flags and ids gathered for one scatter stay bounded.  Repeated
-draws change neither, so sampled rows keep each id once; for the same
-reason :func:`measure_design` measures the drawn chunks directly, without
-sorting or deduplicating them, for Monte Carlo runs.
+sparse row form, its zero set a read-only, ascending int64 array, and
+compares by value (``priors.ValueEq``).  A row is positive when any of its
+ids is defective, so :func:`run_nonadaptive` gathers the truth at
+``indices`` and ORs each non-empty row's run in one ``reduceat``.
+Negative rows are cleared ``CLEAR_ROWS`` rows at a time, so the flags and
+ids gathered for one scatter stay bounded.  Repeated draws change neither,
+so sampled rows keep each id once, and :func:`measure_design` measures
+drawn chunks without sorting or deduplicating them.
 
 :func:`measure_design` also stops drawing a block once every clear item in
 it is cleared and skips the rest with ``PCG64.advance``; its docstring shows
@@ -128,10 +128,10 @@ class TestMatrix(ValueEq):
     for sampled rows, band order in the block design.  Both arrays are
     read-only int64, and their values must be integers: floats and bools
     are refused, not truncated; ``n`` is a whole number of at least 1, as
-    3.0 reads as 3.  ``zero_assigned`` lists items the decoder
-    clears directly without any covering row; its ids must be integers in
-    0..n-1 as well.  A design's block layout is read from the design, not
-    stored here.  Matrices compare by value and are unhashable.
+    3.0 reads as 3.  ``zero_assigned``, the ids the decoder clears without
+    a row, may be a set, a list or an array of ids in 0..n-1, held as a
+    read-only int64 array, ascending and distinct.  A design's block layout
+    is read from the design.  Matrices compare by value and are unhashable.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -140,34 +140,32 @@ class TestMatrix(ValueEq):
     n: int
     indptr: np.ndarray
     indices: np.ndarray
-    zero_assigned: frozenset[int] = frozenset()
+    zero_assigned: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "n", whole_number("n", self.n))
-        for name in ("indptr", "indices"):
-            object.__setattr__(self, name, index_array(name, getattr(self, name)))
-        object.__setattr__(self, "zero_assigned", frozenset(self.zero_assigned))
-        self._check()
+        zero = self.zero_assigned  # numpy reads a set as one object
+        zero = np.sort(index_array("zero_assigned", [*zero] if isinstance(zero, (set, frozenset)) else zero))
+        # Each id equal to the next goes: np.unique's hash table took 60 times as long at 855k ids.
+        zero = np.delete(zero, np.flatnonzero(zero[1:] == zero[:-1]))
+        indptr, indices = (index_array(name, getattr(self, name)) for name in ("indptr", "indices"))
+        self._hold(whole_number("n", self.n), indptr, indices, zero)
 
     @classmethod
-    def _keeping(cls, n: int, indptr: np.ndarray, indices: np.ndarray, zero_assigned: frozenset[int]) -> TestMatrix:
-        """The checked matrix over int64 arrays that nothing else holds, made
-        read-only and kept, where the constructor copies a caller's."""
+    def _keeping(cls, n: int, indptr: np.ndarray, indices: np.ndarray, zero_assigned: np.ndarray) -> TestMatrix:
+        """The checked matrix, kept over int64 arrays that nothing else holds, its zero set ascending and distinct."""
         m = cls.__new__(cls)
-        for name, value in (("n", n), ("indptr", indptr), ("indices", indices), ("zero_assigned", zero_assigned)):
-            object.__setattr__(m, name, value)
-        indptr.flags.writeable = indices.flags.writeable = False
-        m._check()
+        m._hold(n, indptr, indices, zero_assigned)
         return m
 
-    def _check(self):
-        indptr, indices = self.indptr, self.indices
+    def _hold(self, n: int, indptr: np.ndarray, indices: np.ndarray, zero: np.ndarray):
+        for name, value in (("n", n), ("indptr", indptr), ("indices", indices), ("zero_assigned", zero)):
+            object.__setattr__(self, name, value)
+        indptr.flags.writeable = indices.flags.writeable = zero.flags.writeable = False
         if len(indptr) == 0 or indptr[0] != 0 or indptr[-1] != len(indices) or (np.diff(indptr) < 0).any():
             raise ValueError("indptr must start at 0, never decrease and end at len(indices)")
-        if len(indices) and (indices.min() < 0 or indices.max() >= self.n):
+        if len(indices) and (indices.min() < 0 or indices.max() >= n):
             raise ValueError("row contains an item id outside 0..n-1")
-        zero = index_array("zero_assigned", list(self.zero_assigned))
-        if len(zero) and (zero.min() < 0 or zero.max() >= self.n):
+        if len(zero) and (zero[0] < 0 or zero[-1] >= n):
             raise ValueError("zero_assigned holds an item id outside 0..n-1")
 
     @property
@@ -349,7 +347,7 @@ class SampledDesign:
         indptr[row + 1 :] = 1
         indices[end : end + len(self.route)] = self.route
         indices.resize(end + len(self.route), refcheck=False)
-        return TestMatrix._keeping(self.n, np.cumsum(indptr, out=indptr), indices, frozenset(self.zero.tolist()))
+        return TestMatrix._keeping(self.n, np.cumsum(indptr, out=indptr), indices, np.sort(self.zero))
 
 
 def sample_cca(p: PriorVector, t: int, g: int, seed: int) -> SampledDesign:
@@ -476,7 +474,7 @@ def decode_comp(m: TestMatrix, outcomes: Sequence[int]) -> np.ndarray:
     for r in range(0, m.t, CLEAR_ROWS):
         span = m.indptr[r : r + CLEAR_ROWS + 1]
         cleared[m.indices[span[0] : span[-1]][np.repeat(negative[r : r + CLEAR_ROWS], np.diff(span))]] = True
-    cleared[list(m.zero_assigned)] = True
+    cleared[m.zero_assigned] = True
     return ~cleared
 
 
@@ -508,6 +506,6 @@ def design_to_json_dict(design: SampledDesign) -> dict:
         for t, items, label in layout:
             out["blocks"].append({"row_lo": row_lo, "row_hi": row_lo + t, "items": items.tolist(), "label": label})
             row_lo += t
-    if m.zero_assigned:
-        out["zero_assigned"] = sorted(m.zero_assigned)
+    if len(m.zero_assigned):
+        out["zero_assigned"] = m.zero_assigned.tolist()
     return out

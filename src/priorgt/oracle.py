@@ -165,7 +165,7 @@ def _decode_all(m: TestMatrix, truths: np.ndarray) -> np.ndarray:
     incidence[m.indices, np.repeat(np.arange(m.t), np.diff(m.indptr))] = 1.0
     negative = truths.astype(np.float32) @ incidence == 0.0
     cleared = negative.astype(np.float32) @ incidence.T > 0.0
-    cleared[:, list(m.zero_assigned)] = True
+    cleared[:, m.zero_assigned] = True
     return ~cleared
 
 
@@ -205,7 +205,7 @@ def exhaustive_decode_check(target: NestedPlan | TestMatrix, p: PriorVector) -> 
             [_decode_all(target, truths[a : a + _TRUTH_CHUNK]) for a in range(0, len(truths), _TRUTH_CHUNK)]
         )
         checked = np.ones(n, dtype=bool)
-        checked[list(target.zero_assigned)] = False
+        checked[target.zero_assigned] = False
         if (truths & ~recovered & checked).any():
             return DecodeCheck(passed=False)
         wrong = (recovered != truths).any(axis=1)

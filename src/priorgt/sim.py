@@ -314,10 +314,12 @@ def run_campaign(campaign: Campaign) -> list[PointTrials]:
     points = []
     for point_index, target_mu in enumerate(campaign.sweep):
         p = generate_prior(campaign.family, campaign.n, target_mu, rho=campaign.rho)
+        entropy = p.entropy_bits  # cached before the builds, whose peak its temporaries would raise
         built = {a: BUILDERS[a](p, campaign.eps, campaign.delta) for a in campaign.algorithms}
         seeds = trial_seeds(campaign.base_seed, point_index, campaign.trials)
         tests, success = _run_trials(p, built, seeds, campaign.eps)
-        points.append(PointTrials(campaign.n, p.mu, p.entropy_bits, [s for s, _ in seeds], tests, success))
+        del built  # not held while the next point builds
+        points.append(PointTrials(campaign.n, p.mu, entropy, [s for s, _ in seeds], tests, success))
     return points
 
 

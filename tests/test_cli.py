@@ -297,6 +297,24 @@ def test_a_sampled_design_of_zero_rows_exits_2_naming_the_cause(tmp_path, capsys
     assert list(tmp_path.iterdir()) == [spec]
 
 
+@pytest.mark.parametrize("command", ["bounds", "plan", "simulate"])
+def test_an_input_too_large_for_memory_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    # 10**15 items need 7 PiB, beyond any address space, so numpy refuses
+    # the array before allocating it.  Its MemoryError escaped main, and the
+    # process exited 1, which reads as a failed check.
+    huge = {"family": "exponential", "n": 10**15}
+    spec, out = tmp_path / "spec.json", tmp_path / "out"
+    if command == "simulate":
+        spec.write_text(json.dumps({**SMALL_CAMPAIGN, **huge, "sweep": [2.0]}))
+        argv = ["simulate", "--campaign", str(spec), "--out", str(out)]
+    else:
+        spec.write_text(json.dumps({**huge, "mu": 2}))
+        argv = [command, "--prior", str(spec), "--out", str(out)] + (["--algorithm", "me"] if command == "plan" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert list(tmp_path.iterdir()) == [spec]
+
+
 def test_bounds_text_pe_zero_t1_equals_entropy(uniform_prior_file, capsys):
     rc = main(["bounds", "--prior", uniform_prior_file, "--pe", "0.0"])
     assert rc == 0

@@ -808,7 +808,7 @@ def test_block_matrix_all_zero_set():
     p = PriorVector((1e-9, 1e-9, 1e-9, 1e-9))
     m = build_block_matrix(p, eps=0.5, delta=1.0, seed=0)
     assert m.t == 0
-    assert m.zero_assigned == frozenset({0, 1, 2, 3})
+    assert m.zero_assigned.tolist() == [0, 1, 2, 3]
     _, rec = run_nonadaptive(m, np.array((0, 0, 0, 0), dtype=bool))
     assert rec.tolist() == [0, 0, 0, 0]
 
@@ -947,6 +947,44 @@ def test_matrix_refuses_zero_assigned_ids_outside_the_items():
             TestMatrix(3, [0, 1], [0], zero_assigned=zero)
     m = TestMatrix(3, [0, 1], [0], zero_assigned={0, 2})
     assert run_nonadaptive(m, np.array((0, 1, 0), dtype=bool))[1].tolist() == [0, 1, 0]
+
+
+def test_zero_assigned_is_a_read_only_ascending_int64_array_however_it_is_given():
+    ids = [5, 0, 9, 3, 5]
+    given = [set(ids), frozenset(ids), ids, tuple(ids), np.array(ids), np.array(ids, dtype=np.uint8)]
+    matrices = [TestMatrix(10, [0, 1], [1], zero_assigned=zero) for zero in given]
+    assert all(m == matrices[0] for m in matrices)
+    p = generate_prior("exponential", 2000, 8.0, rho=0.99)
+    design = sample_block(p, eps=0.01, delta=1.0, seed=0)
+    block, empty = design.to_matrix(), TestMatrix(10, [0], [])
+    for m in [*matrices, block, empty]:
+        zero = m.zero_assigned
+        assert isinstance(zero, np.ndarray) and zero.dtype == np.int64 and zero.ndim == 1
+        assert not zero.flags.writeable and (np.diff(zero) > 0).all()
+    assert matrices[0].zero_assigned.tolist() == [0, 3, 5, 9] and len(empty.zero_assigned) == 0
+    assert block.zero_assigned.tolist() == sorted(design.zero.tolist()) and len(design.zero) == 967
+    # A caller's array is copied, as the row arrays are.
+    zero = np.array([1, 4])
+    assert not np.shares_memory(TestMatrix(10, [0], [], zero_assigned=zero).zero_assigned, zero)
+
+
+def test_a_matrix_holds_its_zero_set_in_its_own_bytes():
+    # 200,000 ids are 1.6 MB as int64; a frozenset of Python ints held
+    # several times that.  Both the constructor and a design's matrix keep
+    # the ids in one int64 array.
+    n = 400_000
+    zero = np.random.default_rng(5).permutation(n)[:200_000]
+    none = np.zeros(0, dtype=np.int64)
+    design = nonadaptive.SampledDesign(n=n, seed=0, blocks=(), route=none, zero=zero)
+    for build in (lambda: TestMatrix(n, [0], [], zero_assigned=zero), design.to_matrix):
+        tracemalloc.start()
+        try:
+            m = build()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * zero.nbytes
+        assert m.zero_assigned.tolist() == np.sort(zero).tolist()
 
 
 def test_block_spans_hold_read_only_arrays_and_compare_by_value():

@@ -825,7 +825,7 @@ def test_matrix_constructor_rejects_malformed_arrays(case, data):
     for bad_indptr, bad_indices in bad:
         with pytest.raises(ValueError):
             TestMatrix(n=m.n, indptr=bad_indptr, indices=bad_indices)
-    for zero in ({m.n}, {-1}, m.zero_assigned | {data.draw(st.integers(m.n, 2 * m.n))}):
+    for zero in ({m.n}, {-1}, {*m.zero_assigned.tolist(), data.draw(st.integers(m.n, 2 * m.n))}):
         with pytest.raises(ValueError):
             TestMatrix(n=m.n, indptr=indptr, indices=indices, zero_assigned=zero)
 

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -120,6 +121,26 @@ def test_run_campaign_deterministic():
         base_seed=11,
     )
     assert run_campaign(c) == run_campaign(c)
+
+
+def test_run_campaign_builds_on_a_cached_entropy_and_frees_each_point_before_the_next(monkeypatch):
+    # At n = 1e6 the entropy's temporaries, made after the builds, and the
+    # previous point's plans, held during the next point's builds, set the
+    # campaign's peak memory.
+    seen, alive = [], []
+    for name, build in sim.BUILDERS.items():
+        def spy(p, eps, delta, build=build):
+            seen.append(("entropy_bits" in vars(p), [ref() is None for ref in alive]))
+            built = build(p, eps, delta)
+            alive.append(weakref.ref(built))
+            return built
+        monkeypatch.setitem(sim.BUILDERS, name, spy)
+    c = Campaign(family="exponential", n=200, sweep=(2.0, 3.0), trials=2, algorithms=ALGORITHMS)
+    run_campaign(c)
+    k = len(ALGORITHMS)
+    assert [cached for cached, _ in seen] == [True] * 2 * k
+    # Every object of the first point is freed before the second point builds.
+    assert [freed[:k] for _, freed in seen[k:]] == [[True] * k] * k
 
 
 def test_run_campaign_truth_shared_across_algorithms(monkeypatch):
